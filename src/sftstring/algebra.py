@@ -67,10 +67,6 @@ def monomial_degree(m: Monomial) -> int:
     return sum(s.degree * e for s, e in m)
 
 
-def monomial_parity(m: Monomial) -> int:
-    return monomial_degree(m) % 2
-
-
 def hbar_exponent(m: Monomial) -> int:
     for s, e in m:
         if s.kind == KIND_H:
@@ -128,6 +124,16 @@ def normalize(entries: Iterable) -> Optional[tuple]:
                 "word mixes p and q of orbit %r in Weyl order; use the star product"
                 % (s.orbit,)
             )
+    return standard_form(word)
+
+
+def standard_form(word: list) -> Optional[tuple]:
+    """normalize() without the same-orbit guard; sorts `word` in place.
+
+    Callers that have already performed the star-product contractions
+    use this directly: the same-orbit p, q pairs left in their words
+    take the plain Koszul-swap branch of the commutation relation.
+    """
     # insertion sort by sort_key, counting odd-odd transpositions
     sign = 1
     for i in range(1, len(word)):
@@ -155,6 +161,22 @@ def normalize(entries: Iterable) -> Optional[tuple]:
             raise NormalizationError("negative exponent on %r" % (s,))
         out.append((s, e))
     return sign, tuple(out)
+
+
+def add_terms(acc: dict, terms: dict, scale=1) -> dict:
+    """acc += scale * terms, key by key, for any sparse vector.
+
+    A key whose coefficient cancels is removed at once, so `acc` holds
+    no zeros and its keys keep first-insertion order, exactly as a
+    chain of GradedSeries additions would leave them.  Returns acc.
+    """
+    for k, v in terms.items():
+        c = acc.get(k, 0) + v * scale
+        if c:
+            acc[k] = c
+        else:
+            acc.pop(k, None)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -198,21 +220,22 @@ class GradedSeries:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
+    def __init__(self, terms: Optional[dict] = None):
         self.terms: dict = {}
-        if terms:
-            for m, c in (terms.items() if isinstance(terms, dict) else terms):
-                c = Fraction(c)
-                if c:
-                    self.terms[m] = self.terms.get(m, Fraction(0)) + c
-            self._strip()
-
-    def _strip(self):
-        dead = [m for m, c in self.terms.items() if not c]
-        for m in dead:
-            del self.terms[m]
+        for m, c in (terms or {}).items():
+            c = Fraction(c)
+            if c:
+                self.terms[m] = c
 
     # -- constructors ------------------------------------------------
+    @classmethod
+    def from_terms(cls, terms: dict) -> "GradedSeries":
+        """Series over a dict of normalized monomials and exact (Fraction)
+        coefficients, taken as they are except that zeros are dropped."""
+        s = cls.__new__(cls)
+        s.terms = {m: c for m, c in terms.items() if c}
+        return s
+
     @classmethod
     def zero(cls) -> "GradedSeries":
         return cls()
@@ -239,12 +262,7 @@ class GradedSeries:
 
     # -- ring structure ----------------------------------------------
     def __add__(self, other: "GradedSeries") -> "GradedSeries":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        s = GradedSeries.__new__(GradedSeries)
-        s.terms = {m: c for m, c in out.items() if c}
-        return s
+        return GradedSeries.from_terms(add_terms(dict(self.terms), other.terms))
 
     def __sub__(self, other: "GradedSeries") -> "GradedSeries":
         return self + other.scale(-1)
@@ -254,9 +272,8 @@ class GradedSeries:
 
     def scale(self, c) -> "GradedSeries":
         c = Fraction(c)
-        s = GradedSeries.__new__(GradedSeries)
-        s.terms = {} if not c else {m: cc * c for m, cc in self.terms.items()}
-        return s
+        return GradedSeries.from_terms(
+            {m: cc * c for m, cc in self.terms.items()} if c else {})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GradedSeries) and self.terms == other.terms
@@ -283,13 +300,6 @@ class GradedSeries:
             return degs.pop()
         return None
 
-    def map_terms(self, fn) -> "GradedSeries":
-        """Sum fn(monomial, coeff) -> GradedSeries over all terms."""
-        out = GradedSeries.zero()
-        for m, c in self.terms.items():
-            out = out + fn(m, c)
-        return out
-
     def __repr__(self):
         return format_series(self)
 
@@ -314,10 +324,15 @@ def mul(a: GradedSeries, b: GradedSeries, ctx: TruncationContext) -> GradedSerie
                 continue
             sgn, mono = res
             acc[mono] = acc.get(mono, Fraction(0)) + c1 * c2 * sgn
-    return _collect(acc, ctx)
+    return collect(acc, ctx)
 
 
-def _collect(acc: dict, ctx: TruncationContext) -> GradedSeries:
+def collect(acc: dict, ctx: TruncationContext) -> GradedSeries:
+    """Series of the accumulated terms inside the context window.
+
+    Zeros and terms above the caps are dropped; a nonzero term below
+    min_hbar raises TruncationUnderflow.
+    """
     out = {}
     for m, c in acc.items():
         if not c:
@@ -329,9 +344,7 @@ def _collect(acc: dict, ctx: TruncationContext) -> GradedSeries:
             )
         if ctx.keeps(m):
             out[m] = c
-    s = GradedSeries.__new__(GradedSeries)
-    s.terms = out
-    return s
+    return GradedSeries.from_terms(out)
 
 
 def format_monomial(m: Monomial) -> str:

@@ -13,13 +13,15 @@ import os
 import sys
 from typing import List, Optional
 
-from .algebra import GradedSeries, TruncationContext
+from .algebra import (GradedSeries, NormalizationError, TruncationContext,
+                      TruncationUnderflow)
+from .bv import BvError
 from .problemfile import ParseError, ProblemFile, parse, print_problem
 from .reports import CheckReport
 from .surfaces import Surface, SurfaceError, format_word, parse_word, torus_bracket_oracle
 from .strings import (ClassAlgebra, check_goldman_turaev_axioms,
                       check_string_identities)
-from .weyl import check_master_f, check_master_h
+from .weyl import ExponentialError, check_master_f, check_master_h
 from .cotangent import (
     AlphabetError,
     GeodesicAlphabet,
@@ -33,6 +35,19 @@ from .cotangent import (
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+
+class UsageError(ValueError):
+    """An option value the checker cannot use."""
+
+
+def _option(value: Optional[int], default: int, least: int, flag: str) -> int:
+    """The option's value, or `default` when it was not given; a value
+    below `least` is a usage error."""
+    value = default if value is None else value
+    if value < least:
+        raise UsageError("%s must be at least %d" % (flag, least))
+    return value
 
 
 def _caps_from_args(args, pf: Optional[ProblemFile] = None) -> TruncationContext:
@@ -133,14 +148,17 @@ def cmd_check_master_l(args) -> int:
     return _emit(check_master_l(L, Hp, Hm, alg, pf.sys, ctx), args.json)
 
 
+def _bv_caps(args) -> dict:
+    return {"word_cap": _option(args.max_word_len, 3, 2, "--max-word-len"),
+            "hbar_cap": _option(args.max_hbar, 3, 0, "--max-hbar")}
+
+
 def cmd_linearize(args) -> int:
     from .bv import (Augmentation, bv_from_hamiltonian, homology,
                      linearize, twist_by_augmentation, validate_bv)
     pf = _load(args.input)
     H = _series_arg(pf, args.series)
-    word_cap = args.max_word_len if args.max_word_len is not None else 3
-    D = bv_from_hamiltonian(pf.sys, H, word_cap=word_cap,
-                            hbar_cap=args.max_hbar or 3)
+    D = bv_from_hamiltonian(pf.sys, H, **_bv_caps(args))
     rep = validate_bv(D)
     spec = D.spec
     table = {}
@@ -192,8 +210,7 @@ def cmd_check_bialgebra(args) -> int:
                      linearize, twist_by_augmentation)
     pf = _load(args.input)
     H = _series_arg(pf, args.series)
-    D = bv_from_hamiltonian(pf.sys, H, word_cap=args.max_word_len or 3,
-                            hbar_cap=args.max_hbar or 3)
+    D = bv_from_hamiltonian(pf.sys, H, **_bv_caps(args))
     table = {}
     if args.aug:
         entries = pf.augs.get(args.aug)
@@ -268,15 +285,17 @@ def cmd_cobracket(args) -> int:
 
 def cmd_check_axioms(args) -> int:
     surface = _surface_from_args(args)
-    cap = args.max_word_len or 3
+    cap = _option(args.max_word_len, 3, 1, "--max-word-len")
+    # without --samples the identity suite adds no random tuples and the
+    # axiom sweep draws 25 pairs and 25 triples
+    extra = _option(args.samples, 0, 0, "--samples")
+    drawn = _option(args.samples, 25, 0, "--samples")
     reports = [
         check_string_identities(surface, max_len=cap, max_slots=3,
-                                samples=args.samples or 0,
-                                seed=args.seed or 0),
+                                samples=extra, seed=args.seed),
         check_goldman_turaev_axioms(
             surface, max_len=min(cap, 3), sample_len=cap,
-            triples=args.samples or 25, pairs=args.samples or 25,
-            seed=args.seed or 0),
+            triples=drawn, pairs=drawn, seed=args.seed),
     ]
     return _emit_many(reports, args.json)
 
@@ -438,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check-axioms", help="multi-string identity suite")
     _add_surface(sp)
-    sp.add_argument("--samples", type=int, default=0)
+    sp.add_argument("--samples", type=int, default=None)
     sp.add_argument("--seed", type=int, default=0)
     _add_caps(sp)
     sp.set_defaults(fn=cmd_check_axioms)
@@ -476,7 +495,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ParseError, SurfaceError, AlphabetError) as exc:
+    except (ParseError, SurfaceError, AlphabetError, UsageError,
+            TruncationUnderflow, ExponentialError, BvError,
+            NormalizationError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

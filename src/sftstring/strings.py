@@ -16,7 +16,7 @@ where the chain boundary vanishes.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .algebra import (
     KIND_S,
@@ -24,16 +24,17 @@ from .algebra import (
     GradedSymbol,
     Monomial,
     TruncationContext,
+    add_terms,
+    collect,
+    format_monomial,
     hbar_exponent,
     p_degree,
     q_degree,
     word_length,
-    format_monomial,
 )
 from .reports import CheckReport, series_witnesses, timed
 from .surfaces import Surface, Word, format_word
-from .weyl import OrbitSystem, exp_series, project_out, star, SIDE_POS, SIDE_NEG
-from .algebra import KIND_P, KIND_Q
+from .weyl import FILLING_KILL, OrbitSystem, exp_series, project_out, star
 
 
 class ClassAlgebra:
@@ -106,13 +107,13 @@ def delta_tuple(classes: Sequence[Word], alg: ClassAlgebra,
     the orientation factor relating tuples to monomials."""
     sgn_exp = 3 - alg.n
     k = len(classes)
-    out = GradedSeries.zero()
+    out: Dict[Monomial, Fraction] = {}
     for r in range(1, k + 1):
         pref = -1 if ((r + k) * sgn_exp) % 2 else 1
         for (u, v), cc in alg.surface.turaev_terms(classes[r - 1]).items():
             t = list(classes[:r - 1]) + [u, v] + list(classes[r:])
-            out = out + alg.multi(t, cc * pref)
-    return _truncate(out, ctx)
+            add_terms(out, alg.multi(t, cc * pref).terms)
+    return collect(out, ctx)
 
 
 def nabla_tuple(classes: Sequence[Word], alg: ClassAlgebra,
@@ -121,7 +122,7 @@ def nabla_tuple(classes: Sequence[Word], alg: ClassAlgebra,
     (-1)^((r2-1+k)(3-n)); the joined class takes slot r1."""
     sgn_exp = 3 - alg.n
     k = len(classes)
-    out = GradedSeries.zero()
+    out: Dict[Monomial, Fraction] = {}
     for r1 in range(1, k + 1):
         for r2 in range(r1 + 1, k + 1):
             pref = -1 if ((r2 - 1 + k) * sgn_exp) % 2 else 1
@@ -129,8 +130,8 @@ def nabla_tuple(classes: Sequence[Word], alg: ClassAlgebra,
                     classes[r1 - 1], classes[r2 - 1]).items():
                 t = [z if t == r1 - 1 else c
                      for t, c in enumerate(classes) if t != r2 - 1]
-                out = out + alg.multi(t, cc * pref)
-    return _truncate(out, ctx)
+                add_terms(out, alg.multi(t, cc * pref).terms)
+    return collect(out, ctx)
 
 
 def tuple_orientation(k: int, n: int) -> int:
@@ -141,8 +142,7 @@ def tuple_orientation(k: int, n: int) -> int:
 
 
 def delta_op(series: GradedSeries, alg: ClassAlgebra,
-             ctx: TruncationContext,
-             flags: Optional[List[str]] = None) -> GradedSeries:
+             ctx: TruncationContext) -> GradedSeries:
     """Split one string at a self-intersection, slot by slot.
 
     Monomial form of the tuple-level splitting: conjugating the literal
@@ -151,7 +151,7 @@ def delta_op(series: GradedSeries, alg: ClassAlgebra,
     of the monomial algebra.  The unit is annihilated.
     """
     sgn_exp = 3 - alg.n
-    out = GradedSeries.zero()
+    out: Dict[Monomial, Fraction] = {}
     for m, c in series.terms.items():
         slots = _tuple_of(m)
         rest = _rest_of(m)
@@ -159,18 +159,17 @@ def delta_op(series: GradedSeries, alg: ClassAlgebra,
         for r in range(1, k + 1):
             pref = -1 if (r * sgn_exp) % 2 else 1
             cls = alg.class_of_symbol(slots[r - 1])
-            for (u, v), cc in alg.surface.turaev_terms(cls, flags).items():
+            for (u, v), cc in alg.surface.turaev_terms(cls).items():
                 entries = [(s, 1) for s in slots[:r - 1]]
                 entries += [(alg.symbol(u), 1), (alg.symbol(v), 1)]
                 entries += [(s, 1) for s in slots[r:]]
                 entries += list(rest)
-                out = out + GradedSeries.from_word(entries, c * cc * pref)
-    return _truncate(out, ctx)
+                add_terms(out, GradedSeries.from_word(entries, c * cc * pref).terms)
+    return collect(out, ctx)
 
 
 def nabla_op(series: GradedSeries, alg: ClassAlgebra,
-             ctx: TruncationContext,
-             flags: Optional[List[str]] = None) -> GradedSeries:
+             ctx: TruncationContext) -> GradedSeries:
     """Join two strings at an intersection, for every slot pair.
 
     Monomial form of the tuple-level joining: the (r1 < r2) join gets
@@ -179,7 +178,7 @@ def nabla_op(series: GradedSeries, alg: ClassAlgebra,
     Vanishes on single strings and on the unit.
     """
     sgn_exp = 3 - alg.n
-    out = GradedSeries.zero()
+    out: Dict[Monomial, Fraction] = {}
     for m, c in series.terms.items():
         slots = _tuple_of(m)
         rest = _rest_of(m)
@@ -191,26 +190,19 @@ def nabla_op(series: GradedSeries, alg: ClassAlgebra,
                 pref = -1 if ((r1 + r2 + 1) * sgn_exp) % 2 else 1
                 c1 = alg.class_of_symbol(slots[r1 - 1])
                 c2 = alg.class_of_symbol(slots[r2 - 1])
-                for z, cc in alg.surface.goldman_terms(c1, c2, flags).items():
+                for z, cc in alg.surface.goldman_terms(c1, c2).items():
                     entries = [(alg.symbol(z), 1)]
                     entries += [(s, 1) for t, s in enumerate(slots)
                                 if t not in (r1 - 1, r2 - 1)]
                     entries += list(rest)
-                    out = out + GradedSeries.from_word(entries, c * cc * pref)
-    return _truncate(out, ctx)
-
-
-def _truncate(series: GradedSeries, ctx: TruncationContext) -> GradedSeries:
-    out = {m: c for m, c in series.terms.items() if ctx.keeps(m)}
-    s = GradedSeries.__new__(GradedSeries)
-    s.terms = out
-    return s
+                    add_terms(out, GradedSeries.from_word(entries, c * cc * pref).terms)
+    return collect(out, ctx)
 
 
 def string_bracket(alg: ClassAlgebra, a: GradedSeries, b: GradedSeries,
                    ctx: TruncationContext) -> GradedSeries:
     """Goldman bracket extended bilinearly to single-string sums."""
-    out = GradedSeries.zero()
+    out: Dict[Monomial, Fraction] = {}
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
             t1, t2 = _tuple_of(m1), _tuple_of(m2)
@@ -219,8 +211,8 @@ def string_bracket(alg: ClassAlgebra, a: GradedSeries, b: GradedSeries,
             x = alg.class_of_symbol(t1[0])
             y = alg.class_of_symbol(t2[0])
             for z, cc in alg.surface.goldman_terms(x, y).items():
-                out = out + alg.single(z, c1 * c2 * cc)
-    return _truncate(out, ctx)
+                add_terms(out, alg.single(z, c1 * c2 * cc).terms)
+    return collect(out, ctx)
 
 
 # ---------------------------------------------------------------------
@@ -363,10 +355,8 @@ def check_master_l(L: GradedSeries, Hplus: GradedSeries, Hminus: GradedSeries,
         wide = ctx.widen(extra_low=ctx.max_p_degree + ctx.max_word_length + 2)
         eL = exp_series(L, sys, wide)
         lhs = d_string(eL, alg, sys, wide, boundary)
-        # untagged orbits count as the positive end (filling view)
-        kill = ((KIND_Q, SIDE_POS), (KIND_Q, "none"), (KIND_P, SIDE_NEG))
-        rhs = project_out(star(eL, Hplus, sys, wide), sides=kill, sys=sys) - \
-            project_out(star(Hminus, eL, sys, wide), sides=kill, sys=sys)
+        rhs = project_out(star(eL, Hplus, sys, wide), sides=FILLING_KILL, sys=sys) - \
+            project_out(star(Hminus, eL, sys, wide), sides=FILLING_KILL, sys=sys)
         diff = lhs - rhs
         if not diff.is_zero():
             series_witnesses(report, diff)
@@ -417,20 +407,9 @@ def check_fukaya_disk(a1: GradedSeries, alg: ClassAlgebra,
 # Goldman-Turaev axiom suite over class pools
 # ---------------------------------------------------------------------
 
-def _sum_add(acc, terms, scale=Fraction(1)):
-    for k, v in terms.items():
-        acc[k] = acc.get(k, Fraction(0)) + v * scale
-    return acc
-
-
-def _sum_strip(acc):
-    return {k: v for k, v in acc.items() if v}
-
-
 def check_goldman_turaev_axioms(surface: Surface, max_len: int = 4,
                                 sample_len: int = 6, triples: int = 200,
-                                pairs: int = 300, seed: int = 0,
-                                progress=None) -> CheckReport:
+                                pairs: int = 300, seed: int = 0) -> CheckReport:
     """Antisymmetry, Jacobi, co-antisymmetry, co-Jacobi, Drinfeld
     compatibility and involutivity for the bracket and cobracket.
 
@@ -454,8 +433,8 @@ def check_goldman_turaev_axioms(surface: Surface, max_len: int = 4,
         acc = {}
         for x, cx in sx.items():
             for y, cy in sy.items():
-                _sum_add(acc, br(x, y), cx * cy)
-        return _sum_strip(acc)
+                add_terms(acc, br(x, y), cx * cy)
+        return acc
 
     with timed(report):
         pool = S.classes_up_to(max_len)
@@ -463,14 +442,10 @@ def check_goldman_turaev_axioms(surface: Surface, max_len: int = 4,
         big = S.classes_up_to(sample_len) if sample_len > max_len else pool
         # unary axioms over the whole pool
         for x in pool:
-            if progress:
-                progress()
             if br(x, x):
                 report.add_witness("[x,x] for %s" % format_word(x, S), "nonzero")
             d = cob(x)
-            anti = _sum_strip(_sum_add({(v, u): c for (u, v), c in d.items()},
-                                       d))
-            if anti:
+            if add_terms({(v, u): c for (u, v), c in d.items()}, d):
                 report.add_witness("co-antisymmetry for %s" % format_word(x, S),
                                    "nonzero")
             t3 = {}
@@ -481,26 +456,26 @@ def check_goldman_turaev_axioms(surface: Surface, max_len: int = 4,
             for (p, q, r), c in t3.items():
                 for key in ((p, q, r), (r, p, q), (q, r, p)):
                     cyc[key] = cyc.get(key, Fraction(0)) + c
-            if _sum_strip(cyc):
+            if any(cyc.values()):
                 report.add_witness("co-Jacobi for %s" % format_word(x, S),
                                    "nonzero")
             inv = {}
             for (u, v), c in d.items():
-                _sum_add(inv, br(u, v), c)
-            if _sum_strip(inv):
+                add_terms(inv, br(u, v), c)
+            if inv:
                 report.add_witness("involutivity for %s" % format_word(x, S),
                                    "nonzero")
         # sampled pairs: antisymmetry and Drinfeld compatibility
         for _ in range(pairs):
             x = big[rng.randrange(len(big))]
             y = big[rng.randrange(len(big))]
-            if _sum_strip(_sum_add(dict(br(x, y)), br(y, x))):
+            if add_terms(dict(br(x, y)), br(y, x)):
                 report.add_witness(
                     "antisymmetry for (%s, %s)"
                     % (format_word(x, S), format_word(y, S)), "nonzero")
             lhs = {}
             for z, c in br(x, y).items():
-                _sum_add(lhs, cob(z), c)
+                add_terms(lhs, cob(z), c)
             rhs = {}
             dx, dy = cob(x), cob(y)
             for (x1, x2), c in dx.items():
@@ -513,8 +488,7 @@ def check_goldman_turaev_axioms(surface: Surface, max_len: int = 4,
                     rhs[(z, y2)] = rhs.get((z, y2), Fraction(0)) + c * c2
                 for z, c2 in br(y2, x).items():
                     rhs[(y1, z)] = rhs.get((y1, z), Fraction(0)) - c * c2
-            diff = _sum_strip(_sum_add(lhs, {k: -v for k, v in rhs.items()}))
-            if diff:
+            if add_terms(lhs, rhs, -1):
                 report.add_witness(
                     "Drinfeld for (%s, %s)"
                     % (format_word(x, S), format_word(y, S)), "nonzero")
@@ -525,8 +499,8 @@ def check_goldman_turaev_axioms(surface: Surface, max_len: int = 4,
             z = big[rng.randrange(len(big))]
             acc = {}
             for (u, v, w) in ((x, y, z), (z, x, y), (y, z, x)):
-                _sum_add(acc, br_sum(br(u, v), {w: Fraction(1)}))
-            if _sum_strip(acc):
+                add_terms(acc, br_sum(br(u, v), {w: Fraction(1)}))
+            if acc:
                 report.add_witness(
                     "Jacobi for (%s, %s, %s)"
                     % (format_word(x, S), format_word(y, S), format_word(z, S)),

@@ -317,7 +317,6 @@ class Surface:
         """All nontrivial classes with a representative of length <= cap,
         listed by canonical form."""
         found = {}
-        stack: List[Tuple[int, ...]] = [()]
         letters = [x for a in range(1, self.rank + 1) for x in (a, -a)]
         out: List[Word] = []
         for length in range(1, max_len + 1):
@@ -438,20 +437,16 @@ class Surface:
             else:
                 return (i, j)
 
-    def _crossing(self, w1: Word, i: int, w2: Word, j: int, depth: int,
-                  flags: Optional[List[str]] = None) -> int:
+    def _crossing(self, w1: Word, i: int, w2: Word, j: int, depth: int) -> int:
         """Sign of the transverse crossing of two axes for a canonical
         occurrence pair, 0 when unlinked or tangential."""
         f1, p1 = self._strand_rays(w1, i, depth)
         f2, p2 = self._strand_rays(w2, j, depth)
         rays = {"1+": f1, "1-": p1, "2+": f2, "2-": p2}
-        items = list(rays.items())
+        keys = list(rays.values())
         for a in range(4):
             for b in range(a + 1, 4):
-                if items[a][1] == items[b][1]:
-                    if flags is not None:
-                        flags.append("tangential pair (%s,%s) at rotations (%d,%d)"
-                                     % (items[a][0], items[b][0], i, j))
+                if keys[a] == keys[b]:
                     return 0
         order = sorted(rays, key=rays.get)
         k0 = order.index("1+")
@@ -469,9 +464,7 @@ class Surface:
         edges = self.half if self.closed else self.rank
         return 2 * prod + 6 * sum(len(w) for w in words) + 12 * edges + 32
 
-    def _linked_pairs(self, w1: Word, w2: Word,
-                      flags: Optional[List[str]] = None
-                      ) -> List[Tuple[int, int, int]]:
+    def _linked_pairs(self, w1: Word, w2: Word) -> List[Tuple[int, int, int]]:
         """Canonical linked occurrence pairs (i, j, sign) of two strand
         families; for w1 == w2 this enumerates ordered pairs of distinct
         phases, so every self-intersection appears with both orderings."""
@@ -483,26 +476,22 @@ class Surface:
                 if self_pairs and i == j:
                     continue
                 cp = self._pair_canonical(w1, i, w2, j)
-                if cp is None:
-                    if flags is not None:
-                        flags.append("tangential strands at (%d,%d)" % (i, j))
-                    continue
-                canon.add(cp)
+                if cp is not None:
+                    canon.add(cp)
         out = []
         for i, j in sorted(canon):
-            eps = self._crossing(w1, i, w2, j, depth, flags)
+            eps = self._crossing(w1, i, w2, j, depth)
             if eps:
                 out.append((i, j, eps))
         return out
 
     # -- string operations ----------------------------------------------
-    def goldman_terms(self, x: Word, y: Word,
-                      flags: Optional[List[str]] = None) -> Dict[Word, Fraction]:
+    def goldman_terms(self, x: Word, y: Word) -> Dict[Word, Fraction]:
         """Signed concatenation classes over linked occurrence pairs."""
         if self.torus_mode:
             return self._torus_bracket_lines(x, y)
         out: Dict[Word, Fraction] = {}
-        for i, j, eps in self._linked_pairs(x, y, flags):
+        for i, j, eps in self._linked_pairs(x, y):
             xi = x[i:] + x[:i]
             yj = y[j:] + y[:j]
             c = self.canonical_class(xi + yj)
@@ -511,9 +500,7 @@ class Surface:
             out[c] = out.get(c, Fraction(0)) + eps
         return {c: v for c, v in out.items() if v}
 
-    def turaev_terms(self, x: Word,
-                     flags: Optional[List[str]] = None
-                     ) -> Dict[Tuple[Word, Word], Fraction]:
+    def turaev_terms(self, x: Word) -> Dict[Tuple[Word, Word], Fraction]:
         """Ordered splitting pairs over linked self-occurrence pairs.
 
         Every self-intersection point appears as two mirrored canonical
@@ -523,8 +510,7 @@ class Surface:
         out: Dict[Tuple[Word, Word], Fraction] = {}
         if self.torus_mode:
             return out  # straight lines and their covers never split
-        n = len(x)
-        for i, j, eps in self._linked_pairs(x, x, flags):
+        for i, j, eps in self._linked_pairs(x, x):
             u = self.canonical_class(x[i:j] if i < j else x[i:] + x[:j])
             v = self.canonical_class(x[j:i] if j < i else x[j:] + x[:i])
             if u is None or v is None:

@@ -4,7 +4,7 @@ Variables q_gamma, p_gamma per good closed orbit, with gradings
 |q| = n-3+CZ, |p| = n-3-CZ, |h| = 2(n-3).  All variables super-commute
 except p and q of the same orbit, where moving a p left past its q
 produces the extra contraction term kappa*h.  Series are kept in
-standard form (q-block left of p-block) via algebra.normalize.
+standard form (q-block left of p-block) via algebra.standard_form.
 
 The star product enumerates contraction matchings directly; the
 adjacent-transposition rewriting `star_reference` is the slow oracle the
@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
+from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -26,16 +27,24 @@ from .algebra import (
     GradedSeries,
     GradedSymbol,
     Monomial,
+    ONE,
     TruncationContext,
-    hbar_exponent,
-    _collect,
+    add_terms,
+    collect,
     format_monomial,
+    hbar_exponent,
+    standard_form,
 )
 from .reports import CheckReport, series_witnesses, timed
 
 SIDE_NONE = "none"
 SIDE_POS = "pos"
 SIDE_NEG = "neg"
+
+# (kind, side) pairs dropped when a cobordism equation is read in the
+# space of series in p(+), q(-), h; untagged orbits count as the
+# positive end (filling view)
+FILLING_KILL = ((KIND_Q, SIDE_POS), (KIND_Q, SIDE_NONE), (KIND_P, SIDE_NEG))
 
 
 @dataclass(frozen=True)
@@ -134,7 +143,7 @@ def star(a: GradedSeries, b: GradedSeries, sys: OrbitSystem,
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
             _star_monomials(m1, m2, c1 * c2, sys, acc)
-    return _collect(acc, ctx)
+    return collect(acc, ctx)
 
 
 def _star_monomials(m1: Monomial, m2: Monomial, coeff: Fraction,
@@ -164,14 +173,9 @@ def _iter_matchings(by_orbit, orbits, k: int = 0):
     for rest in _iter_matchings(by_orbit, orbits, k + 1):
         yield rest
         for r in range(1, min(len(ps), len(qs)) + 1):
-            for chosen_p in _combinations(ps, r):
+            for chosen_p in combinations(ps, r):
                 for chosen_q in permutations(qs, r):
                     yield rest + list(zip(chosen_p, chosen_q))
-
-
-def _combinations(items, r):
-    from itertools import combinations
-    return combinations(items, r)
 
 
 def _apply_matching(u1, u2, hpow, matching, coeff, sys, acc) -> None:
@@ -200,44 +204,11 @@ def _apply_matching(u1, u2, hpow, matching, coeff, sys, acc) -> None:
     entries += [(s, 1) for s, al in zip(u2, alive2) if al]
     if hpow:
         entries.append((sys.hbar, hpow))
-    res = _normalize_weyl(entries)
+    res = standard_form(entries)
     if res is None:
         return
     sgn, mono = res
     acc[mono] = acc.get(mono, Fraction(0)) + coeff * sign * sgn
-
-
-def _normalize_weyl(entries):
-    """normalize() but letting unmatched same-orbit p,q super-commute.
-
-    In the star expansion the pairs that were not contracted take the
-    plain Koszul-swap branch of the commutation relation, so the
-    standard-form sort is legitimate here.
-    """
-    word = [(s, e) for s, e in entries if e != 0]
-    sign = 1
-    for i in range(1, len(word)):
-        j = i
-        while j > 0 and word[j - 1][0].sort_key > word[j][0].sort_key:
-            a, b = word[j - 1], word[j]
-            if (a[0].parity * a[1]) % 2 and (b[0].parity * b[1]) % 2:
-                sign = -sign
-            word[j - 1], word[j] = b, a
-            j -= 1
-    merged: List[Tuple[GradedSymbol, int]] = []
-    for s, e in word:
-        if merged and merged[-1][0] == s:
-            merged[-1] = (s, merged[-1][1] + e)
-        else:
-            merged.append((s, e))
-    out = []
-    for s, e in merged:
-        if e == 0:
-            continue
-        if s.parity and e > 1:
-            return None
-        out.append((s, e))
-    return sign, tuple(out)
 
 
 # ---------------------------------------------------------------------
@@ -261,7 +232,7 @@ def star_reference(a: GradedSeries, b: GradedSeries, sys: OrbitSystem,
                     entries = [(s, 1) for s in word]
                     if hpow:
                         entries.append((sys.hbar, hpow))
-                    res = _normalize_weyl(entries)
+                    res = standard_form(entries)
                     if res is None:
                         continue
                     sgn, mono = res
@@ -274,7 +245,7 @@ def star_reference(a: GradedSeries, b: GradedSeries, sys: OrbitSystem,
                 if x.kind == KIND_P and y.kind == KIND_Q and x.orbit == y.orbit:
                     stack.append((coeff * sys.kappa[x.orbit],
                                   word[:idx] + word[idx + 2:], hpow + 1))
-    return _collect(acc, ctx)
+    return collect(acc, ctx)
 
 
 def _first_disorder(word) -> Optional[int]:
@@ -356,12 +327,12 @@ def act_right(F: GradedSeries, g: GradedSeries, sys: OrbitSystem,
                 entries = list(qpart) + list(m0)
                 if h0:
                     entries.append((sys.hbar, h0))
-                res = _normalize_weyl(entries)
+                res = standard_form(entries)
                 if res is None:
                     continue
                 sgn, mono = res
                 acc[mono] = acc.get(mono, Fraction(0)) + c0 * sgn
-    return _collect(acc, ctx)
+    return collect(acc, ctx)
 
 
 def act_left(g: GradedSeries, H: GradedSeries, sys: OrbitSystem,
@@ -396,12 +367,12 @@ def act_left(g: GradedSeries, H: GradedSeries, sys: OrbitSystem,
                 entries = list(m0) + list(rest)
                 if h0:
                     entries.append((sys.hbar, h0))
-                res = _normalize_weyl(entries)
+                res = standard_form(entries)
                 if res is None:
                     continue
                 sgn, mono = res
                 acc[mono] = acc.get(mono, Fraction(0)) + c0 * sgn
-    return _collect(acc, ctx)
+    return collect(acc, ctx)
 
 
 def project_out(series: GradedSeries, kinds=(), sides=(), sys: Optional[OrbitSystem] = None,
@@ -421,9 +392,7 @@ def project_out(series: GradedSeries, kinds=(), sides=(), sys: Optional[OrbitSys
                     break
         if not bad:
             out[m] = c
-    s2 = GradedSeries.__new__(GradedSeries)
-    s2.terms = out
-    return s2
+    return GradedSeries.from_terms(out)
 
 
 # ---------------------------------------------------------------------
@@ -451,7 +420,7 @@ def exp_series(F: GradedSeries, sys: OrbitSystem, ctx: TruncationContext,
             raise ExponentialError(
                 "exponential of a series with scalar term %s does not truncate"
                 % format_monomial(m))
-    out = GradedSeries.unit()
+    out = {ONE: Fraction(1)}
     power = GradedSeries.unit()
     bound = (ctx.max_p_degree + (ctx.max_hbar - ctx.min_hbar)
              + ctx.max_word_length + len(sys.q) + 8)
@@ -461,17 +430,10 @@ def exp_series(F: GradedSeries, sys: OrbitSystem, ctx: TruncationContext,
         power = product(power, F)
         if power.is_zero():
             break
-        out = out + power.scale(Fraction(1, _factorial(k)))
+        add_terms(out, power.terms, Fraction(1, factorial(k)))
         if k > bound:
             raise ExponentialError("exponential did not terminate within caps")
-    return out
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
+    return GradedSeries.from_terms(out)
 
 
 # ---------------------------------------------------------------------
@@ -523,10 +485,8 @@ def check_master_f(F: GradedSeries, Hplus: GradedSeries, Hminus: GradedSeries,
                 return report
         wide = ctx.widen(extra_low=ctx.max_p_degree + 2)
         eF = exp_series(F, sys, wide)
-        # untagged orbits count as the positive end (filling view)
-        kill = ((KIND_Q, SIDE_POS), (KIND_Q, SIDE_NONE), (KIND_P, SIDE_NEG))
-        lhs = project_out(star(eF, Hplus, sys, wide), sides=kill, sys=sys)
-        rhs = project_out(star(Hminus, eF, sys, wide), sides=kill, sys=sys)
+        lhs = project_out(star(eF, Hplus, sys, wide), sides=FILLING_KILL, sys=sys)
+        rhs = project_out(star(Hminus, eF, sys, wide), sides=FILLING_KILL, sys=sys)
         diff = lhs - rhs
         if not diff.is_zero():
             series_witnesses(report, diff)
@@ -553,13 +513,13 @@ def coefficient_boundary_operator(bnd: Dict[GradedSymbol, GradedSeries]):
                 sign = -1 if par % 2 else 1
                 rest = m[:k] + m[k + 1:]
                 for mi, ci in img.terms.items():
-                    res = _normalize_weyl(list(mi) + list(rest))
+                    res = standard_form(list(mi) + list(rest))
                     if res is None:
                         continue
                     sgn, mono = res
                     acc[mono] = acc.get(mono, Fraction(0)) + c * ci * sign * sgn
                 par += s.degree * e
-        return _collect(acc, ctx)
+        return collect(acc, ctx)
 
     return apply
 

@@ -23,6 +23,7 @@ from sftstring.bv import (
     twist_by_augmentation,
     twist_by_mc,
     validate_bv,
+    _BialgebraOps,
 )
 from sftstring.weyl import Orbit, OrbitSystem, check_master_h
 
@@ -257,6 +258,40 @@ def test_check_lie_bialgebra_trivial_and_lie():
     mu_bad = {(u, v): {w: Fraction(1)}, (v, u): {w: Fraction(1)}}
     data = LieBialgebraData([u, v, w], {}, {}, mu_bad, (-1, 1))
     assert not check_lie_bialgebra(data).passed
+
+
+def _boundary_yz_data(delta):
+    # x of degree 1 with d x = y + z; y, z, w of degree 0
+    x, y, z, w = FreeAlgebraSpec([("x", 1), ("y", 0), ("z", 0), ("w", 0)],
+                                 2, 1, n=2).symbols
+    dlin = {x: {y: Fraction(1), z: Fraction(1)}}
+    return LieBialgebraData([x, y, z, w], dlin, delta(y, w), {}, (0, 0)), \
+        (x, y, z, w)
+
+
+def test_bialgebra_tensors_vanish_only_modulo_boundaries():
+    data, (x, y, z, w) = _boundary_yz_data(lambda y, w: {})
+    ops = _BialgebraOps(data)
+    one = Fraction(1)
+    # y alone is not a boundary, in any slot
+    assert not ops.vec_is_zero({y: one})
+    assert not ops.tensor_is_zero({(y, w): one})
+    assert not ops.tensor_is_zero({(y, w, w): one})
+    assert not ops.tensor_is_zero({(w, w, y): one})
+    # d x = y + z in any one slot is a boundary
+    assert ops.vec_is_zero({y: one, z: one})
+    assert ops.tensor_is_zero({(y, w): one, (z, w): one})
+    assert ops.tensor_is_zero({(w, y, w): one, (w, z, w): one})
+    assert ops.tensor_is_zero({(y, y): one, (y, z): one, (w, z): 2 * one,
+                               (w, y): 2 * one})
+
+
+def test_check_lie_bialgebra_sees_cobracket_off_the_boundaries():
+    # delta(w) = y (x) w is not co-antisymmetric modulo im d
+    data, _ = _boundary_yz_data(lambda y, w: {w: {(y, w): Fraction(1)}})
+    rep = check_lie_bialgebra(data)
+    assert not rep.passed
+    assert any(label == "co-antisymmetry" for label, _ in rep.witnesses)
 
 
 def test_check_bv_morphism_identity():

@@ -72,6 +72,37 @@ def test_exit_codes(capsys):
     assert code == 2
 
 
+def test_library_errors_exit_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "underflow.sft"
+    path.write_text("n = 2\norbit g1 cz=1 kappa=1\n"
+                    "series H = (1/h)*(1/h)*q[g1]*p[g1]\n")
+    code, out, err = run_cli(["check-master", "--input", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_explicit_zero_options_are_honoured(capsys):
+    code, out, _ = run_cli(["check-axioms", "--genus", "2", "--max-word-len",
+                            "2", "--samples", "0", "--json"], capsys)
+    assert code == 0
+    caps = json.loads(out)["reports"][1]["caps"]
+    assert caps["pairs"] == 0 and caps["triples"] == 0
+    code, out, _ = run_cli(["check-axioms", "--genus", "2", "--max-word-len",
+                            "2", "--json"], capsys)
+    caps = json.loads(out)["reports"][1]["caps"]
+    assert caps["pairs"] == 25 and caps["triples"] == 25
+    code, out, _ = run_cli(["linearize", "--input",
+                            str(DATA / "three_orbit_pass.sft"),
+                            "--max-hbar", "0", "--json"], capsys)
+    assert code == 0
+    assert json.loads(out)["bv_axioms"]["caps"]["hbar_cap"] == 0
+    code, _, err = run_cli(["check-axioms", "--genus", "2",
+                            "--max-word-len", "0"], capsys)
+    assert code == 2 and err.count("\n") == 1
+
+
 def test_json_schema(capsys):
     code, out, _ = run_cli(["check-master", "--input",
                             str(DATA / "cross_fail.sft"), "--json"], capsys)
