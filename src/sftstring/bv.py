@@ -28,6 +28,7 @@ from .algebra import (
     format_monomial,
     hbar_exponent,
     koszul_sign,
+    monomial_degree,
     mul,
     normalize,
     q_degree,
@@ -141,10 +142,6 @@ class LinearMap:
         for m, c in series.terms.items():
             add_terms(out, self.value(m).terms, c)
         return self.spec.truncate(GradedSeries.from_terms(out))
-
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        table = {m: self.apply(other.value(m)) for m in other.table}
-        return LinearMap(self.spec, table, self.degree + other.degree)
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.table.values())
@@ -294,14 +291,16 @@ def _units(m: Monomial) -> List[GradedSymbol]:
     return out
 
 
-def _compositions(k: int):
-    """Ordered tuples of positive integers summing to k."""
+def _set_partitions(k: int):
+    """Unordered set partitions of range(k), each block ascending and
+    the blocks ordered by their first element."""
     if k == 0:
         yield ()
         return
-    for first in range(1, k + 1):
-        for rest in _compositions(k - first):
-            yield (first,) + rest
+    for part in _set_partitions(k - 1):
+        for i in range(len(part)):
+            yield part[:i] + (part[i] + (k - 1,),) + part[i + 1:]
+        yield part + ((k - 1,),)
 
 
 def exp_morphism(phi: LinearMap, element: GradedSeries,
@@ -309,50 +308,54 @@ def exp_morphism(phi: LinearMap, element: GradedSeries,
                  target_unit: GradedSeries) -> GradedSeries:
     """The exponential of a linear map on S(V).
 
-    e^phi(v_1...v_k) is the multinomial sum over ordered block
-    decompositions with the Koszul sign of each rearrangement; the empty
+    e^phi(v_1...v_k) is the sum, over the unordered set partitions of
+    the k positions, of the product of phi on the blocks, with the
+    Koszul sign of listing the blocks one after another; the empty
     product is the target unit, so e^phi(1) = 1.
+
+    Preconditions: phi has degree 0 (it preserves parity) and target_mul
+    is graded-commutative.  Then each of the r!*prod(c_i!) (permutation,
+    composition) pairs of the multinomial formula that lands on one
+    partition into r blocks of sizes c_i carries the same signed
+    product, and their weights 1/(r!*prod(c_i!)) add up to 1.  A block
+    value of the wrong parity raises BvError.
     """
     out: Dict[Monomial, Fraction] = {}
     for m, c in element.terms.items():
         rest, h = _strip_h(m)
         units = _units(rest)
-        k = len(units)
-        if k == 0:
-            term = target_unit.scale(c)
-        else:
-            acc: Dict[Monomial, Fraction] = {}
-            for perm in itertools.permutations(range(k)):
-                sgn = koszul_sign(units, perm)
-                arranged = [units[p] for p in perm]
-                for comp in _compositions(k):
-                    weight = Fraction(sgn, factorial(len(comp)))
-                    for i in comp:
-                        weight /= factorial(i)
-                    prod = target_unit
-                    pos = 0
-                    dead = False
-                    for size in comp:
-                        block = arranged[pos:pos + size]
-                        pos += size
-                        bm = GradedSeries.from_word([(u, 1) for u in block])
-                        if bm.is_zero():
-                            dead = True
-                            break
-                        bmono, bc = next(iter(bm.terms.items()))
-                        val = phi.value(bmono).scale(bc)
-                        prod = target_mul(prod, val)
-                        if prod.is_zero():
-                            dead = True
-                            break
-                    if not dead:
-                        add_terms(acc, prod.terms, weight * c)
-            term = GradedSeries.from_terms(acc)
+        values: Dict[tuple, GradedSeries] = {}
+        acc: Dict[Monomial, Fraction] = {}
+        for part in _set_partitions(len(units)):
+            prod = target_unit
+            for block in part:
+                val = values.get(block)
+                if val is None:
+                    val = values[block] = _block_value(phi, units, block)
+                prod = target_mul(prod, val)
+                if prod.is_zero():
+                    break
+            else:
+                order = [i for block in part for i in block]
+                add_terms(acc, prod.terms, koszul_sign(units, order) * c)
+        term = GradedSeries.from_terms(acc)
         if h:
-            hseries = GradedSeries({((phi.spec.hbar, h),): Fraction(1)})
-            term = target_mul(hseries, term)
+            term = target_mul(phi.spec.hpow(h), term)
         add_terms(out, term.terms)
     return GradedSeries.from_terms(out)
+
+
+def _block_value(phi: LinearMap, units: List[GradedSymbol],
+                 block: Tuple[int, ...]) -> GradedSeries:
+    """phi on the word of the units at the (ascending) block positions."""
+    word = GradedSeries.from_word([(units[i], 1) for i in block])
+    ((bmono, bc),) = word.terms.items()
+    val = phi.value(bmono).scale(bc)
+    parity = sum(units[i].degree for i in block) % 2
+    if any(monomial_degree(mono) % 2 != parity for mono in val.terms):
+        raise BvError("map does not preserve parity, as e^phi needs: "
+                      "%s -> %r" % (format_monomial(bmono), val))
+    return val
 
 
 class Augmentation(LinearMap):
@@ -373,10 +376,26 @@ class Augmentation(LinearMap):
         if clean.get(ONE) and not clean[ONE].is_zero():
             raise BvError("augmentation does not kill the unit")
         super().__init__(spec, clean, 0)
+        # e^beta of each h-free monomial, filled on first use
+        self._exp_memo: Dict[Monomial, GradedSeries] = {}
 
     def exp(self, element: GradedSeries) -> GradedSeries:
-        scalar_mul = lambda x, y: mul(x, y, _WIDE)
-        return exp_morphism(self, element, scalar_mul, GradedSeries.unit())
+        out: Dict[Monomial, Fraction] = {}
+        for m, c in element.terms.items():
+            rest, h = _strip_h(m)
+            val = self._exp_memo.get(rest)
+            if val is None:
+                val = self._exp_memo[rest] = exp_morphism(
+                    self, GradedSeries({rest: Fraction(1)}), _scalar_mul,
+                    GradedSeries.unit())
+            if h:
+                val = _scalar_mul(self.spec.hpow(h), val)
+            add_terms(out, val.terms, c)
+        return GradedSeries.from_terms(out)
+
+
+def _scalar_mul(x: GradedSeries, y: GradedSeries) -> GradedSeries:
+    return mul(x, y, _WIDE)
 
 
 def operator_growth(D: LinearMap) -> int:
@@ -449,10 +468,14 @@ def twist_by_augmentation(D: BvOperator, beta: Augmentation,
                           ) -> Tuple[LinearMap, LinearMap, BvOperator]:
     """Build Phi, its inverse, and the twisted operator Phi D Phi^(-1).
 
-    Phi(v_1..v_k) adds, over every splitting of the word into a block
-    fed to e^beta and a remainder, the scalar e^beta value times the
-    remainder with the rearrangement sign.  The twisted operator has no
-    constant terms; that is checked and enforced here.
+    Phi(v_1..v_k) adds, over every nonempty subset of the k positions
+    fed to e^beta, the scalar e^beta value times the word of the
+    remaining positions, with the Koszul sign of moving the subset to
+    the front.  Each subset of size l is hit by l!(k-l)! of the
+    (permutation, split) pairs of the symmetrized formula, all with the
+    same signed term, and their weights 1/(l!(k-l)!) add up to 1.  The
+    twisted operator has no constant terms; that is checked and enforced
+    here.
     """
     spec = D.spec
     if validate:
@@ -464,20 +487,16 @@ def twist_by_augmentation(D: BvOperator, beta: Augmentation,
         units = _units(m)
         k = len(units)
         acc: Dict[Monomial, Fraction] = {m: Fraction(1)}
-        for perm in itertools.permutations(range(k)):
-            sgn = koszul_sign(units, perm)
-            arranged = [units[p] for p in perm]
-            for l in range(1, k + 1):
-                block = GradedSeries.from_word([(u, 1) for u in arranged[:l]])
-                restm = GradedSeries.from_word([(u, 1) for u in arranged[l:]])
-                if block.is_zero() or restm.is_zero():
-                    continue
-                bmono, bc = next(iter(block.terms.items()))
-                scal = beta.exp(GradedSeries({bmono: bc}))
+        for l in range(1, k + 1):
+            for block in itertools.combinations(range(k), l):
+                scal = beta.exp(GradedSeries.from_word(
+                    [(units[i], 1) for i in block]))
                 if scal.is_zero():
                     continue
-                w = Fraction(sgn, factorial(l) * factorial(k - l))
-                add_terms(acc, spec.truncate(mul(scal, restm, _WIDE)).terms, w)
+                rest = [i for i in range(k) if i not in block]
+                restm = GradedSeries.from_word([(units[i], 1) for i in rest])
+                add_terms(acc, spec.truncate(mul(scal, restm, _WIDE)).terms,
+                          koszul_sign(units, block + tuple(rest)))
         table[m] = GradedSeries.from_terms(acc)
     Phi = LinearMap(spec, table, 0)
     # Neumann inverse: the correction strictly lowers word length

@@ -73,14 +73,20 @@ def test_exit_codes(capsys):
 
 
 def test_library_errors_exit_2_with_one_line(tmp_path, capsys):
-    path = tmp_path / "underflow.sft"
-    path.write_text("n = 2\norbit g1 cz=1 kappa=1\n"
-                    "series H = (1/h)*(1/h)*q[g1]*p[g1]\n")
-    code, out, err = run_cli(["check-master", "--input", str(path)], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    underflow = tmp_path / "underflow.sft"
+    underflow.write_text("n = 2\norbit g1 cz=1 kappa=1\n"
+                         "series H = (1/h)*(1/h)*q[g1]*p[g1]\n")
+    # q[g1], q[g2] have degree -1: an augmentation may not be nonzero there
+    odd_aug = tmp_path / "odd_aug.sft"
+    odd_aug.write_text((DATA / "three_orbit_pass.sft").read_text()
+                       + "aug beta { q[g1] -> 1 ; q[g2] -> 1 }\n")
+    for argv in (["check-master", "--input", str(underflow)],
+                 ["linearize", "--input", str(odd_aug), "--aug", "beta"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 def test_explicit_zero_options_are_honoured(capsys):
