@@ -50,6 +50,8 @@ class ClassAlgebra:
         self.n = n
         self.degree = n - 3
         self._symbols: Dict[Word, GradedSymbol] = {}
+        # names are format_word(cls), injective on classes
+        self._classes: Dict[GradedSymbol, Word] = {}
 
     def symbol(self, cls: Word) -> GradedSymbol:
         sym = self._symbols.get(cls)
@@ -57,12 +59,13 @@ class ClassAlgebra:
             sym = GradedSymbol("s[%s]" % format_word(cls, self.surface),
                                self.degree, KIND_S, None, 0)
             self._symbols[cls] = sym
+            self._classes[sym] = cls
         return sym
 
     def class_of_symbol(self, sym: GradedSymbol) -> Word:
-        for cls, s in self._symbols.items():
-            if s == sym:
-                return cls
+        cls = self._classes.get(sym)
+        if cls is not None:
+            return cls
         # symbols are value objects: recover the class from the name
         name = sym.name
         if name.startswith("s[") and name.endswith("]"):

@@ -12,16 +12,20 @@ pushing every exact-half-relator strip to its rightmost route, which
 makes the first divergence of two rays decide their boundary order.
 
 The closed torus has no hyperbolic combinatorics; it runs in lattice
-mode where a class is its homology vector and the bracket is computed
-by exact straight-line intersection counting.
+mode where a class is its homology vector and the bracket is the
+closed form for crossings of straight lines.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import getitem
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Word = Tuple[int, ...]
+
+# Ray keys are first compared on this many entries (see Surface._crossing).
+_RAY_PREFIX = 16
 
 
 class SurfaceError(ValueError):
@@ -51,18 +55,19 @@ def cyclic_reduce(w: Sequence[int]) -> Word:
     return tuple(out)
 
 
-def _letter_key(x: int) -> Tuple[int, int]:
-    return (abs(x), 0 if x > 0 else 1)
-
-
 def _shortlex_key(w: Sequence[int]):
-    return (len(w), tuple(_letter_key(x) for x in w))
+    """Letters order as a1 < A1 < b1 < B1 < a2 ...: x > 0 codes to 2x,
+    its inverse to 2x + 1."""
+    return (len(w), tuple([2 * x if x > 0 else 1 - 2 * x for x in w]))
 
 
 def min_rotation(w: Word) -> Word:
     if not w:
         return w
-    return min((w[i:] + w[:i] for i in range(len(w))), key=_shortlex_key)
+    n = len(w)
+    codes = _shortlex_key(w)[1] * 2
+    i = min(range(n), key=lambda i: codes[i:i + n])
+    return w[i:] + w[:i]
 
 
 def parse_word(text: str, surface: "Surface") -> Word:
@@ -150,6 +155,16 @@ class Surface:
             self.rank_of: Dict[int, int] = {
                 d: i for i, d in enumerate(self.link_order)}
             self.n_dirs = len(self.link_order)
+            # _turn[x][y]: the turn from the reverse of x to y, counted
+            # counterclockwise in the vertex link; 0 is backtracking and
+            # n_dirs - 1 the sharpest left.  Rows and columns are indexed
+            # by signed letters (a negative index wraps around).
+            self._turn = [[0] * (2 * self.rank + 1)
+                          for _ in range(2 * self.rank + 1)]
+            for x in self.link_order:
+                for y in self.link_order:
+                    self._turn[x][y] = (self.rank_of[y] - self.rank_of[-x]) \
+                        % self.n_dirs
 
     # -- cell-structure plumbing --------------------------------------
     def _link_from_relator(self) -> List[int]:
@@ -285,7 +300,7 @@ class Surface:
         start = min_rotation(w)
         seen = {start}
         frontier = [start]
-        best = start
+        best, best_key = start, _shortlex_key(start)
         while frontier:
             cur = frontier.pop()
             for nb in self._swap_neighbours(cur):
@@ -298,8 +313,9 @@ class Surface:
                 if nb not in seen:
                     seen.add(nb)
                     frontier.append(nb)
-                    if _shortlex_key(nb) < _shortlex_key(best):
-                        best = nb
+                    key = _shortlex_key(nb)
+                    if key < best_key:
+                        best, best_key = nb, key
         return best
 
     def class_of(self, text: str) -> Optional[Word]:
@@ -336,17 +352,11 @@ class Surface:
     # -- rays -----------------------------------------------------------
     def _periodic(self, w: Word, start: int, length: int) -> List[int]:
         n = len(w)
-        return [w[(start + k) % n] for k in range(length)]
+        s = start % n
+        return list((w * ((s + length) // n + 1))[s:s + length])
 
     def _past_ray(self, w: Word, start: int, length: int) -> List[int]:
-        n = len(w)
-        return [-w[(start - 1 - k) % n] for k in range(length)]
-
-    def turn(self, din: int, dout: int) -> int:
-        t = (self.rank_of[dout] - self.rank_of[din]) % self.n_dirs
-        if t == 0:
-            raise SurfaceError("zero turn (backtracking ray)")
-        return t
+        return self._periodic(inverse_word(w), -start, length)
 
     def canonical_ray(self, letters: List[int]) -> List[int]:
         """Push every exact-half strip to the rightmost route.
@@ -354,58 +364,65 @@ class Surface:
         A run of 2g-1 consecutive sharpest-left turns traces half a
         relator with the polygon on the left; replacing it by the
         complementary half strictly lowers the number of sharp lefts,
-        so the rewriting terminates.
+        so the rewriting terminates.  Runs are rewritten leftmost first
+        in one left-to-right scan: a rewrite at t changes only the turns
+        at t-1 .. t+h-1, so no earlier run can start before t-h+1, and
+        the scan resumes there.
         """
         if not self.closed:
             return letters
         h = self.half
-        sharp = self.n_dirs - 1
         letters = list(letters)
-        changed = True
-        while changed:
-            changed = False
-            turns = [self.turn(-letters[k], letters[k + 1])
-                     for k in range(len(letters) - 1)]
-            for t in range(len(letters) - h):
-                if all(turns[t + r] == sharp for r in range(h - 1)):
-                    seg = tuple(letters[t:t + h])
-                    rep = self.half_complement.get(seg)
-                    if rep is None:
-                        raise SurfaceError("sharp-left run is not a half relator")
-                    letters[t:t + h] = list(rep)
-                    changed = True
-                    break
+        n = len(letters)
+        is_sharp = (self.n_dirs - 1).__eq__
+        # one sharp flag per turn; a run of h-1 flags is searched at C speed
+        sharp = bytearray(map(is_sharp, self._turns(letters, 0, n - 1)))
+        run = b"\x01" * (h - 1)
+        # a run is rewritten only if its last turn lies before n - 2
+        t = sharp.find(run, 0, n - 2)
+        while t >= 0:
+            rep = self.half_complement.get(tuple(letters[t:t + h]))
+            if rep is None:
+                raise SurfaceError("sharp-left run is not a half relator")
+            letters[t:t + h] = rep
+            lo, hi = max(t - 1, 0), min(t + h, n - 1)
+            sharp[lo:hi] = bytearray(map(is_sharp, self._turns(letters, lo, hi)))
+            t = sharp.find(run, max(t - h + 1, 0), n - 2)
         return letters
 
+    def _turns(self, letters: List[int], lo: int, hi: int) -> List[int]:
+        """Turns at the vertices between letters k and k+1, lo <= k < hi."""
+        rows = map(self._turn.__getitem__, letters[lo:hi])
+        out = list(map(getitem, rows, letters[lo + 1:hi + 1]))
+        if 0 in out:
+            raise SurfaceError("zero turn (backtracking ray)")
+        return out
+
     def _strand_rays(self, w: Word, i: int, depth: int) -> Tuple[tuple, tuple]:
-        """Boundary-order keys of the future and past rays of a strand.
+        """Boundary-order keys of the future and past rays of a strand,
+        at least `depth` long; only the first `depth` entries count.
 
         The key of a ray from the vertex is (rank of the first
         direction, then the turn at each later vertex); rays compare in
         counterclockwise boundary order by lexicographic key, and two
-        rays from the vertex with equal keys trace the same line.
+        rays from the vertex with equal keys trace the same line.  One
+        pair of keys is cached per strand, at the deepest depth asked
+        for so far, and sliced for shallower requests: this relies on a
+        deeper window leaving the prefix of a canonical ray unchanged,
+        which tests/test_surfaces.py checks.
         """
-        key = (w, i, depth)
-        hit = self._ray_cache.get(key)
-        if hit is not None:
+        hit = self._ray_cache.get((w, i))
+        if hit is not None and len(hit[0]) >= depth:
             return hit
         window = depth + (4 * self.half + 8 if self.closed else 0)
         fut = self.canonical_ray(self._periodic(w, i, window))[:depth]
         past = self.canonical_ray(self._past_ray(w, i, window))[:depth]
         out = (self._ray_key(fut), self._ray_key(past))
-        self._ray_cache[key] = out
+        self._ray_cache[(w, i)] = out
         return out
 
     def _ray_key(self, ray) -> tuple:
-        rank = self.rank_of
-        n = self.n_dirs
-        key = [rank[ray[0]]]
-        prev = ray[0]
-        for k in range(1, len(ray)):
-            cur = ray[k]
-            key.append((rank[cur] - rank[-prev]) % n)
-            prev = cur
-        return tuple(key)
+        return (self.rank_of[ray[0]], *self._turns(ray, 0, len(ray) - 1))
 
     def _pair_canonical(self, w1: Word, i: int, w2: Word, j: int
                         ) -> Optional[Tuple[int, int]]:
@@ -439,21 +456,26 @@ class Surface:
 
     def _crossing(self, w1: Word, i: int, w2: Word, j: int, depth: int) -> int:
         """Sign of the transverse crossing of two axes for a canonical
-        occurrence pair, 0 when unlinked or tangential."""
+        occurrence pair, 0 when unlinked or tangential.
+
+        The four ray keys are ordered on a short prefix first: distinct
+        prefixes already fix the order of the keys cut at `depth`, so
+        the full keys are compared only when two prefixes tie."""
         f1, p1 = self._strand_rays(w1, i, depth)
         f2, p2 = self._strand_rays(w2, j, depth)
-        rays = {"1+": f1, "1-": p1, "2+": f2, "2-": p2}
-        keys = list(rays.values())
-        for a in range(4):
-            for b in range(a + 1, 4):
-                if keys[a] == keys[b]:
-                    return 0
-        order = sorted(rays, key=rays.get)
-        k0 = order.index("1+")
-        cyc = [order[(k0 + t) % 4] for t in range(4)]
-        if cyc == ["1+", "2+", "1-", "2-"]:
+        cut = min(depth, _RAY_PREFIX)
+        keys = (f1[:cut], p1[:cut], f2[:cut], p2[:cut])
+        if len(set(keys)) < 4:
+            keys = (f1[:depth], p1[:depth], f2[:depth], p2[:depth])
+            if len(set(keys)) < 4:
+                return 0
+        # rays 0, 1, 2, 3 = future 1, past 1, future 2, past 2
+        order = sorted(range(4), key=keys.__getitem__)
+        k0 = order.index(0)
+        cyc = order[k0:] + order[:k0]
+        if cyc == [0, 2, 1, 3]:
             return 1
-        if cyc == ["1+", "2-", "1-", "2+"]:
+        if cyc == [0, 3, 1, 2]:
             return -1
         return 0
 
@@ -538,39 +560,18 @@ class Surface:
 
     # -- torus lattice mode ----------------------------------------------
     def _torus_bracket_lines(self, x: Word, y: Word) -> Dict[Word, Fraction]:
-        """Bracket on the flat torus by exact enumeration of the
-        crossings of two straight-line representatives, one generically
-        offset.  All crossings carry the sign of the determinant."""
+        """Bracket on the flat torus: two straight-line representatives
+        cross |det| times, every crossing with the sign of the
+        determinant, and each joins to the class (m+p, n+q)."""
         m, n = self.torus_vector(x)
         p, q = self.torus_vector(y)
         det = m * q - n * p
         if det == 0:
             return {}
-        crossings = _torus_line_crossings((m, n), (p, q))
-        if len(crossings) != abs(det):
-            raise SurfaceError("lattice crossing enumeration is inconsistent")
         c = self.canonical_class(self.torus_word(m + p, n + q))
         if c is None:
             return {}
         return {c: Fraction(det)}
-
-
-def _torus_line_crossings(v1: Tuple[int, int], v2: Tuple[int, int]):
-    """Exact intersection parameters of s*v1 and t*v2 + eps on R^2/Z^2."""
-    (m, n), (p, q) = v1, v2
-    det = m * q - n * p
-    e1, e2 = Fraction(1, 97), Fraction(1, 89)
-    sols = set()
-    bound = abs(m) + abs(n) + abs(p) + abs(q) + 2
-    for j in range(-bound, bound + 1):
-        for k in range(-bound, bound + 1):
-            # s*m - t*p = e1 + j ; s*n - t*q = e2 + k
-            rhs1, rhs2 = e1 + j, e2 + k
-            s = Fraction(-q * rhs1 + p * rhs2, -det)
-            t = Fraction(-n * rhs1 + m * rhs2, -det)
-            if 0 <= s < 1 and 0 <= t < 1:
-                sols.add((s, t))
-    return sols
 
 
 def torus_bracket_oracle(m: int, n: int, p: int, q: int) -> Dict[Word, Fraction]:

@@ -1,8 +1,10 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from sftstring import surfaces
 from sftstring.surfaces import (
     Surface,
     SurfaceError,
@@ -177,6 +179,42 @@ def test_torus_bracket_lines_match_oracle():
                     assert got == want, (m, n, p, q)
 
 
+def _torus_line_crossings(v1, v2):
+    """Exact intersection parameters of s*v1 and t*v2 + eps on R^2/Z^2."""
+    (m, n), (p, q) = v1, v2
+    det = m * q - n * p
+    e1, e2 = Fraction(1, 97), Fraction(1, 89)
+    sols = set()
+    bound = abs(m) + abs(n) + abs(p) + abs(q) + 2
+    for j in range(-bound, bound + 1):
+        for k in range(-bound, bound + 1):
+            # s*m - t*p = e1 + j ; s*n - t*q = e2 + k
+            rhs1, rhs2 = e1 + j, e2 + k
+            s = Fraction(-q * rhs1 + p * rhs2, -det)
+            t = Fraction(-n * rhs1 + m * rhs2, -det)
+            if 0 <= s < 1 and 0 <= t < 1:
+                sols.add((s, t))
+    return sols
+
+
+def test_torus_line_crossings_count_determinant():
+    # the closed form in lattice mode: straight lines cross |mq - np| times
+    T = Surface(1, 0)
+    rng_range = [-3, -2, -1, 1, 2, 3]
+    for m in rng_range:
+        for n in [0] + rng_range:
+            for p in [0] + rng_range:
+                for q in rng_range:
+                    det = m * q - n * p
+                    if det == 0:
+                        continue
+                    crossings = _torus_line_crossings((m, n), (p, q))
+                    assert len(crossings) == abs(det), (m, n, p, q)
+                    x = T.canonical_class(T.torus_word(m, n))
+                    y = T.canonical_class(T.torus_word(p, q))
+                    assert sum(T.goldman_terms(x, y).values()) == det
+
+
 def test_torus_oracle_basics():
     one = torus_bracket_oracle(1, 0, 0, 1)
     assert one == {(1, 2): Fraction(1)}
@@ -238,3 +276,122 @@ def test_genus3_surface():
     assert S3.goldman_terms(a1, a3) == {}
     K = S3.class_of("a1 a3 A1 A3")
     assert S3.self_intersection_count(K) == 3
+
+
+def _restart_ray(S, letters):
+    """Reference canonical ray: find the leftmost sharp-left run of 2g-1
+    turns, rewrite it, recompute every turn, and start over."""
+    h, sharp = S.half, S.n_dirs - 1
+    letters = list(letters)
+
+    def turn(din, dout):
+        t = (S.rank_of[dout] - S.rank_of[din]) % S.n_dirs
+        if t == 0:
+            raise SurfaceError("zero turn (backtracking ray)")
+        return t
+
+    changed = True
+    while changed:
+        changed = False
+        turns = [turn(-letters[k], letters[k + 1])
+                 for k in range(len(letters) - 1)]
+        for t in range(len(letters) - h):
+            if all(turns[t + r] == sharp for r in range(h - 1)):
+                rep = S.half_complement.get(tuple(letters[t:t + h]))
+                if rep is None:
+                    raise SurfaceError("sharp-left run is not a half relator")
+                letters[t:t + h] = list(rep)
+                changed = True
+                break
+    return letters
+
+
+def _strand_windows(S, window):
+    """Future and past letter windows of every strand of every class of
+    length <= 4."""
+    for w in S.classes_up_to(4):
+        for i in range(len(w)):
+            yield S._periodic(w, i, window)
+            yield S._past_ray(w, i, window)
+
+
+RAY_SLACK = {2: 4 * 4 + 8, 3: 4 * 6 + 8}
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+@pytest.mark.parametrize("depth", [40, 250])
+def test_canonical_ray_matches_restart_oracle(genus, depth):
+    S = Surface(genus, 0)
+    for letters in _strand_windows(S, depth + RAY_SLACK[genus]):
+        assert S.canonical_ray(letters) == _restart_ray(S, letters), letters
+
+
+def _outcome(fn, letters):
+    try:
+        return fn(letters)
+    except SurfaceError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_canonical_ray_matches_restart_oracle_on_random_words(genus):
+    # reduced words that mostly turn sharpest left: long sharp runs,
+    # chained rewrites, and backtracking created by a rewrite
+    S = Surface(genus, 0)
+    rng = random.Random(genus)
+    letters = [x for a in range(1, S.rank + 1) for x in (a, -a)]
+    sharpest = {x: y for x in letters for y in letters
+                if (S.rank_of[y] - S.rank_of[-x]) % S.n_dirs == S.n_dirs - 1}
+    for _ in range(3000):
+        w = [rng.choice(letters)]
+        for _ in range(rng.randint(1, 40)):
+            x = sharpest[w[-1]] if rng.random() < 0.6 else rng.choice(letters)
+            if x != -w[-1]:
+                w.append(x)
+        assert _outcome(S.canonical_ray, w) == \
+            _outcome(lambda l: _restart_ray(S, l), w), w
+
+
+def test_canonical_ray_rejects_backtracking(genus2):
+    # backtracking in the input, at its end, and only after a rewrite:
+    # a1 b1 A1 B1 becomes b2 a2 B2 A2, which then meets a2
+    for letters in ([1, 4, -4, 2], [1, 2, 3, 4, 1, -1], [1, 2, -1, -2, 3]):
+        with pytest.raises(SurfaceError, match="zero turn"):
+            genus2.canonical_ray(letters)
+        with pytest.raises(SurfaceError, match="zero turn"):
+            _restart_ray(genus2, letters)
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_ray_prefix_stable_under_deeper_window(genus):
+    # one cached ray per strand is sliced for shallower requests
+    S = Surface(genus, 0)
+    long_rays = [S.canonical_ray(b) for b in _strand_windows(S, 700)]
+    for depth in (40, 250):
+        short = _strand_windows(S, depth + RAY_SLACK[genus])
+        for a, b in zip(short, long_rays):
+            assert S.canonical_ray(a)[:depth] == b[:depth]
+
+
+def test_crossing_prefix_first_matches_full_depth(genus2, monkeypatch):
+    # strands that share a run of 17 a1 tie on the short prefix, so their
+    # order is decided by the full keys
+    words = [genus2.canonical_class((1,) * 17 + (t,)) for t in (2, -2, 3, -3)]
+    pairs = list(itertools.combinations(words, 2))
+    fast = [genus2.goldman_terms(x, y) for x, y in pairs]
+    assert all(fast)
+    monkeypatch.setattr(surfaces, "_RAY_PREFIX", 10 ** 6)
+    genus2._ray_cache.clear()
+    assert [genus2.goldman_terms(x, y) for x, y in pairs] == fast
+
+
+def test_ray_cache_holds_one_entry_per_strand():
+    S = Surface(2, 0)
+    x, y, z = (S.class_of(t) for t in ("a1 b2", "b1", "a1 a2 b1 b2 a2"))
+    S.goldman_terms(x, y)  # x's strands at a shallow depth
+    S.goldman_terms(x, z)  # ... then at a deeper one
+    S.goldman_terms(x, y)  # served by slicing
+    assert sorted(S._ray_cache) == sorted(
+        (w, i) for w in (x, y, z) for i in range(len(w)))
+    assert {len(S._ray_cache[(x, i)][0]) for i in range(len(x))} == \
+        {S._depth(x, z)}
