@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 # symbol kinds, also the block order inside a normalized monomial
 KIND_S = "s"  # string/coefficient symbol
@@ -84,6 +84,28 @@ def q_degree(m: Monomial) -> int:
 
 def word_length(m: Monomial) -> int:
     return sum(e for s, e in m if s.kind == KIND_S)
+
+
+def split_h(m: Monomial) -> Tuple[Monomial, int]:
+    """The h-free part of a monomial and its h exponent."""
+    h = 0
+    rest = []
+    for s, e in m:
+        if s.kind == KIND_H:
+            h += e
+        else:
+            rest.append((s, e))
+    return tuple(rest), h
+
+
+def units_of(m: Monomial) -> List[GradedSymbol]:
+    """The symbols of a monomial other than h, each repeated by its
+    exponent."""
+    out = []
+    for s, e in m:
+        if s.kind != KIND_H:
+            out.extend([s] * e)
+    return out
 
 
 def koszul_sign(symbols, permutation) -> int:

@@ -32,6 +32,8 @@ from .algebra import (
     mul,
     normalize,
     q_degree,
+    split_h,
+    units_of,
 )
 from .linalg import Subspace, kernel_basis, rref
 from .reports import CheckReport, PASS, timed
@@ -60,8 +62,6 @@ class FreeAlgebraSpec:
         self.hbar = GradedSymbol("h", 2 * (n - 3), KIND_H, None, 0)
         self.word_cap = word_cap
         self.hbar_cap = hbar_cap
-        self.ctx = TruncationContext(max_p_degree=0, max_hbar=hbar_cap,
-                                     min_hbar=-1, max_word_length=0)
 
     def truncate(self, series: GradedSeries) -> GradedSeries:
         return GradedSeries.from_terms(
@@ -105,28 +105,17 @@ _WIDE = TruncationContext(max_p_degree=64, max_hbar=64, min_hbar=-64,
                           max_word_length=64)
 
 
-def _strip_h(m: Monomial) -> Tuple[Monomial, int]:
-    h = 0
-    rest = []
-    for s, e in m:
-        if s.kind == KIND_H:
-            h += e
-        else:
-            rest.append((s, e))
-    return tuple(rest), h
-
-
 class LinearMap:
     """h-linear map stored on h-free monomials."""
 
     def __init__(self, spec: FreeAlgebraSpec, table: Dict[Monomial, GradedSeries],
                  degree: int):
         self.spec = spec
-        self.table = {m: v for m, v in table.items()}
+        self.table = dict(table)
         self.degree = degree
 
     def value(self, m: Monomial) -> GradedSeries:
-        rest, h = _strip_h(m)
+        rest, h = split_h(m)
         v = self.table.get(rest)
         if v is None:
             if q_degree(rest) > self.spec.word_cap:
@@ -143,9 +132,6 @@ class LinearMap:
             add_terms(out, self.value(m).terms, c)
         return self.spec.truncate(GradedSeries.from_terms(out))
 
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.table.values())
-
 
 class BvOperator(LinearMap):
     """Degree -1 operator with expansion D = (1/h) sum D^k h^k."""
@@ -159,7 +145,7 @@ class BvOperator(LinearMap):
         for m, v in self.table.items():
             acc: Dict[Monomial, Fraction] = {}
             for mono, c in v.terms.items():
-                rest, h = _strip_h(mono)
+                rest, h = split_h(mono)
                 if h == k - 1:
                     acc[rest] = acc.get(rest, Fraction(0)) + c
             out[m] = GradedSeries(acc)
@@ -185,7 +171,7 @@ def derivation_operator(spec: FreeAlgebraSpec,
 
     def on_monomial(m: Monomial) -> GradedSeries:
         out: Dict[Monomial, Fraction] = {}
-        units = _units(m)
+        units = units_of(m)
         for k, s in enumerate(units):
             v = img.get(s)
             if v is None or v.is_zero():
@@ -284,13 +270,6 @@ def bv_bracket(D: BvOperator, a: GradedSeries, b: GradedSeries) -> GradedSeries:
 # morphisms and augmentations
 # ---------------------------------------------------------------------
 
-def _units(m: Monomial) -> List[GradedSymbol]:
-    out: List[GradedSymbol] = []
-    for s, e in m:
-        out.extend([s] * e)
-    return out
-
-
 def _set_partitions(k: int):
     """Unordered set partitions of range(k), each block ascending and
     the blocks ordered by their first element."""
@@ -322,8 +301,7 @@ def exp_morphism(phi: LinearMap, element: GradedSeries,
     """
     out: Dict[Monomial, Fraction] = {}
     for m, c in element.terms.items():
-        rest, h = _strip_h(m)
-        units = _units(rest)
+        units, h = units_of(m), hbar_exponent(m)
         values: Dict[tuple, GradedSeries] = {}
         acc: Dict[Monomial, Fraction] = {}
         for part in _set_partitions(len(units)):
@@ -363,26 +341,24 @@ class Augmentation(LinearMap):
     and on words longer than the h-order allows."""
 
     def __init__(self, spec: FreeAlgebraSpec, table: Dict[Monomial, GradedSeries]):
-        clean = {}
         for m, v in table.items():
-            for mono, c in v.terms.items():
-                rest, h = _strip_h(mono)
+            for mono in v.terms:
+                rest, h = split_h(mono)
                 if rest:
                     raise BvError("augmentation value is not scalar")
                 if h + 1 < q_degree(m):
                     raise BvError("component beta^%d nonzero on a word of "
                                   "length %d" % (h + 1, q_degree(m)))
-            clean[m] = v
-        if clean.get(ONE) and not clean[ONE].is_zero():
+        if table.get(ONE):
             raise BvError("augmentation does not kill the unit")
-        super().__init__(spec, clean, 0)
+        super().__init__(spec, table, 0)
         # e^beta of each h-free monomial, filled on first use
         self._exp_memo: Dict[Monomial, GradedSeries] = {}
 
     def exp(self, element: GradedSeries) -> GradedSeries:
         out: Dict[Monomial, Fraction] = {}
         for m, c in element.terms.items():
-            rest, h = _strip_h(m)
+            rest, h = split_h(m)
             val = self._exp_memo.get(rest)
             if val is None:
                 val = self._exp_memo[rest] = exp_morphism(
@@ -484,7 +460,7 @@ def twist_by_augmentation(D: BvOperator, beta: Augmentation,
             raise BvError("not an augmentation: %s" % rep.witnesses[:1])
     table: Dict[Monomial, GradedSeries] = {}
     for m in spec.basis_monomials():
-        units = _units(m)
+        units = units_of(m)
         k = len(units)
         acc: Dict[Monomial, Fraction] = {m: Fraction(1)}
         for l in range(1, k + 1):
@@ -521,7 +497,7 @@ def twist_by_augmentation(D: BvOperator, beta: Augmentation,
             if q_degree(m) > reliable:
                 continue
             for mono, c in v.terms.items():
-                rest, _h = _strip_h(mono)
+                rest, _h = split_h(mono)
                 if not rest:
                     raise BvError("twisted operator has constant term %s on %s"
                                   % (c, format_monomial(m)))
@@ -554,7 +530,7 @@ def linearize(Dbeta: BvOperator) -> LieBialgebraData:
         lin: Vector = {}
         quad: Tensor2 = {}
         for m, c in val.terms.items():
-            rest, h = _strip_h(m)
+            rest, h = split_h(m)
             if h != 0:
                 continue
             if q_degree(rest) == 1:
@@ -575,7 +551,7 @@ def linearize(Dbeta: BvOperator) -> LieBialgebraData:
             vec: Vector = {}
             pref = -1 if v1.degree % 2 else 1
             for m, c in val.terms.items():
-                rest, h = _strip_h(m)
+                rest, h = split_h(m)
                 if h == 1 and q_degree(rest) == 1:
                     add_terms(vec, {rest[0][0]: c * sgn * pref})
             mu[(v1, v2)] = vec
@@ -596,18 +572,12 @@ def cobracket_pairs(rest: Monomial) -> Tensor2:
     return {(a, b): (-f if a.degree % 2 else f) for (a, b), f in pairs}
 
 
-def homology(data_or_dlin, basis: Optional[List[GradedSymbol]] = None,
-             degree_range: Optional[Tuple[int, int]] = None):
+def homology(dlin: Dict[GradedSymbol, Vector], basis: List[GradedSymbol]):
     """Exact kernel/image computation for the linear differential.
 
     Returns {degree: (dimension, [representative vectors])}; raises if
     the differential does not square to zero.
     """
-    if isinstance(data_or_dlin, LieBialgebraData):
-        dlin, basis = data_or_dlin.dlin, data_or_dlin.basis
-    else:
-        dlin = data_or_dlin
-        assert basis is not None
     idx = {s: i for i, s in enumerate(basis)}
     nb = len(basis)
 
@@ -624,11 +594,8 @@ def homology(data_or_dlin, basis: Optional[List[GradedSymbol]] = None,
         v0 = [Fraction(i == idx[s]) for i in range(nb)]
         if any(apply(apply(v0))):
             raise BvError("differential does not square to zero")
-    degrees = sorted({s.degree for s in basis})
-    if degree_range is not None:
-        degrees = [d for d in degrees if degree_range[0] <= d <= degree_range[1]]
     out = {}
-    for d in degrees:
+    for d in sorted({s.degree for s in basis}):
         dom = [s for s in basis if s.degree == d]
         above = [s for s in basis if s.degree == d + 1]
         rows = []
@@ -636,11 +603,7 @@ def homology(data_or_dlin, basis: Optional[List[GradedSymbol]] = None,
             img = dlin.get(s, {})
             rows.append([img.get(t, Fraction(0))
                          for t in basis if t.degree == d - 1])
-        if rows and rows[0]:
-            kern = kernel_basis(_transpose(rows), len(dom))
-        else:
-            kern = [[Fraction(i == j) for i in range(len(dom))]
-                    for j in range(len(dom))]
+        kern = kernel_basis([list(col) for col in zip(*rows)], len(dom))
         img_rows = []
         for s in above:
             img = dlin.get(s, {})
@@ -651,92 +614,148 @@ def homology(data_or_dlin, basis: Optional[List[GradedSymbol]] = None,
             red = sub.reduce(v)
             if any(red):
                 reps.append(red)
-        basis_mat, _p = rref(reps) if reps else ([], [])
+        basis_mat = rref(reps)[0]
         reps = [dict((dom[i], r[i]) for i in range(len(dom)) if r[i])
                 for r in basis_mat]
         out[d] = (len(basis_mat), reps)
     return out
 
 
-def _transpose(rows):
-    if not rows:
-        return []
-    return [[rows[i][j] for i in range(len(rows))] for j in range(len(rows[0]))]
-
-
 # ---------------------------------------------------------------------
-# Lie bialgebra axiom checker
+# Lie bialgebra axioms
 # ---------------------------------------------------------------------
 
-def _tau(d: int, t: Tensor2) -> Tensor2:
-    return {(v, u): -c if ((u.degree + d) * (v.degree + d)) % 2 else c
-            for (u, v), c in t.items()}
+class BialgebraAxioms:
+    """The six axioms of an involutive Lie bialgebra of bidegree (d1, d2).
 
+    bracket(u, v) is a vector {w: c} and cobracket(u) a 2-tensor
+    {(u1, u2): c} on basis elements u, v of degree degree(u); both are
+    extended linearly to the sparse vectors and tensors (keys are tuples
+    of basis elements) the axioms are asked about.  The tau and rho
+    signs of each axiom come from the degrees shifted by d1 or d2.  With
+    a boundary ({u: d(u)} over `basis`) an axiom holds when its defect
+    lies in im(d) in some tensor slot; without one, when it is zero.
+    Each axiom method returns whether the axiom holds.
+    """
 
-def _rho(d: int, t):
-    return {(w, u, v): -c if ((u.degree + v.degree) * (w.degree + d)) % 2 else c
-            for (u, v, w), c in t.items()}
-
-
-def _cyclic_sum(d: int, t):
-    """t + rho(t) + rho^2(t) on a 3-tensor."""
-    r = _rho(d, t)
-    return add_terms(add_terms(dict(t), r), _rho(d, r))
-
-
-class _BialgebraOps:
-    """delta and mu extended linearly to vectors and tensors, with
-    reduction modulo the image of the linear differential."""
-
-    def __init__(self, data: LieBialgebraData):
-        self.data = data
-        self.basis = data.basis
+    def __init__(self, bracket: Callable, cobracket: Callable,
+                 degree: Callable, d1: int, d2: int,
+                 basis: Sequence = (), boundary: Optional[Dict] = None):
+        self.bracket, self.cobracket, self.degree = bracket, cobracket, degree
+        self.d1, self.d2 = d1, d2
+        self.basis = list(basis)
         self.idx = {s: i for i, s in enumerate(self.basis)}
         img = []
         for s in self.basis:
             row = [Fraction(0)] * len(self.basis)
-            for t, c in data.dlin.get(s, {}).items():
+            for t, c in (boundary or {}).get(s, {}).items():
                 row[self.idx[t]] = c
             if any(row):
                 img.append(row)
         self.image = Subspace(img, len(self.basis))
         self.has_boundary = self.image.dim > 0
 
-    def delta_vec(self, vec: Vector) -> Tensor2:
+    @classmethod
+    def of_data(cls, data: LieBialgebraData, d1: int, d2: int
+                ) -> "BialgebraAxioms":
+        return cls(lambda u, v: data.mu.get((u, v), {}),
+                   lambda u: data.delta.get(u, {}),
+                   lambda u: u.degree, d1, d2, data.basis, data.dlin)
+
+    # -- the axioms -------------------------------------------------
+    def co_antisymmetry(self, dv: Tensor2) -> bool:
+        """delta(v) + tau delta(v) = 0, given dv = delta(v)."""
+        return self.tensor_is_zero(add_terms(dict(dv), self._tau(self.d1, dv)))
+
+    def co_jacobi(self, dv: Tensor2) -> bool:
+        """(1 + rho + rho^2)(delta (x) 1) delta(v) = 0."""
+        t = {}
+        for (u, v), c in dv.items():
+            add_terms(t, {(a, b, v): x for (a, b), x
+                          in self.cobracket(u).items()}, c)
+        return self.tensor_is_zero(self._cyclic_sum(self.d1, t))
+
+    def involutivity(self, dv: Tensor2) -> bool:
+        """mu delta(v) = 0."""
+        return self.vec_is_zero(self._mu(dv))
+
+    def antisymmetry(self, va: Vector, vb: Vector) -> bool:
+        """mu(a (x) b) + mu tau(a (x) b) = 0."""
+        t = _outer(va, vb)
+        return self.vec_is_zero(
+            add_terms(self._mu(t), self._mu(self._tau(self.d2, t))))
+
+    def jacobi(self, va: Vector, vb: Vector, vc: Vector) -> bool:
+        """mu (mu (x) 1)(1 + rho + rho^2)(a (x) b (x) c) = 0."""
+        t = {(a, b, c): x * y * z for a, x in va.items()
+             for b, y in vb.items() for c, z in vc.items()}
+        out: Vector = {}
+        for (u, v, w), c in self._cyclic_sum(self.d2, t).items():
+            for s, x in self.bracket(u, v).items():
+                add_terms(out, self.bracket(s, w), c * x)
+        return self.vec_is_zero(out)
+
+    def drinfeld(self, va: Vector, vb: Vector) -> bool:
+        """delta[a, b] = [delta a, b] + [a, delta b], the terms that move
+        a past b or b past a signed by (-1)^(|a||b| + |a| + |b|)."""
+        br, deg = self.bracket, self.degree
+        lhs = self.delta(self._mu(_outer(va, vb)))
+        da = {a: self.cobracket(a) for a in va}
+        db = {b: self.cobracket(b) for b in vb}
+        rhs: Tensor2 = {}
+        for a, ca in va.items():
+            for b, cb in vb.items():
+                c0 = ca * cb
+                sgn = -1 if (deg(a) * deg(b) + deg(a) + deg(b)) % 2 else 1
+                for (a1, a2), x in da[a].items():
+                    add_terms(rhs, {(a1, s): y for s, y in br(a2, b).items()},
+                              c0 * x)
+                    add_terms(rhs, {(s, a2): y for s, y in br(b, a1).items()},
+                              c0 * x * sgn)
+                for (b1, b2), x in db[b].items():
+                    add_terms(rhs, {(s, b2): y for s, y in br(a, b1).items()},
+                              c0 * x)
+                    add_terms(rhs, {(b1, s): y for s, y in br(b2, a).items()},
+                              c0 * x * sgn)
+        return self.tensor_is_zero(add_terms(lhs, rhs, -1))
+
+    # -- linear extensions and signs --------------------------------
+    def delta(self, vec: Vector) -> Tensor2:
+        """The cobracket of a vector."""
         out: Tensor2 = {}
         for s, c in vec.items():
-            add_terms(out, self.data.delta.get(s, {}), c)
+            add_terms(out, self.cobracket(s), c)
         return out
 
-    def mu_tensor(self, t: Tensor2) -> Vector:
+    def _mu(self, t: Tensor2) -> Vector:
+        """The bracket on a 2-tensor."""
         out: Vector = {}
         for (u, v), c in t.items():
-            add_terms(out, self.data.mu.get((u, v), {}), c)
+            add_terms(out, self.bracket(u, v), c)
         return out
 
-    def delta_left(self, t: Tensor2):
-        """(delta (x) 1) on a 2-tensor."""
-        out = {}
-        for (u, v), c in t.items():
-            add_terms(out, {(a, b, v): x for (a, b), x
-                            in self.data.delta.get(u, {}).items()}, c)
-        return out
+    def _tau(self, d: int, t: Tensor2) -> Tensor2:
+        deg = self.degree
+        return {(v, u): -c if ((deg(u) + d) * (deg(v) + d)) % 2 else c
+                for (u, v), c in t.items()}
 
-    def mu_left(self, t):
-        """(mu (x) 1) on a 3-tensor."""
-        out: Tensor2 = {}
-        for (u, v, w), c in t.items():
-            add_terms(out, {(s, w): x for s, x
-                            in self.data.mu.get((u, v), {}).items()}, c)
-        return out
+    def _rho(self, d: int, t):
+        deg = self.degree
+        return {(w, u, v): -c if ((deg(u) + deg(v)) * (deg(w) + d)) % 2 else c
+                for (u, v, w), c in t.items()}
 
-    # quotient by boundaries, factor-wise
+    def _cyclic_sum(self, d: int, t):
+        """t + rho(t) + rho^2(t) on a 3-tensor."""
+        r = self._rho(d, t)
+        return add_terms(add_terms(dict(t), r), self._rho(d, r))
+
+    # -- quotient by boundaries, slot-wise --------------------------
     def vec_is_zero(self, vec: Vector) -> bool:
         return self.tensor_is_zero({(s,): c for s, c in vec.items()})
 
     def tensor_is_zero(self, t) -> bool:
-        """Whether a tensor of any arity (keys are symbol tuples) lies in
-        the sum of im(d) (x) V (x) ... and its slot permutations.
+        """Whether a tensor of any arity (keys are basis-element tuples)
+        lies in the sum of im(d) (x) V (x) ... and its slot permutations.
 
         image.reduce projects V onto a complement of im(d) with kernel
         exactly im(d); applied in every slot it is the tensor power of
@@ -761,27 +780,25 @@ class _BialgebraOps:
         return out
 
 
+def _outer(va: Vector, vb: Vector) -> Tensor2:
+    return {(a, b): ca * cb for a, ca in va.items() for b, cb in vb.items()}
+
+
 def check_lie_bialgebra(data: LieBialgebraData, d1: Optional[int] = None,
                         d2: Optional[int] = None) -> CheckReport:
     """Co-Lie, Lie, Drinfeld compatibility and involutivity, verified on
     homology representatives with the tau/rho sign rules."""
     if d1 is None:
         d1, d2 = data.bidegree
-    ops = _BialgebraOps(data)
+    ax = BialgebraAxioms.of_data(data, d1, d2)
     report = CheckReport("involutive Lie bialgebra axioms, bidegree (%d, %d)"
                          % (d1, d2))
     with timed(report):
-        if ops.has_boundary:
-            hom = homology(data)
+        if ax.has_boundary:
+            hom = homology(data.dlin, data.basis)
             reps = [v for d in hom for v in hom[d][1]]
         else:
             reps = [{s: Fraction(1)} for s in data.basis]
-
-        def hom_degree(vec: Vector) -> int:
-            ds = {s.degree for s in vec}
-            if len(ds) != 1:
-                raise BvError("inhomogeneous representative")
-            return ds.pop()
 
         # degree checks of the structure maps
         for s in data.basis:
@@ -794,53 +811,26 @@ def check_lie_bialgebra(data: LieBialgebraData, d1: Optional[int] = None,
                     report.add_witness("mu degree on (%s,%s)" % (u.name, v.name), c)
 
         for v in reps:
-            dv = ops.delta_vec(v)
-            if not ops.tensor_is_zero(add_terms(dict(dv), _tau(d1, dv))):
-                report.add_witness("co-antisymmetry", repr(sorted(
-                    s.name for s in v)))
-            t3 = ops.delta_left(dv)
-            if not ops.tensor_is_zero(_cyclic_sum(d1, t3)):
-                report.add_witness("co-Jacobi", repr(sorted(s.name for s in v)))
-            if not ops.vec_is_zero(ops.mu_tensor(dv)):
-                report.add_witness("involutivity", repr(sorted(s.name for s in v)))
+            dv = ax.delta(v)
+            names = repr(sorted(s.name for s in v))
+            if not ax.co_antisymmetry(dv):
+                report.add_witness("co-antisymmetry", names)
+            if not ax.co_jacobi(dv):
+                report.add_witness("co-Jacobi", names)
+            if not ax.involutivity(dv):
+                report.add_witness("involutivity", names)
         for va in reps:
             for vb in reps:
-                tab = _outer(va, vb)
-                anti = add_terms(ops.mu_tensor(_tau(d2, tab)),
-                                 ops.mu_tensor(tab))
-                if not ops.vec_is_zero(anti):
+                if not ax.antisymmetry(va, vb):
                     report.add_witness("antisymmetry", "pair")
         for va in reps:
             for vb in reps:
                 for vc in reps:
-                    t3 = _outer3(va, vb, vc)
-                    jac = ops.mu_tensor(ops.mu_left(_cyclic_sum(d2, t3)))
-                    if not ops.vec_is_zero(jac):
+                    if not ax.jacobi(va, vb, vc):
                         report.add_witness("Jacobi", "triple")
         for va in reps:
             for vb in reps:
-                da, db = hom_degree(va), hom_degree(vb)
-                lhs = ops.delta_vec(ops.mu_tensor(_outer(va, vb)))
-                rhs: Tensor2 = {}
-                sgn = -1 if (da * db + da + db) % 2 else 1
-                for a, ca in va.items():
-                    for b, cb in vb.items():
-                        c0 = ca * cb
-                        for (a1, a2), x in data.delta.get(a, {}).items():
-                            for s, y in data.mu.get((a2, b), {}).items():
-                                rhs[(a1, s)] = rhs.get((a1, s), Fraction(0)) \
-                                    + c0 * x * y
-                            for s, y in data.mu.get((b, a1), {}).items():
-                                rhs[(s, a2)] = rhs.get((s, a2), Fraction(0)) \
-                                    + c0 * x * y * sgn
-                        for (b1, b2), x in data.delta.get(b, {}).items():
-                            for s, y in data.mu.get((a, b1), {}).items():
-                                rhs[(s, b2)] = rhs.get((s, b2), Fraction(0)) \
-                                    + c0 * x * y
-                            for s, y in data.mu.get((b2, a), {}).items():
-                                rhs[(b1, s)] = rhs.get((b1, s), Fraction(0)) \
-                                    + c0 * x * y * sgn
-                if not ops.tensor_is_zero(add_terms(lhs, rhs, -1)):
+                if not ax.drinfeld(va, vb):
                     report.add_witness("Drinfeld compatibility", "pair")
         if (d1 - d2) % 2:
             report.notes.append(
@@ -849,22 +839,13 @@ def check_lie_bialgebra(data: LieBialgebraData, d1: Optional[int] = None,
     return report
 
 
-def _outer(va: Vector, vb: Vector) -> Tensor2:
-    return {(a, b): ca * cb for a, ca in va.items() for b, cb in vb.items()}
-
-
-def _outer3(va, vb, vc):
-    return {(a, b, c): x * y * z
-            for a, x in va.items() for b, y in vb.items() for c, z in vc.items()}
-
-
 # ---------------------------------------------------------------------
 # Maurer-Cartan twisting
 # ---------------------------------------------------------------------
 
 def _exp_commutative(spec: FreeAlgebraSpec, a: GradedSeries) -> GradedSeries:
     for m, c in a.terms.items():
-        rest, h = _strip_h(m)
+        rest, h = split_h(m)
         if not rest and h <= 0:
             raise BvError("exponential of scalar term %s h^%d does not truncate"
                           % (c, h))
@@ -949,7 +930,7 @@ def linearize_morphism(phi: LinearMap, D_A: BvOperator, alpha: Augmentation,
             z = PhiB.apply(y)
             vec: Vector = {}
             for m, c in z.terms.items():
-                rest, h = _strip_h(m)
+                rest, h = split_h(m)
                 if h == 0 and q_degree(rest) == 1:
                     add_terms(vec, {rest[0][0]: c})
             lin[v] = vec

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional
 
@@ -50,26 +49,14 @@ def _option(value: Optional[int], default: int, least: int, flag: str) -> int:
     return value
 
 
-def _caps_from_args(args, pf: Optional[ProblemFile] = None) -> TruncationContext:
-    base = pf.caps if pf is not None else _env_caps()
+def _caps_from_args(args, pf: ProblemFile) -> TruncationContext:
+    base = pf.caps
     return TruncationContext(
         args.max_p_degree if args.max_p_degree is not None else base.max_p_degree,
         args.max_hbar if args.max_hbar is not None else base.max_hbar,
         args.min_hbar if args.min_hbar is not None else base.min_hbar,
         args.max_word_len if args.max_word_len is not None else base.max_word_length,
     )
-
-
-def _env_caps() -> TruncationContext:
-    raw = os.environ.get("SFT_DEFAULT_CAPS", "")
-    vals = {"max_p": 6, "max_h": 6, "min_h": -1, "max_len": 8}
-    for chunk in raw.split(","):
-        if "=" in chunk:
-            k, v = chunk.split("=", 1)
-            if k.strip() in vals:
-                vals[k.strip()] = int(v)
-    return TruncationContext(vals["max_p"], vals["max_h"], vals["min_h"],
-                             vals["max_len"])
 
 
 def _load(path: str) -> ProblemFile:
@@ -153,26 +140,31 @@ def _bv_caps(args) -> dict:
             "hbar_cap": _option(args.max_hbar, 3, 0, "--max-hbar")}
 
 
-def cmd_linearize(args) -> int:
-    from .bv import (Augmentation, bv_from_hamiltonian, homology,
-                     linearize, twist_by_augmentation, validate_bv)
+def _linearized(args):
+    """The BV operator of the --series Hamiltonian of --input, and the
+    linearization of its twist by the --aug augmentation (zero when not
+    given)."""
+    from .bv import (Augmentation, bv_from_hamiltonian, linearize,
+                     twist_by_augmentation)
     pf = _load(args.input)
     H = _series_arg(pf, args.series)
     D = bv_from_hamiltonian(pf.sys, H, **_bv_caps(args))
-    rep = validate_bv(D)
-    spec = D.spec
     table = {}
     if args.aug:
         entries = pf.augs.get(args.aug)
         if entries is None:
-            print("error: augmentation %r not found" % args.aug, file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError("augmentation %r not found" % args.aug)
         for orbit, val in entries.items():
             table[((pf.sys.q[orbit], 1),)] = val
-    beta = Augmentation(spec, table)
-    _phi, _phiinv, Dbeta = twist_by_augmentation(D, beta)
-    data = linearize(Dbeta)
-    hom = homology(data)
+    _phi, _phiinv, Dbeta = twist_by_augmentation(D, Augmentation(D.spec, table))
+    return D, linearize(Dbeta)
+
+
+def cmd_linearize(args) -> int:
+    from .bv import homology, validate_bv
+    D, data = _linearized(args)
+    rep = validate_bv(D)
+    hom = homology(data.dlin, data.basis)
     payload = {
         "schema": 1,
         "bv_axioms": rep.to_json(),
@@ -206,22 +198,8 @@ def cmd_linearize(args) -> int:
 
 
 def cmd_check_bialgebra(args) -> int:
-    from .bv import (Augmentation, bv_from_hamiltonian, check_lie_bialgebra,
-                     linearize, twist_by_augmentation)
-    pf = _load(args.input)
-    H = _series_arg(pf, args.series)
-    D = bv_from_hamiltonian(pf.sys, H, **_bv_caps(args))
-    table = {}
-    if args.aug:
-        entries = pf.augs.get(args.aug)
-        if entries is None:
-            print("error: augmentation %r not found" % args.aug, file=sys.stderr)
-            return EXIT_USAGE
-        for orbit, val in entries.items():
-            table[((pf.sys.q[orbit], 1),)] = val
-    beta = Augmentation(D.spec, table)
-    _phi, _phiinv, Dbeta = twist_by_augmentation(D, beta)
-    data = linearize(Dbeta)
+    from .bv import check_lie_bialgebra
+    _D, data = _linearized(args)
     return _emit(check_lie_bialgebra(data), args.json)
 
 
@@ -242,15 +220,8 @@ def _format_string_sum(surface: Surface, terms) -> str:
     return text[2:] if text.startswith("+ ") else text
 
 
-def cmd_bracket(args) -> int:
-    surface = _surface_from_args(args)
-    x = surface.class_of(args.word1)
-    y = surface.class_of(args.word2)
-    if x is None or y is None:
-        print("error: trivial class", file=sys.stderr)
-        return EXIT_USAGE
-    terms = surface.goldman_terms(x, y)
-    if args.json:
+def _emit_bracket(surface: Surface, terms, as_json: bool) -> int:
+    if as_json:
         print(json.dumps({"schema": 1,
                           "bracket": {format_word(k, surface): str(v)
                                       for k, v in terms.items()}},
@@ -258,6 +229,16 @@ def cmd_bracket(args) -> int:
     else:
         print(_format_string_sum(surface, terms))
     return EXIT_PASS
+
+
+def cmd_bracket(args) -> int:
+    surface = _surface_from_args(args)
+    x = surface.class_of(args.word1)
+    y = surface.class_of(args.word2)
+    if x is None or y is None:
+        print("error: trivial class", file=sys.stderr)
+        return EXIT_USAGE
+    return _emit_bracket(surface, surface.goldman_terms(x, y), args.json)
 
 
 def cmd_cobracket(args) -> int:
@@ -306,7 +287,6 @@ def cmd_build_h(args) -> int:
         print("error: build-h needs a surface and class declarations",
               file=sys.stderr)
         return EXIT_USAGE
-    words = [pf.classes[name] for name in pf.class_order]
     names = {pf.classes[name]: name for name in pf.class_order}
     try:
         alphabet = GeodesicAlphabet(pf.surface, list(names), names)
@@ -369,15 +349,7 @@ def cmd_torus_oracle(args) -> int:
     except SurfaceError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    surface = Surface(1, 0)
-    if args.json:
-        print(json.dumps({"schema": 1,
-                          "bracket": {format_word(k, surface): str(v)
-                                      for k, v in terms.items()}},
-                         indent=2, sort_keys=True))
-    else:
-        print(_format_string_sum(surface, terms))
-    return EXIT_PASS
+    return _emit_bracket(Surface(1, 0), terms, args.json)
 
 
 def _add_caps(sp):

@@ -461,7 +461,7 @@ def _linearized_mu(alphabet: GeodesicAlphabet, H: GradedSeries,
 
 def _validate_shapes(H: SurfaceHamiltonian) -> None:
     """Only the four monomial shapes may occur, all of degree -1."""
-    for mono, coeff in H.series.terms.items():
+    for mono in H.series.terms:
         qd, pd, h = q_degree(mono), p_degree(mono), hbar_exponent(mono)
         if (qd, pd, h) not in ((2, 1, -1), (1, 2, -1), (0, 3, -1), (0, 1, 0)):
             raise AlphabetError("forbidden monomial shape %s"

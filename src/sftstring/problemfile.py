@@ -111,7 +111,6 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.pf = ProblemFile()
-        self._caps_seen = False
 
     # -- token helpers -------------------------------------------------
     def peek(self) -> Token:
@@ -203,7 +202,6 @@ class _Parser:
             vals[key] = self._int()
         self.pf.caps = TruncationContext(vals["max_p"], vals["max_h"],
                                          vals["min_h"], vals["max_len"])
-        self._caps_seen = True
 
     def _parse_orbit(self):
         name = self.expect("name").text
@@ -295,7 +293,7 @@ class _Parser:
             orbit = self.expect("name").text
             self.expect("punct", "]")
             self.expect("punct", "->")
-            entries[orbit] = self._expr(stop={";", "}"})
+            entries[orbit] = self._expr()
             if self.peek().kind == "punct" and self.peek().text == ";":
                 self.next()
         if name in self.pf.augs:
@@ -305,7 +303,7 @@ class _Parser:
         self.pf.aug_order.append(name)
 
     # -- expression grammar ---------------------------------------------
-    def _expr(self, stop=()) -> GradedSeries:
+    def _expr(self) -> GradedSeries:
         out = self._term()
         while True:
             tok = self.peek()
@@ -444,7 +442,7 @@ def parse(text: str) -> ProblemFile:
 
 # -- canonical printer -------------------------------------------------
 
-def print_series(series: GradedSeries, pf: Optional[ProblemFile] = None) -> str:
+def print_series(series: GradedSeries) -> str:
     if series.is_zero():
         return "0"
     chunks = []
@@ -501,10 +499,10 @@ def print_problem(pf: ProblemFile) -> str:
         if name in pf.series_degree:
             deg = " deg=%d" % pf.series_degree[name]
         lines.append("series %s%s = %s"
-                     % (name, deg, print_series(pf.series[name], pf)))
+                     % (name, deg, print_series(pf.series[name])))
     for name in pf.aug_order:
         entries = pf.augs[name]
-        body = " ; ".join("q[%s] -> %s" % (orb, print_series(v, pf))
+        body = " ; ".join("q[%s] -> %s" % (orb, print_series(v))
                           for orb, v in entries.items())
         lines.append("aug %s { %s }" % (name, body))
     return "\n".join(lines) + "\n"

@@ -15,8 +15,9 @@ where the chain boundary vanishes.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from .algebra import (
     KIND_S,
@@ -28,12 +29,14 @@ from .algebra import (
     collect,
     format_monomial,
     hbar_exponent,
+    monomial_degree,
+    mul,
     p_degree,
     q_degree,
     word_length,
 )
 from .reports import CheckReport, series_witnesses, timed
-from .surfaces import Surface, Word, format_word
+from .surfaces import Surface, Word, format_word, parse_word
 from .weyl import FILLING_KILL, OrbitSystem, exp_series, project_out, star
 
 
@@ -69,7 +72,6 @@ class ClassAlgebra:
         # symbols are value objects: recover the class from the name
         name = sym.name
         if name.startswith("s[") and name.endswith("]"):
-            from .surfaces import parse_word
             cls = self.surface.canonical_class(
                 parse_word(name[2:-1], self.surface))
             if cls is not None and self.symbol(cls) == sym:
@@ -101,47 +103,6 @@ def _tuple_of(monomial: Monomial) -> List[GradedSymbol]:
 
 def _rest_of(monomial: Monomial):
     return tuple((s, e) for s, e in monomial if s.kind != KIND_S)
-
-
-def delta_tuple(classes: Sequence[Word], alg: ClassAlgebra,
-                ctx: TruncationContext) -> GradedSeries:
-    """Slot-wise splitting of an ordered tuple with the literal sign
-    (-1)^((r+k)(3-n)) per slot r.  Used as the oracle for delta_op via
-    the orientation factor relating tuples to monomials."""
-    sgn_exp = 3 - alg.n
-    k = len(classes)
-    out: Dict[Monomial, Fraction] = {}
-    for r in range(1, k + 1):
-        pref = -1 if ((r + k) * sgn_exp) % 2 else 1
-        for (u, v), cc in alg.surface.turaev_terms(classes[r - 1]).items():
-            t = list(classes[:r - 1]) + [u, v] + list(classes[r:])
-            add_terms(out, alg.multi(t, cc * pref).terms)
-    return collect(out, ctx)
-
-
-def nabla_tuple(classes: Sequence[Word], alg: ClassAlgebra,
-                ctx: TruncationContext) -> GradedSeries:
-    """Pair-of-slots joining of an ordered tuple with the literal sign
-    (-1)^((r2-1+k)(3-n)); the joined class takes slot r1."""
-    sgn_exp = 3 - alg.n
-    k = len(classes)
-    out: Dict[Monomial, Fraction] = {}
-    for r1 in range(1, k + 1):
-        for r2 in range(r1 + 1, k + 1):
-            pref = -1 if ((r2 - 1 + k) * sgn_exp) % 2 else 1
-            for z, cc in alg.surface.goldman_terms(
-                    classes[r1 - 1], classes[r2 - 1]).items():
-                t = [z if t == r1 - 1 else c
-                     for t, c in enumerate(classes) if t != r2 - 1]
-                add_terms(out, alg.multi(t, cc * pref).terms)
-    return collect(out, ctx)
-
-
-def tuple_orientation(k: int, n: int) -> int:
-    """Sign relating an ordered k-tuple to its sorted monomial so that
-    the tuple product with its (-1)^(il(3-n)) twist matches the plain
-    graded product of monomials."""
-    return -1 if (k * (k - 1) // 2) * (3 - n) % 2 else 1
 
 
 def delta_op(series: GradedSeries, alg: ClassAlgebra,
@@ -249,10 +210,6 @@ def check_string_identities(surface: Surface, max_len: int = 4,
     split^2 = 0, join^2 = 0, anticommutation of split and join, the
     co-derivation rule of the split, and the seven-term relation of the
     join, over all tuples within the caps (plus random extras)."""
-    import random
-
-    from .algebra import monomial_degree, mul
-
     alg = ClassAlgebra(surface, n)
     ctx = TruncationContext(max_p_degree=0, max_hbar=2, min_hbar=0,
                             max_word_length=4 * max_len)
@@ -312,7 +269,6 @@ def _pow_sign(e: int) -> int:
 
 
 def _mul_chain(ctx, *series):
-    from .algebra import mul
     out = series[0]
     for s in series[1:]:
         out = mul(out, s, ctx)
@@ -333,7 +289,6 @@ def d_string(series: GradedSeries, alg: ClassAlgebra, sys: OrbitSystem,
     out = delta_op(series, alg, ctx)
     joined = nabla_op(series, alg, ctx)
     hseries = GradedSeries({((sys.hbar, 1),): Fraction(1)})
-    from .algebra import mul
     out = out + mul(hseries, joined, ctx)
     if boundary is not None:
         out = out + boundary(series, ctx)
@@ -421,7 +376,8 @@ def check_goldman_turaev_axioms(surface: Surface, max_len: int = 4,
     up to sample_len (with a small exhaustive pool mixed in), since the
     full triple product over the cap is astronomically large.
     """
-    import random
+    # imported on use, so that the multi-string operators do not load bv
+    from .bv import BialgebraAxioms
 
     report = CheckReport(
         "Goldman-Turaev axioms (genus %d, boundary %d)"
@@ -429,15 +385,8 @@ def check_goldman_turaev_axioms(surface: Surface, max_len: int = 4,
         caps={"max_len": max_len, "sample_len": sample_len,
               "triples": triples, "pairs": pairs, "seed": seed})
     S = surface
-    br = S.goldman_terms
-    cob = S.turaev_terms
-
-    def br_sum(sx, sy):
-        acc = {}
-        for x, cx in sx.items():
-            for y, cy in sy.items():
-                add_terms(acc, br(x, y), cx * cy)
-        return acc
+    # the surface constants are degree -1 symbols at bidegree (-1, 1)
+    ax = BialgebraAxioms(S.goldman_terms, S.turaev_terms, lambda w: -1, -1, 1)
 
     with timed(report):
         pool = S.classes_up_to(max_len)
@@ -445,79 +394,34 @@ def check_goldman_turaev_axioms(surface: Surface, max_len: int = 4,
         big = S.classes_up_to(sample_len) if sample_len > max_len else pool
         # unary axioms over the whole pool
         for x in pool:
-            if br(x, x):
-                report.add_witness("[x,x] for %s" % format_word(x, S), "nonzero")
-            d = cob(x)
-            if add_terms({(v, u): c for (u, v), c in d.items()}, d):
-                report.add_witness("co-antisymmetry for %s" % format_word(x, S),
-                                   "nonzero")
-            t3 = {}
-            for (u, v), c in d.items():
-                for (u1, u2), c2 in cob(u).items():
-                    t3[(u1, u2, v)] = t3.get((u1, u2, v), Fraction(0)) + c * c2
-            cyc = {}
-            for (p, q, r), c in t3.items():
-                for key in ((p, q, r), (r, p, q), (q, r, p)):
-                    cyc[key] = cyc.get(key, Fraction(0)) + c
-            if any(cyc.values()):
-                report.add_witness("co-Jacobi for %s" % format_word(x, S),
-                                   "nonzero")
-            inv = {}
-            for (u, v), c in d.items():
-                add_terms(inv, br(u, v), c)
-            if inv:
-                report.add_witness("involutivity for %s" % format_word(x, S),
-                                   "nonzero")
+            label = format_word(x, S)
+            if S.goldman_terms(x, x):
+                report.add_witness("[x,x] for %s" % label, "nonzero")
+            dx = S.turaev_terms(x)
+            if not ax.co_antisymmetry(dx):
+                report.add_witness("co-antisymmetry for %s" % label, "nonzero")
+            if not ax.co_jacobi(dx):
+                report.add_witness("co-Jacobi for %s" % label, "nonzero")
+            if not ax.involutivity(dx):
+                report.add_witness("involutivity for %s" % label, "nonzero")
         # sampled pairs: antisymmetry and Drinfeld compatibility
         for _ in range(pairs):
             x = big[rng.randrange(len(big))]
             y = big[rng.randrange(len(big))]
-            if add_terms(dict(br(x, y)), br(y, x)):
-                report.add_witness(
-                    "antisymmetry for (%s, %s)"
-                    % (format_word(x, S), format_word(y, S)), "nonzero")
-            lhs = {}
-            for z, c in br(x, y).items():
-                add_terms(lhs, cob(z), c)
-            rhs = {}
-            dx, dy = cob(x), cob(y)
-            for (x1, x2), c in dx.items():
-                for z, c2 in br(x2, y).items():
-                    rhs[(x1, z)] = rhs.get((x1, z), Fraction(0)) + c * c2
-                for z, c2 in br(y, x1).items():
-                    rhs[(z, x2)] = rhs.get((z, x2), Fraction(0)) - c * c2
-            for (y1, y2), c in dy.items():
-                for z, c2 in br(x, y1).items():
-                    rhs[(z, y2)] = rhs.get((z, y2), Fraction(0)) + c * c2
-                for z, c2 in br(y2, x).items():
-                    rhs[(y1, z)] = rhs.get((y1, z), Fraction(0)) - c * c2
-            if add_terms(lhs, rhs, -1):
-                report.add_witness(
-                    "Drinfeld for (%s, %s)"
-                    % (format_word(x, S), format_word(y, S)), "nonzero")
+            label = "(%s, %s)" % (format_word(x, S), format_word(y, S))
+            if not ax.antisymmetry({x: 1}, {y: 1}):
+                report.add_witness("antisymmetry for " + label, "nonzero")
+            if not ax.drinfeld({x: 1}, {y: 1}):
+                report.add_witness("Drinfeld for " + label, "nonzero")
         # sampled triples: Jacobi
         for _ in range(triples):
             x = big[rng.randrange(len(big))]
             y = big[rng.randrange(len(big))]
             z = big[rng.randrange(len(big))]
-            acc = {}
-            for (u, v, w) in ((x, y, z), (z, x, y), (y, z, x)):
-                add_terms(acc, br_sum(br(u, v), {w: Fraction(1)}))
-            if acc:
+            if not ax.jacobi({x: 1}, {y: 1}, {z: 1}):
                 report.add_witness(
                     "Jacobi for (%s, %s, %s)"
                     % (format_word(x, S), format_word(y, S), format_word(z, S)),
                     "nonzero")
     return report
 
-
-def multi_product(alg: ClassAlgebra, sigma: Sequence[Word], i_deg: int,
-                  tau: Sequence[Word], j_deg: int) -> Tuple[int, List[Word]]:
-    """Product of two tuples: concatenation with the shifted-degree sign
-    (-1)^(i l (3-n)) where l is the length of the second tuple.
-
-    Returns (sign, concatenated tuple); on the quotient this matches the
-    graded product of the corresponding monomials.
-    """
-    sign_exp = i_deg * len(tau) * (3 - alg.n)
-    return (-1 if sign_exp % 2 else 1), list(sigma) + list(tau)

@@ -6,9 +6,8 @@ except p and q of the same orbit, where moving a p left past its q
 produces the extra contraction term kappa*h.  Series are kept in
 standard form (q-block left of p-block) via algebra.standard_form.
 
-The star product enumerates contraction matchings directly; the
-adjacent-transposition rewriting `star_reference` is the slow oracle the
-test-suite compares against.
+The star product enumerates contraction matchings directly; the tests
+compare it against adjacent-transposition rewriting.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from .algebra import (
     format_monomial,
     hbar_exponent,
     standard_form,
+    units_of,
 )
 from .reports import CheckReport, series_witnesses, timed
 
@@ -118,18 +118,6 @@ class OrbitSystem:
         return GradedSeries.from_word(entries, coeff)
 
 
-def _split_units(m: Monomial):
-    """Expand a monomial into single-exponent units, h kept aside."""
-    units = []
-    hpow = 0
-    for s, e in m:
-        if s.kind == KIND_H:
-            hpow += e
-        else:
-            units.extend([s] * e)
-    return units, hpow
-
-
 def star(a: GradedSeries, b: GradedSeries, sys: OrbitSystem,
          ctx: TruncationContext) -> GradedSeries:
     """Associative star product with kappa*h contractions.
@@ -148,8 +136,7 @@ def star(a: GradedSeries, b: GradedSeries, sys: OrbitSystem,
 
 def _star_monomials(m1: Monomial, m2: Monomial, coeff: Fraction,
                     sys: OrbitSystem, acc: Dict[Monomial, Fraction]) -> None:
-    u1, h1 = _split_units(m1)
-    u2, h2 = _split_units(m2)
+    u1, u2 = units_of(m1), units_of(m2)
     p_pos = [i for i, s in enumerate(u1) if s.kind == KIND_P]
     q_pos = [j for j, s in enumerate(u2) if s.kind == KIND_Q]
     # candidate matchings grouped by orbit
@@ -161,7 +148,8 @@ def _star_monomials(m1: Monomial, m2: Monomial, coeff: Fraction,
             by_orbit[u2[j].orbit][1].append(j)
     orbits = [o for o, (ps, qs) in by_orbit.items() if ps and qs]
     for matching in _iter_matchings(by_orbit, orbits):
-        _apply_matching(u1, u2, h1 + h2, matching, coeff, sys, acc)
+        _apply_matching(u1, u2, hbar_exponent(m1) + hbar_exponent(m2),
+                        matching, coeff, sys, acc)
 
 
 def _iter_matchings(by_orbit, orbits, k: int = 0):
@@ -212,52 +200,6 @@ def _apply_matching(u1, u2, hpow, matching, coeff, sys, acc) -> None:
 
 
 # ---------------------------------------------------------------------
-# slow oracle: adjacent-transposition rewriting
-# ---------------------------------------------------------------------
-
-def star_reference(a: GradedSeries, b: GradedSeries, sys: OrbitSystem,
-                   ctx: TruncationContext) -> GradedSeries:
-    """Reference star product by one-step rewriting; exponential in the
-    worst case, used to validate the matching enumeration."""
-    acc: Dict[Monomial, Fraction] = {}
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
-            u1, h1 = _split_units(m1)
-            u2, h2 = _split_units(m2)
-            stack = [(c1 * c2, u1 + u2, h1 + h2)]
-            while stack:
-                coeff, word, hpow = stack.pop()
-                idx = _first_disorder(word)
-                if idx is None:
-                    entries = [(s, 1) for s in word]
-                    if hpow:
-                        entries.append((sys.hbar, hpow))
-                    res = standard_form(entries)
-                    if res is None:
-                        continue
-                    sgn, mono = res
-                    acc[mono] = acc.get(mono, Fraction(0)) + coeff * sgn
-                    continue
-                x, y = word[idx], word[idx + 1]
-                swap_sign = -1 if (x.parity and y.parity) else 1
-                stack.append((coeff * swap_sign,
-                              word[:idx] + [y, x] + word[idx + 2:], hpow))
-                if x.kind == KIND_P and y.kind == KIND_Q and x.orbit == y.orbit:
-                    stack.append((coeff * sys.kappa[x.orbit],
-                                  word[:idx] + word[idx + 2:], hpow + 1))
-    return collect(acc, ctx)
-
-
-def _first_disorder(word) -> Optional[int]:
-    """Leftmost adjacent inversion; same-orbit (p, q) pairs also qualify."""
-    for i in range(len(word) - 1):
-        x, y = word[i], word[i + 1]
-        if x.sort_key > y.sort_key:
-            return i
-    return None
-
-
-# ---------------------------------------------------------------------
 # differential-operator actions
 # ---------------------------------------------------------------------
 
@@ -302,7 +244,7 @@ def act_right(F: GradedSeries, g: GradedSeries, sys: OrbitSystem,
     """
     acc: Dict[Monomial, Fraction] = {}
     for mF, cF in F.terms.items():
-        units, hpow = _split_units(mF)
+        units, hpow = units_of(mF), hbar_exponent(mF)
         qpart = [(s, 1) for s in units if s.kind != KIND_P]
         punits = [s for s in units if s.kind == KIND_P]
         for mg, cg in g.terms.items():
@@ -342,7 +284,7 @@ def act_left(g: GradedSeries, H: GradedSeries, sys: OrbitSystem,
     leftover q-variables of H set to zero."""
     acc: Dict[Monomial, Fraction] = {}
     for mH, cH in H.terms.items():
-        units, hpow = _split_units(mH)
+        units, hpow = units_of(mH), hbar_exponent(mH)
         rest = [(s, 1) for s in units if s.kind != KIND_Q]
         qunits = [s for s in units if s.kind == KIND_Q]
         for mg, cg in g.terms.items():
@@ -403,8 +345,8 @@ class ExponentialError(ValueError):
     pass
 
 
-def exp_series(F: GradedSeries, sys: OrbitSystem, ctx: TruncationContext,
-               product=None) -> GradedSeries:
+def exp_series(F: GradedSeries, sys: OrbitSystem,
+               ctx: TruncationContext) -> GradedSeries:
     """Truncated exponential sum_k F^(*k) / k!.
 
     Termination: every admissible term of F raises the p-degree, the
@@ -413,9 +355,7 @@ def exp_series(F: GradedSeries, sys: OrbitSystem, ctx: TruncationContext,
     pure scalar term with hbar exponent <= 0 never leaves the window
     and is rejected.
     """
-    if product is None:
-        product = lambda x, y: star(x, y, sys, ctx)
-    for m, c in F.terms.items():
+    for m in F.terms:
         if all(s.kind == KIND_H for s, _ in m) and hbar_exponent(m) <= 0:
             raise ExponentialError(
                 "exponential of a series with scalar term %s does not truncate"
@@ -427,7 +367,7 @@ def exp_series(F: GradedSeries, sys: OrbitSystem, ctx: TruncationContext,
     k = 0
     while True:
         k += 1
-        power = product(power, F)
+        power = star(power, F, sys, ctx)
         if power.is_zero():
             break
         add_terms(out, power.terms, Fraction(1, factorial(k)))

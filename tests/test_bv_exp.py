@@ -16,7 +16,8 @@ from math import factorial
 import pytest
 
 from sftstring import bv
-from sftstring.algebra import GradedSeries, add_terms, koszul_sign, mul
+from sftstring.algebra import (GradedSeries, add_terms, koszul_sign, mul,
+                               split_h)
 from sftstring.bv import (
     Augmentation,
     BvError,
@@ -57,7 +58,7 @@ def exp_morphism_reference(phi, element, target_mul, target_unit):
     """e^phi by the multinomial sum over (permutation, composition)."""
     out = {}
     for m, c in element.terms.items():
-        rest, h = bv._strip_h(m)
+        rest, h = split_h(m)
         units = _units(rest)
         k = len(units)
         if k == 0:

@@ -3,7 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from sftstring.algebra import GradedSeries, TruncationContext
+from sftstring.algebra import (
+    KIND_P,
+    KIND_Q,
+    GradedSeries,
+    TruncationContext,
+    collect,
+    hbar_exponent,
+    standard_form,
+    units_of,
+)
 from sftstring.weyl import (
     Orbit,
     OrbitSystem,
@@ -15,7 +24,6 @@ from sftstring.weyl import (
     exp_series,
     project_out,
     star,
-    star_reference,
 )
 
 CTX = TruncationContext(max_p_degree=6, max_hbar=6, min_hbar=-4, max_word_length=8)
@@ -73,6 +81,46 @@ def _random_weyl_series(rng, sys, max_terms=3, max_h=1):
         if coeff:
             out = out + sys.monomial(coeff, qs=qs, ps=ps, hpow=hpow)
     return out
+
+
+def star_reference(a, b, sys, ctx):
+    """Reference star product by one-step rewriting; exponential in the
+    worst case, used to validate the matching enumeration."""
+    acc = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            stack = [(c1 * c2, units_of(m1) + units_of(m2),
+                      hbar_exponent(m1) + hbar_exponent(m2))]
+            while stack:
+                coeff, word, hpow = stack.pop()
+                idx = _first_disorder(word)
+                if idx is None:
+                    entries = [(s, 1) for s in word]
+                    if hpow:
+                        entries.append((sys.hbar, hpow))
+                    res = standard_form(entries)
+                    if res is None:
+                        continue
+                    sgn, mono = res
+                    acc[mono] = acc.get(mono, Fraction(0)) + coeff * sgn
+                    continue
+                x, y = word[idx], word[idx + 1]
+                swap_sign = -1 if (x.parity and y.parity) else 1
+                stack.append((coeff * swap_sign,
+                              word[:idx] + [y, x] + word[idx + 2:], hpow))
+                if x.kind == KIND_P and y.kind == KIND_Q and x.orbit == y.orbit:
+                    stack.append((coeff * sys.kappa[x.orbit],
+                                  word[:idx] + word[idx + 2:], hpow + 1))
+    return collect(acc, ctx)
+
+
+def _first_disorder(word):
+    """Leftmost adjacent inversion; same-orbit (p, q) pairs also qualify."""
+    for i in range(len(word) - 1):
+        x, y = word[i], word[i + 1]
+        if x.sort_key > y.sort_key:
+            return i
+    return None
 
 
 @pytest.mark.parametrize("n,czs", [(2, [0, 0, 0]), (3, [0, 1, 2]), (4, [1, 0, 3])])
