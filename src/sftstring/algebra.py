@@ -42,14 +42,28 @@ class GradedSymbol:
     def __post_init__(self):
         if self.kind not in _BLOCK:
             raise ValueError("unknown symbol kind %r" % (self.kind,))
+        # every product compares, hashes and signs symbols, so the
+        # derived values are computed once here
+        fields = (self.name, self.degree, self.kind, self.orbit, self.index)
+        object.__setattr__(self, "parity", self.degree % 2)
+        object.__setattr__(self, "sort_key", (_BLOCK[self.kind], self.index, self.name))
+        object.__setattr__(self, "_fields", fields)
+        object.__setattr__(self, "_hash", hash(fields))
 
-    @property
-    def parity(self) -> int:
-        return self.degree % 2
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields == other._fields
 
-    @property
-    def sort_key(self):
-        return (_BLOCK[self.kind], self.index, self.name)
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through __init__: a copied _hash is stale in a process
+        # with another string-hash seed
+        return (self.__class__, self._fields)
 
     def __repr__(self):
         return self.name
@@ -152,9 +166,9 @@ def normalize(entries: Iterable) -> Optional[tuple]:
 def standard_form(word: list) -> Optional[tuple]:
     """normalize() without the same-orbit guard; sorts `word` in place.
 
-    Callers that have already performed the star-product contractions
-    use this directly: the same-orbit p, q pairs left in their words
-    take the plain Koszul-swap branch of the commutation relation.
+    Same-orbit p, q pairs in `word` take the plain Koszul-swap branch
+    of the commutation relation.  A product of two words that are
+    already in standard form is merge_words, not this sort.
     """
     # insertion sort by sort_key, counting odd-odd transpositions
     sign = 1
@@ -182,6 +196,50 @@ def standard_form(word: list) -> Optional[tuple]:
         if e < 0 and s.kind != KIND_H:
             raise NormalizationError("negative exponent on %r" % (s,))
         out.append((s, e))
+    return sign, tuple(out)
+
+
+def merge_words(left, right) -> Optional[tuple]:
+    """Product of two standard-form words of (symbol, exponent) pairs.
+
+    Returns (sign, standard-form tuple), or None when an odd symbol
+    occurs in both.  Both factors are already sorted, so one merge pass
+    does what standard_form does for their concatenation: each odd
+    left unit is passed by the odd right units emitted before it, and
+    contributes -1 when there is an odd number of those.  Equal even
+    symbols add their exponents; a zero sum (h^-1 * h) drops out.
+    """
+    out = []
+    sign = 1
+    odd_right = 0
+    i = j = 0
+    nl, nr = len(left), len(right)
+    while i < nl and j < nr:
+        s, e = left[i]
+        t, f = right[j]
+        ks, kt = s.sort_key, t.sort_key
+        if kt < ks:
+            odd_right ^= t.parity & f
+            out.append((t, f))
+            j += 1
+        elif ks < kt or s != t:
+            if odd_right and s.parity & e:
+                sign = -sign
+            out.append((s, e))
+            i += 1
+        elif s.parity:
+            return None
+        else:
+            if e + f:
+                out.append((s, e + f))
+            i += 1
+            j += 1
+    if odd_right:
+        for s, e in left[i:]:
+            if s.parity & e:
+                sign = -sign
+    out.extend(left[i:])
+    out.extend(right[j:])
     return sign, tuple(out)
 
 

@@ -4,18 +4,25 @@ Variables q_gamma, p_gamma per good closed orbit, with gradings
 |q| = n-3+CZ, |p| = n-3-CZ, |h| = 2(n-3).  All variables super-commute
 except p and q of the same orbit, where moving a p left past its q
 produces the extra contraction term kappa*h.  Series are kept in
-standard form (q-block left of p-block) via algebra.standard_form.
+standard form (q-block left of p-block).
 
-The star product enumerates contraction matchings directly; the tests
-compare it against adjacent-transposition rewriting.
+The star product contracts by exponent: p_gamma^a on the left against
+q_gamma^b on the right gives, for r = 0 .. min(a, b), h^r times the
+integer weight kappa^r r! C(a,r) C(b,r).  An odd orbit contracts at
+most once, and its contraction, the k-th odd one in orbit order,
+carries (-1)^(odd units before the q in the right factor + odd units
+after the p in the left factor - k).  The two lowered factors are
+already in standard form, so they are merged (algebra.merge_words),
+not re-sorted.  The tests compare the star product against unit-level
+matching enumeration and against adjacent-transposition rewriting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
-from math import factorial
+from itertools import product
+from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -32,7 +39,8 @@ from .algebra import (
     collect,
     format_monomial,
     hbar_exponent,
-    standard_form,
+    merge_words,
+    split_h,
     units_of,
 )
 from .reports import CheckReport, series_witnesses, timed
@@ -122,81 +130,106 @@ def star(a: GradedSeries, b: GradedSeries, sys: OrbitSystem,
          ctx: TruncationContext) -> GradedSeries:
     """Associative star product with kappa*h contractions.
 
-    For each pair of standard-form monomials, enumerate the matchings
-    between p-units of the left factor and q-units of the right factor
-    with equal orbit; every matched pair contributes kappa*h and the
-    Koszul sign of physically moving the q-unit left to its p-unit.
+    For a left monomial with p_gamma^a and a right one with q_gamma^b,
+    contracting r of the pairs (r = 0 .. min(a, b)) gives h^r with the
+    integer weight kappa^r r! C(a,r) C(b,r), where r! C(a,r) C(b,r)
+    counts the ways to match r of the p-units with r of the q-units
+    (kappa per matched pair).  Odd variables have exponent <= 1,
+    so an odd orbit contracts at most once; the k-th odd contraction
+    (k = 0, 1, .. in orbit order) carries the Koszul sign of moving its
+    q left to its p, (-1)^(odd units before the q in the right factor
+    + odd units after the p in the left factor - k).  The two lowered
+    factors are then merged in standard form.  A contraction whose
+    term the context would drop (hbar above the cap, or p-degree above
+    the cap with hbar at or above the minimum) is never built; every
+    other term, including one below min_hbar, reaches collect().
     """
+    left = [(_factor(m), c) for m, c in a.terms.items()]
+    right = left if b is a else [(_factor(m), c) for m, c in b.terms.items()]
+    max_h, min_h, max_p = ctx.max_hbar, ctx.min_hbar, ctx.max_p_degree
+    hbar = sys.hbar
     acc: Dict[Monomial, Fraction] = {}
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
-            _star_monomials(m1, m2, c1 * c2, sys, acc)
+    for (body1, h1, p1, pmap, _), c1 in left:
+        for (body2, h2, p2, _, qmap), c2 in right:
+            h0 = h1 + h2
+            if h0 > max_h:
+                continue
+            c = None
+            options = [_contractions(pmap[o], qmap[o], sys.kappa[o])
+                       for o in pmap if o in qmap] if qmap else ()
+            # the first orbit varies fastest, as in a matching enumeration
+            for choice in product(*reversed(options)):
+                weight = sign = 1
+                total = odd = 0
+                cuts1, cuts2 = [], []
+                for r, w, k1, k2, flip in reversed(choice):
+                    if not r:
+                        continue
+                    total += r
+                    weight *= w
+                    if flip is not None:
+                        if (flip + odd) & 1:
+                            sign = -sign
+                        odd += 1
+                    cuts1.append((k1, r))
+                    cuts2.append((k2, r))
+                h = h0 + total
+                if h > max_h or (p1 + p2 - total > max_p and h >= min_h):
+                    continue
+                res = merge_words(_lowered(body1, cuts1), _lowered(body2, cuts2)) \
+                    if total else merge_words(body1, body2)
+                if res is None:
+                    continue
+                sgn, mono = res
+                if h:
+                    mono += ((hbar, h),)
+                if c is None:
+                    c = c1 * c2
+                _accumulate(acc, mono, c, weight * sign * sgn)
     return collect(acc, ctx)
 
 
-def _star_monomials(m1: Monomial, m2: Monomial, coeff: Fraction,
-                    sys: OrbitSystem, acc: Dict[Monomial, Fraction]) -> None:
-    u1, u2 = units_of(m1), units_of(m2)
-    p_pos = [i for i, s in enumerate(u1) if s.kind == KIND_P]
-    q_pos = [j for j, s in enumerate(u2) if s.kind == KIND_Q]
-    # candidate matchings grouped by orbit
-    by_orbit: Dict[str, Tuple[List[int], List[int]]] = {}
-    for i in p_pos:
-        by_orbit.setdefault(u1[i].orbit, ([], []))[0].append(i)
-    for j in q_pos:
-        if u2[j].orbit in by_orbit:
-            by_orbit[u2[j].orbit][1].append(j)
-    orbits = [o for o, (ps, qs) in by_orbit.items() if ps and qs]
-    for matching in _iter_matchings(by_orbit, orbits):
-        _apply_matching(u1, u2, hbar_exponent(m1) + hbar_exponent(m2),
-                        matching, coeff, sys, acc)
+def _factor(m: Monomial):
+    """Per-call record of a star-product factor: its h-free body, h
+    exponent and p-degree, and per orbit the position and exponent of
+    its p (with the parity of the odd units after it) and of its q
+    (with the parity of the odd units before it)."""
+    body, h = split_h(m)
+    odd_before = pdeg = 0
+    ps, qmap = [], {}
+    for k, (s, e) in enumerate(body):
+        if s.kind == KIND_P:
+            ps.append((s, k, e, odd_before + s.parity))
+            pdeg += e
+        elif s.kind == KIND_Q:
+            qmap[s.orbit] = (k, e, odd_before & 1)
+        odd_before += s.parity * e
+    pmap = {s.orbit: (k, e, (odd_before - through) & 1, s.parity)
+            for s, k, e, through in ps}
+    return body, h, pdeg, pmap, qmap
 
 
-def _iter_matchings(by_orbit, orbits, k: int = 0):
-    """Yield lists of (p-index-in-u1, q-index-in-u2) pairs, all orbits."""
-    if k == len(orbits):
-        yield []
-        return
-    ps, qs = by_orbit[orbits[k]]
-    for rest in _iter_matchings(by_orbit, orbits, k + 1):
-        yield rest
-        for r in range(1, min(len(ps), len(qs)) + 1):
-            for chosen_p in combinations(ps, r):
-                for chosen_q in permutations(qs, r):
-                    yield rest + list(zip(chosen_p, chosen_q))
+def _contractions(p_entry, q_entry, kappa: int):
+    """(r, weight, p position, q position, sign base or None if even)
+    for r = 0 .. min(a, b) contractions of p^a against q^b."""
+    k1, a, odd_after, parity = p_entry
+    k2, b, odd_before = q_entry
+    flip = (odd_after + odd_before) & 1 if parity else None
+    return [(r, kappa ** r * factorial(r) * comb(a, r) * comb(b, r), k1, k2, flip)
+            for r in range(min(a, b) + 1)]
 
 
-def _apply_matching(u1, u2, hpow, matching, coeff, sys, acc) -> None:
-    """Contract the matched pairs, track the Koszul sign, normalize."""
-    sign = 1
-    alive1 = [True] * len(u1)
-    alive2 = [True] * len(u2)
-    # move each matched q-unit left to its p-unit; process leftmost q first
-    for i, j in sorted(matching, key=lambda t: t[1]):
-        par_q = u2[j].degree % 2
-        if par_q:
-            crossed = 0
-            for jj in range(j):
-                if alive2[jj] and u2[jj].degree % 2:
-                    crossed += 1
-            for ii in range(i + 1, len(u1)):
-                if alive1[ii] and u1[ii].degree % 2:
-                    crossed += 1
-            if crossed % 2:
-                sign = -sign
-        alive1[i] = False
-        alive2[j] = False
-        coeff = coeff * sys.kappa[u2[j].orbit]
-        hpow += 1
-    entries = [(s, 1) for s, al in zip(u1, alive1) if al]
-    entries += [(s, 1) for s, al in zip(u2, alive2) if al]
-    if hpow:
-        entries.append((sys.hbar, hpow))
-    res = standard_form(entries)
-    if res is None:
-        return
-    sgn, mono = res
-    acc[mono] = acc.get(mono, Fraction(0)) + coeff * sign * sgn
+def _lowered(body: Monomial, cuts) -> list:
+    """body with the exponent at each (position, r) of cuts lowered by
+    r; cuts are in increasing position order."""
+    out = list(body)
+    for k, r in reversed(cuts):
+        s, e = out[k]
+        if e == r:
+            del out[k]
+        else:
+            out[k] = (s, e - r)
+    return out
 
 
 # ---------------------------------------------------------------------
@@ -243,37 +276,28 @@ def act_right(F: GradedSeries, g: GradedSeries, sys: OrbitSystem,
     set to zero.
     """
     acc: Dict[Monomial, Fraction] = {}
+    g_split = [(split_h(mg), cg) for mg, cg in g.terms.items()]
     for mF, cF in F.terms.items():
-        units, hpow = units_of(mF), hbar_exponent(mF)
-        qpart = [(s, 1) for s in units if s.kind != KIND_P]
-        punits = [s for s in units if s.kind == KIND_P]
-        for mg, cg in g.terms.items():
-            coeff = cF * cg
-            work = [(coeff, mg, hpow)]
-            dead = False
+        body, hpow = split_h(mF)
+        qpart = tuple((s, e) for s, e in body if s.kind != KIND_P)
+        punits = [s for s in units_of(body) if s.kind == KIND_P]
+        for (mg, hg), cg in g_split:
+            work = [(1, mg, hpow + hg)]
             for psym in reversed(punits):
                 nxt = []
-                for c0, m0, h0 in work:
+                for w0, m0, h0 in work:
                     d = _derive_left(m0, sys.q[psym.orbit])
                     if d is None:
                         continue
                     sgn, e, red = d
-                    nxt.append((c0 * sgn * e * sys.kappa[psym.orbit], red, h0 + 1))
+                    nxt.append((w0 * sgn * e * sys.kappa[psym.orbit], red, h0 + 1))
                 work = nxt
                 if not work:
-                    dead = True
                     break
-            if dead:
-                continue
-            for c0, m0, h0 in work:
-                entries = list(qpart) + list(m0)
-                if h0:
-                    entries.append((sys.hbar, h0))
-                res = standard_form(entries)
-                if res is None:
-                    continue
-                sgn, mono = res
-                acc[mono] = acc.get(mono, Fraction(0)) + c0 * sgn
+            if work:
+                c = cF * cg
+                for w0, m0, h0 in work:
+                    _add_product(acc, c, w0, qpart, m0, sys.hbar, h0)
     return collect(acc, ctx)
 
 
@@ -283,38 +307,48 @@ def act_left(g: GradedSeries, H: GradedSeries, sys: OrbitSystem,
     the graded right derivative in p_gamma; equals star(g, H) with
     leftover q-variables of H set to zero."""
     acc: Dict[Monomial, Fraction] = {}
+    g_split = [(split_h(mg), cg) for mg, cg in g.terms.items()]
     for mH, cH in H.terms.items():
-        units, hpow = units_of(mH), hbar_exponent(mH)
-        rest = [(s, 1) for s in units if s.kind != KIND_Q]
-        qunits = [s for s in units if s.kind == KIND_Q]
-        for mg, cg in g.terms.items():
-            coeff = cH * cg
-            work = [(coeff, mg, hpow)]
-            dead = False
+        body, hpow = split_h(mH)
+        rest = tuple((s, e) for s, e in body if s.kind != KIND_Q)
+        qunits = [s for s in units_of(body) if s.kind == KIND_Q]
+        for (mg, hg), cg in g_split:
+            work = [(1, mg, hpow + hg)]
             for qsym in qunits:
                 nxt = []
-                for c0, m0, h0 in work:
+                for w0, m0, h0 in work:
                     d = _derive_right(m0, sys.p[qsym.orbit])
                     if d is None:
                         continue
                     sgn, e, red = d
-                    nxt.append((c0 * sgn * e * sys.kappa[qsym.orbit], red, h0 + 1))
+                    nxt.append((w0 * sgn * e * sys.kappa[qsym.orbit], red, h0 + 1))
                 work = nxt
                 if not work:
-                    dead = True
                     break
-            if dead:
-                continue
-            for c0, m0, h0 in work:
-                entries = list(m0) + list(rest)
-                if h0:
-                    entries.append((sys.hbar, h0))
-                res = standard_form(entries)
-                if res is None:
-                    continue
-                sgn, mono = res
-                acc[mono] = acc.get(mono, Fraction(0)) + c0 * sgn
+            if work:
+                c = cH * cg
+                for w0, m0, h0 in work:
+                    _add_product(acc, c, w0, m0, rest, sys.hbar, h0)
     return collect(acc, ctx)
+
+
+def _add_product(acc, c, w: int, left, right, hbar, hpow) -> None:
+    """acc += c * w * left * right * h^hpow for h-free standard-form
+    words left and right."""
+    res = merge_words(left, right)
+    if res is None:
+        return
+    sgn, mono = res
+    if hpow:
+        mono += ((hbar, hpow),)
+    _accumulate(acc, mono, c, w * sgn)
+
+
+def _accumulate(acc, mono: Monomial, c: Fraction, w: int) -> None:
+    """acc[mono] += c * w, with no Fraction product when w is +-1."""
+    term = c if w == 1 else -c if w == -1 else c * w
+    prev = acc.get(mono)
+    acc[mono] = term if prev is None else prev + term
 
 
 def project_out(series: GradedSeries, kinds=(), sides=(), sys: Optional[OrbitSystem] = None,
@@ -453,7 +487,7 @@ def coefficient_boundary_operator(bnd: Dict[GradedSymbol, GradedSeries]):
                 sign = -1 if par % 2 else 1
                 rest = m[:k] + m[k + 1:]
                 for mi, ci in img.terms.items():
-                    res = standard_form(list(mi) + list(rest))
+                    res = merge_words(mi, rest)
                     if res is None:
                         continue
                     sgn, mono = res

@@ -4,6 +4,8 @@ import pytest
 from fractions import Fraction
 
 from sftstring.algebra import (
+    KIND_H,
+    KIND_P,
     KIND_Q,
     KIND_S,
     GradedSeries,
@@ -11,9 +13,11 @@ from sftstring.algebra import (
     NormalizationError,
     TruncationContext,
     koszul_sign,
+    merge_words,
     monomial_degree,
     mul,
     normalize,
+    standard_form,
 )
 
 
@@ -145,3 +149,21 @@ def test_truncation_window():
     b = GradedSeries.from_word([(s3, 1)])
     # word length 3 exceeds the cap and is dropped
     assert mul(a, b, ctx).is_zero()
+
+
+def test_merge_words_matches_standard_form_of_the_concatenation():
+    # every block, both parities, and h with exponents of either sign
+    syms = [sym("s[x]", 1, kind=KIND_S, index=0), sym("s[y]", 2, kind=KIND_S, index=1),
+            q1, q2, q3, sym("q[4]", 1, orbit="4", index=3),
+            sym("p[1]", -1, kind=KIND_P, orbit="1", index=0),
+            sym("p[3]", 0, kind=KIND_P, orbit="3", index=2),
+            sym("h", 2, kind=KIND_H)]
+    rng = random.Random(8)
+    for _ in range(2000):
+        left, right = (
+            [(s, rng.randrange(-2, 3) if s.kind == KIND_H else
+              rng.randrange(0, 2 if s.parity else 3)) for s in syms]
+            for _ in range(2))
+        left = tuple((s, e) for s, e in left if e)
+        right = tuple((s, e) for s, e in right if e)
+        assert merge_words(left, right) == standard_form(list(left) + list(right))

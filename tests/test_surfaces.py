@@ -180,19 +180,26 @@ def test_torus_bracket_lines_match_oracle():
 
 
 def _torus_line_crossings(v1, v2):
-    """Exact intersection parameters of s*v1 and t*v2 + eps on R^2/Z^2."""
+    """Exact intersection parameters of s*v1 and t*v2 + eps on R^2/Z^2,
+    with eps = (1/97, 1/89).
+
+    Each s, t is returned as its numerator over the common positive
+    denominator 97*89*|det|, so the solve stays in integers.
+    """
     (m, n), (p, q) = v1, v2
     det = m * q - n * p
-    e1, e2 = Fraction(1, 97), Fraction(1, 89)
+    # s*m - t*p = e1 + j ; s*n - t*q = e2 + k, scaled by 97*89:
+    # s = (-q*rhs1 + p*rhs2) / (-det), rhs1 = 89 + 8633 j, rhs2 = 97 + 8633 k
+    denom, flip = 8633 * abs(det), -1 if det > 0 else 1
     sols = set()
     bound = abs(m) + abs(n) + abs(p) + abs(q) + 2
     for j in range(-bound, bound + 1):
+        rhs1 = 89 + 8633 * j
         for k in range(-bound, bound + 1):
-            # s*m - t*p = e1 + j ; s*n - t*q = e2 + k
-            rhs1, rhs2 = e1 + j, e2 + k
-            s = Fraction(-q * rhs1 + p * rhs2, -det)
-            t = Fraction(-n * rhs1 + m * rhs2, -det)
-            if 0 <= s < 1 and 0 <= t < 1:
+            rhs2 = 97 + 8633 * k
+            s = flip * (-q * rhs1 + p * rhs2)
+            t = flip * (-n * rhs1 + m * rhs2)
+            if 0 <= s < denom and 0 <= t < denom:
                 sols.add((s, t))
     return sols
 

@@ -1,13 +1,17 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
 from sftstring.algebra import (
     KIND_P,
     KIND_Q,
+    KIND_S,
     GradedSeries,
+    GradedSymbol,
     TruncationContext,
+    TruncationUnderflow,
     collect,
     hbar_exponent,
     standard_form,
@@ -121,6 +125,150 @@ def _first_disorder(word):
         if x.sort_key > y.sort_key:
             return i
     return None
+
+
+def star_matchings_reference(a, b, sys, ctx):
+    """Reference star product by unit-level matching enumeration: every
+    matching of p-units of the left factor with same-orbit q-units of
+    the right one contributes kappa*h per pair and the Koszul sign of
+    moving each matched q-unit left to its p-unit, leftmost q first."""
+    acc = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            u1, u2 = units_of(m1), units_of(m2)
+            by_orbit = {}
+            for i, s in enumerate(u1):
+                if s.kind == KIND_P:
+                    by_orbit.setdefault(s.orbit, ([], []))[0].append(i)
+            for j, s in enumerate(u2):
+                if s.kind == KIND_Q and s.orbit in by_orbit:
+                    by_orbit[s.orbit][1].append(j)
+            orbits = [o for o, (ps, qs) in by_orbit.items() if ps and qs]
+            for matching in _iter_matchings(by_orbit, orbits):
+                _apply_matching(u1, u2, hbar_exponent(m1) + hbar_exponent(m2),
+                                matching, c1 * c2, sys, acc)
+    return collect(acc, ctx)
+
+
+def _iter_matchings(by_orbit, orbits, k=0):
+    """Lists of (p-index in u1, q-index in u2) pairs over all orbits."""
+    if k == len(orbits):
+        yield []
+        return
+    ps, qs = by_orbit[orbits[k]]
+    for rest in _iter_matchings(by_orbit, orbits, k + 1):
+        yield rest
+        for r in range(1, min(len(ps), len(qs)) + 1):
+            for chosen_p in combinations(ps, r):
+                for chosen_q in permutations(qs, r):
+                    yield rest + list(zip(chosen_p, chosen_q))
+
+
+def _apply_matching(u1, u2, hpow, matching, coeff, sys, acc):
+    sign = 1
+    alive1 = [True] * len(u1)
+    alive2 = [True] * len(u2)
+    for i, j in sorted(matching, key=lambda t: t[1]):
+        if u2[j].degree % 2:
+            crossed = sum(1 for jj in range(j) if alive2[jj] and u2[jj].degree % 2)
+            crossed += sum(1 for ii in range(i + 1, len(u1))
+                           if alive1[ii] and u1[ii].degree % 2)
+            if crossed % 2:
+                sign = -sign
+        alive1[i] = False
+        alive2[j] = False
+        coeff = coeff * sys.kappa[u2[j].orbit]
+        hpow += 1
+    entries = [(s, 1) for s, al in zip(u1, alive1) if al]
+    entries += [(s, 1) for s, al in zip(u2, alive2) if al]
+    if hpow:
+        entries.append((sys.hbar, hpow))
+    res = standard_form(entries)
+    if res is None:
+        return
+    sgn, mono = res
+    acc[mono] = acc.get(mono, Fraction(0)) + coeff * sign * sgn
+
+
+def test_star_matches_matchings_on_criterion_1_triples():
+    # the generator, seed, systems and caps of acceptance criterion 1
+    from test_acceptance import _random_series
+    ctx = TruncationContext(max_p_degree=4, max_hbar=4, min_hbar=-1,
+                            max_word_length=0)
+    rng = random.Random(20260810)
+    systems = [
+        OrbitSystem(2, [Orbit("g%d" % i, 0, 1 + i % 2) for i in range(1, 5)]),
+        OrbitSystem(3, [Orbit("g%d" % i, i % 3, 1) for i in range(1, 4)]),
+        OrbitSystem(4, [Orbit("g%d" % i, (i * 2) % 5, 1 + i % 3)
+                        for i in range(1, 5)]),
+    ]
+    for trial in range(500):
+        sys = systems[trial % len(systems)]
+        a, b, c = (_random_series(rng, sys) for _ in range(3))
+        _random_series(rng, sys)  # the representation argument
+        ab, bc = star(a, b, sys, ctx), star(b, c, sys, ctx)
+        for x, y, got in ((a, b, ab), (b, c, bc),
+                          (ab, c, star(ab, c, sys, ctx)),
+                          (a, bc, star(a, bc, sys, ctx))):
+            assert got == star_matchings_reference(x, y, sys, ctx), trial
+
+
+# n = 3: |q| = cz, so even cz gives an even orbit and odd cz an odd one
+_MIXED_ORBITS = (("e1", 0), ("o1", 1), ("e2", 2), ("o2", 3), ("o3", 1))
+_ODD_S = GradedSymbol("s[1]", 1, KIND_S, None, 0)
+
+
+def _mixed_system(rng):
+    return OrbitSystem(3, [Orbit(name, cz, rng.randrange(1, 4))
+                           for name, cz in _MIXED_ORBITS])
+
+
+def _high_exponent_pair(rng, sys):
+    """Factors whose shared even orbit carries p^2..p^3 on the left and
+    q^2..q^3 on the right, and whose odd orbits contract at least twice."""
+    odd = [o for o in sys.q if sys.q[o].parity]
+    even = [o for o in sys.q if not sys.q[o].parity]
+    shared = rng.sample(odd, rng.randrange(2, len(odd) + 1))
+    first = rng.choice(even)
+
+    def term(contracted_kind):
+        exps = {"q": {}, "p": {}}
+        for o in sys.q:
+            for kind in ("q", "p"):
+                if rng.random() < 0.3:
+                    exps[kind][o] = 1 if o in odd else rng.randrange(1, 3)
+        for o in shared:
+            exps[contracted_kind][o] = 1
+        exps[contracted_kind][first] = rng.randrange(2, 4)
+        entries = [(_ODD_S, 1)] if rng.random() < 0.4 else []
+        entries += [(sys.q[o], e) for o, e in exps["q"].items()]
+        entries += [(sys.p[o], e) for o, e in exps["p"].items()]
+        coeff = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randrange(1, 4))
+        return GradedSeries.from_word(entries, coeff)
+
+    out = []
+    for kind in ("p", "q"):
+        series = GradedSeries.zero()
+        for _ in range(rng.randrange(1, 3)):
+            series = series + term(kind)
+        out.append(series)
+    return out
+
+
+@pytest.mark.parametrize("ctx", [
+    TruncationContext(max_p_degree=14, max_hbar=14, min_hbar=0, max_word_length=2),
+    TruncationContext(max_p_degree=5, max_hbar=3, min_hbar=0, max_word_length=2),
+])
+def test_star_matches_rewriting_on_high_exponents(ctx):
+    rng = random.Random(6061)
+    checked = 0
+    for _ in range(30):
+        sys = _mixed_system(rng)
+        a, b = _high_exponent_pair(rng, sys)
+        got = star(a, b, sys, ctx)
+        assert got == star_reference(a, b, sys, ctx)
+        checked += bool(got)
+    assert checked >= 20
 
 
 @pytest.mark.parametrize("n,czs", [(2, [0, 0, 0]), (3, [0, 1, 2]), (4, [1, 0, 3])])
@@ -342,3 +490,68 @@ def test_check_master_f_untagged_orbits_are_positive_end():
     assert rep.passed
     H_bad = sys.monomial(1, qs=["g", "gbar"], ps=["g"], hpow=-1)
     assert not check_master_f(F, H_bad, GradedSeries.zero(), sys, CTX).passed
+
+
+def test_star_underflow_survives_pruning():
+    # the r = 0 term h^-2 q1 p1 p2 p3 is below min_hbar and above the
+    # p-degree cap: collect must still see it and raise, while its
+    # r = 1 contraction h^-1 p2 p3 is dropped silently
+    sys = odd_system(3)
+    a = sys.monomial(1, ps=["g1", "g2"], hpow=-1)
+    b = sys.monomial(1, qs=["g1"], ps=["g3"], hpow=-1)
+    tight = TruncationContext(max_p_degree=1, max_hbar=4, min_hbar=-1,
+                              max_word_length=0)
+    with pytest.raises(TruncationUnderflow):
+        star(a, b, sys, tight)
+    assert star(a, b, sys, tight.widen(extra_low=1)).is_zero()
+    assert star(a, b, sys, tight.widen(extra_low=1, extra_p=1)) == \
+        sys.monomial(-1, ps=["g2", "g3"], hpow=-1)
+
+
+def _symbol_systems():
+    rng = random.Random(1)
+    return [
+        odd_system(3, [1, 2, 1]),
+        OrbitSystem(2, [Orbit("g%d" % i, 0, 1 + i % 2) for i in range(1, 5)]),
+        OrbitSystem(3, [Orbit("g%d" % i, i % 3, 1) for i in range(1, 4)]),
+        OrbitSystem(4, [Orbit("g%d" % i, (i * 2) % 5, 1 + i % 3)
+                        for i in range(1, 5)]),
+        OrbitSystem(4, [Orbit("g%d" % i, (2 * i) % 5, 1) for i in range(1, 4)]),
+        _mixed_system(rng),
+    ]
+
+
+def test_symbol_derived_values_match_their_formulas():
+    block = {"s": 0, "q": 1, "p": 2, "h": 3}
+    symbols = [_ODD_S]
+    for sys in _symbol_systems():
+        symbols += [sys.hbar, *sys.q.values(), *sys.p.values()]
+    for s in symbols:
+        fields = (s.name, s.degree, s.kind, s.orbit, s.index)
+        assert s.sort_key == (block[s.kind], s.index, s.name)
+        assert s.parity == s.degree % 2
+        assert hash(s) == hash(fields)
+        twin = GradedSymbol(*fields)
+        assert twin == s and twin is not s and hash(twin) == hash(s)
+        assert GradedSymbol(s.name, s.degree + 1, s.kind, s.orbit, s.index) != s
+        assert s != fields
+
+
+def test_symbol_keys_survive_pickling_across_hash_seeds():
+    import os
+    import pickle
+    import subprocess
+    import sys
+    sys_ = odd_system(2)
+    table = pickle.dumps({sys_.q["g1"]: 1, sys_.p["g2"]: 2})
+    probe = ("import pickle, sys\n"
+             "from sftstring.weyl import Orbit, OrbitSystem\n"
+             "s = OrbitSystem(2, [Orbit('g1', 0), Orbit('g2', 0)])\n"
+             "d = pickle.loads(sys.stdin.buffer.read())\n"
+             "print(d[s.q['g1']], d[s.p['g2']])\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", probe], input=table,
+                             capture_output=True, env=env, timeout=60)
+        assert out.stdout.split() == [b"1", b"2"], out.stderr
