@@ -278,13 +278,6 @@ class TruncationContext:
         if self.min_hbar < -64:
             raise ValueError("min_hbar unreasonably low")
 
-    def keeps(self, m: Monomial) -> bool:
-        return (
-            p_degree(m) <= self.max_p_degree
-            and hbar_exponent(m) <= self.max_hbar
-            and word_length(m) <= self.max_word_length
-        )
-
     def widen(self, extra_low: int = 0, extra_high: int = 0,
               extra_p: int = 0, extra_len: int = 0) -> "TruncationContext":
         return TruncationContext(
@@ -411,20 +404,34 @@ def collect(acc: dict, ctx: TruncationContext) -> GradedSeries:
     """Series of the accumulated terms inside the context window.
 
     Zeros and terms above the caps are dropped; a nonzero term below
-    min_hbar raises TruncationUnderflow.
+    min_hbar raises TruncationUnderflow.  One pass over each monomial
+    reads its h exponent, p-degree and word length.
     """
+    max_p, max_h, min_h = ctx.max_p_degree, ctx.max_hbar, ctx.min_hbar
+    max_len = ctx.max_word_length
     out = {}
     for m, c in acc.items():
         if not c:
             continue
-        if hbar_exponent(m) < ctx.min_hbar:
+        h = pdeg = length = 0
+        for s, e in m:
+            kind = s.kind
+            if kind == KIND_P:
+                pdeg += e
+            elif kind == KIND_H:
+                h = e
+            elif kind == KIND_S:
+                length += e
+        if h < min_h:
             raise TruncationUnderflow(
                 "term %s needs hbar^%d below the context minimum %d"
-                % (format_monomial(m), hbar_exponent(m), ctx.min_hbar)
+                % (format_monomial(m), h, min_h)
             )
-        if ctx.keeps(m):
+        if pdeg <= max_p and h <= max_h and length <= max_len:
             out[m] = c
-    return GradedSeries.from_terms(out)
+    series = GradedSeries.__new__(GradedSeries)
+    series.terms = out  # nonzero already
+    return series
 
 
 def format_monomial(m: Monomial) -> str:

@@ -176,7 +176,9 @@ def derivation_operator(spec: FreeAlgebraSpec,
             v = img.get(s)
             if v is None or v.is_zero():
                 continue
-            par = sum(u.degree for u in units[:k]) % 2
+            # (-1)^P for D crossing the P units before s, and
+            # (-1)^((|s|-1) P) for moving D(s) to the front
+            par = sum(u.degree for u in units[:k]) * s.degree % 2
             sign = -1 if par else 1
             rest = units[:k] + units[k + 1:]
             restm = GradedSeries.from_word([(u, 1) for u in rest])

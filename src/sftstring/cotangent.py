@@ -37,12 +37,12 @@ from .algebra import (
     format_monomial,
     hbar_exponent,
     monomial_degree,
+    normalize,
     p_degree,
     q_degree,
 )
 from .bv import (
     Augmentation,
-    BvOperator,
     FreeAlgebraSpec,
     bv_from_hamiltonian,
     check_lie_bialgebra,
@@ -52,7 +52,15 @@ from .bv import (
 )
 from .reports import CheckReport, timed
 from .surfaces import Surface, Word, format_word, inverse_word
-from .weyl import Orbit, OrbitSystem, act_right, check_master_h, project_out, star
+from .weyl import (
+    Orbit,
+    OrbitSystem,
+    act_right,
+    check_master_h,
+    exp_series,
+    project_out,
+    star,
+)
 
 _WIDE = TruncationContext(max_p_degree=32, max_hbar=16, min_hbar=-4,
                           max_word_length=32)
@@ -309,7 +317,7 @@ def build_H_surface(alphabet: GeodesicAlphabet,
         resid: Dict[Monomial, Fraction] = {}
         for (u, v), coeff in _a_image(alphabet, a, k).items():
             add_terms(resid, beta.exp(
-                GradedSeries({_pair_monomial(alphabet, u, v): coeff})).terms)
+                GradedSeries({_word_monomial(alphabet, (u, v)): coeff})).terms)
         if resid:
             # the h p probe contributes kappa * h to D(q_k)
             kap = sys.kappa[alphabet.name(k)]
@@ -336,7 +344,8 @@ def build_H_surface(alphabet: GeodesicAlphabet,
     # -- c-family: augmentation law on cubic words ----------------------
     c: Dict[tuple, Fraction] = {}
     partial = _assemble(alphabet, a, b, {}, d)
-    D = bv_from_hamiltonian(sys, partial, word_cap=4, hbar_cap=3)
+    D = bv_from_hamiltonian(sys, partial, word_cap=spec.word_cap,
+                            hbar_cap=spec.hbar_cap)
     for trip in itertools.combinations(alphabet.classes, 3):
         mono = _word_monomial(alphabet, trip)
         if mono is None:
@@ -362,19 +371,13 @@ def build_H_surface(alphabet: GeodesicAlphabet,
 
 
 def _word_monomial(alphabet: GeodesicAlphabet, words) -> Optional[Monomial]:
-    from .algebra import normalize
+    """The monomial of the product of the q-variables of `words`, or
+    None when it vanishes (an odd class repeats)."""
     res = normalize([(alphabet.qsym(w), 1) for w in words])
     if res is None:
         return None
     sgn, mono = res
     assert sgn == 1
-    return mono
-
-
-def _pair_monomial(alphabet: GeodesicAlphabet, u: Word, v: Word) -> Monomial:
-    from .algebra import normalize
-    res = normalize([(alphabet.qsym(u), 1), (alphabet.qsym(v), 1)])
-    sgn, mono = res
     return mono
 
 
@@ -424,7 +427,7 @@ def _b_probe(alphabet: GeodesicAlphabet, z: Word, x: Word, y: Word) -> Fraction:
     sys = alphabet.sys
     term = sys.monomial(1, qs=[alphabet.name(z)],
                         ps=[alphabet.name(x), alphabet.name(y)], hpow=-1)
-    mono = _pair_monomial(alphabet, x, y)
+    mono = _word_monomial(alphabet, (x, y))
     img = act_right(term, GradedSeries({mono: Fraction(1)}), sys, _WIDE)
     want = ((alphabet.qsym(z), 1), (sys.hbar, 1))
     val = img.coefficient(want)
@@ -449,8 +452,7 @@ def _linearized_mu(alphabet: GeodesicAlphabet, H: GradedSeries,
     alphabet classes."""
     D = bv_from_hamiltonian(alphabet.sys, H,
                             word_cap=spec.word_cap, hbar_cap=spec.hbar_cap)
-    Dspec = BvOperator(spec, D.table)
-    _Phi, _PhiInv, Dbeta = twist_by_augmentation(Dspec, beta, validate=False)
+    _Phi, _PhiInv, Dbeta = twist_by_augmentation(D, beta, validate=False)
     data = linearize(Dbeta)
     out = {}
     for (s1, s2), vec in data.mu.items():
@@ -485,12 +487,11 @@ def check_surface_master(H: SurfaceHamiltonian,
     report = check_master_h(H.series, H.sys, ctx)
     report.name = "surface Hamiltonian master equation"
     report.notes.extend(H.notes)
-    from .weyl import exp_series
-    F = build_F(H.alphabet)
-    wide = ctx.widen(extra_low=ctx.max_p_degree // 2 + 2)
-    eF = exp_series(F, H.sys, wide)
-    filling = project_out(star(eF, H.series, H.sys, wide), kinds=(KIND_Q,))
-    if not filling.is_zero():
+    with timed(report):
+        F = build_F(H.alphabet)
+        wide = ctx.widen(extra_low=ctx.max_p_degree // 2 + 2)
+        eF = exp_series(F, H.sys, wide)
+        filling = project_out(star(eF, H.series, H.sys, wide), kinds=(KIND_Q,))
         for mono, cc in filling.iter_terms():
             report.add_witness("filling: " + format_monomial(mono), cc)
     return report
@@ -511,8 +512,7 @@ def check_psi_intertwining(H: SurfaceHamiltonian,
         beta = filling_augmentation(alphabet, F, spec)
         D = bv_from_hamiltonian(alphabet.sys, H.series,
                                 word_cap=spec.word_cap, hbar_cap=spec.hbar_cap)
-        Dspec = BvOperator(spec, D.table)
-        _Phi, _PhiInv, Dbeta = twist_by_augmentation(Dspec, beta)
+        _Phi, _PhiInv, Dbeta = twist_by_augmentation(D, beta)
         data = linearize(Dbeta)
         # dlin vanishes: the surface differential is zero
         for s, vec in data.dlin.items():

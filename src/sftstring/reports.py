@@ -61,7 +61,7 @@ class CheckReport:
 
 
 class timed:
-    """Context manager stamping elapsed seconds onto a report."""
+    """Context manager adding the elapsed seconds to a report's."""
 
     def __init__(self, report: CheckReport):
         self.report = report
@@ -71,7 +71,7 @@ class timed:
         return self.report
 
     def __exit__(self, *exc):
-        self.report.seconds = time.perf_counter() - self._t0
+        self.report.seconds += time.perf_counter() - self._t0
         return False
 
 

@@ -13,8 +13,11 @@ most once, and its contraction, the k-th odd one in orbit order,
 carries (-1)^(odd units before the q in the right factor + odd units
 after the p in the left factor - k).  The two lowered factors are
 already in standard form, so they are merged (algebra.merge_words),
-not re-sorted.  The tests compare the star product against unit-level
-matching enumeration and against adjacent-transposition rewriting.
+not re-sorted.  The operator actions are the same kernel restricted to
+full contraction: act_right contracts every p of the left factor,
+act_left every q of the right factor.  The tests compare the star
+product against unit-level matching enumeration and adjacent-
+transposition rewriting, and the actions against derivative chains.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .algebra import (
     KIND_H,
@@ -41,7 +44,6 @@ from .algebra import (
     hbar_exponent,
     merge_words,
     split_h,
-    units_of,
 )
 from .reports import CheckReport, series_witnesses, timed
 
@@ -130,20 +132,46 @@ def star(a: GradedSeries, b: GradedSeries, sys: OrbitSystem,
          ctx: TruncationContext) -> GradedSeries:
     """Associative star product with kappa*h contractions.
 
-    For a left monomial with p_gamma^a and a right one with q_gamma^b,
-    contracting r of the pairs (r = 0 .. min(a, b)) gives h^r with the
-    integer weight kappa^r r! C(a,r) C(b,r), where r! C(a,r) C(b,r)
-    counts the ways to match r of the p-units with r of the q-units
-    (kappa per matched pair).  Odd variables have exponent <= 1,
-    so an odd orbit contracts at most once; the k-th odd contraction
-    (k = 0, 1, .. in orbit order) carries the Koszul sign of moving its
-    q left to its p, (-1)^(odd units before the q in the right factor
-    + odd units after the p in the left factor - k).  The two lowered
-    factors are then merged in standard form.  A contraction whose
-    term the context would drop (hbar above the cap, or p-degree above
-    the cap with hbar at or above the minimum) is never built; every
-    other term, including one below min_hbar, reaches collect().
+    Every r = 0 .. min(a, b) of each orbit's p^a (left) against its q^b
+    (right) is contracted, with the weight and sign of the module
+    docstring.  A contraction whose term the context would drop (hbar
+    above the cap, or p-degree above the cap with hbar at or above the
+    minimum) is never built; every other term, including one below
+    min_hbar, reaches collect().
     """
+    return _contract(a, b, sys, ctx, None)
+
+
+def act_right(F: GradedSeries, g: GradedSeries, sys: OrbitSystem,
+              ctx: TruncationContext) -> GradedSeries:
+    """F acting on g from the left as a differential operator.
+
+    Each p_gamma of F is replaced by kappa*h times the graded left
+    derivative in q_gamma: the star product F * g in which every p of
+    F contracts (r = a for each orbit).  A pair of monomials where g
+    has too few q_gamma contributes nothing.  On a q-only g this is
+    star(F, g) with leftover p-variables set to zero.
+    """
+    return _contract(F, g, sys, ctx, KIND_P)
+
+
+def act_left(g: GradedSeries, H: GradedSeries, sys: OrbitSystem,
+             ctx: TruncationContext) -> GradedSeries:
+    """H acting on g from the right: q_gamma of H becomes kappa*h times
+    the graded right derivative in p_gamma, i.e. the star product g * H
+    in which every q of H contracts (r = b for each orbit).  On a
+    p-only g this is star(g, H) with leftover q-variables of H set to
+    zero."""
+    return _contract(g, H, sys, ctx, KIND_Q)
+
+
+def _contract(a: GradedSeries, b: GradedSeries, sys: OrbitSystem,
+              ctx: TruncationContext, full: Optional[str]) -> GradedSeries:
+    """The star product a * b, restricted by `full`: None allows every
+    r; KIND_P contracts all of each p^a of the left factor (r = a),
+    KIND_Q all of each q^b of the right factor (r = b), and a pair of
+    monomials where one of those orbits cannot be fully contracted is
+    skipped."""
     left = [(_factor(m), c) for m, c in a.terms.items()]
     right = left if b is a else [(_factor(m), c) for m, c in b.terms.items()]
     max_h, min_h, max_p = ctx.max_hbar, ctx.min_hbar, ctx.max_p_degree
@@ -154,9 +182,16 @@ def star(a: GradedSeries, b: GradedSeries, sys: OrbitSystem,
             h0 = h1 + h2
             if h0 > max_h:
                 continue
+            if full is None:
+                orbits = [o for o in pmap if o in qmap] if qmap else ()
+            else:
+                orbits, other = (pmap, qmap) if full == KIND_P else (qmap, pmap)
+                if any(o not in other or other[o][1] < entry[1]
+                       for o, entry in orbits.items()):
+                    continue
+            options = [_contractions(pmap[o], qmap[o], sys.kappa[o], full)
+                       for o in orbits]
             c = None
-            options = [_contractions(pmap[o], qmap[o], sys.kappa[o])
-                       for o in pmap if o in qmap] if qmap else ()
             # the first orbit varies fastest, as in a matching enumeration
             for choice in product(*reversed(options)):
                 weight = sign = 1
@@ -209,14 +244,16 @@ def _factor(m: Monomial):
     return body, h, pdeg, pmap, qmap
 
 
-def _contractions(p_entry, q_entry, kappa: int):
+def _contractions(p_entry, q_entry, kappa: int, full: Optional[str]):
     """(r, weight, p position, q position, sign base or None if even)
-    for r = 0 .. min(a, b) contractions of p^a against q^b."""
+    for r = 0 .. min(a, b) contractions of p^a against q^b, or for the
+    one r = a (full == KIND_P) or r = b (full == KIND_Q)."""
     k1, a, odd_after, parity = p_entry
     k2, b, odd_before = q_entry
     flip = (odd_after + odd_before) & 1 if parity else None
+    rs = range(min(a, b) + 1) if full is None else (a if full == KIND_P else b,)
     return [(r, kappa ** r * factorial(r) * comb(a, r) * comb(b, r), k1, k2, flip)
-            for r in range(min(a, b) + 1)]
+            for r in rs]
 
 
 def _lowered(body: Monomial, cuts) -> list:
@@ -230,118 +267,6 @@ def _lowered(body: Monomial, cuts) -> list:
         else:
             out[k] = (s, e - r)
     return out
-
-
-# ---------------------------------------------------------------------
-# differential-operator actions
-# ---------------------------------------------------------------------
-
-def _derive_left(m: Monomial, sym: GradedSymbol) -> Optional[Tuple[int, int, Monomial]]:
-    """Graded left derivative d/d(sym) of a monomial.
-
-    Returns (sign, exponent, reduced monomial) or None.  The derivative
-    enters from the left and crosses everything before sym.
-    """
-    prefix_par = 0
-    for k, (s, e) in enumerate(m):
-        if s == sym:
-            sign = -1 if (sym.parity and prefix_par % 2) else 1
-            reduced = (m[:k] + ((s, e - 1),) + m[k + 1:]) if e > 1 \
-                else m[:k] + m[k + 1:]
-            return sign, e, reduced
-        prefix_par += s.degree * e
-    return None
-
-
-def _derive_right(m: Monomial, sym: GradedSymbol) -> Optional[Tuple[int, int, Monomial]]:
-    """Graded right derivative; enters from the right of the word."""
-    suffix_par = 0
-    for k in range(len(m) - 1, -1, -1):
-        s, e = m[k]
-        if s == sym:
-            sign = -1 if (sym.parity and suffix_par % 2) else 1
-            reduced = (m[:k] + ((s, e - 1),) + m[k + 1:]) if e > 1 \
-                else m[:k] + m[k + 1:]
-            return sign, e, reduced
-        suffix_par += s.degree * e
-    return None
-
-
-def act_right(F: GradedSeries, g: GradedSeries, sys: OrbitSystem,
-              ctx: TruncationContext) -> GradedSeries:
-    """F acting on g from the left as a differential operator.
-
-    Each p_gamma of F is replaced by kappa*h times the graded left
-    derivative in q_gamma; equals star(F, g) with leftover p-variables
-    set to zero.
-    """
-    acc: Dict[Monomial, Fraction] = {}
-    g_split = [(split_h(mg), cg) for mg, cg in g.terms.items()]
-    for mF, cF in F.terms.items():
-        body, hpow = split_h(mF)
-        qpart = tuple((s, e) for s, e in body if s.kind != KIND_P)
-        punits = [s for s in units_of(body) if s.kind == KIND_P]
-        for (mg, hg), cg in g_split:
-            work = [(1, mg, hpow + hg)]
-            for psym in reversed(punits):
-                nxt = []
-                for w0, m0, h0 in work:
-                    d = _derive_left(m0, sys.q[psym.orbit])
-                    if d is None:
-                        continue
-                    sgn, e, red = d
-                    nxt.append((w0 * sgn * e * sys.kappa[psym.orbit], red, h0 + 1))
-                work = nxt
-                if not work:
-                    break
-            if work:
-                c = cF * cg
-                for w0, m0, h0 in work:
-                    _add_product(acc, c, w0, qpart, m0, sys.hbar, h0)
-    return collect(acc, ctx)
-
-
-def act_left(g: GradedSeries, H: GradedSeries, sys: OrbitSystem,
-             ctx: TruncationContext) -> GradedSeries:
-    """H acting on g from the right: q_gamma of H becomes kappa*h times
-    the graded right derivative in p_gamma; equals star(g, H) with
-    leftover q-variables of H set to zero."""
-    acc: Dict[Monomial, Fraction] = {}
-    g_split = [(split_h(mg), cg) for mg, cg in g.terms.items()]
-    for mH, cH in H.terms.items():
-        body, hpow = split_h(mH)
-        rest = tuple((s, e) for s, e in body if s.kind != KIND_Q)
-        qunits = [s for s in units_of(body) if s.kind == KIND_Q]
-        for (mg, hg), cg in g_split:
-            work = [(1, mg, hpow + hg)]
-            for qsym in qunits:
-                nxt = []
-                for w0, m0, h0 in work:
-                    d = _derive_right(m0, sys.p[qsym.orbit])
-                    if d is None:
-                        continue
-                    sgn, e, red = d
-                    nxt.append((w0 * sgn * e * sys.kappa[qsym.orbit], red, h0 + 1))
-                work = nxt
-                if not work:
-                    break
-            if work:
-                c = cH * cg
-                for w0, m0, h0 in work:
-                    _add_product(acc, c, w0, m0, rest, sys.hbar, h0)
-    return collect(acc, ctx)
-
-
-def _add_product(acc, c, w: int, left, right, hbar, hpow) -> None:
-    """acc += c * w * left * right * h^hpow for h-free standard-form
-    words left and right."""
-    res = merge_words(left, right)
-    if res is None:
-        return
-    sgn, mono = res
-    if hpow:
-        mono += ((hbar, hpow),)
-    _accumulate(acc, mono, c, w * sgn)
 
 
 def _accumulate(acc, mono: Monomial, c: Fraction, w: int) -> None:
@@ -476,22 +401,15 @@ def coefficient_boundary_operator(bnd: Dict[GradedSymbol, GradedSeries]):
         for m, c in series.terms.items():
             par = 0
             for k, (s, e) in enumerate(m):
-                if s.kind != KIND_S:
-                    par += s.degree * e
-                    continue
-                img = bnd.get(s)
-                if img is None or img.is_zero():
-                    par += s.degree * e
-                    continue
-                # odd symbols only (e == 1) in the coefficient block
-                sign = -1 if par % 2 else 1
-                rest = m[:k] + m[k + 1:]
-                for mi, ci in img.terms.items():
-                    res = merge_words(mi, rest)
-                    if res is None:
-                        continue
-                    sgn, mono = res
-                    acc[mono] = acc.get(mono, Fraction(0)) + c * ci * sign * sgn
+                img = bnd.get(s) if s.kind == KIND_S else None
+                if img:
+                    # odd symbols only (e == 1) in the coefficient block
+                    sign = -1 if par % 2 else 1
+                    rest = m[:k] + m[k + 1:]
+                    for mi, ci in img.terms.items():
+                        res = merge_words(mi, rest)
+                        if res is not None:
+                            _accumulate(acc, res[1], c * ci, sign * res[0])
                 par += s.degree * e
         return collect(acc, ctx)
 

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,19 @@ def test_derivation_has_order_one():
     comp = LinearMap(spec, D.component(1), -1)
     assert order_at_most(comp, 1) == (True, True)
     assert order_at_most(comp, 0)[0] is False
+
+
+def test_derivation_sign_on_even_generators():
+    # D(y) = w with y even: D(z y) = (-1)^|z| z D(y) = -z w, whichever
+    # order the symbols take
+    degrees = {"z": 1, "y": 2, "w": 1}
+    for order in itertools.permutations(degrees):
+        spec = FreeAlgebraSpec([(nm, degrees[nm]) for nm in order], 3, 2, n=2)
+        z, y, w = (spec.symbol(nm) for nm in degrees)
+        D = derivation_operator(spec, {"y": spec.generator("w")})
+        zy = GradedSeries.from_word([(z, 1), (y, 1)])
+        assert D.apply(zy) == GradedSeries.from_word([(z, 1), (w, 1)], -1), order
+        assert validate_bv(D).passed, order
 
 
 def test_multiplication_operator_has_order_zero():

@@ -288,29 +288,21 @@ def test_genus3_surface():
 def _restart_ray(S, letters):
     """Reference canonical ray: find the leftmost sharp-left run of 2g-1
     turns, rewrite it, recompute every turn, and start over."""
-    h, sharp = S.half, S.n_dirs - 1
+    rank, n, h = S.rank_of, S.n_dirs, S.half
+    run = bytes([n - 1]) * (h - 1)
     letters = list(letters)
-
-    def turn(din, dout):
-        t = (S.rank_of[dout] - S.rank_of[din]) % S.n_dirs
-        if t == 0:
+    while True:
+        turns = bytes((rank[y] - rank[-x]) % n
+                      for x, y in zip(letters, letters[1:]))
+        if 0 in turns:
             raise SurfaceError("zero turn (backtracking ray)")
-        return t
-
-    changed = True
-    while changed:
-        changed = False
-        turns = [turn(-letters[k], letters[k + 1])
-                 for k in range(len(letters) - 1)]
-        for t in range(len(letters) - h):
-            if all(turns[t + r] == sharp for r in range(h - 1)):
-                rep = S.half_complement.get(tuple(letters[t:t + h]))
-                if rep is None:
-                    raise SurfaceError("sharp-left run is not a half relator")
-                letters[t:t + h] = list(rep)
-                changed = True
-                break
-    return letters
+        t = turns.find(run)
+        if t < 0 or t >= len(letters) - h:
+            return letters
+        rep = S.half_complement.get(tuple(letters[t:t + h]))
+        if rep is None:
+            raise SurfaceError("sharp-left run is not a half relator")
+        letters[t:t + h] = list(rep)
 
 
 def _strand_windows(S, window):

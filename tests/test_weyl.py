@@ -14,6 +14,8 @@ from sftstring.algebra import (
     TruncationUnderflow,
     collect,
     hbar_exponent,
+    merge_words,
+    split_h,
     standard_form,
     units_of,
 )
@@ -308,10 +310,140 @@ def test_supercommutator_divisible_by_h():
         assert all(hbar_exponent(m) >= 1 for m in comm.terms)
 
 
+def _derive(m, sym, from_left):
+    """Graded derivative d/d(sym) of a monomial, entering from the left
+    (crossing everything before sym) or from the right: (sign,
+    exponent, reduced monomial), or None when sym does not occur."""
+    passed = 0
+    for k in (range(len(m)) if from_left else range(len(m) - 1, -1, -1)):
+        s, e = m[k]
+        if s == sym:
+            sign = -1 if (sym.parity and passed % 2) else 1
+            reduced = (m[:k] + ((s, e - 1),) + m[k + 1:]) if e > 1 \
+                else m[:k] + m[k + 1:]
+            return sign, e, reduced
+        passed += s.degree * e
+    return None
+
+
+def _derivative_chain(op, g, sys, ctx, act_on_left):
+    """Reference operator action by unit-by-unit derivatives: each p of
+    op (act_on_left) becomes kappa*h times the left derivative of g in
+    its q, last unit first; otherwise each q of op becomes kappa*h times
+    the right derivative of g in its p, first unit first, after the
+    q-units have moved left past op's coefficient block.  The rest of
+    op multiplies the result on the left (act_on_left) or the right."""
+    kind = KIND_P if act_on_left else KIND_Q
+    acc = {}
+    g_split = [(split_h(mg), cg) for mg, cg in g.terms.items()]
+    for mo, co in op.terms.items():
+        body, hpow = split_h(mo)
+        rest = tuple((s, e) for s, e in body if s.kind != kind)
+        units = [s for s in units_of(body) if s.kind == kind]
+        # the p-units of op already stand at its right end
+        crossed = 0 if act_on_left else \
+            sum(s.degree * e for s, e in rest if s.kind == KIND_S)
+        lead = -1 if crossed * sum(u.degree for u in units) % 2 else 1
+        for (mg, hg), cg in g_split:
+            work = [(lead, mg, hpow + hg)]
+            for u in (reversed(units) if act_on_left else units):
+                target = sys.q[u.orbit] if act_on_left else sys.p[u.orbit]
+                nxt = []
+                for w0, m0, h0 in work:
+                    d = _derive(m0, target, act_on_left)
+                    if d is not None:
+                        sgn, e, red = d
+                        nxt.append((w0 * sgn * e * sys.kappa[u.orbit], red, h0 + 1))
+                work = nxt
+            for w0, m0, h0 in work:
+                res = merge_words(rest, m0) if act_on_left else merge_words(m0, rest)
+                if res is None:
+                    continue
+                sgn, mono = res
+                if h0:
+                    mono += ((sys.hbar, h0),)
+                acc[mono] = acc.get(mono, Fraction(0)) + co * cg * w0 * sgn
+    return collect(acc, ctx)
+
+
+def act_right_reference(F, g, sys, ctx):
+    return _derivative_chain(F, g, sys, ctx, True)
+
+
+def act_left_reference(g, H, sys, ctx):
+    return _derivative_chain(H, g, sys, ctx, False)
+
+
+def _action_series(rng, sys, terms):
+    """Series with every kind of variable: an odd coefficient symbol,
+    q and p exponents up to 3 on even orbits, and h^-2 .. h^2."""
+    out = GradedSeries.zero()
+    for _ in range(terms):
+        entries = [(_ODD_S, 1)] if rng.random() < 0.3 else []
+        for o in sys.q:
+            for var in (sys.q[o], sys.p[o]):
+                if rng.random() < 0.45:
+                    entries.append((var, 1 if var.parity else rng.randrange(1, 4)))
+        entries.append((sys.hbar, rng.randrange(-2, 3)))
+        coeff = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randrange(1, 4))
+        out = out + GradedSeries.from_word(entries, coeff)
+    return out
+
+
+_ACTION_WINDOWS = [
+    TruncationContext(max_p_degree=12, max_hbar=12, min_hbar=-6, max_word_length=2),
+    TruncationContext(max_p_degree=3, max_hbar=2, min_hbar=-1, max_word_length=2),
+    TruncationContext(max_p_degree=2, max_hbar=1, min_hbar=-3, max_word_length=0),
+]
+
+
+def _outcome_of(fn, *args):
+    try:
+        return fn(*args)
+    except TruncationUnderflow:
+        return "underflow"
+
+
+@pytest.mark.parametrize("ctx", _ACTION_WINDOWS)
+def test_actions_match_derivative_chains(ctx):
+    # g carries p-variables, exponents up to 3 and terms below min_hbar,
+    # none of which the star-then-project tests can reach
+    rng = random.Random(7007)
+    nonzero = underflow = 0
+    for _ in range(300):
+        sys = _mixed_system(rng)
+        op, g = _action_series(rng, sys, 3), _action_series(rng, sys, 3)
+        got = _outcome_of(act_right, op, g, sys, ctx)
+        want = _outcome_of(act_right_reference, op, g, sys, ctx)
+        assert got == want
+        if got != "underflow":
+            # act_right feeds bv_from_hamiltonian: same key order too
+            assert list(got.terms) == list(want.terms)
+        left = _outcome_of(act_left, g, op, sys, ctx)
+        assert left == _outcome_of(act_left_reference, g, op, sys, ctx)
+        for out in (got, left):
+            nonzero += out != "underflow" and bool(out)
+            underflow += out == "underflow"
+    assert nonzero >= 30
+    assert underflow >= (ctx.min_hbar > -4)
+
+
 def test_act_right_single_contraction():
     sys = odd_system(1)
     got = act_right(sys.series_p("g1"), sys.series_q("g1"), sys, CTX)
     assert got == sys.series_h()
+
+
+def test_act_right_pair_short_of_q_leaves_no_key():
+    # q^1 cannot take two derivatives, so that pair adds no term, not
+    # even a zero one that would move h^2 ahead of q^2 in the key order
+    sys = OrbitSystem(3, [Orbit("e", 0, 2)])
+    F = sys.monomial(1, qs=["e"], ps=["e", "e"]) + sys.monomial(1, qs=["e"]) \
+        + sys.monomial(1, ps=["e"], hpow=1)
+    got = act_right(F, sys.series_q("e"), sys, CTX)
+    want = act_right_reference(F, sys.series_q("e"), sys, CTX)
+    assert list(got.terms.items()) == list(want.terms.items()) == [
+        (((sys.q["e"], 2),), 1), (((sys.hbar, 2),), 2)]
 
 
 def test_act_right_kills_constants():
@@ -361,6 +493,16 @@ def test_act_left_matches_star_then_evaluate(maker):
 def test_act_left_single_contraction():
     sys = odd_system(1)
     assert act_left(sys.series_p("g1"), sys.series_q("g1"), sys, CTX) == sys.series_h()
+
+
+def test_act_left_q_passes_odd_coefficients():
+    # g * (s q) = -g * (q s): the q of H crosses the odd coefficient s
+    # before it contracts with the p of g
+    sys = OrbitSystem(3, [Orbit("g", 1, 2)])
+    H = GradedSeries.from_word([(_ODD_S, 1), (sys.q["g"], 1)])
+    got = act_left(sys.series_p("g"), H, sys, CTX)
+    assert got == GradedSeries.from_word([(_ODD_S, 1), (sys.hbar, 1)], -2)
+    assert got == project_out(star(sys.series_p("g"), H, sys, CTX), kinds=("q",))
 
 
 @pytest.mark.parametrize("maker", [
