@@ -55,6 +55,9 @@ class ClassAlgebra:
         self._symbols: Dict[Word, GradedSymbol] = {}
         # names are format_word(cls), injective on classes
         self._classes: Dict[GradedSymbol, Word] = {}
+        # unscaled, uncollected images of one monomial under split/join
+        self._split_images: Dict[Monomial, Dict[Monomial, Fraction]] = {}
+        self._join_images: Dict[Monomial, Dict[Monomial, Fraction]] = {}
 
     def symbol(self, cls: Word) -> GradedSymbol:
         sym = self._symbols.get(cls)
@@ -105,6 +108,19 @@ def _rest_of(monomial: Monomial):
     return tuple((s, e) for s, e in monomial if s.kind != KIND_S)
 
 
+def _apply_images(series: GradedSeries, alg: ClassAlgebra, memo: dict,
+                  image, ctx: TruncationContext) -> GradedSeries:
+    """Sum of c * image(m) over the terms c*m of the series, each
+    monomial's image computed once per ClassAlgebra and kept in memo."""
+    out: Dict[Monomial, Fraction] = {}
+    for m, c in series.terms.items():
+        img = memo.get(m)
+        if img is None:
+            img = memo[m] = image(m, alg)
+        add_terms(out, img, c)
+    return collect(out, ctx)
+
+
 def delta_op(series: GradedSeries, alg: ClassAlgebra,
              ctx: TruncationContext) -> GradedSeries:
     """Split one string at a self-intersection, slot by slot.
@@ -114,22 +130,24 @@ def delta_op(series: GradedSeries, alg: ClassAlgebra,
     (-1)^(r(3-n)) on slot r, and the operator becomes an odd derivation
     of the monomial algebra.  The unit is annihilated.
     """
+    return _apply_images(series, alg, alg._split_images, _split_image, ctx)
+
+
+def _split_image(m: Monomial, alg: ClassAlgebra) -> Dict[Monomial, Fraction]:
     sgn_exp = 3 - alg.n
     out: Dict[Monomial, Fraction] = {}
-    for m, c in series.terms.items():
-        slots = _tuple_of(m)
-        rest = _rest_of(m)
-        k = len(slots)
-        for r in range(1, k + 1):
-            pref = -1 if (r * sgn_exp) % 2 else 1
-            cls = alg.class_of_symbol(slots[r - 1])
-            for (u, v), cc in alg.surface.turaev_terms(cls).items():
-                entries = [(s, 1) for s in slots[:r - 1]]
-                entries += [(alg.symbol(u), 1), (alg.symbol(v), 1)]
-                entries += [(s, 1) for s in slots[r:]]
-                entries += list(rest)
-                add_terms(out, GradedSeries.from_word(entries, c * cc * pref).terms)
-    return collect(out, ctx)
+    slots = _tuple_of(m)
+    rest = _rest_of(m)
+    for r in range(1, len(slots) + 1):
+        pref = -1 if (r * sgn_exp) % 2 else 1
+        cls = alg.class_of_symbol(slots[r - 1])
+        for (u, v), cc in alg.surface.turaev_terms(cls).items():
+            entries = [(s, 1) for s in slots[:r - 1]]
+            entries += [(alg.symbol(u), 1), (alg.symbol(v), 1)]
+            entries += [(s, 1) for s in slots[r:]]
+            entries += list(rest)
+            add_terms(out, GradedSeries.from_word(entries, cc * pref).terms)
+    return out
 
 
 def nabla_op(series: GradedSeries, alg: ClassAlgebra,
@@ -141,26 +159,27 @@ def nabla_op(series: GradedSeries, alg: ClassAlgebra,
     front, making the operator second-order over the monomial algebra.
     Vanishes on single strings and on the unit.
     """
+    return _apply_images(series, alg, alg._join_images, _join_image, ctx)
+
+
+def _join_image(m: Monomial, alg: ClassAlgebra) -> Dict[Monomial, Fraction]:
     sgn_exp = 3 - alg.n
     out: Dict[Monomial, Fraction] = {}
-    for m, c in series.terms.items():
-        slots = _tuple_of(m)
-        rest = _rest_of(m)
-        k = len(slots)
-        if k < 2:
-            continue
-        for r1 in range(1, k + 1):
-            for r2 in range(r1 + 1, k + 1):
-                pref = -1 if ((r1 + r2 + 1) * sgn_exp) % 2 else 1
-                c1 = alg.class_of_symbol(slots[r1 - 1])
-                c2 = alg.class_of_symbol(slots[r2 - 1])
-                for z, cc in alg.surface.goldman_terms(c1, c2).items():
-                    entries = [(alg.symbol(z), 1)]
-                    entries += [(s, 1) for t, s in enumerate(slots)
-                                if t not in (r1 - 1, r2 - 1)]
-                    entries += list(rest)
-                    add_terms(out, GradedSeries.from_word(entries, c * cc * pref).terms)
-    return collect(out, ctx)
+    slots = _tuple_of(m)
+    rest = _rest_of(m)
+    k = len(slots)
+    for r1 in range(1, k + 1):
+        for r2 in range(r1 + 1, k + 1):
+            pref = -1 if ((r1 + r2 + 1) * sgn_exp) % 2 else 1
+            c1 = alg.class_of_symbol(slots[r1 - 1])
+            c2 = alg.class_of_symbol(slots[r2 - 1])
+            for z, cc in alg.surface.goldman_terms(c1, c2).items():
+                entries = [(alg.symbol(z), 1)]
+                entries += [(s, 1) for t, s in enumerate(slots)
+                            if t not in (r1 - 1, r2 - 1)]
+                entries += list(rest)
+                add_terms(out, GradedSeries.from_word(entries, cc * pref).terms)
+    return out
 
 
 def string_bracket(alg: ClassAlgebra, a: GradedSeries, b: GradedSeries,
@@ -185,14 +204,15 @@ def string_bracket(alg: ClassAlgebra, a: GradedSeries, b: GradedSeries,
 
 def _pool_tuples(classes: List[Word], max_slots: int, total_len: int):
     """Canonical tuples (non-decreasing class index) with at most
-    max_slots slots and total word length within the cap."""
+    max_slots slots and total word length within the cap; classes are
+    sorted by length, as classes_up_to lists them."""
     out: List[List[Word]] = []
 
     def rec(start: int, cur: List[Word], remaining: int):
         for idx in range(start, len(classes)):
             c = classes[idx]
             if len(c) > remaining:
-                continue
+                break
             t = cur + [c]
             out.append(t)
             if len(t) < max_slots:

@@ -128,9 +128,15 @@ class Surface:
         self.rank = 2 * genus + max(boundary - 1, 0)
         if self.rank == 0:
             raise SurfaceError("trivial fundamental group")
+        if 2 * self.rank > 256:
+            # ray keys are bytes over the 2 * rank edge directions
+            raise SurfaceError("rank %d is above the supported 128" % self.rank)
         self.relator: Optional[Word] = None
         self._class_cache: Dict[Word, Optional[Word]] = {}
-        self._ray_cache: Dict[tuple, tuple] = {}
+        self._ray_cache: Dict[Tuple[Word, int], Tuple[bytes, bytes]] = {}
+        # bracket and cobracket tables, keyed on the words as passed
+        self._bracket_memo: Dict[Tuple[Word, Word], Dict[Word, Fraction]] = {}
+        self._cobracket_memo: Dict[Word, Dict[Tuple[Word, Word], Fraction]] = {}
         if self.closed:
             rel = []
             for i in range(genus):
@@ -398,7 +404,7 @@ class Surface:
             raise SurfaceError("zero turn (backtracking ray)")
         return out
 
-    def _strand_rays(self, w: Word, i: int, depth: int) -> Tuple[tuple, tuple]:
+    def _strand_rays(self, w: Word, i: int, depth: int) -> Tuple[bytes, bytes]:
         """Boundary-order keys of the future and past rays of a strand,
         at least `depth` long; only the first `depth` entries count.
 
@@ -421,8 +427,9 @@ class Surface:
         self._ray_cache[(w, i)] = out
         return out
 
-    def _ray_key(self, ray) -> tuple:
-        return (self.rank_of[ray[0]], *self._turns(ray, 0, len(ray) - 1))
+    def _ray_key(self, ray) -> bytes:
+        # every entry is below n_dirs <= 256, so bytes order as tuples do
+        return bytes((self.rank_of[ray[0]], *self._turns(ray, 0, len(ray) - 1)))
 
     def _pair_canonical(self, w1: Word, i: int, w2: Word, j: int
                         ) -> Optional[Tuple[int, int]]:
@@ -509,18 +516,26 @@ class Surface:
 
     # -- string operations ----------------------------------------------
     def goldman_terms(self, x: Word, y: Word) -> Dict[Word, Fraction]:
-        """Signed concatenation classes over linked occurrence pairs."""
+        """Signed concatenation classes over linked occurrence pairs.
+
+        Computed once per (x, y) as passed, not per class, so that a
+        table that depends on the representative words shows it; every
+        call returns a fresh dict, which the caller may change."""
         if self.torus_mode:
             return self._torus_bracket_lines(x, y)
-        out: Dict[Word, Fraction] = {}
-        for i, j, eps in self._linked_pairs(x, y):
-            xi = x[i:] + x[:i]
-            yj = y[j:] + y[:j]
-            c = self.canonical_class(xi + yj)
-            if c is None:
-                continue
-            out[c] = out.get(c, Fraction(0)) + eps
-        return {c: v for c, v in out.items() if v}
+        table = self._bracket_memo.get((x, y))
+        if table is None:
+            out: Dict[Word, Fraction] = {}
+            for i, j, eps in self._linked_pairs(x, y):
+                xi = x[i:] + x[:i]
+                yj = y[j:] + y[:j]
+                c = self.canonical_class(xi + yj)
+                if c is None:
+                    continue
+                out[c] = out.get(c, Fraction(0)) + eps
+            table = self._bracket_memo[(x, y)] = {
+                c: v for c, v in out.items() if v}
+        return dict(table)
 
     def turaev_terms(self, x: Word) -> Dict[Tuple[Word, Word], Fraction]:
         """Ordered splitting pairs over linked self-occurrence pairs.
@@ -528,17 +543,22 @@ class Surface:
         Every self-intersection point appears as two mirrored canonical
         pairs with opposite signs, which produces the two ordered
         splittings; splittings hitting the trivial class are dropped.
+        Computed once per x as passed; every call returns a fresh dict.
         """
-        out: Dict[Tuple[Word, Word], Fraction] = {}
         if self.torus_mode:
-            return out  # straight lines and their covers never split
-        for i, j, eps in self._linked_pairs(x, x):
-            u = self.canonical_class(x[i:j] if i < j else x[i:] + x[:j])
-            v = self.canonical_class(x[j:i] if j < i else x[j:] + x[:i])
-            if u is None or v is None:
-                continue
-            out[(u, v)] = out.get((u, v), Fraction(0)) + eps
-        return {k: v for k, v in out.items() if v}
+            return {}  # straight lines and their covers never split
+        table = self._cobracket_memo.get(x)
+        if table is None:
+            out: Dict[Tuple[Word, Word], Fraction] = {}
+            for i, j, eps in self._linked_pairs(x, x):
+                u = self.canonical_class(x[i:j] if i < j else x[i:] + x[:j])
+                v = self.canonical_class(x[j:i] if j < i else x[j:] + x[:i])
+                if u is None or v is None:
+                    continue
+                out[(u, v)] = out.get((u, v), Fraction(0)) + eps
+            table = self._cobracket_memo[x] = {
+                k: v for k, v in out.items() if v}
+        return dict(table)
 
     def self_intersection_count(self, x: Word) -> int:
         """Transverse double points of the canonical representative."""

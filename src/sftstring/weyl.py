@@ -403,9 +403,11 @@ def coefficient_boundary_operator(bnd: Dict[GradedSymbol, GradedSeries]):
             for k, (s, e) in enumerate(m):
                 img = bnd.get(s) if s.kind == KIND_S else None
                 if img:
-                    # odd symbols only (e == 1) in the coefficient block
-                    sign = -1 if par % 2 else 1
-                    rest = m[:k] + m[k + 1:]
+                    # d passes the units before s (degree par), then d(s)
+                    # moves to the front past them: (-1)^(|s| par).  An
+                    # even s^e gives e s^(e-1) d(s); an odd s has e == 1.
+                    sign = -e if s.degree * par % 2 else e
+                    rest = m[:k] + (((s, e - 1),) if e > 1 else ()) + m[k + 1:]
                     for mi, ci in img.terms.items():
                         res = merge_words(mi, rest)
                         if res is not None:

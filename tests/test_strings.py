@@ -1,12 +1,14 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from sftstring.algebra import (GradedSeries, TruncationContext, add_terms,
-                               collect, mul)
+from sftstring.algebra import (KIND_S, GradedSeries, TruncationContext,
+                               add_terms, collect, mul)
 from sftstring.strings import (
     ClassAlgebra,
+    _pool_tuples,
     check_fukaya_disk,
     check_goldman_turaev_axioms,
     check_master_l,
@@ -268,3 +270,144 @@ def test_axioms_on_surfaces_with_boundary(genus, boundary):
     assert rep.passed, rep.witnesses[:3]
     rep2 = check_string_identities(S, max_len=2, max_slots=3)
     assert rep2.passed, rep2.witnesses[:3]
+
+
+# ---------------------------------------------------------------------
+# split/join images memoized per monomial
+# ---------------------------------------------------------------------
+
+def _slots_and_rest(m):
+    slots = [s for s, e in m if s.kind == KIND_S for _ in range(e)]
+    return slots, [(s, e) for s, e in m if s.kind != KIND_S]
+
+
+def delta_op_reference(series, alg, ctx):
+    """delta_op term by term: every slot split of every term of the
+    series, scaled and normalized on its own."""
+    sgn_exp = 3 - alg.n
+    out = {}
+    for m, c in series.terms.items():
+        slots, rest = _slots_and_rest(m)
+        for r in range(1, len(slots) + 1):
+            pref = -1 if (r * sgn_exp) % 2 else 1
+            cls = alg.class_of_symbol(slots[r - 1])
+            for (u, v), cc in alg.surface.turaev_terms(cls).items():
+                entries = [(s, 1) for s in slots[:r - 1]]
+                entries += [(alg.symbol(u), 1), (alg.symbol(v), 1)]
+                entries += [(s, 1) for s in slots[r:]]
+                entries += rest
+                add_terms(out, GradedSeries.from_word(entries, c * cc * pref).terms)
+    return collect(out, ctx)
+
+
+def nabla_op_reference(series, alg, ctx):
+    """nabla_op term by term: every slot-pair join of every term."""
+    sgn_exp = 3 - alg.n
+    out = {}
+    for m, c in series.terms.items():
+        slots, rest = _slots_and_rest(m)
+        k = len(slots)
+        for r1 in range(1, k + 1):
+            for r2 in range(r1 + 1, k + 1):
+                pref = -1 if ((r1 + r2 + 1) * sgn_exp) % 2 else 1
+                c1 = alg.class_of_symbol(slots[r1 - 1])
+                c2 = alg.class_of_symbol(slots[r2 - 1])
+                for z, cc in alg.surface.goldman_terms(c1, c2).items():
+                    entries = [(alg.symbol(z), 1)]
+                    entries += [(s, 1) for t, s in enumerate(slots)
+                                if t not in (r1 - 1, r2 - 1)]
+                    entries += rest
+                    add_terms(out, GradedSeries.from_word(entries, c * cc * pref).terms)
+    return collect(out, ctx)
+
+
+def _pool_ctx(max_len):
+    # the window check_string_identities uses
+    return TruncationContext(max_p_degree=0, max_hbar=2, min_hbar=0,
+                             max_word_length=4 * max_len)
+
+
+@pytest.mark.parametrize("genus,boundary", [(2, 0), (1, 2)])
+def test_split_join_images_match_reference_on_pool(genus, boundary):
+    S = Surface(genus, boundary)
+    alg = ClassAlgebra(S, 2)
+    ctx = _pool_ctx(4)
+    nonzero = 0
+    for t in _pool_tuples(S.classes_up_to(4), 3, 4):
+        s = alg.multi(t)
+        for op, ref in ((delta_op, delta_op_reference),
+                        (nabla_op, nabla_op_reference)):
+            got = op(s, alg, ctx)
+            assert got == ref(s, alg, ctx), t
+            nonzero += not got.is_zero()
+    assert nonzero >= 100
+
+
+def test_split_join_images_match_reference_on_combinations(genus2):
+    # one monomial m0 recurs in every combination with a new coefficient;
+    # split^2 and join^2 of a combination cancel term by term
+    alg = ClassAlgebra(genus2, 2)
+    ctx = _pool_ctx(4)
+    tuples = [t for t in _pool_tuples(genus2.classes_up_to(4), 3, 4)
+              if not alg.multi(t).is_zero()]
+    rng = random.Random(808)
+    m0 = alg.multi([genus2.class_of("a1 b1 A1 B1")])
+    cancelled = 0  # nonzero images whose second application cancels
+    for _ in range(40):
+        s = m0.scale(Fraction(rng.choice((-5, -2, -1, 1, 3, 4)), rng.randint(1, 4)))
+        for t in rng.sample(tuples, 4):
+            s = s + alg.multi(t, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        for op, ref in ((delta_op, delta_op_reference),
+                        (nabla_op, nabla_op_reference)):
+            once = ref(s, alg, ctx)
+            assert op(s, alg, ctx) == once
+            assert op(once, alg, ctx) == ref(once, alg, ctx) == GradedSeries.zero()
+            cancelled += not once.is_zero()
+    assert cancelled >= 20
+
+
+def test_memo_isolation(genus2):
+    x, y = genus2.class_of("a1 a2 A1 A2"), genus2.class_of("b1 a2")
+    bracket, cobracket = genus2.goldman_terms(x, y), genus2.turaev_terms(x)
+    assert bracket and cobracket
+    for table in (genus2.goldman_terms(x, y), genus2.turaev_terms(x)):
+        for k in table:
+            table[k] += 7
+        table[x] = Fraction(1)
+    assert genus2.goldman_terms(x, y) == bracket
+    assert genus2.turaev_terms(x) == cobracket
+    # a window that drops every result, used first, does not truncate
+    # the memoized images
+    wide = _pool_ctx(4)
+    narrow = TruncationContext(max_p_degree=0, max_hbar=2, min_hbar=0,
+                               max_word_length=1)
+    alg = ClassAlgebra(genus2, 2)
+    s = alg.multi([x, genus2.class_of("a1 a1 b1 b1"), y])
+    for op, ref in ((delta_op, delta_op_reference),
+                    (nabla_op, nabla_op_reference)):
+        assert op(s, alg, narrow) == ref(s, alg, narrow) == GradedSeries.zero()
+        want = ref(s, alg, wide)
+        assert not want.is_zero()
+        assert op(s, alg, wide) == want
+        assert op(s, alg, narrow).is_zero()
+
+
+@pytest.mark.parametrize("genus,boundary", [(2, 0), (1, 2)])
+def test_pool_tuples_stop_at_first_long_class(genus, boundary):
+    # the early stop relies on classes_up_to listing classes by length
+    classes = Surface(genus, boundary).classes_up_to(4)
+    assert [len(c) for c in classes] == sorted(len(c) for c in classes)
+    out = []
+
+    def rec(start, cur, remaining):
+        for idx in range(start, len(classes)):
+            c = classes[idx]
+            if len(c) > remaining:
+                continue
+            t = cur + [c]
+            out.append(t)
+            if len(t) < 3:
+                rec(idx, t, remaining - len(c))
+
+    rec(0, [], 4)
+    assert _pool_tuples(classes, 3, 4) == out

@@ -253,6 +253,14 @@ def test_canonicalization_independence_of_rotation(genus2):
     assert genus2.goldman_terms(c1, y) == genus2.goldman_terms(c2, y)
 
 
+def _forget_rays_and_tables(S):
+    """Clear the ray cache and the bracket/cobracket memos, so the next
+    table is computed afresh."""
+    S._ray_cache.clear()
+    S._bracket_memo.clear()
+    S._cobracket_memo.clear()
+
+
 def test_linked_pairs_stable_under_deeper_lookahead(genus2):
     # the ray comparison must already be decided at the default depth
     words = [genus2.class_of(t) for t in
@@ -261,16 +269,16 @@ def test_linked_pairs_stable_under_deeper_lookahead(genus2):
     try:
         for x in words:
             for y in words:
-                genus2._ray_cache.clear()
+                _forget_rays_and_tables(genus2)
                 genus2._depth = base_depth
                 shallow = genus2.goldman_terms(x, y)
-                genus2._ray_cache.clear()
+                _forget_rays_and_tables(genus2)
                 genus2._depth = lambda *w: 2 * base_depth(*w) + 64
                 deep = genus2.goldman_terms(x, y)
                 assert shallow == deep, (x, y)
     finally:
         genus2._depth = base_depth
-        genus2._ray_cache.clear()
+        _forget_rays_and_tables(genus2)
 
 
 def test_genus3_surface():
@@ -380,8 +388,9 @@ def test_crossing_prefix_first_matches_full_depth(genus2, monkeypatch):
     fast = [genus2.goldman_terms(x, y) for x, y in pairs]
     assert all(fast)
     monkeypatch.setattr(surfaces, "_RAY_PREFIX", 10 ** 6)
-    genus2._ray_cache.clear()
+    _forget_rays_and_tables(genus2)
     assert [genus2.goldman_terms(x, y) for x, y in pairs] == fast
+    _forget_rays_and_tables(genus2)
 
 
 def test_ray_cache_holds_one_entry_per_strand():
@@ -394,3 +403,24 @@ def test_ray_cache_holds_one_entry_per_strand():
         (w, i) for w in (x, y, z) for i in range(len(w)))
     assert {len(S._ray_cache[(x, i)][0]) for i in range(len(x))} == \
         {S._depth(x, z)}
+
+
+def test_ray_keys_are_bytes_up_to_rank_128():
+    # rank 128 gives 256 edge directions, every ray-key entry a byte;
+    # the letters c126..c128 sit in the link as c1..c3 do on Surface(0, 4)
+    big, small = Surface(0, 129), Surface(0, 4)
+    shift = lambda w: tuple(x + 125 if x > 0 else x - 125 for x in w)
+    nonzero = 0
+    for x in small.classes_up_to(3):
+        for y in small.classes_up_to(2):
+            want = small.goldman_terms(x, y)
+            got = big.goldman_terms(shift(x), shift(y))
+            assert got == {shift(z): c for z, c in want.items()}, (x, y)
+            nonzero += bool(got)
+        want = small.turaev_terms(x)
+        assert big.turaev_terms(shift(x)) == {
+            (shift(u), shift(v)): c for (u, v), c in want.items()}
+    assert nonzero >= 100
+    assert {type(k) for keys in big._ray_cache.values() for k in keys} == {bytes}
+    with pytest.raises(SurfaceError, match="rank 129"):
+        Surface(0, 130)

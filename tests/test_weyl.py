@@ -27,6 +27,7 @@ from sftstring.weyl import (
     check_master_f,
     check_master_chain,
     check_master_h,
+    coefficient_boundary_operator,
     exp_series,
     project_out,
     star,
@@ -596,6 +597,35 @@ def test_check_master_chain_zero_boundary_reduces_to_master_h():
     H_bad = sys.monomial(1, qs=["g1"], ps=["g2"], hpow=-1) + \
         sys.monomial(1, qs=["g2"], ps=["g1"], hpow=-1)
     assert not check_master_chain(H_bad, None, sys, CTX).passed
+
+
+def _word(*units, coeff=1):
+    return GradedSeries.from_word(list(units), coeff)
+
+
+def test_coefficient_boundary_is_a_derivation_on_even_symbols():
+    # |s| = 2, |t| = |u| = 1, d(s) = t: d(s^2) = 2 s t, and
+    # d(u s) = (-1)^|u| u d(s) = -u t whichever order the symbols take
+    for order in permutations(range(3)):
+        s, t, u = (GradedSymbol(nm, deg, KIND_S, None, i) for nm, deg, i
+                   in zip("stu", (2, 1, 1), order))
+        d = coefficient_boundary_operator({s: _word((t, 1))})
+        assert d(_word((s, 2)), CTX) == _word((s, 1), (t, 1), coeff=2), order
+        assert d(_word((u, 1), (s, 1)), CTX) == _word((u, 1), (t, 1), coeff=-1), order
+
+
+def test_check_master_chain_with_even_coefficient_symbols():
+    # H = s t u p + w q - (1/4) s^2 u w h: the contraction of s t u p
+    # against w q gives (1/2) h s t u w in (1/2) H*H, and d(s^2) = 2 s t
+    # cancels it; the derivation must keep s in d(s^2)
+    s, t, u, w = (GradedSymbol(nm, deg, KIND_S, None, i)
+                  for i, (nm, deg) in enumerate(zip("stuw", (2, 1, 1, 2))))
+    sys = OrbitSystem(2, [Orbit("g1", 0, 1)])
+    q, p, h = sys.q["g1"], sys.p["g1"], sys.hbar
+    H = _word((s, 1), (t, 1), (u, 1), (p, 1)) + _word((w, 1), (q, 1)) \
+        + _word((s, 2), (u, 1), (w, 1), (h, 1), coeff=Fraction(-1, 4))
+    assert check_master_chain(H, {s: _word((t, 1))}, sys, CTX).passed
+    assert not check_master_chain(H, None, sys, CTX).passed
 
 
 def test_star_equals_mul_without_contractions():
