@@ -3,6 +3,9 @@
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage or parse
 error.  --json switches every subcommand to a stable structured schema
 (schema version 1).
+
+Each subcommand returns an `Output` or raises; `main` alone prints, and
+alone turns an error into exit code 2.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 from .algebra import (GradedSeries, NormalizationError, TruncationContext,
@@ -35,9 +39,42 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+# check-axioms walks every reduced word of length <= --max-word-len: at
+# genus 2, length 6 (156,864 words) took 144 s, and each further length
+# multiplies the count by 7
+MAX_AXIOM_WORDS = 200_000
+
 
 class UsageError(ValueError):
-    """An option value the checker cannot use."""
+    """An option value, or a name or declaration missing from the input,
+    that the command cannot use."""
+
+
+class Output:
+    """What a command prints: `payload` under --json, else `text`; it
+    exits 0 when `passed`, else 1.  `sort_keys` is False only for
+    `parse`, whose key order is pinned."""
+
+    def __init__(self, payload: dict, text: str, passed: bool = True,
+                 sort_keys: bool = True):
+        self.payload, self.text = payload, text
+        self.passed, self.sort_keys = passed, sort_keys
+
+
+def _lines(lines) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+def _report(report: CheckReport) -> Output:
+    return Output(report.to_json(), report.render() + "\n", report.passed)
+
+
+def _reports(reports: List[CheckReport], head: str = "", **fields) -> Output:
+    """The reports' JSON beside `fields`, and their text after `head`."""
+    return Output(dict(fields, schema=1,
+                       reports=[r.to_json() for r in reports]),
+                  head + _lines(r.render() for r in reports),
+                  all(r.passed for r in reports))
 
 
 def _option(value: Optional[int], default: int, least: int, flag: str) -> int:
@@ -50,13 +87,14 @@ def _option(value: Optional[int], default: int, least: int, flag: str) -> int:
 
 
 def _caps_from_args(args, pf: ProblemFile) -> TruncationContext:
-    base = pf.caps
-    return TruncationContext(
-        args.max_p_degree if args.max_p_degree is not None else base.max_p_degree,
-        args.max_hbar if args.max_hbar is not None else base.max_hbar,
-        args.min_hbar if args.min_hbar is not None else base.min_hbar,
-        args.max_word_len if args.max_word_len is not None else base.max_word_length,
-    )
+    """The file's caps, with each cap option that was given in its place."""
+    given = {"max_p_degree": args.max_p_degree, "max_hbar": args.max_hbar,
+             "min_hbar": args.min_hbar, "max_word_length": args.max_word_len}
+    try:
+        return replace(pf.caps, **{k: v for k, v in given.items()
+                                   if v is not None})
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _load(path: str) -> ProblemFile:
@@ -64,75 +102,44 @@ def _load(path: str) -> ProblemFile:
         return parse(fh.read())
 
 
-def _emit(report: CheckReport, as_json: bool) -> int:
-    if as_json:
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-    else:
-        print(report.render())
-    return EXIT_PASS if report.passed else EXIT_FAIL
-
-
-def _emit_many(reports: List[CheckReport], as_json: bool) -> int:
-    if as_json:
-        print(json.dumps({"schema": 1,
-                          "reports": [r.to_json() for r in reports]},
-                         indent=2, sort_keys=True))
-    else:
-        for r in reports:
-            print(r.render())
-    return EXIT_PASS if all(r.passed for r in reports) else EXIT_FAIL
-
-
 def _series_arg(pf: ProblemFile, name: str) -> GradedSeries:
     if name not in pf.series:
-        print("error: series %r not found in the problem file" % name,
-              file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise UsageError("series %r not found in the problem file" % name)
     return pf.series[name]
 
 
-def _surface_from_args(args) -> Surface:
-    return Surface(args.genus, args.boundary)
+def cmd_parse(args) -> Output:
+    text = print_problem(_load(args.input))
+    return Output({"schema": 1, "canonical": text}, text, sort_keys=False)
 
 
-def cmd_parse(args) -> int:
-    pf = _load(args.input)
-    text = print_problem(pf)
-    if args.json:
-        print(json.dumps({"schema": 1, "canonical": text}, indent=2))
-    else:
-        print(text, end="")
-    return EXIT_PASS
-
-
-def cmd_check_master(args) -> int:
+def cmd_check_master(args) -> Output:
     pf = _load(args.input)
     ctx = _caps_from_args(args, pf)
     H = _series_arg(pf, args.series)
-    return _emit(check_master_h(H, pf.sys, ctx), args.json)
+    return _report(check_master_h(H, pf.sys, ctx))
 
 
-def cmd_check_master_f(args) -> int:
+def cmd_check_master_f(args) -> Output:
     pf = _load(args.input)
     ctx = _caps_from_args(args, pf)
     F = _series_arg(pf, args.potential)
     Hp = _series_arg(pf, args.hplus) if args.hplus else GradedSeries.zero()
     Hm = _series_arg(pf, args.hminus) if args.hminus else GradedSeries.zero()
-    return _emit(check_master_f(F, Hp, Hm, pf.sys, ctx), args.json)
+    return _report(check_master_f(F, Hp, Hm, pf.sys, ctx))
 
 
-def cmd_check_master_l(args) -> int:
+def cmd_check_master_l(args) -> Output:
     from .strings import check_master_l
     pf = _load(args.input)
     if pf.surface is None:
-        print("error: check-master-l needs a surface declaration", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("check-master-l needs a surface declaration")
     ctx = _caps_from_args(args, pf)
     L = _series_arg(pf, args.potential)
     Hp = _series_arg(pf, args.hplus) if args.hplus else GradedSeries.zero()
     Hm = _series_arg(pf, args.hminus) if args.hminus else GradedSeries.zero()
     alg = ClassAlgebra(pf.surface, pf.n)
-    return _emit(check_master_l(L, Hp, Hm, alg, pf.sys, ctx), args.json)
+    return _report(check_master_l(L, Hp, Hm, alg, pf.sys, ctx))
 
 
 def _bv_caps(args) -> dict:
@@ -160,7 +167,7 @@ def _linearized(args):
     return D, linearize(Dbeta)
 
 
-def cmd_linearize(args) -> int:
+def cmd_linearize(args) -> Output:
     from .bv import homology, validate_bv
     D, data = _linearized(args)
     rep = validate_bv(D)
@@ -178,29 +185,22 @@ def cmd_linearize(args) -> int:
                for (a, b), vec in data.mu.items() if vec},
         "homology": {str(d): dim for d, (dim, _reps) in hom.items()},
     }
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(rep.render())
-        print("linear differential:")
-        for v, vec in sorted(payload["dlin"].items()):
-            print("  d %s = %s" % (v, vec))
-        print("cobracket:")
-        for v, t in sorted(payload["delta"].items()):
-            print("  delta %s = %s" % (v, t))
-        print("bracket:")
-        for k, vec in sorted(payload["mu"].items()):
-            print("  mu(%s) = %s" % (k, vec))
-        print("homology dimensions by degree:")
-        for d, dim in sorted(payload["homology"].items(), key=lambda t: int(t[0])):
-            print("  degree %s: %d" % (d, dim))
-    return EXIT_PASS if not rep.witnesses else EXIT_FAIL
+    lines = [rep.render(), "linear differential:"]
+    lines += ["  d %s = %s" % vt for vt in sorted(payload["dlin"].items())]
+    lines.append("cobracket:")
+    lines += ["  delta %s = %s" % vt for vt in sorted(payload["delta"].items())]
+    lines.append("bracket:")
+    lines += ["  mu(%s) = %s" % kv for kv in sorted(payload["mu"].items())]
+    lines.append("homology dimensions by degree:")
+    lines += ["  degree %s: %d" % dd for dd in
+              sorted(payload["homology"].items(), key=lambda t: int(t[0]))]
+    return Output(payload, _lines(lines), not rep.witnesses)
 
 
-def cmd_check_bialgebra(args) -> int:
+def cmd_check_bialgebra(args) -> Output:
     from .bv import check_lie_bialgebra
     _D, data = _linearized(args)
-    return _emit(check_lie_bialgebra(data), args.json)
+    return _report(check_lie_bialgebra(data))
 
 
 def _format_string_sum(surface: Surface, terms) -> str:
@@ -220,80 +220,71 @@ def _format_string_sum(surface: Surface, terms) -> str:
     return text[2:] if text.startswith("+ ") else text
 
 
-def _emit_bracket(surface: Surface, terms, as_json: bool) -> int:
-    if as_json:
-        print(json.dumps({"schema": 1,
-                          "bracket": {format_word(k, surface): str(v)
-                                      for k, v in terms.items()}},
-                         indent=2, sort_keys=True))
-    else:
-        print(_format_string_sum(surface, terms))
-    return EXIT_PASS
+def _bracket(surface: Surface, terms) -> Output:
+    return Output({"schema": 1,
+                   "bracket": {format_word(k, surface): str(v)
+                               for k, v in terms.items()}},
+                  _format_string_sum(surface, terms) + "\n")
 
 
-def cmd_bracket(args) -> int:
-    surface = _surface_from_args(args)
-    x = surface.class_of(args.word1)
-    y = surface.class_of(args.word2)
-    if x is None or y is None:
-        print("error: trivial class", file=sys.stderr)
-        return EXIT_USAGE
-    return _emit_bracket(surface, surface.goldman_terms(x, y), args.json)
-
-
-def cmd_cobracket(args) -> int:
-    surface = _surface_from_args(args)
-    x = surface.class_of(args.word1)
+def _class_arg(surface: Surface, word: str):
+    x = surface.class_of(word)
     if x is None:
-        print("error: trivial class", file=sys.stderr)
-        return EXIT_USAGE
-    terms = surface.turaev_terms(x)
-    if args.json:
-        print(json.dumps(
-            {"schema": 1,
-             "cobracket": {"%s | %s" % (format_word(u, surface),
-                                        format_word(v, surface)): str(c)
-                           for (u, v), c in terms.items()}},
-            indent=2, sort_keys=True))
-    else:
-        if not terms:
-            print("0")
-        for (u, v), c in sorted(terms.items()):
-            print("%s * (%s) (x) (%s)" % (c, format_word(u, surface),
-                                          format_word(v, surface)))
-    return EXIT_PASS
+        raise UsageError("trivial class")
+    return x
 
 
-def cmd_check_axioms(args) -> int:
-    surface = _surface_from_args(args)
+def cmd_bracket(args) -> Output:
+    surface = Surface(args.genus, args.boundary)
+    x = _class_arg(surface, args.word1)
+    y = _class_arg(surface, args.word2)
+    return _bracket(surface, surface.goldman_terms(x, y))
+
+
+def cmd_cobracket(args) -> Output:
+    surface = Surface(args.genus, args.boundary)
+    terms = surface.turaev_terms(_class_arg(surface, args.word1))
+    payload = {"schema": 1,
+               "cobracket": {"%s | %s" % (format_word(u, surface),
+                                          format_word(v, surface)): str(c)
+                             for (u, v), c in terms.items()}}
+    text = _lines("%s * (%s) (x) (%s)" % (c, format_word(u, surface),
+                                          format_word(v, surface))
+                  for (u, v), c in sorted(terms.items()))
+    return Output(payload, text or "0\n")
+
+
+def cmd_check_axioms(args) -> Output:
+    surface = Surface(args.genus, args.boundary)
     cap = _option(args.max_word_len, 3, 1, "--max-word-len")
+    words, layer = 0, 2 * surface.rank
+    for _ in range(cap):  # rank >= 2: this stops by the 11th round
+        words += layer
+        layer *= 2 * surface.rank - 1
+        if words > MAX_AXIOM_WORDS:
+            raise UsageError(
+                "--max-word-len %d enumerates more than %d reduced words on "
+                "this surface" % (cap, MAX_AXIOM_WORDS))
     # without --samples the identity suite adds no random tuples and the
     # axiom sweep draws 25 pairs and 25 triples
     extra = _option(args.samples, 0, 0, "--samples")
     drawn = _option(args.samples, 25, 0, "--samples")
-    reports = [
+    return _reports([
         check_string_identities(surface, max_len=cap, max_slots=3,
                                 samples=extra, seed=args.seed),
         check_goldman_turaev_axioms(
             surface, max_len=min(cap, 3), sample_len=cap,
             triples=drawn, pairs=drawn, seed=args.seed),
-    ]
-    return _emit_many(reports, args.json)
+    ])
 
 
-def cmd_build_h(args) -> int:
+def cmd_build_h(args) -> Output:
     pf = _load(args.input)
     if pf.surface is None or not pf.classes:
-        print("error: build-h needs a surface and class declarations",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("build-h needs a surface and class declarations")
     names = {pf.classes[name]: name for name in pf.class_order}
-    try:
-        alphabet = GeodesicAlphabet(pf.surface, list(names), names)
-        H = build_H_surface(alphabet)
-    except AlphabetError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+    alphabet = GeodesicAlphabet(pf.surface, list(names), names)
+    H = build_H_surface(alphabet)
     out = ProblemFile(n=2, caps=pf.caps, orbits=list(alphabet.sys.orbits),
                       surface=pf.surface, surface_params=pf.surface_params,
                       classes=dict(pf.classes),
@@ -305,59 +296,38 @@ def cmd_build_h(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    reports = []
-    if args.verify:
-        reports.append(check_surface_master(H))
-        reports.append(check_psi_intertwining(H))
-    if args.json:
-        print(json.dumps({"schema": 1, "problem": text,
-                          "notes": H.notes,
-                          "reports": [r.to_json() for r in reports]},
-                         indent=2, sort_keys=True))
-    else:
-        print(text, end="")
-        for r in reports:
-            print(r.render())
-    return EXIT_PASS if all(r.passed for r in reports) else EXIT_FAIL
+    reports = ([check_surface_master(H), check_psi_intertwining(H)]
+               if args.verify else [])
+    return _reports(reports, head=text, problem=text, notes=H.notes)
 
 
-def cmd_closure(args) -> int:
-    surface = _surface_from_args(args)
+def cmd_closure(args) -> Output:
+    surface = Surface(args.genus, args.boundary)
     seeds = [parse_word(w, surface) for w in args.words]
-    closure, escaped = close_alphabet(surface, seeds, args.cap)
+    closure, escaped = close_alphabet(surface, seeds,
+                                      _option(args.cap, 4, 1, "--cap"))
     payload = {
         "schema": 1,
         "closure": [format_word(w, surface) for w in closure],
         "escaped": [format_word(w, surface) for w in escaped],
     }
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print("closure (%d classes):" % len(closure))
-        for w in payload["closure"]:
-            print("  " + w)
-        if escaped:
-            print("escaping beyond the cap (%d):" % len(escaped))
-            for w in payload["escaped"]:
-                print("  " + w)
-    return EXIT_PASS if not escaped else EXIT_FAIL
+    lines = ["closure (%d classes):" % len(closure)]
+    lines += ["  " + w for w in payload["closure"]]
+    if escaped:
+        lines.append("escaping beyond the cap (%d):" % len(escaped))
+        lines += ["  " + w for w in payload["escaped"]]
+    return Output(payload, _lines(lines), not escaped)
 
 
-def cmd_torus_oracle(args) -> int:
-    try:
-        terms = torus_bracket_oracle(args.m, args.n, args.p, args.q)
-    except SurfaceError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    return _emit_bracket(Surface(1, 0), terms, args.json)
+def cmd_torus_oracle(args) -> Output:
+    return _bracket(Surface(1, 0),
+                    torus_bracket_oracle(args.m, args.n, args.p, args.q))
 
 
 def _add_caps(sp):
-    sp.add_argument("--max-p-degree", type=int, default=None)
-    sp.add_argument("--max-hbar", type=int, default=None)
-    sp.add_argument("--min-hbar", type=int, default=None)
-    sp.add_argument("--max-word-len", type=int, default=None)
-    sp.add_argument("--json", action="store_true")
+    for flag in ("--max-p-degree", "--max-hbar", "--min-hbar",
+                 "--max-word-len"):
+        sp.add_argument(flag, type=int)
 
 
 def _add_surface(sp):
@@ -371,110 +341,96 @@ def build_parser() -> argparse.ArgumentParser:
         description="master-equation and string-topology checkers")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("parse", help="validate and canonicalize a problem file")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=cmd_parse)
+    def command(name, fn, help, input_file=True):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(fn=fn)
+        if input_file:
+            sp.add_argument("--input", required=True)
+        sp.add_argument("--json", action="store_true")
+        return sp
 
-    sp = sub.add_parser("check-master", help="H * H = 0")
-    sp.add_argument("--input", required=True)
+    command("parse", cmd_parse, "validate and canonicalize a problem file")
+
+    sp = command("check-master", cmd_check_master, "H * H = 0")
     sp.add_argument("--series", default="H")
     _add_caps(sp)
-    sp.set_defaults(fn=cmd_check_master)
 
-    sp = sub.add_parser("check-master-f", help="e^F <-H+ = H-> e^F")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--potential", default="F")
-    sp.add_argument("--hplus", default=None)
-    sp.add_argument("--hminus", default=None)
-    _add_caps(sp)
-    sp.set_defaults(fn=cmd_check_master_f)
+    for name, fn, help, potential in (
+            ("check-master-f", cmd_check_master_f, "e^F <-H+ = H-> e^F", "F"),
+            ("check-master-l", cmd_check_master_l,
+             "(d + split + h join) e^L = e^L <-H+ - H-> e^L", "L")):
+        sp = command(name, fn, help)
+        sp.add_argument("--potential", default=potential)
+        sp.add_argument("--hplus")
+        sp.add_argument("--hminus")
+        _add_caps(sp)
 
-    sp = sub.add_parser("check-master-l",
-                        help="(d + split + h join) e^L = e^L <-H+ - H-> e^L")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--potential", default="L")
-    sp.add_argument("--hplus", default=None)
-    sp.add_argument("--hminus", default=None)
-    _add_caps(sp)
-    sp.set_defaults(fn=cmd_check_master_l)
+    for name, fn, help in (
+            ("linearize", cmd_linearize,
+             "linear differential, cobracket, bracket, homology"),
+            ("check-bialgebra", cmd_check_bialgebra, "Lie bialgebra axioms")):
+        sp = command(name, fn, help)
+        sp.add_argument("--series", default="H")
+        sp.add_argument("--aug")
+        _add_caps(sp)
 
-    sp = sub.add_parser("linearize",
-                        help="linear differential, cobracket, bracket, homology")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--series", default="H")
-    sp.add_argument("--aug", default=None)
-    _add_caps(sp)
-    sp.set_defaults(fn=cmd_linearize)
-
-    sp = sub.add_parser("check-bialgebra", help="Lie bialgebra axioms")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--series", default="H")
-    sp.add_argument("--aug", default=None)
-    _add_caps(sp)
-    sp.set_defaults(fn=cmd_check_bialgebra)
-
-    sp = sub.add_parser("bracket", help="Goldman bracket of two classes")
+    sp = command("bracket", cmd_bracket, "Goldman bracket of two classes",
+                 input_file=False)
     _add_surface(sp)
     sp.add_argument("word1")
     sp.add_argument("word2")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=cmd_bracket)
 
-    sp = sub.add_parser("cobracket", help="Turaev cobracket of a class")
+    sp = command("cobracket", cmd_cobracket, "Turaev cobracket of a class",
+                 input_file=False)
     _add_surface(sp)
     sp.add_argument("word1")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=cmd_cobracket)
 
-    sp = sub.add_parser("check-axioms", help="multi-string identity suite")
+    sp = command("check-axioms", cmd_check_axioms,
+                 "multi-string identity suite", input_file=False)
     _add_surface(sp)
-    sp.add_argument("--samples", type=int, default=None)
+    sp.add_argument("--samples", type=int)
     sp.add_argument("--seed", type=int, default=0)
     _add_caps(sp)
-    sp.set_defaults(fn=cmd_check_axioms)
 
-    sp = sub.add_parser("build-h",
-                        help="assemble H and F from surface structure constants")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--out", default=None)
+    sp = command("build-h", cmd_build_h,
+                 "assemble H and F from surface structure constants")
+    sp.add_argument("--out")
     sp.add_argument("--verify", action="store_true")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=cmd_build_h)
 
-    sp = sub.add_parser("closure", help="close an alphabet under the operations")
+    sp = command("closure", cmd_closure,
+                 "close an alphabet under the operations", input_file=False)
     _add_surface(sp)
-    sp.add_argument("--cap", type=int, default=4)
+    sp.add_argument("--cap", type=int)
     sp.add_argument("words", nargs="+")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=cmd_closure)
 
-    sp = sub.add_parser("torus-oracle", help="straight-line lattice bracket")
-    sp.add_argument("m", type=int)
-    sp.add_argument("n", type=int)
-    sp.add_argument("p", type=int)
-    sp.add_argument("q", type=int)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=cmd_torus_oracle)
+    sp = command("torus-oracle", cmd_torus_oracle,
+                 "straight-line lattice bracket", input_file=False)
+    for coordinate in "mnpq":
+        sp.add_argument(coordinate, type=int)
     return ap
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one subcommand.  The only place that reports an error: any
+    usage, parse or library error exits 2 with one line on stderr and
+    nothing on stdout."""
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        out = args.fn(args)
     except (ParseError, SurfaceError, AlphabetError, UsageError,
             TruncationUnderflow, ExponentialError, BvError,
-            NormalizationError) as exc:
+            NormalizationError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+    if args.json:
+        print(json.dumps(out.payload, indent=2, sort_keys=out.sort_keys))
+    else:
+        print(out.text, end="")
+    return EXIT_PASS if out.passed else EXIT_FAIL
 
 
 if __name__ == "__main__":

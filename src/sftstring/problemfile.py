@@ -191,6 +191,7 @@ class _Parser:
         return self.pf
 
     def _parse_caps(self):
+        tok = self.tokens[self.pos - 1]
         vals = {"max_p": 6, "max_h": 6, "min_h": -1, "max_len": 8}
         while self.peek().kind == "name":
             key = self.next().text
@@ -200,8 +201,11 @@ class _Parser:
                                  self.tokens[self.pos - 1].col)
             self.expect("punct", "=")
             vals[key] = self._int()
-        self.pf.caps = TruncationContext(vals["max_p"], vals["max_h"],
-                                         vals["min_h"], vals["max_len"])
+        try:
+            self.pf.caps = TruncationContext(vals["max_p"], vals["max_h"],
+                                             vals["min_h"], vals["max_len"])
+        except ValueError as exc:
+            raise ParseError(str(exc), tok.line, tok.col) from None
 
     def _parse_orbit(self):
         name = self.expect("name").text
@@ -290,10 +294,15 @@ class _Parser:
                 break
             self.expect("name", "q")
             self.expect("punct", "[")
-            orbit = self.expect("name").text
+            orbit = self.expect("name")
+            good = {o.name: o.good for o in self.pf.orbits}.get(orbit.text)
+            if not good:
+                raise ParseError("%s orbit %r" % (
+                    "undefined" if good is None else "bad", orbit.text),
+                    orbit.line, orbit.col)
             self.expect("punct", "]")
             self.expect("punct", "->")
-            entries[orbit] = self._expr()
+            entries[orbit.text] = self._expr()
             if self.peek().kind == "punct" and self.peek().text == ";":
                 self.next()
         if name in self.pf.augs:

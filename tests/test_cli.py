@@ -46,6 +46,15 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as err:
         parse("bogus declaration\n")
     assert err.value.line == 1
+    head = "n = 2\norbit g1 cz=0 kappa=1\norbit g2 cz=1 kappa=1 bad\n"
+    with pytest.raises(ParseError) as err:
+        parse(head + "aug beta { q[zz] -> h }\n")
+    assert "undefined orbit 'zz'" in str(err.value)
+    assert (err.value.line, err.value.col) == (4, 14)
+    with pytest.raises(ParseError) as err:
+        parse(head + "aug beta { q[g1] -> h ; q[g2] -> 1 }\n")
+    assert "bad orbit 'g2'" in str(err.value)
+    assert (err.value.line, err.value.col) == (4, 27)
 
 
 def test_degree_annotation_checked():
@@ -80,13 +89,61 @@ def test_library_errors_exit_2_with_one_line(tmp_path, capsys):
     odd_aug = tmp_path / "odd_aug.sft"
     odd_aug.write_text((DATA / "three_orbit_pass.sft").read_text()
                        + "aug beta { q[g1] -> 1 ; q[g2] -> 1 }\n")
+    pass_file = str(DATA / "three_orbit_pass.sft")
+    undeclared_aug = tmp_path / "undeclared_aug.sft"
+    undeclared_aug.write_text((DATA / "three_orbit_pass.sft").read_text()
+                              + "aug beta { q[zz] -> h }\n")
+    bad_aug = tmp_path / "bad_aug.sft"
+    bad_aug.write_text((DATA / "three_orbit_pass.sft").read_text()
+                       + "orbit g4 cz=1 kappa=1 bad\n"
+                       + "aug beta { q[g4] -> h }\n")
+    file_caps = tmp_path / "file_caps.sft"
+    file_caps.write_text("n = 2\ncaps max_p=-1\norbit g1 cz=0 kappa=1\n")
     for argv in (["check-master", "--input", str(underflow)],
-                 ["linearize", "--input", str(odd_aug), "--aug", "beta"]):
+                 ["linearize", "--input", str(odd_aug), "--aug", "beta"],
+                 ["check-master", "--input", pass_file, "--max-p-degree", "-1"],
+                 ["check-master", "--input", pass_file, "--min-hbar", "-100"],
+                 ["check-master", "--input", pass_file, "--max-hbar", "-5"],
+                 ["check-master", "--input", pass_file, "--series", "nope"],
+                 ["linearize", "--input", str(undeclared_aug), "--aug", "beta"],
+                 ["linearize", "--input", str(bad_aug), "--aug", "beta"],
+                 ["parse", "--input", str(file_caps)],
+                 ["closure", "--genus", "2", "--cap", "-1", "a1 b1"],
+                 ["closure", "--genus", "2", "--cap", "0", "a1 b1"],
+                 ["check-axioms", "--genus", "2", "--max-word-len", "7"],
+                 ["check-axioms", "--genus", "3", "--max-word-len", "6"],
+                 ["check-axioms", "--genus", "1", "--max-word-len",
+                  "1000000000"]):
         code, out, err = run_cli(argv, capsys)
-        assert code == 2
+        assert code == 2, argv
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+def test_missing_series_returns_2_without_system_exit(capsys):
+    try:
+        code = main(["check-master", "--input",
+                     str(DATA / "three_orbit_pass.sft"), "--series", "nope"])
+    except SystemExit:
+        pytest.fail("main raised SystemExit")
+    assert code == 2
+    assert "series 'nope'" in capsys.readouterr().err
+
+
+def test_check_axioms_word_limit(monkeypatch, capsys):
+    """Genus 2 enumerates 156,864 reduced words up to length 6, under
+    the limit, and 1,098,056 up to length 7; genus 3 193,260 up to 5."""
+    from sftstring import cli
+    from sftstring.reports import CheckReport
+    monkeypatch.setattr(cli, "check_string_identities",
+                        lambda *a, **k: CheckReport("identities"))
+    monkeypatch.setattr(cli, "check_goldman_turaev_axioms",
+                        lambda *a, **k: CheckReport("axioms"))
+    for genus, length, code in (("2", "6", 0), ("2", "7", 2),
+                                ("3", "5", 0), ("3", "6", 2)):
+        assert run_cli(["check-axioms", "--genus", genus,
+                        "--max-word-len", length], capsys)[0] == code
 
 
 def test_explicit_zero_options_are_honoured(capsys):
