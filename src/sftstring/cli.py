@@ -43,6 +43,9 @@ EXIT_USAGE = 2
 # genus 2, length 6 (156,864 words) took 144 s, and each further length
 # multiplies the count by 7
 MAX_AXIOM_WORDS = 200_000
+# each --samples draw adds a sampled pair and triple to the axiom sweep
+# (0.1 to 0.5 s per long-word triple) and a tuple to the identity suite
+MAX_AXIOM_SAMPLES = 1_000
 
 
 class UsageError(ValueError):
@@ -269,6 +272,9 @@ def cmd_check_axioms(args) -> Output:
     # axiom sweep draws 25 pairs and 25 triples
     extra = _option(args.samples, 0, 0, "--samples")
     drawn = _option(args.samples, 25, 0, "--samples")
+    if drawn > MAX_AXIOM_SAMPLES:
+        raise UsageError("--samples %d is above the maximum %d"
+                         % (drawn, MAX_AXIOM_SAMPLES))
     return _reports([
         check_string_identities(surface, max_len=cap, max_slots=3,
                                 samples=extra, seed=args.seed),
@@ -390,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_surface(sp)
     sp.add_argument("--samples", type=int)
     sp.add_argument("--seed", type=int, default=0)
-    _add_caps(sp)
+    sp.add_argument("--max-word-len", type=int)
 
     sp = command("build-h", cmd_build_h,
                  "assemble H and F from surface structure constants")

@@ -162,6 +162,7 @@ class _Parser:
                 self.next()
                 self.expect("punct", "=")
                 self.pf.n = self._int()
+                self.pf.sys = None
             elif tok.text == "caps":
                 self.next()
                 self._parse_caps()
@@ -186,7 +187,7 @@ class _Parser:
             if not self.at_end():
                 self.expect("eol")
                 self.skip_eol()
-        self.pf.sys = OrbitSystem(self.pf.n, self.pf.orbits)
+        self._orbit_system()
         self._check_degrees()
         return self.pf
 
@@ -236,6 +237,7 @@ class _Parser:
             tok = self.peek()
             raise ParseError("orbit %r declared twice" % name, tok.line, tok.col)
         self.pf.orbits.append(Orbit(name, cz, kappa, good, side))
+        self.pf.sys = None
 
     def _parse_surface(self):
         genus = self._keyval_int("genus")
@@ -408,8 +410,8 @@ class _Parser:
         return GradedSeries({((hbar, power),): Fraction(1)})
 
     def _variable(self, kind: str, ident: str, tok: Token) -> GradedSeries:
-        sys = OrbitSystem(self.pf.n, self.pf.orbits)
         if kind in ("q", "p"):
+            sys = self._orbit_system()
             table = sys.q if kind == "q" else sys.p
             if ident not in table:
                 raise ParseError("undefined orbit %r" % ident, tok.line, tok.col)
@@ -429,6 +431,13 @@ class _Parser:
         if cls is None:
             raise ParseError("class %r is trivial" % ident, tok.line, tok.col)
         return alg.single(cls)
+
+    def _orbit_system(self) -> OrbitSystem:
+        """The orbit system of the declarations so far; an `n` or `orbit`
+        declaration resets it, so it is rebuilt only after one."""
+        if self.pf.sys is None:
+            self.pf.sys = OrbitSystem(self.pf.n, self.pf.orbits)
+        return self.pf.sys
 
     def _class_algebra(self):
         from .strings import ClassAlgebra

@@ -252,11 +252,12 @@ def check_string_identities(surface: Surface, max_len: int = 4,
             if s.is_zero():
                 continue
             label = "(%s)" % ", ".join(format_word(w, surface) for w in t)
-            if not D(D(s)).is_zero():
+            ds, ns = D(s), N(s)
+            if not D(ds).is_zero():
                 report.add_witness("split^2 " + label, "nonzero")
-            if not N(N(s)).is_zero():
+            if not N(ns).is_zero():
                 report.add_witness("join^2 " + label, "nonzero")
-            if not (D(N(s)) + N(D(s))).is_zero():
+            if not (D(ns) + N(ds)).is_zero():
                 report.add_witness("split-join anticommutator " + label, "nonzero")
             if len(t) == 2:
                 # co-derivation rule of the split

@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Word = Tuple[int, ...]
 
-# Ray keys are first compared on this many entries (see Surface._crossing).
+# Rays are first built and compared to this depth (see Surface._crossing).
 _RAY_PREFIX = 16
 
 
@@ -337,23 +337,45 @@ class Surface:
 
     def classes_up_to(self, max_len: int) -> List[Word]:
         """All nontrivial classes with a representative of length <= cap,
-        listed by canonical form."""
-        found = {}
-        letters = [x for a in range(1, self.rank + 1) for x in (a, -a)]
-        out: List[Word] = []
+        listed by canonical form.  `canonical_class` is invariant under
+        rotation, so it is asked once per cyclic word, on its least
+        rotation."""
+        found = set()
         for length in range(1, max_len + 1):
-            words = [()]
-            for _ in range(length):
-                words = [w + (x,) for w in words for x in letters
-                         if not w or x != -w[-1]]
-            for w in words:
-                if len(w) > 1 and w[0] == -w[-1]:
-                    continue
-                c = self.canonical_class(w)
-                if c is not None and c not in found:
-                    found[c] = True
-                    out.append(c)
-        return sorted(out, key=_shortlex_key)
+            for w in self._necklaces(length):
+                found.add(self.canonical_class(w))
+        found.discard(None)
+        return sorted(found, key=_shortlex_key)
+
+    def _necklaces(self, n: int) -> List[Word]:
+        """The cyclically reduced words of length n that are their own
+        least rotation in the `_shortlex_key` letter order.
+
+        Recursive Fredricksen-Kessler-Maiorana generation (Ruskey, Savage
+        and Wang, "Generating necklaces", J. Algorithms 1992) on letter
+        codes, skipping a letter that cancels its predecessor: a prefix
+        of a reduced necklace is a reduced prenecklace, so nothing is
+        lost.  `p` is the period of the longest Lyndon prefix; a word is
+        a necklace when p divides its length."""
+        top = 2 * self.rank + 2  # codes 2 .. 2 * rank + 1, inverse = code ^ 1
+        a = [2] * (n + 1)  # a[1..n]; a[0] seeds the first letter
+        out: List[Word] = []
+
+        def gen(t: int, p: int):
+            if t > n:
+                if n % p == 0 and (n == 1 or a[n] != a[1] ^ 1):
+                    out.append(tuple([c >> 1 if c % 2 == 0 else -(c >> 1)
+                                      for c in a[1:]]))
+                return
+            back = a[t - 1] ^ 1 if t > 1 else 0
+            lead = a[t - p]
+            for c in range(lead, top):
+                if c != back:
+                    a[t] = c
+                    gen(t + 1, p if c == lead else t)
+
+        gen(1, 1)
+        return out
 
     # -- rays -----------------------------------------------------------
     def _periodic(self, w: Word, start: int, length: int) -> List[int]:
@@ -415,7 +437,8 @@ class Surface:
         pair of keys is cached per strand, at the deepest depth asked
         for so far, and sliced for shallower requests: this relies on a
         deeper window leaving the prefix of a canonical ray unchanged,
-        which tests/test_surfaces.py checks.
+        which tests/test_surfaces.py checks at depth `_RAY_PREFIX` and
+        deeper.
         """
         hit = self._ray_cache.get((w, i))
         if hit is not None and len(hit[0]) >= depth:
@@ -465,14 +488,17 @@ class Surface:
         """Sign of the transverse crossing of two axes for a canonical
         occurrence pair, 0 when unlinked or tangential.
 
-        The four ray keys are ordered on a short prefix first: distinct
-        prefixes already fix the order of the keys cut at `depth`, so
-        the full keys are compared only when two prefixes tie."""
-        f1, p1 = self._strand_rays(w1, i, depth)
-        f2, p2 = self._strand_rays(w2, j, depth)
+        The four rays are built and ordered on a short prefix first:
+        distinct prefixes already fix the order of the keys cut at
+        `depth`, so the rays are built to full depth only when two
+        prefixes tie."""
         cut = min(depth, _RAY_PREFIX)
+        f1, p1 = self._strand_rays(w1, i, cut)
+        f2, p2 = self._strand_rays(w2, j, cut)
         keys = (f1[:cut], p1[:cut], f2[:cut], p2[:cut])
         if len(set(keys)) < 4:
+            f1, p1 = self._strand_rays(w1, i, depth)
+            f2, p2 = self._strand_rays(w2, j, depth)
             keys = (f1[:depth], p1[:depth], f2[:depth], p2[:depth])
             if len(set(keys)) < 4:
                 return 0

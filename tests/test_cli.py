@@ -67,6 +67,23 @@ def test_degree_annotation_checked():
     assert pf.series["H"].homogeneous_degree() == -1
 
 
+def test_parser_builds_orbit_system_once_per_declaration(monkeypatch):
+    from sftstring import problemfile
+    built = []
+    real = problemfile.OrbitSystem
+    monkeypatch.setattr(problemfile, "OrbitSystem",
+                        lambda n, orbits: built.append(n) or real(n, orbits))
+    pf = parse((DATA / "three_orbit_pass.sft").read_text())
+    assert built == [2] and pf.sys.n == 2
+    # an n declared after the orbits and between atoms still sets degrees
+    del built[:]
+    pf = parse("orbit g cz=0 kappa=1\nseries A = q[g]\n"
+               "n = 4\nseries B = q[g]\n")
+    assert built == [2, 4] and pf.sys.n == 4
+    assert pf.series["A"].homogeneous_degree() == -1
+    assert pf.series["B"].homogeneous_degree() == 1
+
+
 def test_exit_codes(capsys):
     code, _, _ = run_cli(["check-master", "--input",
                           str(DATA / "three_orbit_pass.sft")], capsys)
@@ -113,7 +130,8 @@ def test_library_errors_exit_2_with_one_line(tmp_path, capsys):
                  ["check-axioms", "--genus", "2", "--max-word-len", "7"],
                  ["check-axioms", "--genus", "3", "--max-word-len", "6"],
                  ["check-axioms", "--genus", "1", "--max-word-len",
-                  "1000000000"]):
+                  "1000000000"],
+                 ["check-axioms", "--genus", "2", "--samples", "1001"]):
         code, out, err = run_cli(argv, capsys)
         assert code == 2, argv
         assert out == ""
@@ -144,6 +162,30 @@ def test_check_axioms_word_limit(monkeypatch, capsys):
                                 ("3", "5", 0), ("3", "6", 2)):
         assert run_cli(["check-axioms", "--genus", genus,
                         "--max-word-len", length], capsys)[0] == code
+
+
+def test_check_axioms_sample_limit(monkeypatch, capsys):
+    from sftstring import cli
+    from sftstring.reports import CheckReport
+    seen = []
+    monkeypatch.setattr(cli, "check_string_identities",
+                        lambda *a, **k: CheckReport("identities"))
+    monkeypatch.setattr(cli, "check_goldman_turaev_axioms",
+                        lambda *a, **k: seen.append(k["pairs"])
+                        or CheckReport("axioms"))
+    assert cli.MAX_AXIOM_SAMPLES == 1_000
+    for samples, code in (("1000", 0), ("1001", 2), ("100000", 2)):
+        assert run_cli(["check-axioms", "--genus", "2",
+                        "--samples", samples], capsys)[0] == code
+    assert seen == [1_000]
+
+
+def test_check_axioms_rejects_caps_it_does_not_use(capsys):
+    for flag in ("--max-p-degree", "--max-hbar", "--min-hbar"):
+        code, out, err = run_cli(["check-axioms", "--genus", "2",
+                                  flag, "3"], capsys)
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: %s 3" % flag in err
 
 
 def test_explicit_zero_options_are_honoured(capsys):

@@ -243,6 +243,43 @@ def test_classes_up_to(genus2):
     assert len(set(pool)) == len(pool)
 
 
+def _cyclically_reduced_words(S, max_len):
+    """Every cyclically reduced word of length 1 .. max_len, each
+    rotation on its own."""
+    letters = [x for a in range(1, S.rank + 1) for x in (a, -a)]
+    words = [()]
+    for _ in range(max_len):
+        words = [w + (x,) for w in words for x in letters
+                 if not w or x != -w[-1]]
+        yield from (w for w in words if len(w) == 1 or w[0] != -w[-1])
+
+
+def _classes_up_to_reference(S, max_len):
+    """Brute-force oracle: canonicalize every cyclically reduced word."""
+    found = {S.canonical_class(w) for w in _cyclically_reduced_words(S, max_len)}
+    found.discard(None)
+    return sorted(found, key=surfaces._shortlex_key)
+
+
+@pytest.mark.parametrize("genus,boundary,cap", [
+    (2, 0, 6), (3, 0, 5), (2, 1, 5), (1, 2, 5), (0, 3, 6), (1, 0, 5)])
+def test_classes_up_to_matches_brute_force(genus, boundary, cap):
+    assert Surface(genus, boundary).classes_up_to(cap) == \
+        _classes_up_to_reference(Surface(genus, boundary), cap)
+
+
+def test_canonical_class_is_rotation_invariant():
+    # classes_up_to canonicalizes one rotation per cyclic word
+    S = Surface(2, 0)
+    checked = 0
+    for w in _cyclically_reduced_words(S, 5):
+        c = S.canonical_class(w)
+        for k in range(1, len(w)):
+            assert S.canonical_class(w[k:] + w[:k]) == c, w
+        checked += 1
+    assert checked == 19_624  # sum over n <= 5 of 7^n + 1 + 3 (1 + (-1)^n)
+
+
 def test_canonicalization_independence_of_rotation(genus2):
     # bracket/cobracket only depend on the class, not the spelling
     x1 = parse_word("a1 a2 A1 A2", genus2)
@@ -371,10 +408,11 @@ def test_canonical_ray_rejects_backtracking(genus2):
 
 @pytest.mark.parametrize("genus", [2, 3])
 def test_ray_prefix_stable_under_deeper_window(genus):
-    # one cached ray per strand is sliced for shallower requests
+    # rays are first built to _RAY_PREFIX, and one cached ray per strand
+    # is sliced for shallower requests
     S = Surface(genus, 0)
     long_rays = [S.canonical_ray(b) for b in _strand_windows(S, 700)]
-    for depth in (40, 250):
+    for depth in (surfaces._RAY_PREFIX, 40, 250):
         short = _strand_windows(S, depth + RAY_SLACK[genus])
         for a, b in zip(short, long_rays):
             assert S.canonical_ray(a)[:depth] == b[:depth]
@@ -393,16 +431,48 @@ def test_crossing_prefix_first_matches_full_depth(genus2, monkeypatch):
     _forget_rays_and_tables(genus2)
 
 
+def _expected_ray_depths(pairs):
+    """Depth of the cached rays of each strand after goldman_terms on
+    `pairs`: the prefix depth for every strand of a canonical occurrence
+    pair, the pair's full depth for both strands when the four prefix
+    keys tie; the deepest request wins.  Keys are built afresh."""
+    fresh = Surface(2, 0)
+    want = {}
+    for w1, w2 in pairs:
+        depth = fresh._depth(w1, w2)
+        cut = min(depth, surfaces._RAY_PREFIX)
+        canon = {fresh._pair_canonical(w1, i, w2, j)
+                 for i in range(len(w1)) for j in range(len(w2))
+                 if w1 != w2 or i != j}
+        for i, j in canon - {None}:
+            keys = []
+            for w, k in ((w1, i), (w2, j)):
+                fresh._ray_cache.clear()
+                keys += fresh._strand_rays(w, k, cut)
+            need = depth if len(set(keys)) < 4 else cut
+            for strand in ((w1, i), (w2, j)):
+                want[strand] = max(want.get(strand, 0), need)
+    return want
+
+
 def test_ray_cache_holds_one_entry_per_strand():
+    # rays are built to the prefix depth, and to the full depth only for
+    # the strands of a pair whose prefixes tie
     S = Surface(2, 0)
     x, y, z = (S.class_of(t) for t in ("a1 b2", "b1", "a1 a2 b1 b2 a2"))
-    S.goldman_terms(x, y)  # x's strands at a shallow depth
-    S.goldman_terms(x, z)  # ... then at a deeper one
-    S.goldman_terms(x, y)  # served by slicing
-    assert sorted(S._ray_cache) == sorted(
-        (w, i) for w in (x, y, z) for i in range(len(w)))
-    assert {len(S._ray_cache[(x, i)][0]) for i in range(len(x))} == \
-        {S._depth(x, z)}
+    tied = [S.canonical_class((1,) * 17 + (t,)) for t in (2, -2, 3, -3)]
+    pairs = [(x, y), (x, z)] + list(itertools.combinations(tied, 2))
+    for a, b in pairs:
+        S.goldman_terms(a, b)
+    want = _expected_ray_depths(pairs)
+    assert {strand: (len(f), len(p)) for strand, (f, p) in S._ray_cache.items()} \
+        == {strand: (d, d) for strand, d in want.items()}
+    assert sorted(strand for strand in want if strand[0] in (x, y, z)) == \
+        sorted((w, i) for w in (x, y, z) for i in range(len(w)))
+    assert {want[(w, i)] for w in (x, y, z) for i in range(len(w))} == \
+        {surfaces._RAY_PREFIX}
+    full = {d for (w, _), d in want.items() if w in tied} - {surfaces._RAY_PREFIX}
+    assert full and full <= {S._depth(a, b) for a, b in pairs[2:]}
 
 
 def test_ray_keys_are_bytes_up_to_rank_128():
