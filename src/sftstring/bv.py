@@ -356,6 +356,9 @@ class Augmentation(LinearMap):
         super().__init__(spec, table, 0)
         # e^beta of each h-free monomial, filled on first use
         self._exp_memo: Dict[Monomial, GradedSeries] = {}
+        # (Phi, Phi^-1) of twist_by_augmentation per target spec, keyed
+        # on all they read of it: symbols, word_cap, hbar_cap and n
+        self._phi_memo: Dict[tuple, Tuple[LinearMap, LinearMap]] = {}
 
     def exp(self, element: GradedSeries) -> GradedSeries:
         out: Dict[Monomial, Fraction] = {}
@@ -454,12 +457,41 @@ def twist_by_augmentation(D: BvOperator, beta: Augmentation,
     same signed term, and their weights 1/(l!(k-l)!) add up to 1.  The
     twisted operator has no constant terms; that is checked and enforced
     here.
+
+    Phi and Phi^(-1) depend on beta and on D.spec alone (its symbols,
+    word_cap, hbar_cap and n), not on D, so they are built once per
+    such spec and memoized on beta: a later twist by the same beta
+    returns the same two maps, with tables equal, in the same order,
+    to a fresh build.
     """
     spec = D.spec
     if validate:
         rep = check_augmentation(beta, D)
         if not rep.passed:
             raise BvError("not an augmentation: %s" % rep.witnesses[:1])
+    key = (tuple(spec.symbols), spec.word_cap, spec.hbar_cap, spec.n)
+    maps = beta._phi_memo.get(key)
+    if maps is None:
+        maps = beta._phi_memo[key] = _phi_maps(spec, beta)
+    Phi, PhiInv = maps
+    twisted = {m: Phi.apply(D.apply(PhiInv.value(m))) for m in Phi.table}
+    Dbeta = BvOperator(spec, twisted)
+    if validate:
+        reliable = spec.word_cap - operator_growth(D)
+        for m, v in Dbeta.table.items():
+            if q_degree(m) > reliable:
+                continue
+            for mono, c in v.terms.items():
+                rest, _h = split_h(mono)
+                if not rest:
+                    raise BvError("twisted operator has constant term %s on %s"
+                                  % (c, format_monomial(m)))
+    return Phi, PhiInv, Dbeta
+
+
+def _phi_maps(spec: FreeAlgebraSpec, beta: Augmentation
+              ) -> Tuple[LinearMap, LinearMap]:
+    """Phi and its Neumann inverse on the basis monomials of spec."""
     table: Dict[Monomial, GradedSeries] = {}
     for m in spec.basis_monomials():
         units = units_of(m)
@@ -490,20 +522,7 @@ def twist_by_augmentation(D: BvOperator, beta: Augmentation,
                 break
             add_terms(acc, term.terms)
         inv_table[m] = GradedSeries.from_terms(acc)
-    PhiInv = LinearMap(spec, inv_table, 0)
-    twisted = {m: Phi.apply(D.apply(PhiInv.value(m))) for m in table}
-    Dbeta = BvOperator(spec, twisted)
-    if validate:
-        reliable = spec.word_cap - operator_growth(D)
-        for m, v in Dbeta.table.items():
-            if q_degree(m) > reliable:
-                continue
-            for mono, c in v.terms.items():
-                rest, _h = split_h(mono)
-                if not rest:
-                    raise BvError("twisted operator has constant term %s on %s"
-                                  % (c, format_monomial(m)))
-    return Phi, PhiInv, Dbeta
+    return Phi, LinearMap(spec, inv_table, 0)
 
 
 # ---------------------------------------------------------------------

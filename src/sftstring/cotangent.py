@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -55,11 +56,10 @@ from .surfaces import Surface, Word, format_word, inverse_word
 from .weyl import (
     Orbit,
     OrbitSystem,
+    act_left,
     act_right,
     check_master_h,
     exp_series,
-    project_out,
-    star,
 )
 
 _WIDE = TruncationContext(max_p_degree=32, max_hbar=16, min_hbar=-4,
@@ -131,6 +131,14 @@ class GeodesicAlphabet:
 
     def iterated(self) -> List[Word]:
         return [w for w in self.classes if self.surface.multiplicity(w) > 1]
+
+    @cached_property
+    def filling(self) -> Tuple[FreeAlgebraSpec, Augmentation]:
+        """The fit spec and the augmentation beta of the potential F,
+        built on first use; the Hamiltonian fit and the intertwining
+        check twist by this one beta, so its memos serve both."""
+        spec = _fit_spec(self)
+        return spec, filling_augmentation(self, build_F(self), spec)
 
 
 def close_alphabet(surface: Surface, seeds: Sequence[Word], cap: int,
@@ -299,9 +307,7 @@ def build_H_surface(alphabet: GeodesicAlphabet,
         notes.append("alphabet contains iterated classes: %s"
                      % ", ".join(format_word(w, S) for w in iterated))
 
-    spec = _fit_spec(alphabet)
-    F = build_F(alphabet)
-    beta = filling_augmentation(alphabet, F, spec)
+    spec, beta = alphabet.filling
 
     # -- a-family: cobracket constants through the quadratic part -------
     a: Dict[tuple, Fraction] = {}
@@ -480,6 +486,12 @@ def check_surface_master(H: SurfaceHamiltonian,
     The d-family never multiplies a q-variable of the alphabet (its
     classes only split off short classes), so H * H alone cannot see it;
     the filling potential pins it down.
+
+    The filling equation keeps the q-free part of e^F * H.  e^F holds
+    only p and h, so a term of e^F * H is q-free exactly when every q
+    of H contracts, and that part is act_left(e^F, H): the same terms
+    with the same coefficients, without building the q-carrying terms
+    the projection would drop.
     """
     if ctx is None:
         ctx = TruncationContext(max_p_degree=4, max_hbar=3, min_hbar=-1,
@@ -491,7 +503,7 @@ def check_surface_master(H: SurfaceHamiltonian,
         F = build_F(H.alphabet)
         wide = ctx.widen(extra_low=ctx.max_p_degree // 2 + 2)
         eF = exp_series(F, H.sys, wide)
-        filling = project_out(star(eF, H.series, H.sys, wide), kinds=(KIND_Q,))
+        filling = act_left(eF, H.series, H.sys, wide)
         for mono, cc in filling.iter_terms():
             report.add_witness("filling: " + format_monomial(mono), cc)
     return report
@@ -507,9 +519,7 @@ def check_psi_intertwining(H: SurfaceHamiltonian,
         if cap is None:
             cap = max(len(w) for w in alphabet.classes)
         cob, br = surface_structure_constants(alphabet, cap)
-        spec = _fit_spec(alphabet)
-        F = build_F(alphabet)
-        beta = filling_augmentation(alphabet, F, spec)
+        spec, beta = alphabet.filling
         D = bv_from_hamiltonian(alphabet.sys, H.series,
                                 word_cap=spec.word_cap, hbar_cap=spec.hbar_cap)
         _Phi, _PhiInv, Dbeta = twist_by_augmentation(D, beta)

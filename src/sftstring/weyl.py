@@ -43,6 +43,7 @@ from .algebra import (
     format_monomial,
     hbar_exponent,
     merge_words,
+    monomial_degree,
     split_h,
 )
 from .reports import CheckReport, series_witnesses, timed
@@ -171,9 +172,18 @@ def _contract(a: GradedSeries, b: GradedSeries, sys: OrbitSystem,
     r; KIND_P contracts all of each p^a of the left factor (r = a),
     KIND_Q all of each q^b of the right factor (r = b), and a pair of
     monomials where one of those orbits cannot be fully contracted is
-    skipped."""
+    skipped.
+
+    The square of a series whose every term has odd degree skips the
+    choice in which nothing contracts: that part is the graded-
+    commutative square, and it cancels term by term (m_i m_j =
+    -m_j m_i at the same h and p-degree, and m_i m_i has an odd symbol
+    twice), so no coefficient and no TruncationUnderflow depends on it.
+    """
     left = [(_factor(m), c) for m, c in a.terms.items()]
     right = left if b is a else [(_factor(m), c) for m, c in b.terms.items()]
+    odd_square = b is a and full is None and \
+        all(monomial_degree(m) & 1 for m in a.terms)
     max_h, min_h, max_p = ctx.max_hbar, ctx.min_hbar, ctx.max_p_degree
     hbar = sys.hbar
     acc: Dict[Monomial, Fraction] = {}
@@ -184,6 +194,8 @@ def _contract(a: GradedSeries, b: GradedSeries, sys: OrbitSystem,
                 continue
             if full is None:
                 orbits = [o for o in pmap if o in qmap] if qmap else ()
+                if odd_square and not orbits:
+                    continue
             else:
                 orbits, other = (pmap, qmap) if full == KIND_P else (qmap, pmap)
                 if any(o not in other or other[o][1] < entry[1]
@@ -208,6 +220,8 @@ def _contract(a: GradedSeries, b: GradedSeries, sys: OrbitSystem,
                         odd += 1
                     cuts1.append((k1, r))
                     cuts2.append((k2, r))
+                if odd_square and not total:
+                    continue
                 h = h0 + total
                 if h > max_h or (p1 + p2 - total > max_p and h >= min_h):
                     continue
@@ -350,15 +364,25 @@ def _caps_dict(ctx: TruncationContext) -> dict:
 
 def check_master_h(H: GradedSeries, sys: OrbitSystem,
                    ctx: TruncationContext) -> CheckReport:
-    """Verify H * H = 0 within the truncation window."""
+    """Verify H * H = 0 within the truncation window.
+
+    When every term of H has odd degree (as it must, at degree -1),
+    star skips the uncontracted part of H * H: it is the graded-
+    commutative square, where m_i m_j = -m_j m_i at the same h and
+    p-degree and m_i m_i holds an odd symbol twice, so it is zero term
+    by term and leaves the square, its witnesses and any
+    TruncationUnderflow exactly as the full product would.
+    """
     report = CheckReport("master-equation H*H = 0", caps=_caps_dict(ctx))
     with timed(report):
         for m in H.terms:
             if hbar_exponent(m) < -1:
                 report.notes.append("input not in (1/h)W: %s" % format_monomial(m))
-        deg = H.homogeneous_degree()
-        if H and deg != -1:
-            report.notes.append("input degree is %s, not -1" % (deg,))
+        degs = sorted({monomial_degree(m) for m in H.terms})
+        if degs and degs != [-1]:
+            found = str(degs[0]) if len(degs) == 1 else \
+                "mixed (%s)" % ", ".join(map(str, degs))
+            report.notes.append("input degree is %s, not -1" % found)
         wide = ctx.widen(extra_low=abs(ctx.min_hbar) + 1)
         square = star(H, H, sys, wide)
         if not square.is_zero():
@@ -424,6 +448,9 @@ def check_master_chain(H: GradedSeries, coeff_boundary,
 
     coeff_boundary is either a mapping {string symbol: GradedSeries} or
     a callable (series, ctx) -> series already extended to monomials.
+    H * H skips its uncontracted part when every term of H has odd
+    degree, odd or even s[...] symbols included: that part is the
+    graded-commutative square, zero term by term (see check_master_h).
     """
     report = CheckReport("chain-level master equation dH + (1/2)H*H = 0",
                          caps=_caps_dict(ctx))

@@ -2,17 +2,23 @@ import random
 
 import pytest
 
+from sftstring.algebra import KIND_Q, TruncationContext
+from sftstring.bv import bv_from_hamiltonian, twist_by_augmentation
 from sftstring.cotangent import (
     AlphabetError,
     GeodesicAlphabet,
+    _assemble,
+    _fit_spec,
     build_F,
     build_H_surface,
     check_psi_intertwining,
     check_surface_master,
     close_alphabet,
+    filling_augmentation,
     surface_structure_constants,
 )
 from sftstring.surfaces import Surface, parse_word
+from sftstring.weyl import act_left, exp_series, project_out, star
 
 ALPHABET_WORDS = ["a1 a2 A1 A2", "a1 A2 A1 a2", "a1", "A1", "a2", "A2",
                   "a1 a2", "A1 A2"]
@@ -131,3 +137,59 @@ def test_iterated_classes_are_flagged(genus2):
     H = build_H_surface(alpha)
     assert any("iterated" in n for n in H.notes)
     assert check_surface_master(H).passed
+
+
+def _single_flips(H):
+    return [H.flipped(fam, key) for fam, entries in H.coefficients().items()
+            for key, val in entries.items() if val]
+
+
+def test_filling_action_equals_projected_star(alphabet, hamiltonian):
+    # check_surface_master's filling equation: e^F is p-only, so the
+    # q-free part of e^F * H is the right action of H on e^F
+    ctx = TruncationContext(max_p_degree=4, max_hbar=3, min_hbar=-1,
+                            max_word_length=0)
+    wide = ctx.widen(extra_low=ctx.max_p_degree // 2 + 2)
+    sys = alphabet.sys
+    eF = exp_series(build_F(alphabet), sys, wide)
+    flips = _single_flips(hamiltonian)
+    assert len(flips) == 26
+    nonzero = 0
+    for H in [hamiltonian] + flips:
+        got = act_left(eF, H.series, sys, wide)
+        assert got == project_out(star(eF, H.series, sys, wide), kinds=(KIND_Q,))
+        nonzero += bool(got)
+    assert nonzero >= 5
+
+
+def _tables(maps):
+    return [[(m, list(v.terms.items())) for m, v in op.table.items()]
+            for op in maps]
+
+
+def test_twist_memo_matches_a_fresh_beta(alphabet, hamiltonian):
+    # build_H_surface twists the partial H (a- and d-families) and
+    # check_psi_intertwining the full H, both by the alphabet's beta
+    spec = _fit_spec(alphabet)
+    F = build_F(alphabet)
+    partial = _assemble(alphabet, hamiltonian.a, {}, {}, hamiltonian.d)
+
+    def twist(series, beta, validate, word_cap=spec.word_cap,
+              hbar_cap=spec.hbar_cap):
+        D = bv_from_hamiltonian(alphabet.sys, series, word_cap=word_cap,
+                                hbar_cap=hbar_cap)
+        return twist_by_augmentation(D, beta, validate=validate)
+
+    warm = filling_augmentation(alphabet, F, spec)
+    first = twist(partial, warm, False)
+    for series, validate in ((partial, False), (hamiltonian.series, True)):
+        got = twist(series, warm, validate)
+        assert got[0] is first[0] and got[1] is first[1]
+        fresh = twist(series, filling_augmentation(alphabet, F, spec), validate)
+        assert _tables(got) == _tables(fresh)
+    for caps in ({"word_cap": 3}, {"hbar_cap": 2}):
+        got = twist(hamiltonian.series, warm, False, **caps)
+        assert got[0] is not first[0] and got[1] is not first[1]
+        fresh = twist(hamiltonian.series,
+                      filling_augmentation(alphabet, F, spec), False, **caps)
+        assert _tables(got) == _tables(fresh)

@@ -15,6 +15,7 @@ from sftstring.algebra import (
     collect,
     hbar_exponent,
     merge_words,
+    monomial_degree,
     split_h,
     standard_form,
     units_of,
@@ -193,18 +194,22 @@ def _apply_matching(u1, u2, hpow, matching, coeff, sys, acc):
     acc[mono] = acc.get(mono, Fraction(0)) + coeff * sign * sgn
 
 
+def _criterion_1_systems():
+    return [
+        OrbitSystem(2, [Orbit("g%d" % i, 0, 1 + i % 2) for i in range(1, 5)]),
+        OrbitSystem(3, [Orbit("g%d" % i, i % 3, 1) for i in range(1, 4)]),
+        OrbitSystem(4, [Orbit("g%d" % i, (i * 2) % 5, 1 + i % 3)
+                        for i in range(1, 5)]),
+    ]
+
+
 def test_star_matches_matchings_on_criterion_1_triples():
     # the generator, seed, systems and caps of acceptance criterion 1
     from test_acceptance import _random_series
     ctx = TruncationContext(max_p_degree=4, max_hbar=4, min_hbar=-1,
                             max_word_length=0)
     rng = random.Random(20260810)
-    systems = [
-        OrbitSystem(2, [Orbit("g%d" % i, 0, 1 + i % 2) for i in range(1, 5)]),
-        OrbitSystem(3, [Orbit("g%d" % i, i % 3, 1) for i in range(1, 4)]),
-        OrbitSystem(4, [Orbit("g%d" % i, (i * 2) % 5, 1 + i % 3)
-                        for i in range(1, 5)]),
-    ]
+    systems = _criterion_1_systems()
     for trial in range(500):
         sys = systems[trial % len(systems)]
         a, b, c = (_random_series(rng, sys) for _ in range(3))
@@ -548,6 +553,16 @@ def test_check_master_h_cross_contraction_fails():
     assert report.witnesses
 
 
+def test_check_master_h_names_mixed_input_degrees():
+    # |q| = -1 and |q p| = -2 on one n = 2 orbit
+    sys = odd_system(1)
+    H = sys.series_q("g1") + sys.monomial(1, qs=["g1"], ps=["g1"])
+    report = check_master_h(H, sys, CTX)
+    assert "input degree is mixed (-2, -1), not -1" in report.notes
+    report = check_master_h(sys.monomial(1, qs=["g1"], ps=["g1"]), sys, CTX)
+    assert "input degree is -2, not -1" in report.notes
+
+
 def test_check_master_f_trivial_and_derivative_of_constant():
     sys = OrbitSystem(2, [Orbit("a", 0, 1, side="pos"), Orbit("b", 0, 1, side="neg")])
     zero = GradedSeries.zero()
@@ -727,3 +742,48 @@ def test_symbol_keys_survive_pickling_across_hash_seeds():
         out = subprocess.run([sys.executable, "-c", probe], input=table,
                              capture_output=True, env=env, timeout=60)
         assert out.stdout.split() == [b"1", b"2"], out.stderr
+
+
+_EVEN_S = GradedSymbol("s[2]", 2, KIND_S, None, 1)
+_SQUARE_WINDOWS = [
+    CTX,
+    TruncationContext(max_p_degree=2, max_hbar=1, min_hbar=-1, max_word_length=1),
+    TruncationContext(max_p_degree=1, max_hbar=0, min_hbar=0, max_word_length=2),
+]
+
+
+def _square_series(rng, sys, parity):
+    """Four terms whose total degree has the given parity ("odd",
+    "even", or "mixed" for any), some carrying odd or even s[...]
+    symbols and h^-1 .. h^1."""
+    out = GradedSeries.zero()
+    while len(out.terms) < 4:
+        entries = [(s, 1) for s in (_ODD_S, _EVEN_S) if rng.random() < 0.3]
+        for o in sys.q:
+            entries += [(v, 1) for v in (sys.q[o], sys.p[o]) if rng.random() < 0.35]
+        entries.append((sys.hbar, rng.randrange(-1, 2)))
+        term = GradedSeries.from_word(
+            entries, Fraction(rng.choice([-3, -1, 1, 2]), rng.randrange(1, 3)))
+        degrees = {monomial_degree(m) % 2 for m in term.terms}
+        if parity == "mixed" or degrees == {parity == "odd"}:
+            out = out + term
+    return out
+
+
+@pytest.mark.parametrize("parity", ["odd", "even", "mixed"])
+def test_square_equals_product_with_a_copy(parity):
+    # star(H, H) skips the uncontracted part only for an odd H; a
+    # distinct copy always takes the full enumeration
+    rng = random.Random(4242)
+    systems = _criterion_1_systems()
+    nonzero = underflow = 0
+    for trial in range(120):
+        sys = systems[trial % len(systems)]
+        H = _square_series(rng, sys, parity)
+        copy = GradedSeries.from_terms(dict(H.terms))
+        for ctx in _SQUARE_WINDOWS:
+            got = _outcome_of(star, H, H, sys, ctx)
+            assert got == _outcome_of(star, H, copy, sys, ctx), (trial, ctx)
+            nonzero += got != "underflow" and bool(got)
+            underflow += got == "underflow"
+    assert nonzero >= 50 and underflow >= 10
