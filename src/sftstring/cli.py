@@ -28,7 +28,6 @@ from .weyl import ExponentialError, check_master_f, check_master_h
 from .cotangent import (
     AlphabetError,
     GeodesicAlphabet,
-    build_F,
     build_H_surface,
     check_psi_intertwining,
     check_surface_master,
@@ -295,7 +294,7 @@ def cmd_build_h(args) -> Output:
                       surface=pf.surface, surface_params=pf.surface_params,
                       classes=dict(pf.classes),
                       class_order=list(pf.class_order))
-    out.series["F"] = build_F(alphabet)
+    out.series["F"] = alphabet.F
     out.series["H"] = H.series
     out.series_order = ["F", "H"]
     text = print_problem(out)

@@ -80,6 +80,8 @@ class GeodesicAlphabet:
     names: Dict[Word, str]
     sys: OrbitSystem = field(init=False)
     partner: Dict[Word, Word] = field(init=False)
+    _exp_F: Dict[TruncationContext, GradedSeries] = field(
+        init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set(self.classes)
@@ -133,12 +135,24 @@ class GeodesicAlphabet:
         return [w for w in self.classes if self.surface.multiplicity(w) > 1]
 
     @cached_property
+    def F(self) -> GradedSeries:
+        """The cobordism potential `build_F`, built on first use."""
+        return build_F(self)
+
+    def exp_F(self, ctx: TruncationContext) -> GradedSeries:
+        """e^F in the window ctx, built once per window: the sign flips
+        of one Hamiltonian share their alphabet, and so this series."""
+        if ctx not in self._exp_F:
+            self._exp_F[ctx] = exp_series(self.F, self.sys, ctx)
+        return self._exp_F[ctx]
+
+    @cached_property
     def filling(self) -> Tuple[FreeAlgebraSpec, Augmentation]:
         """The fit spec and the augmentation beta of the potential F,
         built on first use; the Hamiltonian fit and the intertwining
         check twist by this one beta, so its memos serve both."""
         spec = _fit_spec(self)
-        return spec, filling_augmentation(self, build_F(self), spec)
+        return spec, filling_augmentation(self, self.F, spec)
 
 
 def close_alphabet(surface: Surface, seeds: Sequence[Word], cap: int,
@@ -500,10 +514,8 @@ def check_surface_master(H: SurfaceHamiltonian,
     report.name = "surface Hamiltonian master equation"
     report.notes.extend(H.notes)
     with timed(report):
-        F = build_F(H.alphabet)
         wide = ctx.widen(extra_low=ctx.max_p_degree // 2 + 2)
-        eF = exp_series(F, H.sys, wide)
-        filling = act_left(eF, H.series, H.sys, wide)
+        filling = act_left(H.alphabet.exp_F(wide), H.series, H.sys, wide)
         for mono, cc in filling.iter_terms():
             report.add_witness("filling: " + format_monomial(mono), cc)
     return report

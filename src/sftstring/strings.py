@@ -27,7 +27,6 @@ from .algebra import (
     TruncationContext,
     add_terms,
     collect,
-    format_monomial,
     hbar_exponent,
     monomial_degree,
     mul,
@@ -37,7 +36,15 @@ from .algebra import (
 )
 from .reports import CheckReport, series_witnesses, timed
 from .surfaces import Surface, Word, format_word, parse_word
-from .weyl import FILLING_KILL, OrbitSystem, exp_series, project_out, star
+from .weyl import (
+    FILLING_KILL,
+    OrbitSystem,
+    _caps_dict,
+    exp_series,
+    project_out,
+    reject_scalar_term,
+    star,
+)
 
 
 class ClassAlgebra:
@@ -321,16 +328,10 @@ def check_master_l(L: GradedSeries, Hplus: GradedSeries, Hminus: GradedSeries,
                    ctx: TruncationContext, boundary=None) -> CheckReport:
     """Verify (d + split + h*join) e^L = e^L <-H+  -  H-> e^L."""
     report = CheckReport("master equation with Lagrangian boundary",
-                         caps={"max_p_degree": ctx.max_p_degree,
-                               "max_hbar": ctx.max_hbar,
-                               "min_hbar": ctx.min_hbar,
-                               "max_word_length": ctx.max_word_length})
+                         caps=_caps_dict(ctx))
     with timed(report):
-        for m, c in L.terms.items():
-            if all(s.kind == "h" for s, _ in m) and hbar_exponent(m) <= 0:
-                report.add_witness(format_monomial(m), c)
-                report.notes.append("pure scalar term with h exponent <= 0 rejected")
-                return report
+        if reject_scalar_term(L, report):
+            return report
         wide = ctx.widen(extra_low=ctx.max_p_degree + ctx.max_word_length + 2)
         eL = exp_series(L, sys, wide)
         lhs = d_string(eL, alg, sys, wide, boundary)

@@ -9,7 +9,8 @@ curves are detected by comparing, in that order, the infinite reduced
 extensions of the four strands leaving a pair of occurrences.  Words on
 closed surfaces are kept Dehn-reduced, and rays are canonicalized by
 pushing every exact-half-relator strip to its rightmost route, which
-makes the first divergence of two rays decide their boundary order.
+makes the first divergence of two rays decide their boundary order; a
+ray's key is eventually periodic, so a proven linear depth decides it.
 
 The closed torus has no hyperbolic combinatorics; it runs in lattice
 mode where a class is its homology vector and the bracket is the
@@ -23,9 +24,6 @@ from operator import getitem
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Word = Tuple[int, ...]
-
-# Rays are first built and compared to this depth (see Surface._crossing).
-_RAY_PREFIX = 16
 
 
 class SurfaceError(ValueError):
@@ -383,9 +381,6 @@ class Surface:
         s = start % n
         return list((w * ((s + length) // n + 1))[s:s + length])
 
-    def _past_ray(self, w: Word, start: int, length: int) -> List[int]:
-        return self._periodic(inverse_word(w), -start, length)
-
     def canonical_ray(self, letters: List[int]) -> List[int]:
         """Push every exact-half strip to the rightmost route.
 
@@ -426,29 +421,54 @@ class Surface:
             raise SurfaceError("zero turn (backtracking ray)")
         return out
 
-    def _strand_rays(self, w: Word, i: int, depth: int) -> Tuple[bytes, bytes]:
-        """Boundary-order keys of the future and past rays of a strand,
-        at least `depth` long; only the first `depth` entries count.
+    def _key_start(self, n: int) -> int:
+        # T: the strand keys of an n-letter word repeat from entry T on
+        return n + self.half - 2 if self.closed else 1
 
-        The key of a ray from the vertex is (rank of the first
-        direction, then the turn at each later vertex); rays compare in
-        counterclockwise boundary order by lexicographic key, and two
-        rays from the vertex with equal keys trace the same line.  One
-        pair of keys is cached per strand, at the deepest depth asked
-        for so far, and sliced for shallower requests: this relies on a
-        deeper window leaving the prefix of a canonical ray unchanged,
-        which tests/test_surfaces.py checks at depth `_RAY_PREFIX` and
-        deeper.
+    def _ray_slack(self, n: int) -> int:
+        # letters a strand window needs past its last exact key entry
+        return n + self.half if self.closed else 0
+
+    def _strand_rays(self, w: Word, i: int) -> Tuple[bytes, bytes]:
+        """Keys of the future and past rays of a strand, cut to their
+        first T + |w| entries, every one exact; built once per strand.
+
+        A key is the rank of the first direction, then the turn at each
+        later vertex; keys order rays counterclockwise, and equal keys
+        trace the same line.  Let n = |w|: the input key has period n
+        from entry 1, and open surfaces rewrite nothing.  On closed ones
+        let X be the sharpest left and m = h - 1.  By the corner gluing,
+        pushing a strip X^m at entries j >= 1 right maps a X^m b to
+        (a+1) 1^m (b+1), once b is in the window.  Leftmost first, a new
+        last entry q triggers at most the trailing X^m, and the raised
+        entries cascade left only up rungs X^(m-1) (X-1): the output
+        moves only in its longest suffix u = (X^(m-1) (X-1))^k X^r,
+        r <= m, and the entry before it; u never starts earlier.  (A
+        turn raised to 0 raises an error.)
+
+        Slack.  Past its first entry u is input since the last trigger,
+        so u less its end entries has period n, and period m with one
+        X-1 in any m entries.  If |u| > n + m, Fine-Wilf (1965: length
+        p + q - gcd(p, q) and periods p, q give period gcd(p, q)) makes
+        that gcd(n, m) = m: the input is rungs for good, and nothing
+        moves again.  Else N letters fix the first N - n - h entries.
+
+        Period.  The first trigger is at the first input strip, so
+        q <= n + m (with no strip, the key is the input).  It leaves
+        entries q - 1, q at 1, k[q] + 1 and no later cascade reaches
+        before q - 1, so what follows depends on q mod n only.  The strip
+        ending at q + n - 1 is intact when reached (else an X rose to 0),
+        so the key has period n from entry q - 1 <= n + h - 2 = T.
         """
         hit = self._ray_cache.get((w, i))
-        if hit is not None and len(hit[0]) >= depth:
-            return hit
-        window = depth + (4 * self.half + 8 if self.closed else 0)
-        fut = self.canonical_ray(self._periodic(w, i, window))[:depth]
-        past = self.canonical_ray(self._past_ray(w, i, window))[:depth]
-        out = (self._ray_key(fut), self._ray_key(past))
-        self._ray_cache[(w, i)] = out
-        return out
+        if hit is None:
+            size = self._key_start(len(w)) + len(w)
+            window = size + self._ray_slack(len(w))
+            hit = self._ray_cache[(w, i)] = tuple(
+                self._ray_key(self.canonical_ray(letters)[:size])
+                for letters in (self._periodic(w, i, window),
+                                self._periodic(inverse_word(w), -i, window)))
+        return hit
 
     def _ray_key(self, ray) -> bytes:
         # every entry is below n_dirs <= 256, so bytes order as tuples do
@@ -484,61 +504,38 @@ class Surface:
             else:
                 return (i, j)
 
-    def _crossing(self, w1: Word, i: int, w2: Word, j: int, depth: int) -> int:
-        """Sign of the transverse crossing of two axes for a canonical
-        occurrence pair, 0 when unlinked or tangential.
-
-        The four rays are built and ordered on a short prefix first:
-        distinct prefixes already fix the order of the keys cut at
-        `depth`, so the rays are built to full depth only when two
-        prefixes tie."""
-        cut = min(depth, _RAY_PREFIX)
-        f1, p1 = self._strand_rays(w1, i, cut)
-        f2, p2 = self._strand_rays(w2, j, cut)
-        keys = (f1[:cut], p1[:cut], f2[:cut], p2[:cut])
-        if len(set(keys)) < 4:
-            f1, p1 = self._strand_rays(w1, i, depth)
-            f2, p2 = self._strand_rays(w2, j, depth)
-            keys = (f1[:depth], p1[:depth], f2[:depth], p2[:depth])
-            if len(set(keys)) < 4:
-                return 0
-        # rays 0, 1, 2, 3 = future 1, past 1, future 2, past 2
-        order = sorted(range(4), key=keys.__getitem__)
-        k0 = order.index(0)
-        cyc = order[k0:] + order[:k0]
-        if cyc == [0, 2, 1, 3]:
-            return 1
-        if cyc == [0, 3, 1, 2]:
-            return -1
-        return 0
-
-    def _depth(self, *words: Word) -> int:
-        prod = 1
-        for w in words:
-            prod *= len(w)
-        edges = self.half if self.closed else self.rank
-        return 2 * prod + 6 * sum(len(w) for w in words) + 12 * edges + 32
+    @staticmethod
+    def _crossing(f1: bytes, p1: bytes, f2: bytes, p2: bytes) -> int:
+        """Crossing sign from the ray keys of a canonical occurrence pair:
+        +1 for the cyclic order f1 f2 p1 p2, -1 for f1 p2 p1 f2, else 0."""
+        if len({f1, p1, f2, p2}) < 4:
+            return 0
+        lo, hi = (f1, p1) if f1 < p1 else (p1, f1)
+        inside = lo < f2 < hi
+        if inside == (lo < p2 < hi):
+            return 0
+        return 1 if inside == (f1 < p1) else -1
 
     def _linked_pairs(self, w1: Word, w2: Word) -> List[Tuple[int, int, int]]:
         """Canonical linked occurrence pairs (i, j, sign) of two strand
         families; for w1 == w2 this enumerates ordered pairs of distinct
-        phases, so every self-intersection appears with both orderings."""
-        depth = self._depth(w1, w2)
-        self_pairs = w1 == w2
-        canon = set()
-        for i in range(len(w1)):
-            for j in range(len(w2)):
-                if self_pairs and i == j:
-                    continue
-                cp = self._pair_canonical(w1, i, w2, j)
-                if cp is not None:
-                    canon.add(cp)
-        out = []
-        for i, j in sorted(canon):
-            eps = self._crossing(w1, i, w2, j, depth)
-            if eps:
-                out.append((i, j, eps))
-        return out
+        phases, so every self-intersection appears with both orderings.
+
+        Keys with periods p, q from entry T that agree on
+        T + p + q - gcd(p, q) entries agree everywhere (Fine-Wilf), so
+        strand keys unrolled once, by their period, to T + |w1| + |w2|
+        entries order as the infinite rays do (`_strand_rays`)."""
+        n1, n2 = len(w1), len(w2)
+        depth = max(self._key_start(n1), self._key_start(n2)) + n1 + n2
+        canon = {self._pair_canonical(w1, i, w2, j) for i in range(n1)
+                 for j in range(n2) if w1 != w2 or i != j} - {None}
+        keys = {}
+        for w, k in {(w1, i) for i, _ in canon} | {(w2, j) for _, j in canon}:
+            keys[w, k] = tuple((r + r[-len(w):] * (depth // len(w)))[:depth]
+                               for r in self._strand_rays(w, k))
+        signs = [(i, j, self._crossing(*keys[w1, i], *keys[w2, j]))
+                 for i, j in sorted(canon)]
+        return [s for s in signs if s[2]]
 
     # -- string operations ----------------------------------------------
     def goldman_terms(self, x: Word, y: Word) -> Dict[Word, Fraction]:

@@ -318,6 +318,24 @@ class ExponentialError(ValueError):
     pass
 
 
+def reject_scalar_term(series: GradedSeries,
+                       report: Optional[CheckReport] = None) -> bool:
+    """Find the first pure scalar term with hbar exponent <= 0, whose
+    exponential never leaves a truncation window.  Without a report,
+    raise ExponentialError on it; with one, witness it there and
+    return True.  False when there is none."""
+    for m, c in series.terms.items():
+        if all(s.kind == KIND_H for s, _ in m) and hbar_exponent(m) <= 0:
+            if report is None:
+                raise ExponentialError(
+                    "exponential of a series with scalar term %s does not truncate"
+                    % format_monomial(m))
+            report.add_witness(format_monomial(m), c)
+            report.notes.append("pure scalar term with h exponent <= 0 rejected")
+            return True
+    return False
+
+
 def exp_series(F: GradedSeries, sys: OrbitSystem,
                ctx: TruncationContext) -> GradedSeries:
     """Truncated exponential sum_k F^(*k) / k!.
@@ -328,11 +346,7 @@ def exp_series(F: GradedSeries, sys: OrbitSystem,
     pure scalar term with hbar exponent <= 0 never leaves the window
     and is rejected.
     """
-    for m in F.terms:
-        if all(s.kind == KIND_H for s, _ in m) and hbar_exponent(m) <= 0:
-            raise ExponentialError(
-                "exponential of a series with scalar term %s does not truncate"
-                % format_monomial(m))
+    reject_scalar_term(F)
     out = {ONE: Fraction(1)}
     power = GradedSeries.unit()
     bound = (ctx.max_p_degree + (ctx.max_hbar - ctx.min_hbar)
@@ -401,11 +415,8 @@ def check_master_f(F: GradedSeries, Hplus: GradedSeries, Hminus: GradedSeries,
     report = CheckReport("master-equation for the cobordism potential",
                          caps=_caps_dict(ctx))
     with timed(report):
-        for m, c in F.terms.items():
-            if all(s.kind == KIND_H for s, _ in m) and hbar_exponent(m) <= 0:
-                report.add_witness(format_monomial(m), c)
-                report.notes.append("pure scalar term with h exponent <= 0 rejected")
-                return report
+        if reject_scalar_term(F, report):
+            return report
         wide = ctx.widen(extra_low=ctx.max_p_degree + 2)
         eF = exp_series(F, sys, wide)
         lhs = project_out(star(eF, Hplus, sys, wide), sides=FILLING_KILL, sys=sys)

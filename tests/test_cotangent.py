@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from sftstring import cotangent
 from sftstring.algebra import KIND_Q, TruncationContext
 from sftstring.bv import bv_from_hamiltonian, twist_by_augmentation
 from sftstring.cotangent import (
@@ -160,6 +161,32 @@ def test_filling_action_equals_projected_star(alphabet, hamiltonian):
         assert got == project_out(star(eF, H.series, sys, wide), kinds=(KIND_Q,))
         nonzero += bool(got)
     assert nonzero >= 5
+
+
+def test_flips_share_one_exponential(alphabet, hamiltonian, monkeypatch):
+    # the sign flips of one H share its alphabet, which builds e^F once
+    # per window; the reports are those of a fresh e^F per check
+    flips = _single_flips(hamiltonian)[:2]
+
+    def report(H):
+        rep = check_surface_master(H)
+        return rep.passed, rep.witnesses, rep.notes
+
+    fresh = []
+    for H in flips:
+        alphabet._exp_F.clear()
+        fresh.append(report(H))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return exp_series(*args)
+
+    monkeypatch.setattr(cotangent, "exp_series", counted)
+    alphabet._exp_F.clear()
+    assert [report(H) for H in flips] == fresh
+    assert len(calls) == 1
+    assert not fresh[0][0] and fresh[0][1]
 
 
 def _tables(maps):

@@ -298,24 +298,61 @@ def _forget_rays_and_tables(S):
     S._cobracket_memo.clear()
 
 
-def test_linked_pairs_stable_under_deeper_lookahead(genus2):
-    # the ray comparison must already be decided at the default depth
-    words = [genus2.class_of(t) for t in
-             ("a1", "b1", "a1 a2 A1 A2", "a1 a1 b1 b1", "a1 b1 a2 B2")]
-    base_depth = genus2._depth
-    try:
-        for x in words:
-            for y in words:
-                _forget_rays_and_tables(genus2)
-                genus2._depth = base_depth
-                shallow = genus2.goldman_terms(x, y)
-                _forget_rays_and_tables(genus2)
-                genus2._depth = lambda *w: 2 * base_depth(*w) + 64
-                deep = genus2.goldman_terms(x, y)
-                assert shallow == deep, (x, y)
-    finally:
-        genus2._depth = base_depth
-        _forget_rays_and_tables(genus2)
+def _strip_sharing_pairs(S, count, seed):
+    """Pairs (x, y) whose classes carry the two routes P and Q of one
+    half relator, P.Q a rotation of R or R^-1: x is the class of P plus
+    a reduced tail of 2-6 letters, y that of Q plus one of 2-5."""
+    rng = random.Random(seed)
+    letters = [x for a in range(1, S.rank + 1) for x in (a, -a)]
+    rotations = [base[k:] + base[:k] for base in (S.relator, inverse_word(S.relator))
+                 for k in range(len(S.relator))]
+
+    def with_tail(route, lo, hi):
+        w = list(route)
+        for _ in range(rng.randint(lo, hi)):
+            w.append(rng.choice([x for x in letters if x != -w[-1]]))
+        return S.canonical_class(w)
+
+    out = []
+    while len(out) < count:
+        rot = rng.choice(rotations)
+        x, y = with_tail(rot[:S.half], 2, 6), with_tail(rot[S.half:], 2, 5)
+        if x is not None and y is not None:
+            out.append((x, y))
+    return out
+
+
+def _random_class_pairs(S, count, max_len, seed):
+    """Pairs of classes of random reduced words of 1..max_len letters."""
+    rng = random.Random(seed)
+    letters = [x for a in range(1, S.rank + 1) for x in (a, -a)]
+
+    def draw():
+        while True:
+            w = [rng.choice(letters)]
+            for _ in range(rng.randint(0, max_len - 1)):
+                w.append(rng.choice([x for x in letters if x != -w[-1]]))
+            c = S.canonical_class(w)
+            if c is not None:
+                return c
+
+    return [(draw(), draw()) for _ in range(count)]
+
+
+def test_linked_pairs_stable_under_deeper_lookahead(monkeypatch):
+    # the period start T of the strand keys is proven, so keys built and
+    # unrolled from 4T give the same linked pairs and signs
+    S = Surface(2, 0)
+    short = S.classes_up_to(3)
+    pairs = list(itertools.combinations_with_replacement(short, 2)) \
+        + _random_class_pairs(S, 200, 6, seed=12) \
+        + _strip_sharing_pairs(S, 100, seed=12)
+    at_t = [S._linked_pairs(x, y) for x, y in pairs]
+    assert sum(map(bool, at_t)) > len(pairs) // 2
+    start = Surface._key_start
+    monkeypatch.setattr(Surface, "_key_start", lambda self, n: 4 * start(self, n))
+    _forget_rays_and_tables(S)
+    assert [S._linked_pairs(x, y) for x, y in pairs] == at_t
 
 
 def test_genus3_surface():
@@ -356,17 +393,14 @@ def _strand_windows(S, window):
     for w in S.classes_up_to(4):
         for i in range(len(w)):
             yield S._periodic(w, i, window)
-            yield S._past_ray(w, i, window)
-
-
-RAY_SLACK = {2: 4 * 4 + 8, 3: 4 * 6 + 8}
+            yield S._periodic(inverse_word(w), -i, window)
 
 
 @pytest.mark.parametrize("genus", [2, 3])
 @pytest.mark.parametrize("depth", [40, 250])
 def test_canonical_ray_matches_restart_oracle(genus, depth):
     S = Surface(genus, 0)
-    for letters in _strand_windows(S, depth + RAY_SLACK[genus]):
+    for letters in _strand_windows(S, depth + S._ray_slack(4)):
         assert S.canonical_ray(letters) == _restart_ray(S, letters), letters
 
 
@@ -377,10 +411,30 @@ def _outcome(fn, letters):
         return str(exc)
 
 
+def _rewrite_key(S, key):
+    """The model of `canonical_ray` that the proof in `_strand_rays`
+    rests on, on keys alone: rewrite the leftmost run X^m at entries
+    j >= 1 with an entry after it, a X^m b -> (a+1) 1^m (b+1), the rank
+    taken mod n_dirs, until none is left."""
+    X, m = S.n_dirs - 1, S.half - 1
+    key = list(key)
+    while True:
+        j = next((j for j in range(1, len(key) - m) if key[j:j + m] == [X] * m), 0)
+        if not j:
+            return bytes(key)
+        key[j - 1] += 1
+        key[j:j + m] = [1] * m
+        key[j + m] += 1
+        key[0] %= S.n_dirs
+        if S.n_dirs in key:
+            raise SurfaceError("zero turn (backtracking ray)")
+
+
 @pytest.mark.parametrize("genus", [2, 3])
 def test_canonical_ray_matches_restart_oracle_on_random_words(genus):
     # reduced words that mostly turn sharpest left: long sharp runs,
-    # chained rewrites, and backtracking created by a rewrite
+    # chained rewrites, and backtracking created by a rewrite; the keys
+    # also follow the key-level model of the ray-depth proof
     S = Surface(genus, 0)
     rng = random.Random(genus)
     letters = [x for a in range(1, S.rank + 1) for x in (a, -a)]
@@ -394,6 +448,8 @@ def test_canonical_ray_matches_restart_oracle_on_random_words(genus):
                 w.append(x)
         assert _outcome(S.canonical_ray, w) == \
             _outcome(lambda l: _restart_ray(S, l), w), w
+        assert _outcome(lambda l: S._ray_key(S.canonical_ray(l)), w) == \
+            _outcome(lambda l: _rewrite_key(S, S._ray_key(l)), w), w
 
 
 def test_canonical_ray_rejects_backtracking(genus2):
@@ -406,73 +462,114 @@ def test_canonical_ray_rejects_backtracking(genus2):
             _restart_ray(genus2, letters)
 
 
+def _deep_keys(S, w, i):
+    """Keys of the future and past rays of strand i of w from a window 4x
+    as deep as `_strand_rays` uses, cut to their exact entries."""
+    n = len(w)
+    window = 4 * (S._key_start(n) + n + S._ray_slack(n))
+    exact = window - S._ray_slack(n)
+    return [S._ray_key(S.canonical_ray(letters)[:exact]) for letters in
+            (S._periodic(w, i, window), S._periodic(inverse_word(w), -i, window))]
+
+
+def _check_strand_keys(S, words):
+    """Every cached key is the start of the key from a window 4x as deep,
+    which repeats with period |w| from entry T on."""
+    for w in words:
+        n, start = len(w), S._key_start(len(w))
+        for i in range(n):
+            for key, deep in zip(S._strand_rays(w, i), _deep_keys(S, w, i)):
+                assert len(key) == start + n and deep[:len(key)] == key, (w, i)
+                assert deep[start:-n] == deep[start + n:], (w, i)
+
+
+@pytest.mark.parametrize("genus,boundary,cap", [
+    pytest.param(2, 0, 5, id="2"), pytest.param(3, 0, 4, id="3"),
+    pytest.param(2, 1, 5, id="2-1"), pytest.param(0, 3, 5, id="0-3")])
+def test_ray_prefix_stable_under_deeper_window(genus, boundary, cap):
+    # the keys of every strand are exact and periodic from the proven T
+    S = Surface(genus, boundary)
+    _check_strand_keys(S, S.classes_up_to(cap))
+
+
+def _ladder_classes(S, count, seed):
+    """Classes whose turns hold a strip X^m beside a ladder of 3-8 rungs
+    X^(m-1) (X-1), X the sharpest left and m = h - 1: a strip there
+    cascades the length of the ladder, to the left or to the right."""
+    rng = random.Random(seed)
+    X, m = S.n_dirs - 1, S.half - 1
+    out = set()
+    while len(out) < count:
+        k = rng.randint(3, 8)
+        if rng.random() < 0.5:
+            turns = ([X] * (m - 1) + [X - 1]) * k + [X] * m
+        else:
+            turns = [X] * m + ([X - 1] + [X] * (m - 1)) * k
+        turns += [rng.randint(1, X - 1) for _ in range(rng.randint(1, 4))]
+        w = [rng.choice(S.link_order)]
+        for t in turns[:-1]:
+            w.append(S.link_order[(S.rank_of[-w[-1]] + t) % S.n_dirs])
+        if S._turn[w[-1]][w[0]] == turns[-1]:
+            c = S.canonical_class(w)
+            if c is not None and len(c) == len(w):
+                out.add(c)
+    return sorted(out)
+
+
 @pytest.mark.parametrize("genus", [2, 3])
-def test_ray_prefix_stable_under_deeper_window(genus):
-    # rays are first built to _RAY_PREFIX, and one cached ray per strand
-    # is sliced for shallower requests
+def test_ray_keys_exact_beside_ladders(genus):
+    # here no bound in the genus alone holds: keys start to repeat after
+    # entry 2h, and a window with a fixed slack of 4h + 8 letters gets
+    # some entries before T + |w| wrong
     S = Surface(genus, 0)
-    long_rays = [S.canonical_ray(b) for b in _strand_windows(S, 700)]
-    for depth in (surfaces._RAY_PREFIX, 40, 250):
-        short = _strand_windows(S, depth + RAY_SLACK[genus])
-        for a, b in zip(short, long_rays):
-            assert S.canonical_ray(a)[:depth] == b[:depth]
+    words = _ladder_classes(S, 12, seed=genus)
+    _check_strand_keys(S, words)
+    late = wrong = 0
+    for w in words:
+        n = len(w)
+        size = S._key_start(n) + n
+        for i in range(n):
+            deep = _deep_keys(S, w, i)[0]
+            late = max([late] + [k + 1 for k in range(size) if deep[k] != deep[k + n]])
+            ray = S.canonical_ray(S._periodic(w, i, size + 4 * S.half + 8))
+            wrong += S._ray_key(ray[:size]) != deep[:size]
+    assert late > 2 * S.half and wrong
 
 
 def test_crossing_prefix_first_matches_full_depth(genus2, monkeypatch):
-    # strands that share a run of 17 a1 tie on the short prefix, so their
-    # order is decided by the full keys
+    # strands that share a run of 17 a1 have keys that agree far in; the
+    # signs stay the same with the period start T patched to 4T
     words = [genus2.canonical_class((1,) * 17 + (t,)) for t in (2, -2, 3, -3)]
     pairs = list(itertools.combinations(words, 2))
     fast = [genus2.goldman_terms(x, y) for x, y in pairs]
     assert all(fast)
-    monkeypatch.setattr(surfaces, "_RAY_PREFIX", 10 ** 6)
+    start = Surface._key_start
+    monkeypatch.setattr(Surface, "_key_start", lambda self, n: 4 * start(self, n))
     _forget_rays_and_tables(genus2)
     assert [genus2.goldman_terms(x, y) for x, y in pairs] == fast
     _forget_rays_and_tables(genus2)
 
 
-def _expected_ray_depths(pairs):
-    """Depth of the cached rays of each strand after goldman_terms on
-    `pairs`: the prefix depth for every strand of a canonical occurrence
-    pair, the pair's full depth for both strands when the four prefix
-    keys tie; the deepest request wins.  Keys are built afresh."""
-    fresh = Surface(2, 0)
-    want = {}
-    for w1, w2 in pairs:
-        depth = fresh._depth(w1, w2)
-        cut = min(depth, surfaces._RAY_PREFIX)
-        canon = {fresh._pair_canonical(w1, i, w2, j)
-                 for i in range(len(w1)) for j in range(len(w2))
-                 if w1 != w2 or i != j}
-        for i, j in canon - {None}:
-            keys = []
-            for w, k in ((w1, i), (w2, j)):
-                fresh._ray_cache.clear()
-                keys += fresh._strand_rays(w, k, cut)
-            need = depth if len(set(keys)) < 4 else cut
-            for strand in ((w1, i), (w2, j)):
-                want[strand] = max(want.get(strand, 0), need)
-    return want
-
-
 def test_ray_cache_holds_one_entry_per_strand():
-    # rays are built to the prefix depth, and to the full depth only for
-    # the strands of a pair whose prefixes tie
+    # one key pair per strand of a canonical occurrence pair, each key
+    # exactly T + |w| entries long
     S = Surface(2, 0)
     x, y, z = (S.class_of(t) for t in ("a1 b2", "b1", "a1 a2 b1 b2 a2"))
     tied = [S.canonical_class((1,) * 17 + (t,)) for t in (2, -2, 3, -3)]
     pairs = [(x, y), (x, z)] + list(itertools.combinations(tied, 2))
+    strands = set()
     for a, b in pairs:
         S.goldman_terms(a, b)
-    want = _expected_ray_depths(pairs)
-    assert {strand: (len(f), len(p)) for strand, (f, p) in S._ray_cache.items()} \
-        == {strand: (d, d) for strand, d in want.items()}
-    assert sorted(strand for strand in want if strand[0] in (x, y, z)) == \
-        sorted((w, i) for w in (x, y, z) for i in range(len(w)))
-    assert {want[(w, i)] for w in (x, y, z) for i in range(len(w))} == \
-        {surfaces._RAY_PREFIX}
-    full = {d for (w, _), d in want.items() if w in tied} - {surfaces._RAY_PREFIX}
-    assert full and full <= {S._depth(a, b) for a, b in pairs[2:]}
+        for i in range(len(a)):
+            for j in range(len(b)):
+                cp = S._pair_canonical(a, i, b, j)
+                if cp is not None:
+                    strands |= {(a, cp[0]), (b, cp[1])}
+    assert set(S._ray_cache) == strands
+    assert {(w, i) for w, i in strands if w in (x, y, z)} == \
+        {(w, i) for w in (x, y, z) for i in range(len(w))}
+    for (w, _), keys in S._ray_cache.items():
+        assert [len(k) for k in keys] == [S._key_start(len(w)) + len(w)] * 2
 
 
 def test_ray_keys_are_bytes_up_to_rank_128():
