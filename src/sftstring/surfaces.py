@@ -451,7 +451,8 @@ class Surface:
         X-1 in any m entries.  If |u| > n + m, Fine-Wilf (1965: length
         p + q - gcd(p, q) and periods p, q give period gcd(p, q)) makes
         that gcd(n, m) = m: the input is rungs for good, and nothing
-        moves again.  Else N letters fix the first N - n - h entries.
+        moves again.  Else |u| <= n + m, so a window of N letters fixes
+        its first N - n - h entries.
 
         Period.  The first trigger is at the first input strip, so
         q <= n + m (with no strip, the key is the input).  It leaves
