@@ -248,14 +248,25 @@ def add_terms(acc: dict, terms: dict, scale=1) -> dict:
 
     A key whose coefficient cancels is removed at once, so `acc` holds
     no zeros and its keys keep first-insertion order, exactly as a
-    chain of GradedSeries additions would leave them.  Returns acc.
+    chain of GradedSeries additions would leave them.  A scale of +-1
+    negates or keeps each value instead of multiplying.  Returns acc.
     """
+    negate, unit = scale == -1, scale == 1
     for k, v in terms.items():
-        c = acc.get(k, 0) + v * scale
+        if negate:
+            v = -v
+        elif not unit:
+            v = v * scale
+        prev = acc.get(k)
+        if prev is None:
+            if v:
+                acc[k] = v
+            continue
+        c = prev + v
         if c:
             acc[k] = c
         else:
-            acc.pop(k, None)
+            del acc[k]
     return acc
 
 
@@ -423,15 +434,19 @@ def collect(acc: dict, ctx: TruncationContext) -> GradedSeries:
             elif kind == KIND_S:
                 length += e
         if h < min_h:
-            raise TruncationUnderflow(
-                "term %s needs hbar^%d below the context minimum %d"
-                % (format_monomial(m), h, min_h)
-            )
+            raise truncation_underflow(m, min_h)
         if pdeg <= max_p and h <= max_h and length <= max_len:
             out[m] = c
     series = GradedSeries.__new__(GradedSeries)
     series.terms = out  # nonzero already
     return series
+
+
+def truncation_underflow(m: Monomial, min_h: int) -> TruncationUnderflow:
+    """The error for a surviving term m below the context minimum."""
+    return TruncationUnderflow(
+        "term %s needs hbar^%d below the context minimum %d"
+        % (format_monomial(m), hbar_exponent(m), min_h))
 
 
 def format_monomial(m: Monomial) -> str:

@@ -9,11 +9,16 @@ standard form (q-block left of p-block).
 The star product contracts by exponent: p_gamma^a on the left against
 q_gamma^b on the right gives, for r = 0 .. min(a, b), h^r times the
 integer weight kappa^r r! C(a,r) C(b,r).  An odd orbit contracts at
-most once, and its contraction, the k-th odd one in orbit order,
-carries (-1)^(odd units before the q in the right factor + odd units
-after the p in the left factor - k).  The two lowered factors are
-already in standard form, so they are merged (algebra.merge_words),
-not re-sorted.  The operator actions are the same kernel restricted to
+most once, with the flip (odd units after the p in the left factor +
+odd units before the q in the right factor); m odd contractions carry
+(-1)^(sum of flips + m(m-1)/2).  One kernel does it: each factor is
+read once into records (h-free body, h exponent, p-degree, word
+length, p and q positions, an odd-unit bitmask, the coefficient as an
+integer over the factor's common denominator); the shared orbits are
+folded in from the rightmost by slicing the bodies; terms the window
+drops are skipped before the two lowered factors, already in standard
+form, are merged (algebra.merge_words); one Fraction is built per
+output term.  The operator actions are the same kernel restricted to
 full contraction: act_right contracts every p of the left factor,
 act_left every q of the right factor.  The tests compare the star
 product against unit-level matching enumeration and adjacent-
@@ -24,8 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Dict, List, Optional, Sequence
 
 from .algebra import (
@@ -44,7 +48,7 @@ from .algebra import (
     hbar_exponent,
     merge_words,
     monomial_degree,
-    split_h,
+    truncation_underflow,
 )
 from .reports import CheckReport, series_witnesses, timed
 
@@ -174,120 +178,131 @@ def _contract(a: GradedSeries, b: GradedSeries, sys: OrbitSystem,
     monomials where one of those orbits cannot be fully contracted is
     skipped.
 
+    Each factor is read once into records (_records); the pair loop
+    sums integers over the product of the two common denominators.  A
+    pair whose shared odd p/q units are not all removed by its
+    contracted orbits vanishes and is skipped; an orbit with a shared
+    odd unit must contract.  The shared orbits are folded in from the
+    rightmost, lowering the bodies by slicing, in the order of a
+    matching enumeration (the leftmost orbit varies fastest); m odd
+    contractions add (-1)^(m(m-1)/2) to their flips.  The window is
+    applied before the merge, from h = h0 + r, p-degree p1 + p2 - r
+    and length l1 + l2, so exactly the terms collect() would drop are
+    never built; a term below min_hbar is kept whatever its p-degree or
+    length, and the first nonzero one raises collect()'s error.
+
     The square of a series whose every term has odd degree skips the
     choice in which nothing contracts: that part is the graded-
     commutative square, and it cancels term by term (m_i m_j =
     -m_j m_i at the same h and p-degree, and m_i m_i has an odd symbol
     twice), so no coefficient and no TruncationUnderflow depends on it.
     """
-    left = [(_factor(m), c) for m, c in a.terms.items()]
-    right = left if b is a else [(_factor(m), c) for m, c in b.terms.items()]
+    left, dl = _records(a)
+    right, dr = (left, dl) if b is a else _records(b)
     odd_square = b is a and full is None and \
         all(monomial_degree(m) & 1 for m in a.terms)
     max_h, min_h, max_p = ctx.max_hbar, ctx.min_hbar, ctx.max_p_degree
-    hbar = sys.hbar
-    acc: Dict[Monomial, Fraction] = {}
-    for (body1, h1, p1, pmap, _), c1 in left:
-        for (body2, h2, p2, _, qmap), c2 in right:
+    max_len, hbar, kappa = ctx.max_word_length, sys.hbar, sys.kappa
+    acc: Dict[Monomial, int] = {}
+    low: Dict[Monomial, int] = {}
+    for body1, h1, p1, l1, pmap, _, pm, _, odd1, t1, n1 in left:
+        for body2, h2, p2, l2, _, qmap, _, qm, odd2, _, n2 in right:
             h0 = h1 + h2
-            if h0 > max_h:
+            cm = pm & qm  # orbits with a p on the left and a q on the right
+            shared = odd1 & odd2
+            if h0 > max_h or shared & ~(cm * 3):
                 continue
             if full is None:
-                orbits = [o for o in pmap if o in qmap] if qmap else ()
-                if odd_square and not orbits:
+                if odd_square and not cm:
                     continue
-            else:
-                orbits, other = (pmap, qmap) if full == KIND_P else (qmap, pmap)
-                if any(o not in other or other[o][1] < entry[1]
-                       for o, entry in orbits.items()):
+            elif cm != (pm if full == KIND_P else qm):
+                continue
+            states = [(body1, body2, 0, n1 * n2, 0)]
+            for o, (k1, x, through, par, bits) in reversed(pmap.items()) if cm else ():
+                if not cm & bits:
                     continue
-            options = [_contractions(pmap[o], qmap[o], sys.kappa[o], full)
-                       for o in orbits]
-            c = None
-            # the first orbit varies fastest, as in a matching enumeration
-            for choice in product(*reversed(options)):
-                weight = sign = 1
-                total = odd = 0
-                cuts1, cuts2 = [], []
-                for r, w, k1, k2, flip in reversed(choice):
-                    if not r:
-                        continue
-                    total += r
-                    weight *= w
-                    if flip is not None:
-                        if (flip + odd) & 1:
-                            sign = -sign
-                        odd += 1
-                    cuts1.append((k1, r))
-                    cuts2.append((k2, r))
-                if odd_square and not total:
+                k2, y, before = qmap[o]
+                if full is None:  # an orbit with a shared odd unit must contract
+                    lo = 1 if shared & bits else 0
+                else:  # r = x (or y), left in range() only when it is min(x, y)
+                    lo = x if full == KIND_P else y
+                flip = par and (t1 - through + before) & 1
+                kap, s1, s2 = kappa[o], body1[k1][0], body2[k2][0]
+                opts = [(r, (-1) ** flip * kap ** r * factorial(r)
+                         * comb(x, r) * comb(y, r),
+                         ((s1, x - r),) if x > r else (),
+                         ((s2, y - r),) if y > r else (), par and r)
+                        for r in range(lo, min(x, y) + 1)]
+                nxt = []
+                for st in states:
+                    b1, b2, tot, w, m = st
+                    for r, wr, cut1, cut2, odd in opts:
+                        if not r:
+                            nxt.append(st)
+                        elif h0 + tot + r <= max_h:
+                            nxt.append((b1[:k1] + cut1 + b1[k1 + 1:],
+                                        b2[:k2] + cut2 + b2[k2 + 1:],
+                                        tot + r, w * wr, m + odd))
+                states = nxt
+            pdeg, length = p1 + p2, l1 + l2
+            for b1, b2, tot, w, m in states:
+                h = h0 + tot
+                if odd_square and not tot or h >= min_h and \
+                        (pdeg - tot > max_p or length > max_len):
                     continue
-                h = h0 + total
-                if h > max_h or (p1 + p2 - total > max_p and h >= min_h):
-                    continue
-                res = merge_words(_lowered(body1, cuts1), _lowered(body2, cuts2)) \
-                    if total else merge_words(body1, body2)
+                res = merge_words(b1, b2)
                 if res is None:
                     continue
                 sgn, mono = res
                 if h:
                     mono += ((hbar, h),)
-                if c is None:
-                    c = c1 * c2
-                _accumulate(acc, mono, c, weight * sign * sgn)
-    return collect(acc, ctx)
+                out = acc if h >= min_h else low
+                # (-1)^(m(m-1)/2) for m odd contractions
+                out[mono] = out.get(mono, 0) + (-sgn if m & 2 else sgn) * w
+    for mono, n in low.items():
+        if n:
+            raise truncation_underflow(mono, min_h)
+    d = dl * dr
+    series = GradedSeries.__new__(GradedSeries)
+    series.terms = {m: Fraction(n, d) for m, n in acc.items() if n}
+    return series
 
 
-def _factor(m: Monomial):
-    """Per-call record of a star-product factor: its h-free body, h
-    exponent and p-degree, and per orbit the position and exponent of
-    its p (with the parity of the odd units after it) and of its q
-    (with the parity of the odd units before it)."""
-    body, h = split_h(m)
-    odd_before = pdeg = 0
-    ps, qmap = [], {}
-    for k, (s, e) in enumerate(body):
-        if s.kind == KIND_P:
-            ps.append((s, k, e, odd_before + s.parity))
-            pdeg += e
-        elif s.kind == KIND_Q:
-            qmap[s.orbit] = (k, e, odd_before & 1)
-        odd_before += s.parity * e
-    pmap = {s.orbit: (k, e, (odd_before - through) & 1, s.parity)
-            for s, k, e, through in ps}
-    return body, h, pdeg, pmap, qmap
-
-
-def _contractions(p_entry, q_entry, kappa: int, full: Optional[str]):
-    """(r, weight, p position, q position, sign base or None if even)
-    for r = 0 .. min(a, b) contractions of p^a against q^b, or for the
-    one r = a (full == KIND_P) or r = b (full == KIND_Q)."""
-    k1, a, odd_after, parity = p_entry
-    k2, b, odd_before = q_entry
-    flip = (odd_after + odd_before) & 1 if parity else None
-    rs = range(min(a, b) + 1) if full is None else (a if full == KIND_P else b,)
-    return [(r, kappa ** r * factorial(r) * comb(a, r) * comb(b, r), k1, k2, flip)
-            for r in rs]
-
-
-def _lowered(body: Monomial, cuts) -> list:
-    """body with the exponent at each (position, r) of cuts lowered by
-    r; cuts are in increasing position order."""
-    out = list(body)
-    for k, r in reversed(cuts):
-        s, e = out[k]
-        if e == r:
-            del out[k]
-        else:
-            out[k] = (s, e - r)
-    return out
-
-
-def _accumulate(acc, mono: Monomial, c: Fraction, w: int) -> None:
-    """acc[mono] += c * w, with no Fraction product when w is +-1."""
-    term = c if w == 1 else -c if w == -1 else c * w
-    prev = acc.get(mono)
-    acc[mono] = term if prev is None else prev + term
+def _records(series: GradedSeries):
+    """Records of the monomials of a star-product factor, and the common
+    denominator d of its coefficients: (h-free body, h, p-degree, word
+    length, pmap, qmap, p-orbit mask, q-orbit mask, odd-unit mask, odd
+    units, c * d).  pmap maps an orbit to its p's position, exponent,
+    odd units up to it, parity and orbit bits; qmap to its q's position,
+    exponent and odd units before it, mod 2.  The orbit of symbol index
+    i (its place in the OrbitSystem) owns bits 2i (its q, and the orbit
+    masks) and 2i + 1 (its p).
+    """
+    d = lcm(*[c.denominator for c in series.terms.values()])
+    out = []
+    for m, c in series.terms.items():
+        body, h = (m[:-1], m[-1][1]) if m and m[-1][0].kind == KIND_H else (m, 0)
+        pdeg = length = pm = qm = odd = units = 0
+        pmap, qmap = {}, {}
+        for k, (s, e) in enumerate(body):
+            kind, par = s.kind, s.parity
+            if kind == KIND_P:
+                bit = 1 << 2 * s.index
+                pmap[s.orbit] = (k, e, units + par, par, bit * 3)
+                pdeg += e
+                pm |= bit
+                odd |= par * bit << 1
+            elif kind == KIND_Q:
+                bit = 1 << 2 * s.index
+                qmap[s.orbit] = (k, e, units & 1)
+                qm |= bit
+                odd |= par * bit
+            else:
+                length += e
+            units += par * e
+        out.append((body, h, pdeg, length, pmap, qmap, pm, qm, odd, units,
+                    c.numerator * (d // c.denominator)))
+    return out, d
 
 
 def project_out(series: GradedSeries, kinds=(), sides=(), sys: Optional[OrbitSystem] = None,
@@ -446,7 +461,7 @@ def coefficient_boundary_operator(bnd: Dict[GradedSymbol, GradedSeries]):
                     for mi, ci in img.terms.items():
                         res = merge_words(mi, rest)
                         if res is not None:
-                            _accumulate(acc, res[1], c * ci, sign * res[0])
+                            acc[res[1]] = acc.get(res[1], 0) + c * ci * sign * res[0]
                 par += s.degree * e
         return collect(acc, ctx)
 

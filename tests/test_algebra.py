@@ -12,6 +12,7 @@ from sftstring.algebra import (
     GradedSymbol,
     NormalizationError,
     TruncationContext,
+    add_terms,
     koszul_sign,
     merge_words,
     monomial_degree,
@@ -167,3 +168,34 @@ def test_merge_words_matches_standard_form_of_the_concatenation():
         left = tuple((s, e) for s, e in left if e)
         right = tuple((s, e) for s, e in right if e)
         assert merge_words(left, right) == standard_form(list(left) + list(right))
+
+
+def _add_terms_reference(acc, terms, scale):
+    """add_terms without its +-1 fast path: one product per term."""
+    for k, v in terms.items():
+        c = acc.get(k, 0) + v * scale
+        if c:
+            acc[k] = c
+        else:
+            acc.pop(k, None)
+    return acc
+
+
+@pytest.mark.parametrize("scale", [1, -1, Fraction(1), Fraction(-1), 2,
+                                   Fraction(-2, 3), 0])
+def test_add_terms_matches_one_product_per_term(scale):
+    # same values and same key order, through cancellations, pops and
+    # re-insertions of a cancelled key
+    rng = random.Random(77)
+
+    def vector():
+        out = {k: Fraction(rng.randrange(-2, 3), rng.randrange(1, 3))
+               for k in rng.sample(range(8), 5)}
+        return {k: v for k, v in out.items() if v}
+
+    for _ in range(300):
+        acc, terms = vector(), vector()
+        for _ in range(2):
+            want = _add_terms_reference(dict(acc), terms, scale)
+            acc = add_terms(acc, terms, scale)
+            assert list(acc.items()) == list(want.items())

@@ -486,7 +486,7 @@ def _check_strand_keys(S, words):
 @pytest.mark.parametrize("genus,boundary,cap", [
     pytest.param(2, 0, 5, id="2"), pytest.param(3, 0, 4, id="3"),
     pytest.param(2, 1, 5, id="2-1"), pytest.param(0, 3, 5, id="0-3")])
-def test_ray_prefix_stable_under_deeper_window(genus, boundary, cap):
+def test_strand_keys_exact_and_periodic_from_key_start(genus, boundary, cap):
     # the keys of every strand are exact and periodic from the proven T
     S = Surface(genus, boundary)
     _check_strand_keys(S, S.classes_up_to(cap))
@@ -536,7 +536,7 @@ def test_ray_keys_exact_beside_ladders(genus):
     assert late > 2 * S.half and wrong
 
 
-def test_crossing_prefix_first_matches_full_depth(genus2, monkeypatch):
+def test_crossing_signs_unchanged_with_later_period_start(genus2, monkeypatch):
     # strands that share a run of 17 a1 have keys that agree far in; the
     # signs stay the same with the period start T patched to 4T
     words = [genus2.canonical_class((1,) * 17 + (t,)) for t in (2, -2, 3, -3)]

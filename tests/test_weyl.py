@@ -787,3 +787,111 @@ def test_square_equals_product_with_a_copy(parity):
             nonzero += got != "underflow" and bool(got)
             underflow += got == "underflow"
     assert nonzero >= 50 and underflow >= 10
+
+
+def _shared_odd_pair(rng, sys):
+    """Left factor with a p of every odd orbit in each term, right factor
+    with a q of every odd orbit, plus random units of both kinds (even
+    exponents up to 2) and an odd coefficient symbol: up to three odd
+    contractions at once, among even ones."""
+    odd = [o for o in sys.q if sys.q[o].parity]
+
+    def term(kind):
+        entries = [(_ODD_S, 1)] if rng.random() < 0.4 else []
+        for o in sys.q:
+            for var in (sys.q[o], sys.p[o]):
+                if (o in odd and var.kind == kind) or rng.random() < 0.35:
+                    entries.append((var, 1 if var.parity else rng.randrange(1, 3)))
+        coeff = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randrange(1, 4))
+        return GradedSeries.from_word(entries, coeff)
+
+    return [term(kind) + term(kind) for kind in (KIND_P, KIND_Q)]
+
+
+def test_star_sign_of_three_odd_contractions():
+    # m odd contractions carry (-1)^(m(m-1)/2) on top of their flips:
+    # +, +, -, - for m = 0 .. 3, pinned against the matching oracle
+    rng = random.Random(3131)
+    ctx = TruncationContext(max_p_degree=12, max_hbar=12, min_hbar=0,
+                            max_word_length=2)
+    triple = 0
+    for _ in range(60):
+        sys = _mixed_system(rng)
+        a, b = _shared_odd_pair(rng, sys)
+        got = star(a, b, sys, ctx)
+        assert got == star_matchings_reference(a, b, sys, ctx)
+        # a term with no odd p or q left took all three odd contractions
+        triple += any(not any(s.parity and s.kind in (KIND_P, KIND_Q)
+                              for s, _ in m) for m in got.terms)
+    assert triple >= 10
+
+
+@pytest.mark.parametrize("ctx", [
+    TruncationContext(max_p_degree=8, max_hbar=6, min_hbar=-2, max_word_length=1),
+    TruncationContext(max_p_degree=3, max_hbar=2, min_hbar=-1, max_word_length=2),
+])
+def test_word_cap_drop_before_merge_equals_collect(ctx):
+    # the kernel drops terms over max_word_length before it merges them;
+    # collect() on the same product without a word cap drops the same
+    # terms and leaves the same key order
+    rng = random.Random(5151)
+    uncapped = ctx.widen(extra_len=16)
+    dropped = 0
+    for _ in range(80):
+        sys = _mixed_system(rng)
+        a, b = _square_series(rng, sys, "mixed"), _square_series(rng, sys, "mixed")
+        for fn, x, y in ((star, a, b), (star, a, a), (act_right, a, b),
+                         (act_left, a, b)):
+            got = _outcome_of(fn, x, y, sys, ctx)
+            wide = _outcome_of(fn, x, y, sys, uncapped)
+            if wide == "underflow":
+                assert got == "underflow"
+                continue
+            want = collect(wide.terms, ctx)
+            assert list(got.terms.items()) == list(want.terms.items())
+            dropped += len(want.terms) < len(wide.terms)
+    assert dropped >= 20
+
+
+@pytest.mark.parametrize("ctx", [
+    TruncationContext(max_p_degree=0, max_hbar=2, min_hbar=-1, max_word_length=8),
+    TruncationContext(max_p_degree=6, max_hbar=2, min_hbar=-1, max_word_length=1),
+])
+def test_underflow_over_the_caps_keeps_its_message(ctx):
+    # h^-2 s[1] s[2]^2 q1 p1 p2 is below min_hbar and over the p-degree
+    # (or word) cap: it still raises, with collect()'s message, and its
+    # contraction h^-1 s[1] s[2]^2 p2, over the same cap, is dropped
+    sys = odd_system(2)
+    a = GradedSeries.from_word([(_EVEN_S, 2), (sys.p["g1"], 1), (sys.p["g2"], 1),
+                                (sys.hbar, -1)], Fraction(1, 2))
+    b = GradedSeries.from_word([(_ODD_S, 1), (sys.q["g1"], 1), (sys.hbar, -1)],
+                               Fraction(-2, 3))
+    with pytest.raises(TruncationUnderflow) as err:
+        star(a, b, sys, ctx)
+    assert str(err.value) == ("term s[1]*s[2]^2*q[g1]*p[g1]*p[g2]*h^-2 needs "
+                              "hbar^-2 below the context minimum -1")
+    assert star(a, b, sys, ctx.widen(extra_low=1)).is_zero()
+
+
+def test_coefficients_over_2_3_6_are_normalized():
+    # integer sums over the common denominator come back as reduced
+    # Fractions equal to the oracle's, whole numbers included
+    rng = random.Random(2236)
+    systems = _criterion_1_systems()
+    ctx = TruncationContext(max_p_degree=6, max_hbar=6, min_hbar=-2,
+                            max_word_length=0)
+    denominators = set()
+    for trial in range(90):
+        sys = systems[trial % len(systems)]
+        a, b = (sum((sys.monomial(Fraction(rng.choice([-5, -1, 1, 3]), d),
+                                  qs=[o for o in sys.q if rng.random() < 0.4],
+                                  ps=[o for o in sys.q if rng.random() < 0.4])
+                     for d in (2, 3, 6)), GradedSeries.zero())
+                for _ in range(2))
+        got = star(a, b, sys, ctx)
+        want = star_matchings_reference(a, b, sys, ctx)
+        assert {m: (c.numerator, c.denominator) for m, c in got.terms.items()} \
+            == {m: (c.numerator, c.denominator) for m, c in want.terms.items()}
+        assert all(type(c) is Fraction for c in got.terms.values())
+        denominators |= {c.denominator for c in got.terms.values()}
+    assert {1, 2, 3, 4, 6, 9, 12, 18, 36} <= denominators
