@@ -10,7 +10,8 @@ this form accumulates the Koszul sign; odd symbols square to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Tuple
 
@@ -31,39 +32,42 @@ class TruncationUnderflow(ArithmeticError):
     """A surviving term needs an hbar exponent below the context minimum."""
 
 
-@dataclass(frozen=True)
+_INTERNED = weakref.WeakValueDictionary()  # fields -> live symbol
+
+
 class GradedSymbol:
-    name: str
-    degree: int
-    kind: str
-    orbit: Optional[str] = None  # orbit name for q/p variables
-    index: int = 0  # position within its block
+    """A graded generator (kind s, q, p or h; `orbit` names the orbit of
+    a q/p variable, `index` is its position within its block), interned:
+    a call with the fields of a live symbol returns that symbol, so equal
+    fields mean one object, and equality and hashing are identity.
+    Immutable; `parity` and `sort_key` are computed once."""
 
-    def __post_init__(self):
-        if self.kind not in _BLOCK:
-            raise ValueError("unknown symbol kind %r" % (self.kind,))
-        # every product compares, hashes and signs symbols, so the
-        # derived values are computed once here
-        fields = (self.name, self.degree, self.kind, self.orbit, self.index)
-        object.__setattr__(self, "parity", self.degree % 2)
-        object.__setattr__(self, "sort_key", (_BLOCK[self.kind], self.index, self.name))
-        object.__setattr__(self, "_fields", fields)
-        object.__setattr__(self, "_hash", hash(fields))
+    __slots__ = ("name", "degree", "kind", "orbit", "index", "parity",
+                 "sort_key", "__weakref__")
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields == other._fields
+    def __new__(cls, name: str, degree: int, kind: str,
+                orbit: Optional[str] = None, index: int = 0):
+        fields = (name, degree, kind, orbit, index)
+        self = _INTERNED.get(fields)
+        if self is None:
+            if kind not in _BLOCK:
+                raise ValueError("unknown symbol kind %r" % (kind,))
+            self = object.__new__(cls)
+            derived = (degree % 2, (_BLOCK[kind], index, name))
+            for attr, value in zip(cls.__slots__, fields + derived):
+                object.__setattr__(self, attr, value)
+            _INTERNED[fields] = self
+        return self
 
-    def __hash__(self):
-        return self._hash
+    def __setattr__(self, attr, value=None):
+        raise FrozenInstanceError("cannot assign to field %r" % (attr,))
+
+    __delattr__ = __setattr__
 
     def __reduce__(self):
-        # rebuild through __init__: a copied _hash is stale in a process
-        # with another string-hash seed
-        return (self.__class__, self._fields)
+        # rebuild through the constructor: it returns the interned symbol
+        return (self.__class__,
+                (self.name, self.degree, self.kind, self.orbit, self.index))
 
     def __repr__(self):
         return self.name
@@ -407,7 +411,7 @@ def mul(a: GradedSeries, b: GradedSeries, ctx: TruncationContext) -> GradedSerie
             if res is None:
                 continue
             sgn, mono = res
-            acc[mono] = acc.get(mono, Fraction(0)) + c1 * c2 * sgn
+            acc[mono] = acc.get(mono, 0) + (c1 * c2 if sgn > 0 else -(c1 * c2))
     return collect(acc, ctx)
 
 

@@ -1,8 +1,11 @@
+import gc
 import random
+import weakref
 
 import pytest
 from fractions import Fraction
 
+from sftstring import algebra
 from sftstring.algebra import (
     KIND_H,
     KIND_P,
@@ -199,3 +202,34 @@ def test_add_terms_matches_one_product_per_term(scale):
             want = _add_terms_reference(dict(acc), terms, scale)
             acc = add_terms(acc, terms, scale)
             assert list(acc.items()) == list(want.items())
+
+
+def test_unreferenced_symbol_leaves_the_intern_table():
+    fields = ("s[unheld]", 0, KIND_S, None, 7)
+    s = GradedSymbol(*fields)
+    assert algebra._INTERNED.get(fields) is s
+    ref = weakref.ref(s)
+    del s
+    gc.collect()
+    assert ref() is None
+    assert fields not in algebra._INTERNED
+
+
+def test_symbols_are_immutable():
+    s = sym("q[frozen]", 1, orbit="frozen")
+    for attr in ("name", "degree", "parity", "sort_key", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(s, attr, 0)
+        with pytest.raises(AttributeError):
+            delattr(s, attr)
+    assert (s.name, s.degree, s.parity) == ("q[frozen]", 1, 1)
+    assert s is sym("q[frozen]", 1, orbit="frozen")
+
+
+def test_bad_kind_raises_and_leaves_no_table_entry():
+    # `info` keeps the failed call's frame, and any half-built symbol
+    # in it, alive
+    with pytest.raises(ValueError, match="unknown symbol kind") as info:
+        GradedSymbol("x", 0, "z")
+    assert ("x", 0, "z", None, 0) not in algebra._INTERNED
+    assert info.traceback

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -296,8 +297,33 @@ def test_build_h_command(tmp_path, capsys):
     assert code == 0
 
 
+def _run_module(args, **env):
+    """`python -m sftstring.cli ARGS` in a subprocess that imports this
+    checkout's src/, with `env` added to the environment."""
+    src = str(Path(__file__).parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "sftstring.cli", *args],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=path, **env))
+
+
 def test_console_script_installed():
-    proc = subprocess.run([sys.executable, "-m", "sftstring.cli",
-                           "torus-oracle", "1", "0", "1", "1"],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0
+    proc = _run_module(["torus-oracle", "1", "0", "1", "1"])
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["build-h", "--input", str(DATA / "genus2_alphabet.sft"), "--verify",
+     "--json"],
+    ["parse", "--input", str(DATA / "cobordism_identity.sft"), "--json"],
+], ids=["build-h", "parse"])
+def test_json_output_does_not_follow_hash_seed(args):
+    # symbols hash by address and strings by the seed; neither order
+    # may reach the output
+    outs = []
+    for seed in ("0", "1"):
+        proc = _run_module(args, PYTHONHASHSEED=seed)
+        assert proc.returncode == 0, proc.stderr
+        outs.append([line for line in proc.stdout.splitlines()
+                     if '"seconds"' not in line])
+    assert outs[0] and outs[0] == outs[1]

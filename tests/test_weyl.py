@@ -1,6 +1,9 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +23,8 @@ from sftstring.algebra import (
     standard_form,
     units_of,
 )
+from sftstring.bv import FreeAlgebraSpec
+from sftstring.problemfile import parse
 from sftstring.weyl import (
     Orbit,
     OrbitSystem,
@@ -34,6 +39,7 @@ from sftstring.weyl import (
     star,
 )
 
+DATA = Path(__file__).parent / "data"
 CTX = TruncationContext(max_p_degree=6, max_hbar=6, min_hbar=-4, max_word_length=8)
 
 
@@ -717,9 +723,8 @@ def test_symbol_derived_values_match_their_formulas():
         fields = (s.name, s.degree, s.kind, s.orbit, s.index)
         assert s.sort_key == (block[s.kind], s.index, s.name)
         assert s.parity == s.degree % 2
-        assert hash(s) == hash(fields)
         twin = GradedSymbol(*fields)
-        assert twin == s and twin is not s and hash(twin) == hash(s)
+        assert twin == s and twin is s and hash(twin) == hash(s)
         assert GradedSymbol(s.name, s.degree + 1, s.kind, s.orbit, s.index) != s
         assert s != fields
 
@@ -742,6 +747,32 @@ def test_symbol_keys_survive_pickling_across_hash_seeds():
         out = subprocess.run([sys.executable, "-c", probe], input=table,
                              capture_output=True, env=env, timeout=60)
         assert out.stdout.split() == [b"1", b"2"], out.stderr
+
+
+def test_pickle_and_copy_return_the_interned_symbol():
+    sys_ = odd_system(2)
+    for s in (sys_.hbar, sys_.q["g1"], sys_.p["g2"], _ODD_S):
+        assert pickle.loads(pickle.dumps(s)) is s
+        assert copy.deepcopy(s) is s and copy.copy(s) is s
+    m = ((sys_.q["g1"], 1), (sys_.p["g2"], 2), (sys_.hbar, -1))
+    copied = pickle.loads(pickle.dumps(m))
+    assert copied == m and all(a is b for (a, _), (b, _) in zip(copied, m))
+
+
+def test_independently_built_symbols_are_one_object():
+    pf = parse((DATA / "three_orbit_pass.sft").read_text())
+    sys_ = OrbitSystem(2, [Orbit(name, 0) for name in ("g1", "g2", "g3")])
+    assert pf.sys is not sys_
+    assert pf.sys.hbar is sys_.hbar is FreeAlgebraSpec([], n=2).hbar
+    for name in sys_.q:
+        assert pf.sys.q[name] is sys_.q[name] and pf.sys.p[name] is sys_.p[name]
+    (mono,) = pf.series["H"].terms
+    want = [sys_.q["g1"], sys_.q["g2"], sys_.p["g3"], sys_.hbar]
+    assert len(mono) == len(want)
+    assert all(s is w for (s, _), w in zip(mono, want))
+    spec, twin = (FreeAlgebraSpec([("x", 1), ("y", 0)]) for _ in range(2))
+    assert spec.symbols[0] is twin.symbols[0] is GradedSymbol("x", 1, KIND_Q)
+    assert spec.symbol("y") is twin.symbol("y")
 
 
 _EVEN_S = GradedSymbol("s[2]", 2, KIND_S, None, 1)
