@@ -37,7 +37,7 @@ from .algebra import (
 )
 from .linalg import Subspace, kernel_basis, rref
 from .reports import CheckReport, PASS, timed
-from .weyl import OrbitSystem, act_right
+from .weyl import OrbitSystem, act_right_table
 
 Vector = Dict[GradedSymbol, Fraction]
 Tensor2 = Dict[Tuple[GradedSymbol, GradedSymbol], Fraction]
@@ -975,8 +975,5 @@ def bv_from_hamiltonian(sys: OrbitSystem, H: GradedSeries,
                            n=sys.n, symbols=[sys.q[o] for o in sys.q])
     wide = TruncationContext(max_p_degree=64, max_hbar=hbar_cap,
                              min_hbar=-1, max_word_length=64)
-    table = {}
-    for m in spec.basis_monomials():
-        val = act_right(H, GradedSeries({m: Fraction(1)}), sys, wide)
-        table[m] = spec.truncate(val)
-    return BvOperator(spec, table)
+    table = act_right_table(H, spec.basis_monomials(), sys, wide)
+    return BvOperator(spec, {m: spec.truncate(v) for m, v in table.items()})

@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from math import comb
 from typing import List, Optional
 
 from .algebra import (GradedSeries, NormalizationError, TruncationContext,
@@ -24,7 +25,7 @@ from .reports import CheckReport
 from .surfaces import Surface, SurfaceError, format_word, parse_word, torus_bracket_oracle
 from .strings import (ClassAlgebra, check_goldman_turaev_axioms,
                       check_string_identities)
-from .weyl import ExponentialError, check_master_f, check_master_h
+from .weyl import ExponentialError, OrbitSystem, check_master_f, check_master_h
 from .cotangent import (
     AlphabetError,
     GeodesicAlphabet,
@@ -42,6 +43,13 @@ EXIT_USAGE = 2
 # genus 2, length 6 (156,864 words) took 144 s, and each further length
 # multiplies the count by 7
 MAX_AXIOM_WORDS = 200_000
+# linearize and check-bialgebra expand e^beta over the set partitions of
+# each basis word, Bell(k) of them for a word of k units; _bv_partitions
+# sums that over the basis.  Measured on a 2-core x86 VM (Python 3.11):
+# one even and one odd orbit at --max-word-len 12 (1.0e7 partitions)
+# took 2.0 s and at 13 (6.5e7) 10.7 s; six even and one odd orbit at 8
+# (9.9e6) took 3.5 s and at 9 (7.9e7) 18.7 s
+MAX_BV_PARTITIONS = 20_000_000
 # each --samples draw adds a sampled pair and triple to the axiom sweep
 # (0.1 to 0.5 s per long-word triple) and a tuple to the identity suite
 MAX_AXIOM_SAMPLES = 1_000
@@ -144,8 +152,38 @@ def cmd_check_master_l(args) -> Output:
     return _report(check_master_l(L, Hp, Hm, alg, pf.sys, ctx))
 
 
-def _bv_caps(args) -> dict:
-    return {"word_cap": _option(args.max_word_len, 3, 2, "--max-word-len"),
+def _bv_partitions(orbits: OrbitSystem, cap: int) -> int:
+    """The set partitions of all words of the q-basis up to length cap,
+    by the closed form: with e even and o odd orbits, the words of
+    length k number sum_j C(o, j) C(k - j + e - 1, e - 1), and each has
+    Bell(k) partitions.  The sum stops once it passes
+    MAX_BV_PARTITIONS, or runs out of words."""
+    odd = sum(s.parity for s in orbits.q.values())
+    even = len(orbits.q) - odd
+    total, row = 0, [1]  # row k of the Bell triangle starts with Bell(k)
+    for k in range(cap + 1):
+        words = sum(comb(odd, j) * (comb(k - j + even - 1, even - 1) if even
+                                    else int(j == k))
+                    for j in range(min(odd, k) + 1))
+        if not words:
+            break
+        total += words * row[0]
+        if total > MAX_BV_PARTITIONS:
+            break
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return total
+
+
+def _bv_caps(args, orbits: OrbitSystem) -> dict:
+    cap = _option(args.max_word_len, 3, 2, "--max-word-len")
+    if _bv_partitions(orbits, cap) > MAX_BV_PARTITIONS:
+        raise UsageError(
+            "--max-word-len %d needs more than %d set partitions of basis "
+            "words over these orbits" % (cap, MAX_BV_PARTITIONS))
+    return {"word_cap": cap,
             "hbar_cap": _option(args.max_hbar, 3, 0, "--max-hbar")}
 
 
@@ -157,7 +195,7 @@ def _linearized(args):
                      twist_by_augmentation)
     pf = _load(args.input)
     H = _series_arg(pf, args.series)
-    D = bv_from_hamiltonian(pf.sys, H, **_bv_caps(args))
+    D = bv_from_hamiltonian(pf.sys, H, **_bv_caps(args, pf.sys))
     table = {}
     if args.aug:
         entries = pf.augs.get(args.aug)

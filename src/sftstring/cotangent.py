@@ -58,6 +58,7 @@ from .weyl import (
     OrbitSystem,
     act_left,
     act_right,
+    act_right_table,
     check_master_h,
     exp_series,
 )
@@ -206,12 +207,9 @@ def filling_augmentation(alphabet: GeodesicAlphabet, F: GradedSeries,
                          spec: FreeAlgebraSpec) -> Augmentation:
     """The scalar part of the right action of the potential, tabulated
     on the basis monomials."""
-    sys = alphabet.sys
+    basis = [m for m in spec.basis_monomials() if m != ONE]
     table: Dict[Monomial, GradedSeries] = {}
-    for m in spec.basis_monomials():
-        if m == ONE:
-            continue
-        val = act_right(F, GradedSeries({m: Fraction(1)}), sys, _WIDE)
+    for m, val in act_right_table(F, basis, alphabet.sys, _WIDE).items():
         scal = GradedSeries({mono: c for mono, c in val.terms.items()
                              if q_degree(mono) == 0})
         if not scal.is_zero():

@@ -20,9 +20,13 @@ drops are skipped before the two lowered factors, already in standard
 form, are merged (algebra.merge_words); one Fraction is built per
 output term.  The operator actions are the same kernel restricted to
 full contraction: act_right contracts every p of the left factor,
-act_left every q of the right factor.  The tests compare the star
-product against unit-level matching enumeration and adjacent-
-transposition rewriting, and the actions against derivative chains.
+act_left every q of the right factor.  act_right_table gives
+act_right(F, m) for each monomial m of a basis from one read of F
+(no memo outlives the call); all four entries run one pair loop
+(_pairs).  The tests compare the star product against unit-level
+matching enumeration and adjacent-transposition rewriting, and the
+actions against derivative chains; tests/test_action_tables.py
+compares the tables against one act_right call per monomial.
 """
 
 from __future__ import annotations
@@ -160,6 +164,19 @@ def act_right(F: GradedSeries, g: GradedSeries, sys: OrbitSystem,
     return _contract(F, g, sys, ctx, KIND_P)
 
 
+def act_right_table(F: GradedSeries, basis: Sequence[Monomial],
+                    sys: OrbitSystem, ctx: TruncationContext
+                    ) -> Dict[Monomial, GradedSeries]:
+    """act_right(F, GradedSeries({m: 1})) for each monomial m of basis,
+    keyed in basis order, each value with the same terms in the same
+    order as that call; F is read into records once for the whole table.
+    The first m in basis order whose action has a term below the window
+    raises that call's TruncationUnderflow."""
+    left, dl = _records(F.terms)
+    return {m: _pairs(left, dl, *_records({m: 1}), sys, ctx, KIND_P, False)
+            for m in basis}
+
+
 def act_left(g: GradedSeries, H: GradedSeries, sys: OrbitSystem,
              ctx: TruncationContext) -> GradedSeries:
     """H acting on g from the right: q_gamma of H becomes kappa*h times
@@ -197,10 +214,17 @@ def _contract(a: GradedSeries, b: GradedSeries, sys: OrbitSystem,
     -m_j m_i at the same h and p-degree, and m_i m_i has an odd symbol
     twice), so no coefficient and no TruncationUnderflow depends on it.
     """
-    left, dl = _records(a)
-    right, dr = (left, dl) if b is a else _records(b)
+    left, dl = _records(a.terms)
+    right, dr = (left, dl) if b is a else _records(b.terms)
     odd_square = b is a and full is None and \
         all(monomial_degree(m) & 1 for m in a.terms)
+    return _pairs(left, dl, right, dr, sys, ctx, full, odd_square)
+
+
+def _pairs(left, dl, right, dr, sys: OrbitSystem, ctx: TruncationContext,
+           full: Optional[str], odd_square: bool) -> GradedSeries:
+    """The pair loop of _contract over the records of its two factors
+    and their common denominators dl, dr."""
     max_h, min_h, max_p = ctx.max_hbar, ctx.min_hbar, ctx.max_p_degree
     max_len, hbar, kappa = ctx.max_word_length, sys.hbar, sys.kappa
     acc: Dict[Monomial, int] = {}
@@ -268,9 +292,9 @@ def _contract(a: GradedSeries, b: GradedSeries, sys: OrbitSystem,
     return series
 
 
-def _records(series: GradedSeries):
-    """Records of the monomials of a star-product factor, and the common
-    denominator d of its coefficients: (h-free body, h, p-degree, word
+def _records(terms: Dict[Monomial, Fraction]):
+    """Records of the monomials of a star-product factor (its terms), and
+    the common denominator d of its coefficients: (h-free body, h, p-degree, word
     length, pmap, qmap, p-orbit mask, q-orbit mask, odd-unit mask, odd
     units, c * d).  pmap maps an orbit to its p's position, exponent,
     odd units up to it, parity and orbit bits; qmap to its q's position,
@@ -278,9 +302,9 @@ def _records(series: GradedSeries):
     i (its place in the OrbitSystem) owns bits 2i (its q, and the orbit
     masks) and 2i + 1 (its p).
     """
-    d = lcm(*[c.denominator for c in series.terms.values()])
+    d = lcm(*[c.denominator for c in terms.values()])
     out = []
-    for m, c in series.terms.items():
+    for m, c in terms.items():
         body, h = (m[:-1], m[-1][1]) if m and m[-1][0].kind == KIND_H else (m, 0)
         pdeg = length = pm = qm = odd = units = 0
         pmap, qmap = {}, {}

@@ -181,6 +181,70 @@ def test_check_axioms_sample_limit(monkeypatch, capsys):
     assert seen == [1_000]
 
 
+def _bell(k):
+    row = [1]
+    for _ in range(k):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
+
+
+def _orbit_file(tmp_path, even, odd):
+    """n = 2: cz=1 gives an even q, cz=0 an odd one; H = p of the last
+    odd orbit."""
+    lines = ["n = 2"] + ["orbit e%d cz=1" % i for i in range(even)]
+    lines += ["orbit o%d cz=0" % i for i in range(odd)]
+    lines.append("series H deg=-1 = p[o%d]" % (odd - 1))
+    path = tmp_path / ("orbits_%d_%d.sft" % (even, odd))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_bv_partition_count_matches_the_basis(tmp_path):
+    from sftstring import cli
+    from sftstring.algebra import q_degree
+    from sftstring.bv import FreeAlgebraSpec
+    for even, odd in ((0, 2), (1, 1), (2, 3), (4, 1)):
+        sys_ = parse(_orbit_file(tmp_path, even, odd).read_text()).sys
+        for cap in range(2, 8):
+            spec = FreeAlgebraSpec([], word_cap=cap, n=2,
+                                   symbols=list(sys_.q.values()))
+            want = sum(_bell(q_degree(m)) for m in spec.basis_monomials())
+            assert cli._bv_partitions(sys_, cap) == want, (even, odd, cap)
+
+
+def test_bv_word_cap_limit(monkeypatch, tmp_path, capsys):
+    """linearize and check-bialgebra reject a --max-word-len whose basis
+    words have too many set partitions, before the BV operator is
+    built; the corpus and the default caps stay accepted."""
+    from sftstring import bv
+    from sftstring.bv import BvError
+    built = []
+
+    def stub(sys_, H, word_cap, hbar_cap):
+        built.append(word_cap)
+        raise BvError("stub")
+
+    monkeypatch.setattr(bv, "bv_from_hamiltonian", stub)
+    two, six = _orbit_file(tmp_path, 1, 1), _orbit_file(tmp_path, 6, 1)
+    cases = [(two, "12", True), (two, "13", False), (two, "14", False),
+             (two, "1000000000", False), (six, "8", True), (six, "9", False),
+             (six, "10", False)]
+    cases += [(path, None, True) for path in CORPUS
+              if "H" in parse(path.read_text()).series]
+    for command in ("linearize", "check-bialgebra"):
+        for path, cap, accepted in cases:
+            argv = [command, "--input", str(path)]
+            argv += ["--max-word-len", cap] if cap else []
+            del built[:]
+            code, out, err = run_cli(argv, capsys)
+            assert code == 2 and out == "" and err.count("\n") == 1
+            assert built == ([int(cap or 3)] if accepted else []), argv
+            assert ("set partitions" in err) != accepted, err
+
+
 def test_check_axioms_rejects_caps_it_does_not_use(capsys):
     for flag in ("--max-p-degree", "--max-hbar", "--min-hbar"):
         code, out, err = run_cli(["check-axioms", "--genus", "2",
