@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -27,7 +27,7 @@ from .algebra import (
     add_terms,
     format_monomial,
     hbar_exponent,
-    koszul_sign,
+    merge_words,
     monomial_degree,
     mul,
     normalize,
@@ -272,18 +272,6 @@ def bv_bracket(D: BvOperator, a: GradedSeries, b: GradedSeries) -> GradedSeries:
 # morphisms and augmentations
 # ---------------------------------------------------------------------
 
-def _set_partitions(k: int):
-    """Unordered set partitions of range(k), each block ascending and
-    the blocks ordered by their first element."""
-    if k == 0:
-        yield ()
-        return
-    for part in _set_partitions(k - 1):
-        for i in range(len(part)):
-            yield part[:i] + (part[i] + (k - 1,),) + part[i + 1:]
-        yield part + ((k - 1,),)
-
-
 def exp_morphism(phi: LinearMap, element: GradedSeries,
                  target_mul: Callable[[GradedSeries, GradedSeries], GradedSeries],
                  target_unit: GradedSeries) -> GradedSeries:
@@ -301,41 +289,67 @@ def exp_morphism(phi: LinearMap, element: GradedSeries,
     product, and their weights 1/(r!*prod(c_i!)) add up to 1.  A block
     value of the wrong parity raises BvError.
     """
+    on_word = _exp_words(phi, target_mul, target_unit)
     out: Dict[Monomial, Fraction] = {}
     for m, c in element.terms.items():
-        units, h = units_of(m), hbar_exponent(m)
-        values: Dict[tuple, GradedSeries] = {}
-        acc: Dict[Monomial, Fraction] = {}
-        for part in _set_partitions(len(units)):
-            prod = target_unit
-            for block in part:
-                val = values.get(block)
-                if val is None:
-                    val = values[block] = _block_value(phi, units, block)
-                prod = target_mul(prod, val)
-                if prod.is_zero():
-                    break
-            else:
-                order = [i for block in part for i in block]
-                add_terms(acc, prod.terms, koszul_sign(units, order) * c)
-        term = GradedSeries.from_terms(acc)
+        rest, h = split_h(m)
+        term = on_word(rest)
         if h:
             term = target_mul(phi.spec.hpow(h), term)
-        add_terms(out, term.terms)
+        add_terms(out, term.terms, c)
     return GradedSeries.from_terms(out)
 
 
-def _block_value(phi: LinearMap, units: List[GradedSymbol],
-                 block: Tuple[int, ...]) -> GradedSeries:
-    """phi on the word of the units at the (ascending) block positions."""
-    word = GradedSeries.from_word([(units[i], 1) for i in block])
-    ((bmono, bc),) = word.terms.items()
-    val = phi.value(bmono).scale(bc)
-    parity = sum(units[i].degree for i in block) % 2
-    if any(monomial_degree(mono) % 2 != parity for mono in val.terms):
-        raise BvError("map does not preserve parity, as e^phi needs: "
-                      "%s -> %r" % (format_monomial(bmono), val))
-    return val
+def _exp_words(phi: LinearMap,
+               target_mul: Callable[[GradedSeries, GradedSeries], GradedSeries],
+               target_unit: GradedSeries) -> Callable[[Monomial], GradedSeries]:
+    """e^phi on h-free monomials, each word computed once per call.
+
+    The partition sum goes by the block B that holds the first unit of
+    w: e^phi(w) = sum_B eps(B, w - B) phi(B) e^phi(w - B), eps the Koszul
+    sign of listing B first.  B ranges over the words where phi is
+    nonzero that start with the first symbol of w and divide w; one term
+    stands for the C(e - 1, f - 1) * prod_t C(e_t, f_t) position blocks
+    of that word, f of the e copies of the first symbol and f_t of the
+    e_t of each other symbol t.  A zero map costs nothing past 1.  On a
+    word w past word_cap, BvError is raised, whole word first, by a block
+    B past word_cap that holds the first unit and is not in phi's table;
+    likewise by a value phi(B) of the wrong parity.
+    """
+    blocks: Dict[GradedSymbol, List[Tuple[Monomial, GradedSeries]]] = {}
+    for b, v in phi.table.items():
+        if b and v:
+            blocks.setdefault(b[0][0], []).append((b, v))
+    memo: Dict[Monomial, GradedSeries] = {ONE: target_unit}
+
+    def on_word(w: Monomial) -> GradedSeries:
+        val = memo.get(w)
+        if val is None:
+            if q_degree(w) > phi.spec.word_cap:
+                # phi.value raises on a block past word_cap not in the table
+                for counts in itertools.product(*(
+                        reversed(range(t is w[0][0], e + 1)) for t, e in w)):
+                    phi.value(tuple((t, f) for (t, _), f in zip(w, counts) if f))
+            acc: Dict[Monomial, Fraction] = {}
+            for b, v in blocks.get(w[0][0], ()):
+                left, count = dict(w), 1
+                for t, f in b:
+                    e = left.get(t, 0)
+                    if e < f:
+                        break
+                    count *= comb(e - 1, f - 1) if t is b[0][0] else comb(e, f)
+                    left[t] = e - f
+                else:
+                    if any(monomial_degree(mono) % 2 != monomial_degree(b) % 2
+                           for mono in v.terms):
+                        raise BvError("map does not preserve parity, as e^phi "
+                                      "needs: %s -> %r" % (format_monomial(b), v))
+                    rest = tuple((t, e) for t, e in left.items() if e)
+                    prod = target_mul(v, on_word(rest))
+                    add_terms(acc, prod.terms, merge_words(b, rest)[0] * count)
+            val = memo[w] = GradedSeries.from_terms(acc)
+        return val
+    return on_word
 
 
 class Augmentation(LinearMap):
@@ -449,14 +463,9 @@ def twist_by_augmentation(D: BvOperator, beta: Augmentation,
                           ) -> Tuple[LinearMap, LinearMap, BvOperator]:
     """Build Phi, its inverse, and the twisted operator Phi D Phi^(-1).
 
-    Phi(v_1..v_k) adds, over every nonempty subset of the k positions
-    fed to e^beta, the scalar e^beta value times the word of the
-    remaining positions, with the Koszul sign of moving the subset to
-    the front.  Each subset of size l is hit by l!(k-l)! of the
-    (permutation, split) pairs of the symmetrized formula, all with the
-    same signed term, and their weights 1/(l!(k-l)!) add up to 1.  The
-    twisted operator has no constant terms; that is checked and enforced
-    here.
+    Phi = (e^beta (x) id) Delta and its inverse come from _phi_maps.
+    The twisted operator has no constant terms; that is checked and
+    enforced here.
 
     Phi and Phi^(-1) depend on beta and on D.spec alone (its symbols,
     word_cap, hbar_cap and n), not on D, so they are built once per
@@ -491,38 +500,27 @@ def twist_by_augmentation(D: BvOperator, beta: Augmentation,
 
 def _phi_maps(spec: FreeAlgebraSpec, beta: Augmentation
               ) -> Tuple[LinearMap, LinearMap]:
-    """Phi and its Neumann inverse on the basis monomials of spec."""
-    table: Dict[Monomial, GradedSeries] = {}
-    for m in spec.basis_monomials():
-        units = units_of(m)
-        k = len(units)
-        acc: Dict[Monomial, Fraction] = {m: Fraction(1)}
-        for l in range(1, k + 1):
-            for block in itertools.combinations(range(k), l):
-                scal = beta.exp(GradedSeries.from_word(
-                    [(units[i], 1) for i in block]))
-                if scal.is_zero():
-                    continue
-                rest = [i for i in range(k) if i not in block]
-                restm = GradedSeries.from_word([(units[i], 1) for i in rest])
-                add_terms(acc, spec.truncate(mul(scal, restm, _WIDE)).terms,
-                          koszul_sign(units, block + tuple(rest)))
-        table[m] = GradedSeries.from_terms(acc)
-    Phi = LinearMap(spec, table, 0)
-    # Neumann inverse: the correction strictly lowers word length
-    N = {m: Phi.value(m) - GradedSeries({m: Fraction(1)}) for m in table}
-    Nmap = LinearMap(spec, N, 0)
-    inv_table: Dict[Monomial, GradedSeries] = {}
-    for m in table:
-        acc = {m: Fraction(1)}
-        term = GradedSeries({m: Fraction(1)})
-        for _ in range(spec.word_cap + 1):
-            term = Nmap.apply(term).scale(-1)
-            if term.is_zero():
-                break
-            add_terms(acc, term.terms)
-        inv_table[m] = GradedSeries.from_terms(acc)
-    return Phi, LinearMap(spec, inv_table, 0)
+    """Phi = e^(beta + iota) and Phi^-1 = e^(-beta + iota) on the basis
+    monomials of spec, iota the inclusion of the generators.
+
+    Phi(v_1..v_k) = (e^beta (x) id) Delta sums, once per subset of the
+    positions, e^beta of the subset times the word of the rest, with the
+    Koszul sign of moving the subset to the front.  In the partition sum
+    of e^(beta + iota) the rest is the singleton blocks that pick iota.
+    e^(-beta) is the convolution inverse of e^beta, so the second map
+    inverts the first.
+    """
+    maps = []
+    for sign in (1, -1):
+        table = {((s, 1),): GradedSeries({((s, 1),): Fraction(1)})
+                 for s in spec.symbols}
+        for m, v in beta.table.items():
+            table[m] = table.get(m, GradedSeries.zero()) + v.scale(sign)
+        on_word = _exp_words(LinearMap(spec, table, 0), spec.mul,
+                             GradedSeries.unit())
+        maps.append(LinearMap(spec, {m: on_word(m)
+                                     for m in spec.basis_monomials()}, 0))
+    return maps[0], maps[1]
 
 
 # ---------------------------------------------------------------------

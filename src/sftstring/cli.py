@@ -43,9 +43,10 @@ EXIT_USAGE = 2
 # genus 2, length 6 (156,864 words) took 144 s, and each further length
 # multiplies the count by 7
 MAX_AXIOM_WORDS = 200_000
-# linearize and check-bialgebra expand e^beta over the set partitions of
-# each basis word, Bell(k) of them for a word of k units; _bv_partitions
-# sums that over the basis.  Measured on a 2-core x86 VM (Python 3.11):
+# linearize and check-bialgebra cap the Bell(k) set partitions of each
+# basis word of k units, summed in closed form by _bv_partitions: a bound,
+# not the cost of e^beta, which visits only the words where beta is
+# nonzero.  Measured while e^beta walked them all (2-core x86, Python 3.11):
 # one even and one odd orbit at --max-word-len 12 (1.0e7 partitions)
 # took 2.0 s and at 13 (6.5e7) 10.7 s; six even and one odd orbit at 8
 # (9.9e6) took 3.5 s and at 9 (7.9e7) 18.7 s

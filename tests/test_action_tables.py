@@ -1,24 +1,28 @@
 """The operator tables of bv_from_hamiltonian and filling_augmentation
 against the per-monomial act_right loop they are built from, and the
-Neumann inverse of the twist against an independent inverse."""
+inverse of the twist against its Neumann series."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from sftstring import cotangent
+from sftstring import bv, cotangent
 from sftstring.algebra import (
     GradedSeries,
     TruncationContext,
     TruncationUnderflow,
+    add_terms,
     q_degree,
 )
 from sftstring.bv import (
     Augmentation,
     FreeAlgebraSpec,
+    LinearMap,
     _phi_maps,
     bv_from_hamiltonian,
+    linearize,
+    twist_by_augmentation,
 )
 from sftstring.cotangent import (
     GeodesicAlphabet,
@@ -145,12 +149,63 @@ def _negated(beta):
                                     for m, v in beta.table.items()})
 
 
+def neumann_inverse_reference(Phi):
+    """Phi^-1 = sum_j (-N)^j with N = Phi - id: the series stops, since
+    N strictly lowers the word length."""
+    spec = Phi.spec
+    N = LinearMap(spec, {m: v - GradedSeries({m: Fraction(1)})
+                         for m, v in Phi.table.items()}, 0)
+    table = {}
+    for m in Phi.table:
+        term = GradedSeries({m: Fraction(1)})
+        acc = dict(term.terms)
+        for _ in range(spec.word_cap + 1):
+            term = N.apply(term).scale(-1)
+            add_terms(acc, term.terms)
+        assert term.is_zero(), m
+        table[m] = GradedSeries.from_terms(acc)
+    return table
+
+
 def test_neumann_inverse_is_the_twist_by_the_negated_augmentation(alphabet):
-    # e^(-beta) is the convolution inverse of e^beta, so Phi_(-beta)
-    # inverts Phi_beta independently of the Neumann series
+    # the library builds Phi^-1 as the twist by -beta, e^(-beta + iota),
+    # because e^(-beta) is the convolution inverse of e^beta; the Neumann
+    # series of the library's Phi inverts it independently
     spec, beta = alphabet.filling
-    _phi, inverse = _phi_maps(spec, beta)
-    negated, _ = _phi_maps(spec, _negated(beta))
+    Phi, inverse = _phi_maps(spec, beta)
+    want = neumann_inverse_reference(Phi)
     assert len(inverse.table) == 163
     assert sum(len(v.terms) > 1 for v in inverse.table.values()) >= 50
-    assert inverse.table == negated.table
+    assert inverse.table == want
+    assert _phi_maps(spec, _negated(beta))[0].table == want
+    for m in spec.basis_monomials():
+        assert Phi.apply(inverse.value(m)) == GradedSeries({m: Fraction(1)}), m
+
+
+def _reversed_terms(lmap):
+    return LinearMap(lmap.spec, {
+        m: GradedSeries.from_terms(dict(reversed(list(v.terms.items()))))
+        for m, v in lmap.table.items()}, lmap.degree)
+
+
+def test_linearized_structure_does_not_read_the_term_order_of_phi(
+        alphabet, monkeypatch):
+    # inside some values of Phi and Phi^-1 the order of the terms is not
+    # fixed by their definition, so no output may read it: with every
+    # value of both reversed, D^beta and its linearization are the same
+    # dicts
+    spec, beta = alphabet.filling
+    D = bv_from_hamiltonian(alphabet.sys, build_H_surface(alphabet).series,
+                            word_cap=spec.word_cap, hbar_cap=spec.hbar_cap)
+    _Phi, _PhiInv, want = twist_by_augmentation(
+        D, Augmentation(spec, beta.table))
+    phi_maps = bv._phi_maps
+    monkeypatch.setattr(bv, "_phi_maps", lambda spec_, beta_: tuple(
+        _reversed_terms(x) for x in phi_maps(spec_, beta_)))
+    _Phi, _PhiInv, got = twist_by_augmentation(
+        D, Augmentation(spec, beta.table))
+    assert got.table == want.table
+    lin_got, lin_want = linearize(got), linearize(want)
+    assert sum(map(bool, lin_want.delta.values())) == 2
+    for field in ("dlin", "delta", "mu"):
+        assert getattr(lin_got, field) == getattr(lin_want, field), field

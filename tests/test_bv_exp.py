@@ -1,12 +1,14 @@
-"""The set-partition exponential and subset twist of `sftstring.bv`
-against the symmetrized formulas they replace.
+"""The exponential and the twist of `sftstring.bv` against the
+symmetrized formulas they replace.
 
 `exp_morphism_reference` sums over every permutation of the units and
 every composition of the permuted word into blocks, with weight
 1/(r! * prod c_i!); `phi_table_reference` sums over every permutation
 and every split into a leading block and a remainder, with weight
-1/(l! (k-l)!).  The library sums each unordered partition or subset once;
-the two must agree exactly on every basis monomial.
+1/(l! (k-l)!).  The library sums each unordered partition once, by its
+first block, over the words where the map is nonzero, and builds the
+twist as e^(beta + iota); the two must agree exactly on every basis
+monomial.
 """
 
 import itertools
@@ -16,8 +18,8 @@ from math import factorial
 import pytest
 
 from sftstring import bv
-from sftstring.algebra import (GradedSeries, add_terms, koszul_sign, mul,
-                               split_h)
+from sftstring.algebra import (GradedSeries, add_terms, format_monomial,
+                               koszul_sign, mul, q_degree, split_h)
 from sftstring.bv import (
     Augmentation,
     BvError,
@@ -244,3 +246,68 @@ def test_exp_rejects_a_parity_changing_map():
                                ((sz, 1),): GradedSeries.unit(1)})
     with pytest.raises(BvError):
         beta.exp(GradedSeries({((sx, 1), (sz, 1)): Fraction(1)}))
+
+
+def _counting(target_mul):
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return target_mul(a, b)
+    return counted, calls
+
+
+def test_zero_map_multiplies_nothing():
+    spec = FreeAlgebraSpec([("x", 1), ("y", 0), ("z", 0)], word_cap=11,
+                           hbar_cap=1, n=2)
+    word = GradedSeries.from_word([(spec.symbol("x"), 1),
+                                   (spec.symbol("y"), 4),
+                                   (spec.symbol("z"), 6)])
+    assert q_degree(next(iter(word.terms))) == 11
+    counted, calls = _counting(spec.mul)
+    got = exp_morphism(LinearMap(spec, {}, 0), word, counted,
+                       GradedSeries.unit())
+    assert got.is_zero() and calls == []
+
+
+def test_exp_of_the_inclusion_is_the_identity():
+    # iota is nonzero on the generators only, so each word of k units
+    # costs k products: one per unit, each with the only block offered
+    spec = _mixed_spec()
+    iota = LinearMap(spec, {_mono(spec, n): spec.generator(n)
+                            for n in "uvwx"}, 0)
+    for m in spec.basis_monomials():
+        one = GradedSeries({m: Fraction(1)})
+        counted, calls = _counting(spec.mul)
+        assert exp_morphism(iota, one, counted, GradedSeries.unit()) == one, m
+        assert len(calls) == q_degree(m), m
+
+
+def test_value_outside_the_table_is_an_error():
+    spec = FreeAlgebraSpec([("x", 1), ("y", 0)], word_cap=2, hbar_cap=1, n=2)
+    sx, sy = spec.symbol("x"), spec.symbol("y")
+    word = ((sx, 1), (sy, 2))
+    message = "value of %s outside the table" % format_monomial(word)
+    unit = GradedSeries.unit()
+    beta = Augmentation(spec, {((sy, 1),): unit})
+    one = GradedSeries({word: Fraction(1)})
+    for element in (one, _scalar_mul(spec.hpow(1), one.scale(3))):
+        with pytest.raises(BvError) as err:
+            exp_morphism(beta, element, _scalar_mul, unit)
+        assert str(err.value) == message
+        with pytest.raises(BvError) as err:
+            beta.exp(element)
+        assert str(err.value) == message
+    # a word past word_cap that the table does hold is not an error
+    xh = _scalar_mul(spec.hpow(1), spec.generator("x"))
+    phi = LinearMap(spec, {word: xh}, 0)
+    assert exp_morphism(phi, one, _scalar_mul, unit) == xh
+    # e^phi(x y^3) needs phi on the block x y^2, also past word_cap
+    long_word = ((sx, 1), (sy, 3))
+    long_one = GradedSeries({long_word: Fraction(1)})
+    phi = LinearMap(spec, {long_word: xh}, 0)
+    with pytest.raises(BvError) as err:
+        exp_morphism(phi, long_one, _scalar_mul, unit)
+    assert str(err.value) == message
+    phi = LinearMap(spec, {long_word: xh, word: xh}, 0)
+    assert exp_morphism(phi, long_one, _scalar_mul, unit) == xh

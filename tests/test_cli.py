@@ -245,6 +245,19 @@ def test_bv_word_cap_limit(monkeypatch, tmp_path, capsys):
             assert ("set partitions" in err) != accepted, err
 
 
+def test_linearize_of_a_zero_augmentation_on_long_words(tmp_path, capsys):
+    """With no --aug, beta is the zero map: e^beta is read off its
+    empty support, not expanded over the Bell(11) set partitions of the
+    longest basis words, and the check fails as before."""
+    path = tmp_path / "long_words.sft"
+    path.write_text("n = 1\norbit g1 cz=1\norbit g7 cz=0\n"
+                    "series H deg=-2 = p[g7]\n")
+    got = run_cli(["linearize", "--input", str(path), "--series", "H",
+                   "--max-word-len", "11"], capsys)
+    assert got == (2, "", "error: not an augmentation: "
+                          "[('e^beta D(q[g7])', 'h')]\n")
+
+
 def test_check_axioms_rejects_caps_it_does_not_use(capsys):
     for flag in ("--max-p-degree", "--max-hbar", "--min-hbar"):
         code, out, err = run_cli(["check-axioms", "--genus", "2",
