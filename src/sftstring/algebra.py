@@ -2,9 +2,11 @@
 
 Everything downstream (Weyl star products, BV operators, multi-string
 sums) is a finite linear combination of monomials in graded symbols with
-Fraction coefficients.  A monomial keeps its symbols in a fixed canonical
-order: string-coefficient symbols, then q-variables, then p-variables,
-then the formal variable h (hbar).  Reordering an arbitrary word into
+exact coefficients: an int when the value is an integer, otherwise a
+Fraction with denominator above 1, never a float (exact() applies the
+rule).  A monomial keeps its symbols in a fixed canonical order:
+string-coefficient symbols, then q-variables, then p-variables, then
+the formal variable h (hbar).  Reordering an arbitrary word into
 this form accumulates the Koszul sign; odd symbols square to zero.
 """
 
@@ -13,7 +15,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 # symbol kinds, also the block order inside a normalized monomial
 KIND_S = "s"  # string/coefficient symbol
@@ -160,11 +162,15 @@ def normalize(entries: Iterable) -> Optional[tuple]:
         if s.kind == KIND_P and s.orbit is not None:
             seen_p[s.orbit] = True
         elif s.kind == KIND_Q and s.orbit is not None and seen_p.get(s.orbit):
-            raise NormalizationError(
-                "word mixes p and q of orbit %r in Weyl order; use the star product"
-                % (s.orbit,)
-            )
+            raise weyl_order_error(s.orbit)
     return standard_form(word)
+
+
+def weyl_order_error(orbit: str) -> NormalizationError:
+    """The error for a word with the p of `orbit` left of its q."""
+    return NormalizationError(
+        "word mixes p and q of orbit %r in Weyl order; use the star product"
+        % (orbit,))
 
 
 def standard_form(word: list) -> Optional[tuple]:
@@ -247,6 +253,20 @@ def merge_words(left, right) -> Optional[tuple]:
     return sign, tuple(out)
 
 
+# a coefficient: an int when its value is an integer, else a Fraction
+Coeff = Union[int, Fraction]
+
+
+def exact(c) -> Coeff:
+    """The exact coefficient of value c: an int argument unchanged, else
+    Fraction(c), or its numerator when the denominator is 1."""
+    if c.__class__ is int:
+        return c
+    if c.__class__ is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def add_terms(acc: dict, terms: dict, scale=1) -> dict:
     """acc += scale * terms, key by key, for any sparse vector.
 
@@ -304,24 +324,29 @@ class TruncationContext:
 
 
 class GradedSeries:
-    """Finite Fraction-linear combination of normalized monomials."""
+    """Finite rational linear combination of normalized monomials.
+
+    Each coefficient is nonzero and exact: an int when its value is an
+    integer, else a Fraction (with denominator above 1)."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Optional[dict] = None):
         self.terms: dict = {}
         for m, c in (terms or {}).items():
-            c = Fraction(c)
+            c = exact(c)
             if c:
                 self.terms[m] = c
 
     # -- constructors ------------------------------------------------
     @classmethod
     def from_terms(cls, terms: dict) -> "GradedSeries":
-        """Series over a dict of normalized monomials and exact (Fraction)
-        coefficients, taken as they are except that zeros are dropped."""
+        """Series over a dict of normalized monomials and int or Fraction
+        coefficients, taken as they are except that zeros are dropped
+        and a Fraction with denominator 1 becomes its int."""
         s = cls.__new__(cls)
-        s.terms = {m: c for m, c in terms.items() if c}
+        s.terms = {m: c if c.__class__ is int or c.denominator != 1
+                   else c.numerator for m, c in terms.items() if c}
         return s
 
     @classmethod
@@ -330,7 +355,7 @@ class GradedSeries:
 
     @classmethod
     def unit(cls, coeff=1) -> "GradedSeries":
-        return cls({ONE: Fraction(coeff)})
+        return cls({ONE: coeff})
 
     @classmethod
     def generator(cls, sym: GradedSymbol, coeff=1, power: int = 1) -> "GradedSeries":
@@ -338,7 +363,7 @@ class GradedSeries:
         if res is None:
             return cls.zero()
         sgn, mono = res
-        return cls({mono: Fraction(coeff) * sgn})
+        return cls({mono: exact(coeff) * sgn})
 
     @classmethod
     def from_word(cls, entries, coeff=1) -> "GradedSeries":
@@ -346,7 +371,7 @@ class GradedSeries:
         if res is None:
             return cls.zero()
         sgn, mono = res
-        return cls({mono: Fraction(coeff) * sgn})
+        return cls({mono: exact(coeff) * sgn})
 
     # -- ring structure ----------------------------------------------
     def __add__(self, other: "GradedSeries") -> "GradedSeries":
@@ -359,7 +384,7 @@ class GradedSeries:
         return self.scale(-1)
 
     def scale(self, c) -> "GradedSeries":
-        c = Fraction(c)
+        c = exact(c)
         return GradedSeries.from_terms(
             {m: cc * c for m, cc in self.terms.items()} if c else {})
 
@@ -375,8 +400,8 @@ class GradedSeries:
     def __bool__(self):
         return bool(self.terms)
 
-    def coefficient(self, m: Monomial) -> Fraction:
-        return self.terms.get(m, Fraction(0))
+    def coefficient(self, m: Monomial) -> Coeff:
+        return self.terms.get(m, 0)
 
     def iter_terms(self) -> Iterator:
         return iter(sorted(self.terms.items(), key=lambda t: _term_sort_key(t[0])))
@@ -403,11 +428,26 @@ def _term_sort_key(m: Monomial):
 
 
 def mul(a: GradedSeries, b: GradedSeries, ctx: TruncationContext) -> GradedSeries:
-    """Graded-commutative product, re-truncated to the context."""
+    """Graded-commutative product, re-truncated to the context.
+
+    Each pair of terms is merged (merge_words), as both are in standard
+    form; a pair in which an orbit has its p in the left monomial and
+    its q in the right one raises normalize()'s NormalizationError, for
+    the first such q of the right monomial.
+    """
+    right = [(m2, c2, [s.orbit for s, _ in m2
+                       if s.kind == KIND_Q and s.orbit is not None])
+             for m2, c2 in b.terms.items()]
     acc: dict = {}
     for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
-            res = normalize(list(m1) + list(m2))
+        p_orbits = {s.orbit for s, _ in m1
+                    if s.kind == KIND_P and s.orbit is not None}
+        for m2, c2, q_orbits in right:
+            if p_orbits:
+                for o in q_orbits:
+                    if o in p_orbits:
+                        raise weyl_order_error(o)
+            res = merge_words(m1, m2)
             if res is None:
                 continue
             sgn, mono = res
@@ -418,9 +458,10 @@ def mul(a: GradedSeries, b: GradedSeries, ctx: TruncationContext) -> GradedSerie
 def collect(acc: dict, ctx: TruncationContext) -> GradedSeries:
     """Series of the accumulated terms inside the context window.
 
-    Zeros and terms above the caps are dropped; a nonzero term below
-    min_hbar raises TruncationUnderflow.  One pass over each monomial
-    reads its h exponent, p-degree and word length.
+    Zeros and terms above the caps are dropped, and a Fraction with
+    denominator 1 becomes its int; a nonzero term below min_hbar raises
+    TruncationUnderflow.  One pass over each monomial reads its h
+    exponent, p-degree and word length.
     """
     max_p, max_h, min_h = ctx.max_p_degree, ctx.max_hbar, ctx.min_hbar
     max_len = ctx.max_word_length
@@ -440,9 +481,10 @@ def collect(acc: dict, ctx: TruncationContext) -> GradedSeries:
         if h < min_h:
             raise truncation_underflow(m, min_h)
         if pdeg <= max_p and h <= max_h and length <= max_len:
-            out[m] = c
+            out[m] = c if c.__class__ is int or c.denominator != 1 \
+                else c.numerator
     series = GradedSeries.__new__(GradedSeries)
-    series.terms = out  # nonzero already
+    series.terms = out  # nonzero and exact already
     return series
 
 

@@ -19,6 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .algebra import (
     KIND_H,
     KIND_Q,
+    Coeff,
     GradedSeries,
     GradedSymbol,
     Monomial,
@@ -39,8 +40,8 @@ from .linalg import Subspace, kernel_basis, rref
 from .reports import CheckReport, PASS, timed
 from .weyl import OrbitSystem, act_right_table
 
-Vector = Dict[GradedSymbol, Fraction]
-Tensor2 = Dict[Tuple[GradedSymbol, GradedSymbol], Fraction]
+Vector = Dict[GradedSymbol, Coeff]
+Tensor2 = Dict[Tuple[GradedSymbol, GradedSymbol], Coeff]
 
 
 class BvError(ValueError):
@@ -98,7 +99,7 @@ class FreeAlgebraSpec:
     def hpow(self, a: int, coeff=1) -> GradedSeries:
         if a == 0:
             return GradedSeries.unit(coeff)
-        return GradedSeries({((self.hbar, a),): Fraction(coeff)})
+        return GradedSeries({((self.hbar, a),): coeff})
 
 
 _WIDE = TruncationContext(max_p_degree=64, max_hbar=64, min_hbar=-64,
@@ -127,7 +128,7 @@ class LinearMap:
         return self.spec.truncate(mul(self.spec.hpow(h), v, _WIDE))
 
     def apply(self, series: GradedSeries) -> GradedSeries:
-        out: Dict[Monomial, Fraction] = {}
+        out: Dict[Monomial, Coeff] = {}
         for m, c in series.terms.items():
             add_terms(out, self.value(m).terms, c)
         return self.spec.truncate(GradedSeries.from_terms(out))
@@ -143,11 +144,11 @@ class BvOperator(LinearMap):
         """D^k as an h-free table: the h^(k-1) coefficient of each value."""
         out = {}
         for m, v in self.table.items():
-            acc: Dict[Monomial, Fraction] = {}
+            acc: Dict[Monomial, Coeff] = {}
             for mono, c in v.terms.items():
                 rest, h = split_h(mono)
                 if h == k - 1:
-                    acc[rest] = acc.get(rest, Fraction(0)) + c
+                    acc[rest] = acc.get(rest, 0) + c
             out[m] = GradedSeries(acc)
         return out
 
@@ -170,7 +171,7 @@ def derivation_operator(spec: FreeAlgebraSpec,
     img = {spec.symbol(nm): v for nm, v in images.items()}
 
     def on_monomial(m: Monomial) -> GradedSeries:
-        out: Dict[Monomial, Fraction] = {}
+        out: Dict[Monomial, Coeff] = {}
         units = units_of(m)
         for k, s in enumerate(units):
             v = img.get(s)
@@ -242,7 +243,7 @@ def order_at_most(op: LinearMap, k: int, domain_cap: Optional[int] = None) -> Tu
         for x in spec.basis_monomials():
             if q_degree(x) + 1 > domain_cap:
                 continue
-            ax = mul(gen, GradedSeries({x: Fraction(1)}), _WIDE)
+            ax = mul(gen, GradedSeries({x: 1}), _WIDE)
             table[x] = op.apply(ax) - \
                 spec.truncate(mul(gen, op.value(x), _WIDE)).scale(sign)
         sub = LinearMap(spec, table, op.degree + a.degree)
@@ -290,7 +291,7 @@ def exp_morphism(phi: LinearMap, element: GradedSeries,
     value of the wrong parity raises BvError.
     """
     on_word = _exp_words(phi, target_mul, target_unit)
-    out: Dict[Monomial, Fraction] = {}
+    out: Dict[Monomial, Coeff] = {}
     for m, c in element.terms.items():
         rest, h = split_h(m)
         term = on_word(rest)
@@ -330,7 +331,7 @@ def _exp_words(phi: LinearMap,
                 for counts in itertools.product(*(
                         reversed(range(t is w[0][0], e + 1)) for t, e in w)):
                     phi.value(tuple((t, f) for (t, _), f in zip(w, counts) if f))
-            acc: Dict[Monomial, Fraction] = {}
+            acc: Dict[Monomial, Coeff] = {}
             for b, v in blocks.get(w[0][0], ()):
                 left, count = dict(w), 1
                 for t, f in b:
@@ -375,13 +376,13 @@ class Augmentation(LinearMap):
         self._phi_memo: Dict[tuple, Tuple[LinearMap, LinearMap]] = {}
 
     def exp(self, element: GradedSeries) -> GradedSeries:
-        out: Dict[Monomial, Fraction] = {}
+        out: Dict[Monomial, Coeff] = {}
         for m, c in element.terms.items():
             rest, h = split_h(m)
             val = self._exp_memo.get(rest)
             if val is None:
                 val = self._exp_memo[rest] = exp_morphism(
-                    self, GradedSeries({rest: Fraction(1)}), _scalar_mul,
+                    self, GradedSeries({rest: 1}), _scalar_mul,
                     GradedSeries.unit())
             if h:
                 val = _scalar_mul(self.spec.hpow(h), val)
@@ -445,7 +446,7 @@ def check_bv_morphism(phi: LinearMap, D_A: BvOperator, D_B: BvOperator,
                 continue
             lhs = exp_morphism(phi, D_A.value(m), target_mul, unit)
             rhs = D_B.apply(exp_morphism(
-                phi, GradedSeries({m: Fraction(1)}), target_mul, unit))
+                phi, GradedSeries({m: 1}), target_mul, unit))
             if not (lhs - rhs).is_zero():
                 report.add_witness("intertwining on %s" % format_monomial(m),
                                    repr(lhs - rhs))
@@ -512,7 +513,7 @@ def _phi_maps(spec: FreeAlgebraSpec, beta: Augmentation
     """
     maps = []
     for sign in (1, -1):
-        table = {((s, 1),): GradedSeries({((s, 1),): Fraction(1)})
+        table = {((s, 1),): GradedSeries({((s, 1),): 1})
                  for s in spec.symbols}
         for m, v in beta.table.items():
             table[m] = table.get(m, GradedSeries.zero()) + v.scale(sign)
@@ -600,8 +601,8 @@ def homology(dlin: Dict[GradedSymbol, Vector], basis: List[GradedSymbol]):
     idx = {s: i for i, s in enumerate(basis)}
     nb = len(basis)
 
-    def apply(vec: List[Fraction]) -> List[Fraction]:
-        out = [Fraction(0)] * nb
+    def apply(vec: List[Coeff]) -> List[Coeff]:
+        out = [0] * nb
         for s, c in zip(basis, vec):
             if not c:
                 continue
@@ -610,7 +611,7 @@ def homology(dlin: Dict[GradedSymbol, Vector], basis: List[GradedSymbol]):
         return out
 
     for s in basis:
-        v0 = [Fraction(i == idx[s]) for i in range(nb)]
+        v0 = [int(i == idx[s]) for i in range(nb)]
         if any(apply(apply(v0))):
             raise BvError("differential does not square to zero")
     out = {}
@@ -620,13 +621,13 @@ def homology(dlin: Dict[GradedSymbol, Vector], basis: List[GradedSymbol]):
         rows = []
         for s in dom:
             img = dlin.get(s, {})
-            rows.append([img.get(t, Fraction(0))
+            rows.append([img.get(t, 0)
                          for t in basis if t.degree == d - 1])
         kern = kernel_basis([list(col) for col in zip(*rows)], len(dom))
         img_rows = []
         for s in above:
             img = dlin.get(s, {})
-            img_rows.append([img.get(t, Fraction(0)) for t in dom])
+            img_rows.append([img.get(t, 0) for t in dom])
         sub = Subspace(img_rows, len(dom))
         reps = []
         for v in kern:
@@ -666,7 +667,7 @@ class BialgebraAxioms:
         self.idx = {s: i for i, s in enumerate(self.basis)}
         img = []
         for s in self.basis:
-            row = [Fraction(0)] * len(self.basis)
+            row = [0] * len(self.basis)
             for t, c in (boundary or {}).get(s, {}).items():
                 row[self.idx[t]] = c
             if any(row):
@@ -787,10 +788,10 @@ class BialgebraAxioms:
 
     def _reduce_slot(self, t, slot: int):
         n = len(self.basis)
-        fibres: Dict[tuple, List[Fraction]] = {}
+        fibres: Dict[tuple, List[Coeff]] = {}
         for key, c in t.items():
             rest = key[:slot] + key[slot + 1:]
-            fibres.setdefault(rest, [Fraction(0)] * n)[self.idx[key[slot]]] += c
+            fibres.setdefault(rest, [0] * n)[self.idx[key[slot]]] += c
         out = {}
         for rest, vec in fibres.items():
             for i, x in enumerate(self.image.reduce(vec)):
@@ -817,7 +818,7 @@ def check_lie_bialgebra(data: LieBialgebraData, d1: Optional[int] = None,
             hom = homology(data.dlin, data.basis)
             reps = [v for d in hom for v in hom[d][1]]
         else:
-            reps = [{s: Fraction(1)} for s in data.basis]
+            reps = [{s: 1} for s in data.basis]
 
         # degree checks of the structure maps
         for s in data.basis:
@@ -868,7 +869,7 @@ def _exp_commutative(spec: FreeAlgebraSpec, a: GradedSeries) -> GradedSeries:
         if not rest and h <= 0:
             raise BvError("exponential of scalar term %s h^%d does not truncate"
                           % (c, h))
-    out = {ONE: Fraction(1)}
+    out = {ONE: 1}
     power = GradedSeries.unit()
     for k in range(1, spec.word_cap + spec.hbar_cap + len(spec.symbols) + 4):
         power = spec.truncate(mul(power, a, _WIDE))
@@ -909,7 +910,7 @@ def twist_by_mc(D: BvOperator, a: GradedSeries) -> BvOperator:
                           "D(e^a) = 0")
     table = {}
     for m in spec.basis_monomials():
-        val = D.apply(spec.truncate(mul(ea, GradedSeries({m: Fraction(1)}), _WIDE)))
+        val = D.apply(spec.truncate(mul(ea, GradedSeries({m: 1}), _WIDE)))
         table[m] = spec.truncate(mul(e_ma, val, _WIDE))
     Da = BvOperator(spec, table)
     if not Da.value(ONE).is_zero():
@@ -931,8 +932,8 @@ def linearize_morphism(phi: LinearMap, D_A: BvOperator, alpha: Augmentation,
     with timed(report):
         unit = GradedSeries.unit()
         for m in specA.basis_monomials():
-            lhs = alpha.exp(GradedSeries({m: Fraction(1)}))
-            ephi = exp_morphism(phi, GradedSeries({m: Fraction(1)}),
+            lhs = alpha.exp(GradedSeries({m: 1}))
+            ephi = exp_morphism(phi, GradedSeries({m: 1}),
                                 specB.mul, unit)
             rhs = beta.exp(ephi)
             if not (lhs - rhs).is_zero():

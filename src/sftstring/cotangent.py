@@ -29,12 +29,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (
     KIND_Q,
+    Coeff,
     GradedSeries,
     GradedSymbol,
     Monomial,
     ONE,
     TruncationContext,
     add_terms,
+    exact,
     format_monomial,
     hbar_exponent,
     monomial_degree,
@@ -189,7 +191,7 @@ def build_F(alphabet: GeodesicAlphabet) -> GradedSeries:
     """Cobordism potential (1/h) sum e p p over reversal pairs, with
     e = +1 on the canonically ordered pair; zero otherwise."""
     sys = alphabet.sys
-    out: Dict[Monomial, Fraction] = {}
+    out: Dict[Monomial, Coeff] = {}
     done = set()
     for w in alphabet.classes:
         wb = alphabet.partner[w]
@@ -221,17 +223,17 @@ def filling_augmentation(alphabet: GeodesicAlphabet, F: GradedSeries,
 class SurfaceHamiltonian:
     alphabet: GeodesicAlphabet
     series: GradedSeries
-    a: Dict[tuple, Fraction]
-    b: Dict[tuple, Fraction]
-    c: Dict[tuple, Fraction]
-    d: Dict[tuple, Fraction]
+    a: Dict[tuple, Coeff]
+    b: Dict[tuple, Coeff]
+    c: Dict[tuple, Coeff]
+    d: Dict[tuple, Coeff]
     notes: List[str] = field(default_factory=list)
 
     @property
     def sys(self) -> OrbitSystem:
         return self.alphabet.sys
 
-    def coefficients(self) -> Dict[str, Dict[tuple, Fraction]]:
+    def coefficients(self) -> Dict[str, Dict[tuple, Coeff]]:
         return {"a": self.a, "b": self.b, "c": self.c, "d": self.d}
 
     def flipped(self, family: str, key: tuple) -> "SurfaceHamiltonian":
@@ -247,7 +249,7 @@ class SurfaceHamiltonian:
 def _assemble(alphabet: GeodesicAlphabet, a, b, c, d) -> GradedSeries:
     sys = alphabet.sys
     nm = alphabet.name
-    out: Dict[Monomial, Fraction] = {}
+    out: Dict[Monomial, Coeff] = {}
     for (k, i, j), coeff in a.items():
         add_terms(out, sys.monomial(coeff, qs=[nm(i), nm(j)], ps=[nm(k)],
                                     hpow=-1).terms)
@@ -271,8 +273,8 @@ def surface_structure_constants(alphabet: GeodesicAlphabet, cap: int):
     S = alphabet.surface
     members = set(alphabet.classes)
     missing = set()
-    cob: Dict[Word, Dict[Tuple[Word, Word], Fraction]] = {}
-    br: Dict[Tuple[Word, Word], Dict[Word, Fraction]] = {}
+    cob: Dict[Word, Dict[Tuple[Word, Word], Coeff]] = {}
+    br: Dict[Tuple[Word, Word], Dict[Word, Coeff]] = {}
     for w in alphabet.classes:
         terms = {}
         for (u, v), coeff in S.turaev_terms(w).items():
@@ -322,45 +324,46 @@ def build_H_surface(alphabet: GeodesicAlphabet,
     spec, beta = alphabet.filling
 
     # -- a-family: cobracket constants through the quadratic part -------
-    a: Dict[tuple, Fraction] = {}
+    a: Dict[tuple, Coeff] = {}
     order = {w: i for i, w in enumerate(alphabet.classes)}
     for k in alphabet.classes:
         for (u, v), coeff in cob[k].items():
             if order[u] < order[v]:
                 probe = _delta_probe(alphabet, k, u, v)
-                a[(k, u, v)] = a.get((k, u, v), Fraction(0)) + coeff / probe
+                a[(k, u, v)] = exact(a.get((k, u, v), 0)
+                                     + Fraction(coeff, probe))
     # -- d-family: kill the constant terms of the twisted operator ------
-    d: Dict[tuple, Fraction] = {}
+    d: Dict[tuple, Coeff] = {}
     for k in alphabet.classes:
-        resid: Dict[Monomial, Fraction] = {}
+        resid: Dict[Monomial, Coeff] = {}
         for (u, v), coeff in _a_image(alphabet, a, k).items():
             add_terms(resid, beta.exp(
                 GradedSeries({_word_monomial(alphabet, (u, v)): coeff})).terms)
         if resid:
             # the h p probe contributes kappa * h to D(q_k)
             kap = sys.kappa[alphabet.name(k)]
-            coeff = -resid.get(((sys.hbar, 1),), Fraction(0)) / kap
+            coeff = exact(Fraction(-resid.get(((sys.hbar, 1),), 0), kap))
             if coeff:
                 d[(k,)] = coeff
     # -- b-family: match the bracket through the h-linear part ----------
-    b: Dict[tuple, Fraction] = {}
+    b: Dict[tuple, Coeff] = {}
     partial = _assemble(alphabet, a, {}, {}, d)
     mu_now = _linearized_mu(alphabet, partial, beta, spec)
     for x in alphabet.classes:
         for y in alphabet.classes:
             if order[x] >= order[y]:
                 continue
-            target: Dict[Word, Fraction] = dict(br[(x, y)])
+            target: Dict[Word, Coeff] = dict(br[(x, y)])
             have = mu_now.get((x, y), {})
-            gap = {z: target.get(z, Fraction(0)) - have.get(z, Fraction(0))
+            gap = {z: target.get(z, 0) - have.get(z, 0)
                    for z in set(target) | set(have)}
             for z, g in gap.items():
                 if not g:
                     continue
                 t = _b_probe(alphabet, z, x, y)
-                b[(z, x, y)] = g / t
+                b[(z, x, y)] = exact(Fraction(g, t))
     # -- c-family: augmentation law on cubic words ----------------------
-    c: Dict[tuple, Fraction] = {}
+    c: Dict[tuple, Coeff] = {}
     partial = _assemble(alphabet, a, b, {}, d)
     D = bv_from_hamiltonian(sys, partial, word_cap=spec.word_cap,
                             hbar_cap=spec.hbar_cap)
@@ -378,7 +381,7 @@ def build_H_surface(alphabet: GeodesicAlphabet,
         pc = t_probe.coefficient(mono2)
         if not pc:
             raise AlphabetError("cubic probe cannot cancel the residual")
-        c[trip] = -cc2 / pc
+        c[trip] = exact(Fraction(-cc2, pc))
         check = resid + t_probe.scale(c[trip])
         if not check.is_zero():
             raise AlphabetError("cubic residual is not proportional to the probe")
@@ -399,12 +402,12 @@ def _word_monomial(alphabet: GeodesicAlphabet, words) -> Optional[Monomial]:
     return mono
 
 
-def _a_image(alphabet: GeodesicAlphabet, a: Dict[tuple, Fraction],
-             k: Word) -> Dict[Tuple[Word, Word], Fraction]:
+def _a_image(alphabet: GeodesicAlphabet, a: Dict[tuple, Coeff],
+             k: Word) -> Dict[Tuple[Word, Word], Coeff]:
     """Quadratic part of D(q_k) induced by the a-family, as ordered-pair
     coefficients of the monomial basis (u before v in canonical order)."""
     sys = alphabet.sys
-    out: Dict[Tuple[Word, Word], Fraction] = {}
+    out: Dict[Tuple[Word, Word], Coeff] = {}
     for (kk, u, v), coeff in a.items():
         if kk != k or not coeff:
             continue
@@ -416,19 +419,19 @@ def _a_image(alphabet: GeodesicAlphabet, a: Dict[tuple, Fraction],
             if len(syms) == 2:
                 pair = (alphabet.class_of_qsym(syms[0]),
                         alphabet.class_of_qsym(syms[1]))
-                out[pair] = out.get(pair, Fraction(0)) + cc
+                out[pair] = out.get(pair, 0) + cc
     return out
 
 
 def _delta_probe(alphabet: GeodesicAlphabet, k: Word, u: Word, v: Word
-                 ) -> Fraction:
+                 ) -> Coeff:
     """Coefficient of u (x) v in the extracted cobracket when the unit
     a-term q_u q_v p_k is the whole Hamiltonian."""
     sys = alphabet.sys
     term = sys.monomial(1, qs=[alphabet.name(u), alphabet.name(v)],
                         ps=[alphabet.name(k)], hpow=-1)
     img = act_right(term, alphabet.q(k), sys, _WIDE)
-    total = Fraction(0)
+    total = 0
     pair = (alphabet.qsym(u), alphabet.qsym(v))
     for mono, cc in img.terms.items():
         entries = tuple((s, e) for s, e in mono if s.kind == KIND_Q)
@@ -439,14 +442,14 @@ def _delta_probe(alphabet: GeodesicAlphabet, k: Word, u: Word, v: Word
     return total
 
 
-def _b_probe(alphabet: GeodesicAlphabet, z: Word, x: Word, y: Word) -> Fraction:
+def _b_probe(alphabet: GeodesicAlphabet, z: Word, x: Word, y: Word) -> Coeff:
     """Coefficient of q_z h in the action of the unit b-term
     (1/h) q_z p_x p_y on q_x q_y, with the bracket's front sign."""
     sys = alphabet.sys
     term = sys.monomial(1, qs=[alphabet.name(z)],
                         ps=[alphabet.name(x), alphabet.name(y)], hpow=-1)
     mono = _word_monomial(alphabet, (x, y))
-    img = act_right(term, GradedSeries({mono: Fraction(1)}), sys, _WIDE)
+    img = act_right(term, GradedSeries({mono: 1}), sys, _WIDE)
     want = ((alphabet.qsym(z), 1), (sys.hbar, 1))
     val = img.coefficient(want)
     # mu(v1, v2) carries the extra (-1)^{|v1|}
@@ -460,7 +463,7 @@ def _c_probe(alphabet: GeodesicAlphabet, beta: Augmentation, trip) -> GradedSeri
     sys = alphabet.sys
     term = sys.monomial(1, ps=[alphabet.name(w) for w in trip], hpow=-1)
     mono = _word_monomial(alphabet, trip)
-    img = act_right(term, GradedSeries({mono: Fraction(1)}), sys, _WIDE)
+    img = act_right(term, GradedSeries({mono: 1}), sys, _WIDE)
     return beta.exp(img)
 
 

@@ -8,6 +8,7 @@ from typing import List, Tuple
 
 def rref(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
     """Reduced row echelon form; returns (matrix, pivot column indices)."""
+    # Fractions, so that 1 / pivot below stays exact on int rows
     mat = [[Fraction(x) for x in row] for row in rows]
     pivots: List[int] = []
     r = 0

@@ -407,7 +407,7 @@ class _Parser:
     def _hbar(self, power: int) -> GradedSeries:
         from .algebra import GradedSymbol, KIND_H
         hbar = GradedSymbol("h", 2 * (self.pf.n - 3), KIND_H, None, 0)
-        return GradedSeries({((hbar, power),): Fraction(1)})
+        return GradedSeries({((hbar, power),): 1})
 
     def _variable(self, kind: str, ident: str, tok: Token) -> GradedSeries:
         if kind in ("q", "p"):

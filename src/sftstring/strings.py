@@ -16,11 +16,11 @@ where the chain boundary vanishes.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Dict, List, Sequence
 
 from .algebra import (
     KIND_S,
+    Coeff,
     GradedSeries,
     GradedSymbol,
     Monomial,
@@ -30,6 +30,7 @@ from .algebra import (
     hbar_exponent,
     monomial_degree,
     mul,
+    normalize,
     p_degree,
     q_degree,
     word_length,
@@ -63,8 +64,8 @@ class ClassAlgebra:
         # names are format_word(cls), injective on classes
         self._classes: Dict[GradedSymbol, Word] = {}
         # unscaled, uncollected images of one monomial under split/join
-        self._split_images: Dict[Monomial, Dict[Monomial, Fraction]] = {}
-        self._join_images: Dict[Monomial, Dict[Monomial, Fraction]] = {}
+        self._split_images: Dict[Monomial, Dict[Monomial, Coeff]] = {}
+        self._join_images: Dict[Monomial, Dict[Monomial, Coeff]] = {}
 
     def symbol(self, cls: Word) -> GradedSymbol:
         sym = self._symbols.get(cls)
@@ -119,7 +120,7 @@ def _apply_images(series: GradedSeries, alg: ClassAlgebra, memo: dict,
                   image, ctx: TruncationContext) -> GradedSeries:
     """Sum of c * image(m) over the terms c*m of the series, each
     monomial's image computed once per ClassAlgebra and kept in memo."""
-    out: Dict[Monomial, Fraction] = {}
+    out: Dict[Monomial, Coeff] = {}
     for m, c in series.terms.items():
         img = memo.get(m)
         if img is None:
@@ -140,9 +141,9 @@ def delta_op(series: GradedSeries, alg: ClassAlgebra,
     return _apply_images(series, alg, alg._split_images, _split_image, ctx)
 
 
-def _split_image(m: Monomial, alg: ClassAlgebra) -> Dict[Monomial, Fraction]:
+def _split_image(m: Monomial, alg: ClassAlgebra) -> Dict[Monomial, Coeff]:
     sgn_exp = 3 - alg.n
-    out: Dict[Monomial, Fraction] = {}
+    out: Dict[Monomial, Coeff] = {}
     slots = _tuple_of(m)
     rest = _rest_of(m)
     for r in range(1, len(slots) + 1):
@@ -152,8 +153,10 @@ def _split_image(m: Monomial, alg: ClassAlgebra) -> Dict[Monomial, Fraction]:
             entries = [(s, 1) for s in slots[:r - 1]]
             entries += [(alg.symbol(u), 1), (alg.symbol(v), 1)]
             entries += [(s, 1) for s in slots[r:]]
-            entries += list(rest)
-            add_terms(out, GradedSeries.from_word(entries, cc * pref).terms)
+            entries += rest
+            res = normalize(entries)
+            if res is not None:
+                add_terms(out, {res[1]: cc * pref}, res[0])
     return out
 
 
@@ -169,9 +172,9 @@ def nabla_op(series: GradedSeries, alg: ClassAlgebra,
     return _apply_images(series, alg, alg._join_images, _join_image, ctx)
 
 
-def _join_image(m: Monomial, alg: ClassAlgebra) -> Dict[Monomial, Fraction]:
+def _join_image(m: Monomial, alg: ClassAlgebra) -> Dict[Monomial, Coeff]:
     sgn_exp = 3 - alg.n
-    out: Dict[Monomial, Fraction] = {}
+    out: Dict[Monomial, Coeff] = {}
     slots = _tuple_of(m)
     rest = _rest_of(m)
     k = len(slots)
@@ -184,15 +187,17 @@ def _join_image(m: Monomial, alg: ClassAlgebra) -> Dict[Monomial, Fraction]:
                 entries = [(alg.symbol(z), 1)]
                 entries += [(s, 1) for t, s in enumerate(slots)
                             if t not in (r1 - 1, r2 - 1)]
-                entries += list(rest)
-                add_terms(out, GradedSeries.from_word(entries, cc * pref).terms)
+                entries += rest
+                res = normalize(entries)
+                if res is not None:
+                    add_terms(out, {res[1]: cc * pref}, res[0])
     return out
 
 
 def string_bracket(alg: ClassAlgebra, a: GradedSeries, b: GradedSeries,
                    ctx: TruncationContext) -> GradedSeries:
     """Goldman bracket extended bilinearly to single-string sums."""
-    out: Dict[Monomial, Fraction] = {}
+    out: Dict[Monomial, Coeff] = {}
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
             t1, t2 = _tuple_of(m1), _tuple_of(m2)
@@ -316,7 +321,7 @@ def d_string(series: GradedSeries, alg: ClassAlgebra, sys: OrbitSystem,
     """
     out = delta_op(series, alg, ctx)
     joined = nabla_op(series, alg, ctx)
-    hseries = GradedSeries({((sys.hbar, 1),): Fraction(1)})
+    hseries = GradedSeries({((sys.hbar, 1),): 1})
     out = out + mul(hseries, joined, ctx)
     if boundary is not None:
         out = out + boundary(series, ctx)

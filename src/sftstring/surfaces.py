@@ -19,7 +19,6 @@ closed form for crossings of straight lines.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import getitem
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -133,8 +132,8 @@ class Surface:
         self._class_cache: Dict[Word, Optional[Word]] = {}
         self._ray_cache: Dict[Tuple[Word, int], Tuple[bytes, bytes]] = {}
         # bracket and cobracket tables, keyed on the words as passed
-        self._bracket_memo: Dict[Tuple[Word, Word], Dict[Word, Fraction]] = {}
-        self._cobracket_memo: Dict[Word, Dict[Tuple[Word, Word], Fraction]] = {}
+        self._bracket_memo: Dict[Tuple[Word, Word], Dict[Word, int]] = {}
+        self._cobracket_memo: Dict[Word, Dict[Tuple[Word, Word], int]] = {}
         if self.closed:
             rel = []
             for i in range(genus):
@@ -539,7 +538,7 @@ class Surface:
         return [s for s in signs if s[2]]
 
     # -- string operations ----------------------------------------------
-    def goldman_terms(self, x: Word, y: Word) -> Dict[Word, Fraction]:
+    def goldman_terms(self, x: Word, y: Word) -> Dict[Word, int]:
         """Signed concatenation classes over linked occurrence pairs.
 
         Computed once per (x, y) as passed, not per class, so that a
@@ -549,19 +548,19 @@ class Surface:
             return self._torus_bracket_lines(x, y)
         table = self._bracket_memo.get((x, y))
         if table is None:
-            out: Dict[Word, Fraction] = {}
+            out: Dict[Word, int] = {}
             for i, j, eps in self._linked_pairs(x, y):
                 xi = x[i:] + x[:i]
                 yj = y[j:] + y[:j]
                 c = self.canonical_class(xi + yj)
                 if c is None:
                     continue
-                out[c] = out.get(c, Fraction(0)) + eps
+                out[c] = out.get(c, 0) + eps
             table = self._bracket_memo[(x, y)] = {
                 c: v for c, v in out.items() if v}
         return dict(table)
 
-    def turaev_terms(self, x: Word) -> Dict[Tuple[Word, Word], Fraction]:
+    def turaev_terms(self, x: Word) -> Dict[Tuple[Word, Word], int]:
         """Ordered splitting pairs over linked self-occurrence pairs.
 
         Every self-intersection point appears as two mirrored canonical
@@ -573,13 +572,13 @@ class Surface:
             return {}  # straight lines and their covers never split
         table = self._cobracket_memo.get(x)
         if table is None:
-            out: Dict[Tuple[Word, Word], Fraction] = {}
+            out: Dict[Tuple[Word, Word], int] = {}
             for i, j, eps in self._linked_pairs(x, x):
                 u = self.canonical_class(x[i:j] if i < j else x[i:] + x[:j])
                 v = self.canonical_class(x[j:i] if j < i else x[j:] + x[:i])
                 if u is None or v is None:
                     continue
-                out[(u, v)] = out.get((u, v), Fraction(0)) + eps
+                out[(u, v)] = out.get((u, v), 0) + eps
             table = self._cobracket_memo[x] = {
                 k: v for k, v in out.items() if v}
         return dict(table)
@@ -603,7 +602,7 @@ class Surface:
         return len(self._linked_pairs(x, y))
 
     # -- torus lattice mode ----------------------------------------------
-    def _torus_bracket_lines(self, x: Word, y: Word) -> Dict[Word, Fraction]:
+    def _torus_bracket_lines(self, x: Word, y: Word) -> Dict[Word, int]:
         """Bracket on the flat torus: two straight-line representatives
         cross |det| times, every crossing with the sign of the
         determinant, and each joins to the class (m+p, n+q)."""
@@ -615,14 +614,14 @@ class Surface:
         c = self.canonical_class(self.torus_word(m + p, n + q))
         if c is None:
             return {}
-        return {c: Fraction(det)}
+        return {c: det}
 
 
-def torus_bracket_oracle(m: int, n: int, p: int, q: int) -> Dict[Word, Fraction]:
+def torus_bracket_oracle(m: int, n: int, p: int, q: int) -> Dict[Word, int]:
     """Straight-line oracle: (mq - np) times the class (m+p, n+q)."""
     if (m, n) == (0, 0) or (p, q) == (0, 0):
         raise SurfaceError("zero lattice vector")
     det = m * q - n * p
     if det == 0 or (m + p, n + q) == (0, 0):
         return {}
-    return {Surface.torus_word(m + p, n + q): Fraction(det)}
+    return {Surface.torus_word(m + p, n + q): det}

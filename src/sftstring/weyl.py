@@ -17,10 +17,12 @@ length, p and q positions, an odd-unit bitmask, the coefficient as an
 integer over the factor's common denominator); the shared orbits are
 folded in from the rightmost by slicing the bodies; terms the window
 drops are skipped before the two lowered factors, already in standard
-form, are merged (algebra.merge_words); one Fraction is built per
-output term.  The operator actions are the same kernel restricted to
-full contraction: act_right contracts every p of the left factor,
-act_left every q of the right factor.  act_right_table gives
+form, are merged (algebra.merge_words); an output term's integer sum n
+over the common denominator d gives n itself when d is 1, n // d when
+d divides n, and Fraction(n, d) only otherwise.  The operator actions
+are the same kernel restricted to full contraction: act_right
+contracts every p of the left factor, act_left every q of the right
+factor.  act_right_table gives
 act_right(F, m) for each monomial m of a basis from one read of F
 (no memo outlives the call); all four entries run one pair loop
 (_pairs).  The tests compare the star product against unit-level
@@ -124,7 +126,7 @@ class OrbitSystem:
         return GradedSeries.generator(self.p[name], coeff)
 
     def series_h(self, power: int = 1, coeff=1) -> GradedSeries:
-        return GradedSeries({((self.hbar, power),): Fraction(coeff)}) if power \
+        return GradedSeries({((self.hbar, power),): coeff}) if power \
             else GradedSeries.unit(coeff)
 
     def monomial(self, coeff, qs=(), ps=(), hpow: int = 0, ss=()) -> GradedSeries:
@@ -288,11 +290,15 @@ def _pairs(left, dl, right, dr, sys: OrbitSystem, ctx: TruncationContext,
             raise truncation_underflow(mono, min_h)
     d = dl * dr
     series = GradedSeries.__new__(GradedSeries)
-    series.terms = {m: Fraction(n, d) for m, n in acc.items() if n}
+    if d == 1:
+        series.terms = {m: n for m, n in acc.items() if n}
+    else:
+        series.terms = {m: n // d if n % d == 0 else Fraction(n, d)
+                        for m, n in acc.items() if n}
     return series
 
 
-def _records(terms: Dict[Monomial, Fraction]):
+def _records(terms: dict):
     """Records of the monomials of a star-product factor (its terms), and
     the common denominator d of its coefficients: (h-free body, h, p-degree, word
     length, pmap, qmap, p-orbit mask, q-orbit mask, odd-unit mask, odd
@@ -386,7 +392,7 @@ def exp_series(F: GradedSeries, sys: OrbitSystem,
     and is rejected.
     """
     reject_scalar_term(F)
-    out = {ONE: Fraction(1)}
+    out = {ONE: 1}
     power = GradedSeries.unit()
     bound = (ctx.max_p_degree + (ctx.max_hbar - ctx.min_hbar)
              + ctx.max_word_length + len(sys.q) + 8)
@@ -471,7 +477,7 @@ def coefficient_boundary_operator(bnd: Dict[GradedSymbol, GradedSeries]):
     derivation over the coefficient block."""
 
     def apply(series: GradedSeries, ctx: TruncationContext) -> GradedSeries:
-        acc: Dict[Monomial, Fraction] = {}
+        acc: dict = {}
         for m, c in series.terms.items():
             par = 0
             for k, (s, e) in enumerate(m):

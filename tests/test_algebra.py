@@ -16,6 +16,7 @@ from sftstring.algebra import (
     NormalizationError,
     TruncationContext,
     add_terms,
+    collect,
     koszul_sign,
     merge_words,
     monomial_degree,
@@ -171,6 +172,44 @@ def test_merge_words_matches_standard_form_of_the_concatenation():
         left = tuple((s, e) for s, e in left if e)
         right = tuple((s, e) for s, e in right if e)
         assert merge_words(left, right) == standard_form(list(left) + list(right))
+
+
+def _mul_reference(a, b, ctx):
+    """mul by normalize() of each concatenated pair of terms."""
+    acc = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            res = normalize(list(m1) + list(m2))
+            if res is not None:
+                acc[res[1]] = acc.get(res[1], 0) + res[0] * c1 * c2
+    return collect(acc, ctx)
+
+
+def test_mul_matches_normalize_of_the_concatenation():
+    # mixed parities in every block, h of either sign, vanishing pairs,
+    # and pairs with a p of an orbit on the left and its q on the right
+    syms = [sym("s[x]", -1, kind=KIND_S, index=0),
+            sym("s[y]", 2, kind=KIND_S, index=1),
+            q1, q3, sym("p[1]", -1, kind=KIND_P, orbit="1", index=0),
+            sym("p[3]", 0, kind=KIND_P, orbit="3", index=2),
+            sym("h", 2, kind=KIND_H)]
+    rng = random.Random(11)
+    raised = vanished = 0
+    for _ in range(400):
+        a, b = (_random_series(rng, syms, nterms=rng.randrange(1, 4))
+                for _ in range(2))
+        try:
+            want = _mul_reference(a, b, CTX)
+        except NormalizationError as err:
+            raised += 1
+            with pytest.raises(NormalizationError) as got:
+                mul(a, b, CTX)
+            assert str(got.value) == str(err)
+            continue
+        got = mul(a, b, CTX)
+        assert list(got.terms.items()) == list(want.terms.items())
+        vanished += len(got.terms) < len(a.terms) * len(b.terms)
+    assert raised > 20 and vanished > 20
 
 
 def _add_terms_reference(acc, terms, scale):

@@ -140,6 +140,16 @@ def test_library_errors_exit_2_with_one_line(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_product_of_p_and_q_of_one_orbit_is_a_parse_error(tmp_path, capsys):
+    # p[g] * q[g] is not a graded-commutative product; mul refuses it
+    path = tmp_path / "pq.sft"
+    path.write_text("n = 2\norbit g1 cz=0 kappa=1\nseries H = p[g1]*q[g1]\n")
+    code, out, err = run_cli(["parse", "--input", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: line 3, col 23: word mixes p and q of orbit 'g1' "
+                   "in Weyl order; use the star product\n")
+
+
 def test_missing_series_returns_2_without_system_exit(capsys):
     try:
         code = main(["check-master", "--input",
