@@ -15,7 +15,8 @@ from __future__ import annotations
 import weakref
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from math import factorial
+from typing import Iterable, Iterator, Optional, Tuple, Union
 
 # symbol kinds, also the block order inside a normalized monomial
 KIND_S = "s"  # string/coefficient symbol
@@ -116,35 +117,6 @@ def split_h(m: Monomial) -> Tuple[Monomial, int]:
         else:
             rest.append((s, e))
     return tuple(rest), h
-
-
-def units_of(m: Monomial) -> List[GradedSymbol]:
-    """The symbols of a monomial other than h, each repeated by its
-    exponent."""
-    out = []
-    for s, e in m:
-        if s.kind != KIND_H:
-            out.extend([s] * e)
-    return out
-
-
-def koszul_sign(symbols, permutation) -> int:
-    """Sign of rearranging `symbols` by `permutation`.
-
-    permutation[k] is the position in `symbols` of the k-th element of
-    the rearranged word.  The sign is -1 to the number of inversions
-    between odd symbols, counted directly.
-    """
-    n = len(symbols)
-    if sorted(permutation) != list(range(n)):
-        raise ValueError("not a permutation of positions")
-    sign = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            if permutation[i] > permutation[j]:
-                if symbols[permutation[i]].parity and symbols[permutation[j]].parity:
-                    sign = -sign
-    return sign
 
 
 def normalize(entries: Iterable) -> Optional[tuple]:
@@ -253,6 +225,32 @@ def merge_words(left, right) -> Optional[tuple]:
     return sign, tuple(out)
 
 
+def derivation(m: Monomial, image, acc: dict, scale=1) -> dict:
+    """acc += scale * d(m), d the derivation with d(s) = image(s).
+
+    image(s) is a dict {standard-form word: coefficient}, empty or None
+    where d(s) = 0.  d passes the units before s, of total degree P, and
+    d(s) moves to the front past them: the sign is (-1)^(|s| P) for
+    every degree of d.  An even s^e gives e s^(e-1) d(s); an odd s has
+    e == 1.  Each product is merge_words; the sums land in acc as they
+    come, zeros included, for collect() or from_terms() to drop.
+    Returns acc.
+    """
+    par = 0
+    for k, (s, e) in enumerate(m):
+        img = image(s)
+        if img:
+            c0 = scale * (-e if s.degree * par % 2 else e)
+            rest = m[:k] + (((s, e - 1),) if e > 1 else ()) + m[k + 1:]
+            for mi, ci in img.items():
+                res = merge_words(mi, rest)
+                if res is not None:
+                    c = c0 * ci
+                    acc[res[1]] = acc.get(res[1], 0) + (c if res[0] > 0 else -c)
+        par += s.degree * e
+    return acc
+
+
 # a coefficient: an int when its value is an integer, else a Fraction
 Coeff = Union[int, Fraction]
 
@@ -358,12 +356,8 @@ class GradedSeries:
         return cls({ONE: coeff})
 
     @classmethod
-    def generator(cls, sym: GradedSymbol, coeff=1, power: int = 1) -> "GradedSeries":
-        res = normalize([(sym, power)])
-        if res is None:
-            return cls.zero()
-        sgn, mono = res
-        return cls({mono: exact(coeff) * sgn})
+    def generator(cls, sym: GradedSymbol, coeff=1) -> "GradedSeries":
+        return cls({((sym, 1),): coeff})
 
     @classmethod
     def from_word(cls, entries, coeff=1) -> "GradedSeries":
@@ -486,6 +480,19 @@ def collect(acc: dict, ctx: TruncationContext) -> GradedSeries:
     series = GradedSeries.__new__(GradedSeries)
     series.terms = out  # nonzero and exact already
     return series
+
+
+def exp_sum(x: GradedSeries, product, steps: int) -> Optional[GradedSeries]:
+    """sum_k x^k / k!, the powers x^k = product(x^(k-1), x) from x^0 = 1,
+    when one of x^1 .. x^steps vanishes; None when x^steps does not."""
+    out = {ONE: 1}
+    power = GradedSeries.unit()
+    for k in range(1, steps + 1):
+        power = product(power, x)
+        if power.is_zero():
+            return GradedSeries.from_terms(out)
+        add_terms(out, power.terms, Fraction(1, factorial(k)))
+    return None
 
 
 def truncation_underflow(m: Monomial, min_h: int) -> TruncationUnderflow:

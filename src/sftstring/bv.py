@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -26,6 +26,8 @@ from .algebra import (
     ONE,
     TruncationContext,
     add_terms,
+    derivation,
+    exp_sum,
     format_monomial,
     hbar_exponent,
     merge_words,
@@ -34,7 +36,6 @@ from .algebra import (
     normalize,
     q_degree,
     split_h,
-    units_of,
 )
 from .linalg import Subspace, kernel_basis, rref
 from .reports import CheckReport, PASS, timed
@@ -125,7 +126,7 @@ class LinearMap:
             v = GradedSeries.zero()
         if h == 0:
             return v
-        return self.spec.truncate(mul(self.spec.hpow(h), v, _WIDE))
+        return self.spec.mul(self.spec.hpow(h), v)
 
     def apply(self, series: GradedSeries) -> GradedSeries:
         out: Dict[Monomial, Coeff] = {}
@@ -160,33 +161,14 @@ class BvOperator(LinearMap):
         return best
 
 
-def operator_from_callable(spec: FreeAlgebraSpec, fn: Callable[[Monomial], GradedSeries]
-                           ) -> Dict[Monomial, GradedSeries]:
-    return {m: spec.truncate(fn(m)) for m in spec.basis_monomials()}
-
-
 def derivation_operator(spec: FreeAlgebraSpec,
                         images: Dict[str, GradedSeries]) -> BvOperator:
-    """Odd derivation determined by generator images (a pure D^1)."""
-    img = {spec.symbol(nm): v for nm, v in images.items()}
-
-    def on_monomial(m: Monomial) -> GradedSeries:
-        out: Dict[Monomial, Coeff] = {}
-        units = units_of(m)
-        for k, s in enumerate(units):
-            v = img.get(s)
-            if v is None or v.is_zero():
-                continue
-            # (-1)^P for D crossing the P units before s, and
-            # (-1)^((|s|-1) P) for moving D(s) to the front
-            par = sum(u.degree for u in units[:k]) * s.degree % 2
-            sign = -1 if par else 1
-            rest = units[:k] + units[k + 1:]
-            restm = GradedSeries.from_word([(u, 1) for u in rest])
-            add_terms(out, mul(v, restm, _WIDE).terms, sign)
-        return GradedSeries.from_terms(out)
-
-    return BvOperator(spec, operator_from_callable(spec, on_monomial))
+    """Odd derivation determined by generator images (a pure D^1),
+    tabulated on the basis monomials by algebra.derivation."""
+    img = {spec.symbol(nm): v.terms for nm, v in images.items()}
+    return BvOperator(spec, {
+        m: spec.truncate(GradedSeries.from_terms(derivation(m, img.get, {})))
+        for m in spec.basis_monomials()})
 
 
 def validate_bv(D: BvOperator, name: str = "BV operator") -> CheckReport:
@@ -244,8 +226,7 @@ def order_at_most(op: LinearMap, k: int, domain_cap: Optional[int] = None) -> Tu
             if q_degree(x) + 1 > domain_cap:
                 continue
             ax = mul(gen, GradedSeries({x: 1}), _WIDE)
-            table[x] = op.apply(ax) - \
-                spec.truncate(mul(gen, op.value(x), _WIDE)).scale(sign)
+            table[x] = op.apply(ax) - spec.mul(gen, op.value(x)).scale(sign)
         sub = LinearMap(spec, table, op.degree + a.degree)
         ok, concl = order_at_most(sub, k - 1, domain_cap - 1)
         conclusive = conclusive and concl
@@ -274,14 +255,14 @@ def bv_bracket(D: BvOperator, a: GradedSeries, b: GradedSeries) -> GradedSeries:
 # ---------------------------------------------------------------------
 
 def exp_morphism(phi: LinearMap, element: GradedSeries,
-                 target_mul: Callable[[GradedSeries, GradedSeries], GradedSeries],
-                 target_unit: GradedSeries) -> GradedSeries:
+                 target_mul: Callable[[GradedSeries, GradedSeries], GradedSeries]
+                 ) -> GradedSeries:
     """The exponential of a linear map on S(V).
 
     e^phi(v_1...v_k) is the sum, over the unordered set partitions of
     the k positions, of the product of phi on the blocks, with the
     Koszul sign of listing the blocks one after another; the empty
-    product is the target unit, so e^phi(1) = 1.
+    product is the unit, so e^phi(1) = 1.
 
     Preconditions: phi has degree 0 (it preserves parity) and target_mul
     is graded-commutative.  Then each of the r!*prod(c_i!) (permutation,
@@ -290,7 +271,7 @@ def exp_morphism(phi: LinearMap, element: GradedSeries,
     product, and their weights 1/(r!*prod(c_i!)) add up to 1.  A block
     value of the wrong parity raises BvError.
     """
-    on_word = _exp_words(phi, target_mul, target_unit)
+    on_word = _exp_words(phi, target_mul)
     out: Dict[Monomial, Coeff] = {}
     for m, c in element.terms.items():
         rest, h = split_h(m)
@@ -302,8 +283,8 @@ def exp_morphism(phi: LinearMap, element: GradedSeries,
 
 
 def _exp_words(phi: LinearMap,
-               target_mul: Callable[[GradedSeries, GradedSeries], GradedSeries],
-               target_unit: GradedSeries) -> Callable[[Monomial], GradedSeries]:
+               target_mul: Callable[[GradedSeries, GradedSeries], GradedSeries]
+               ) -> Callable[[Monomial], GradedSeries]:
     """e^phi on h-free monomials, each word computed once per call.
 
     The partition sum goes by the block B that holds the first unit of
@@ -321,7 +302,7 @@ def _exp_words(phi: LinearMap,
     for b, v in phi.table.items():
         if b and v:
             blocks.setdefault(b[0][0], []).append((b, v))
-    memo: Dict[Monomial, GradedSeries] = {ONE: target_unit}
+    memo: Dict[Monomial, GradedSeries] = {ONE: GradedSeries.unit()}
 
     def on_word(w: Monomial) -> GradedSeries:
         val = memo.get(w)
@@ -382,8 +363,7 @@ class Augmentation(LinearMap):
             val = self._exp_memo.get(rest)
             if val is None:
                 val = self._exp_memo[rest] = exp_morphism(
-                    self, GradedSeries({rest: 1}), _scalar_mul,
-                    GradedSeries.unit())
+                    self, GradedSeries({rest: 1}), _scalar_mul)
             if h:
                 val = _scalar_mul(self.spec.hpow(h), val)
             add_terms(out, val.terms, c)
@@ -437,16 +417,14 @@ def check_bv_morphism(phi: LinearMap, D_A: BvOperator, D_B: BvOperator,
                         "phi^%d on length-%d word %s"
                         % (hbar_exponent(mono) + 1, ln, format_monomial(m)),
                         c)
-        unit = GradedSeries.unit()
         growth = operator_growth(D_A)
         conclusive = True
         for m in D_A.table:
             if q_degree(m) + growth > D_A.spec.word_cap:
                 conclusive = False
                 continue
-            lhs = exp_morphism(phi, D_A.value(m), target_mul, unit)
-            rhs = D_B.apply(exp_morphism(
-                phi, GradedSeries({m: 1}), target_mul, unit))
+            lhs = exp_morphism(phi, D_A.value(m), target_mul)
+            rhs = D_B.apply(exp_morphism(phi, GradedSeries({m: 1}), target_mul))
             if not (lhs - rhs).is_zero():
                 report.add_witness("intertwining on %s" % format_monomial(m),
                                    repr(lhs - rhs))
@@ -517,8 +495,7 @@ def _phi_maps(spec: FreeAlgebraSpec, beta: Augmentation
                  for s in spec.symbols}
         for m, v in beta.table.items():
             table[m] = table.get(m, GradedSeries.zero()) + v.scale(sign)
-        on_word = _exp_words(LinearMap(spec, table, 0), spec.mul,
-                             GradedSeries.unit())
+        on_word = _exp_words(LinearMap(spec, table, 0), spec.mul)
         maps.append(LinearMap(spec, {m: on_word(m)
                                      for m in spec.basis_monomials()}, 0))
     return maps[0], maps[1]
@@ -804,12 +781,11 @@ def _outer(va: Vector, vb: Vector) -> Tensor2:
     return {(a, b): ca * cb for a, ca in va.items() for b, cb in vb.items()}
 
 
-def check_lie_bialgebra(data: LieBialgebraData, d1: Optional[int] = None,
-                        d2: Optional[int] = None) -> CheckReport:
-    """Co-Lie, Lie, Drinfeld compatibility and involutivity, verified on
-    homology representatives with the tau/rho sign rules."""
-    if d1 is None:
-        d1, d2 = data.bidegree
+def check_lie_bialgebra(data: LieBialgebraData) -> CheckReport:
+    """Co-Lie, Lie, Drinfeld compatibility and involutivity at the data's
+    bidegree, verified on homology representatives with the tau/rho sign
+    rules."""
+    d1, d2 = data.bidegree
     ax = BialgebraAxioms.of_data(data, d1, d2)
     report = CheckReport("involutive Lie bialgebra axioms, bidegree (%d, %d)"
                          % (d1, d2))
@@ -869,14 +845,11 @@ def _exp_commutative(spec: FreeAlgebraSpec, a: GradedSeries) -> GradedSeries:
         if not rest and h <= 0:
             raise BvError("exponential of scalar term %s h^%d does not truncate"
                           % (c, h))
-    out = {ONE: 1}
-    power = GradedSeries.unit()
-    for k in range(1, spec.word_cap + spec.hbar_cap + len(spec.symbols) + 4):
-        power = spec.truncate(mul(power, a, _WIDE))
-        if power.is_zero():
-            return GradedSeries.from_terms(out)
-        add_terms(out, power.terms, Fraction(1, factorial(k)))
-    raise BvError("exponential did not terminate within caps")
+    out = exp_sum(a, spec.mul,
+                  spec.word_cap + spec.hbar_cap + len(spec.symbols) + 3)
+    if out is None:
+        raise BvError("exponential did not terminate within caps")
+    return out
 
 
 def twist_by_mc(D: BvOperator, a: GradedSeries) -> BvOperator:
@@ -903,15 +876,14 @@ def twist_by_mc(D: BvOperator, a: GradedSeries) -> BvOperator:
                       % (c, format_monomial(mono)))
     if D.max_component() <= 2:
         quad = D.apply(a) + \
-            spec.truncate(mul(spec.hpow(1), bv_bracket(D, a, a), _WIDE)) \
-            .scale(Fraction(1, 2))
+            spec.mul(spec.hpow(1), bv_bracket(D, a, a)).scale(Fraction(1, 2))
         if not quad.is_zero():
             raise BvError("quadratic Maurer-Cartan form is nonzero although "
                           "D(e^a) = 0")
     table = {}
     for m in spec.basis_monomials():
-        val = D.apply(spec.truncate(mul(ea, GradedSeries({m: 1}), _WIDE)))
-        table[m] = spec.truncate(mul(e_ma, val, _WIDE))
+        val = D.apply(spec.mul(ea, GradedSeries({m: 1})))
+        table[m] = spec.mul(e_ma, val)
     Da = BvOperator(spec, table)
     if not Da.value(ONE).is_zero():
         raise BvError("twisted operator does not kill the unit")
@@ -930,11 +902,9 @@ def linearize_morphism(phi: LinearMap, D_A: BvOperator, alpha: Augmentation,
     specA, specB = D_A.spec, D_B.spec
     report = CheckReport("linearized morphism")
     with timed(report):
-        unit = GradedSeries.unit()
         for m in specA.basis_monomials():
             lhs = alpha.exp(GradedSeries({m: 1}))
-            ephi = exp_morphism(phi, GradedSeries({m: 1}),
-                                specB.mul, unit)
+            ephi = exp_morphism(phi, GradedSeries({m: 1}), specB.mul)
             rhs = beta.exp(ephi)
             if not (lhs - rhs).is_zero():
                 report.add_witness("compatibility e^alpha = e^beta e^phi on %s"
@@ -946,7 +916,7 @@ def linearize_morphism(phi: LinearMap, D_A: BvOperator, alpha: Augmentation,
         lin: Dict[GradedSymbol, Vector] = {}
         for v in specA.symbols:
             x = PhiAinv.value(((v, 1),))
-            y = exp_morphism(phi, x, specB.mul, unit)
+            y = exp_morphism(phi, x, specB.mul)
             z = PhiB.apply(y)
             vec: Vector = {}
             for m, c in z.terms.items():

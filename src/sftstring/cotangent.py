@@ -68,6 +68,9 @@ from .weyl import (
 _WIDE = TruncationContext(max_p_degree=32, max_hbar=16, min_hbar=-4,
                           max_word_length=32)
 
+# the most classes close_alphabet admits
+MAX_CLOSURE = 64
+
 
 class AlphabetError(ValueError):
     pass
@@ -158,11 +161,12 @@ class GeodesicAlphabet:
         return spec, filling_augmentation(self, self.F, spec)
 
 
-def close_alphabet(surface: Surface, seeds: Sequence[Word], cap: int,
-                   max_size: int = 64) -> Tuple[List[Word], List[Word]]:
+def close_alphabet(surface: Surface, seeds: Sequence[Word], cap: int
+                   ) -> Tuple[List[Word], List[Word]]:
     """Close a seed set under orientation reversal and under all classes
     of length <= cap produced by brackets and cobrackets of members.
-    Returns (closure, escaping classes beyond the cap)."""
+    Returns (closure, escaping classes beyond the cap); a closure of more
+    than MAX_CLOSURE classes raises AlphabetError."""
     alpha: List[Word] = []
     escaped: List[Word] = []
     todo = [surface.canonical_class(w) for w in seeds]
@@ -175,8 +179,8 @@ def close_alphabet(surface: Surface, seeds: Sequence[Word], cap: int,
                 escaped.append(w)
             continue
         alpha.append(w)
-        if len(alpha) > max_size:
-            raise AlphabetError("closure exceeded %d classes" % max_size)
+        if len(alpha) > MAX_CLOSURE:
+            raise AlphabetError("closure exceeded %d classes" % MAX_CLOSURE)
         todo.append(surface.canonical_class(inverse_word(w)))
         for (u, v) in surface.turaev_terms(w):
             todo.extend([u, v])
@@ -333,16 +337,16 @@ def build_H_surface(alphabet: GeodesicAlphabet,
                 a[(k, u, v)] = exact(a.get((k, u, v), 0)
                                      + Fraction(coeff, probe))
     # -- d-family: kill the constant terms of the twisted operator ------
+    # D(q_k) of the a-family is its quadratic part: under full contraction
+    # only the a-terms holding p_k act on q_k
     d: Dict[tuple, Coeff] = {}
+    H_a = _assemble(alphabet, a, {}, {}, {})
     for k in alphabet.classes:
-        resid: Dict[Monomial, Coeff] = {}
-        for (u, v), coeff in _a_image(alphabet, a, k).items():
-            add_terms(resid, beta.exp(
-                GradedSeries({_word_monomial(alphabet, (u, v)): coeff})).terms)
+        resid = beta.exp(act_right(H_a, alphabet.q(k), sys, _WIDE))
         if resid:
             # the h p probe contributes kappa * h to D(q_k)
             kap = sys.kappa[alphabet.name(k)]
-            coeff = exact(Fraction(-resid.get(((sys.hbar, 1),), 0), kap))
+            coeff = exact(Fraction(-resid.coefficient(((sys.hbar, 1),)), kap))
             if coeff:
                 d[(k,)] = coeff
     # -- b-family: match the bracket through the h-linear part ----------
@@ -400,27 +404,6 @@ def _word_monomial(alphabet: GeodesicAlphabet, words) -> Optional[Monomial]:
     sgn, mono = res
     assert sgn == 1
     return mono
-
-
-def _a_image(alphabet: GeodesicAlphabet, a: Dict[tuple, Coeff],
-             k: Word) -> Dict[Tuple[Word, Word], Coeff]:
-    """Quadratic part of D(q_k) induced by the a-family, as ordered-pair
-    coefficients of the monomial basis (u before v in canonical order)."""
-    sys = alphabet.sys
-    out: Dict[Tuple[Word, Word], Coeff] = {}
-    for (kk, u, v), coeff in a.items():
-        if kk != k or not coeff:
-            continue
-        term = sys.monomial(coeff, qs=[alphabet.name(u), alphabet.name(v)],
-                            ps=[alphabet.name(k)], hpow=-1)
-        img = act_right(term, alphabet.q(k), sys, _WIDE)
-        for mono, cc in img.terms.items():
-            syms = [s for s, e in mono for _ in range(e) if s.kind == "q"]
-            if len(syms) == 2:
-                pair = (alphabet.class_of_qsym(syms[0]),
-                        alphabet.class_of_qsym(syms[1]))
-                out[pair] = out.get(pair, 0) + cc
-    return out
 
 
 def _delta_probe(alphabet: GeodesicAlphabet, k: Word, u: Word, v: Word

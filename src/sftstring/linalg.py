@@ -35,12 +35,6 @@ def rref(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
     return mat[:r], pivots
 
 
-def rank(rows: List[List[Fraction]]) -> int:
-    if not rows:
-        return 0
-    return len(rref(rows)[0])
-
-
 def kernel_basis(rows: List[List[Fraction]], ncols: int) -> List[List[Fraction]]:
     """Basis of the null space of the matrix (rows act on column vectors)."""
     if not rows:
@@ -72,9 +66,6 @@ class Subspace:
                 f = out[pc]
                 out = [a - f * b for a, b in zip(out, self.mat[r])]
         return out
-
-    def contains(self, v: List[Fraction]) -> bool:
-        return not any(self.reduce(v))
 
     @property
     def dim(self) -> int:

@@ -4,8 +4,9 @@ Tuples of free homotopy classes span a graded-commutative algebra: each
 class becomes an odd/even symbol of degree n-3, so the symmetric-group
 identification with its sign twist is exactly monomial normalization.
 The operation splitting one string at a self-intersection extends the
-cobracket slot-wise; the operation joining two strings at an
-intersection extends the bracket pair-of-slots-wise; both carry the
+cobracket as a derivation (algebra.derivation, times (-1)^(n-3)); the
+operation joining two strings at an intersection extends the bracket
+pair-of-slots-wise, a second-order operator; both carry the
 slot-dependent sign prefactors of the shifted grading.
 
 check_master_l verifies the master equation with Lagrangian boundary,
@@ -16,6 +17,7 @@ where the chain boundary vanishes.
 from __future__ import annotations
 
 import random
+from functools import reduce
 from typing import Dict, List, Sequence
 
 from .algebra import (
@@ -27,6 +29,7 @@ from .algebra import (
     TruncationContext,
     add_terms,
     collect,
+    derivation,
     hbar_exponent,
     monomial_degree,
     mul,
@@ -142,22 +145,22 @@ def delta_op(series: GradedSeries, alg: ClassAlgebra,
 
 
 def _split_image(m: Monomial, alg: ClassAlgebra) -> Dict[Monomial, Coeff]:
-    sgn_exp = 3 - alg.n
-    out: Dict[Monomial, Coeff] = {}
-    slots = _tuple_of(m)
-    rest = _rest_of(m)
-    for r in range(1, len(slots) + 1):
-        pref = -1 if (r * sgn_exp) % 2 else 1
-        cls = alg.class_of_symbol(slots[r - 1])
+    """(-1)^(n-3) times algebra.derivation with d(s) the cobracket of the
+    class of s, each Turaev pair (u, v) as the normalized word u v: slot
+    r's sign (-1)^(r(3-n)) is (-1)^(n-3) (-1)^(|s|P), P = (r-1)(n-3)."""
+
+    def cobracket(s: GradedSymbol):
+        if s.kind != KIND_S:
+            return None
+        out: Dict[Monomial, Coeff] = {}
+        cls = alg.class_of_symbol(s)
         for (u, v), cc in alg.surface.turaev_terms(cls).items():
-            entries = [(s, 1) for s in slots[:r - 1]]
-            entries += [(alg.symbol(u), 1), (alg.symbol(v), 1)]
-            entries += [(s, 1) for s in slots[r:]]
-            entries += rest
-            res = normalize(entries)
+            res = normalize([(alg.symbol(u), 1), (alg.symbol(v), 1)])
             if res is not None:
-                add_terms(out, {res[1]: cc * pref}, res[0])
-    return out
+                out[res[1]] = out.get(res[1], 0) + res[0] * cc
+        return out
+
+    return derivation(m, cobracket, {}, -1 if (alg.n - 3) % 2 else 1)
 
 
 def nabla_op(series: GradedSeries, alg: ClassAlgebra,
@@ -263,14 +266,15 @@ def check_string_identities(surface: Surface, max_len: int = 4,
             s = alg.multi(t)
             if s.is_zero():
                 continue
-            label = "(%s)" % ", ".join(format_word(w, surface) for w in t)
+            # formatted only for a tuple that fails
+            label = lambda: "(%s)" % ", ".join(format_word(w, surface) for w in t)
             ds, ns = D(s), N(s)
             if not D(ds).is_zero():
-                report.add_witness("split^2 " + label, "nonzero")
+                report.add_witness("split^2 " + label(), "nonzero")
             if not N(ns).is_zero():
-                report.add_witness("join^2 " + label, "nonzero")
+                report.add_witness("join^2 " + label(), "nonzero")
             if not (D(ns) + N(ds)).is_zero():
-                report.add_witness("split-join anticommutator " + label, "nonzero")
+                report.add_witness("split-join anticommutator " + label(), "nonzero")
             if len(t) == 2:
                 # co-derivation rule of the split
                 c1, c2 = alg.single(t[0]), alg.single(t[1])
@@ -278,13 +282,13 @@ def check_string_identities(surface: Surface, max_len: int = 4,
                 lhs = D(mul(c1, c2, ctx))
                 rhs = mul(D(c1), c2, ctx) + mul(c1, D(c2), ctx).scale(_pow_sign(d1))
                 if not (lhs - rhs).is_zero():
-                    report.add_witness("co-derivation rule " + label, "nonzero")
+                    report.add_witness("co-derivation rule " + label(), "nonzero")
             if len(t) == 3:
                 c1, c2, c3 = (alg.single(w) for w in t)
                 d1 = monomial_degree(next(iter(c1.terms)))
                 d2 = monomial_degree(next(iter(c2.terms)))
                 d3 = monomial_degree(next(iter(c3.terms)))
-                m = lambda *xs: _mul_chain(ctx, *xs)
+                m = lambda *xs: reduce(lambda x, y: mul(x, y, ctx), xs)
                 lhs = N(m(c1, c2, c3))
                 rhs = (m(N(m(c1, c2)), c3)
                        + m(c1, N(m(c2, c3))).scale(_pow_sign(d1))
@@ -293,19 +297,12 @@ def check_string_identities(surface: Surface, max_len: int = 4,
                        - m(c1, N(c2), c3).scale(_pow_sign(d1))
                        - m(c1, c2, N(c3)).scale(_pow_sign(d1 + d2)))
                 if not (lhs - rhs).is_zero():
-                    report.add_witness("seven-term " + label, "nonzero")
+                    report.add_witness("seven-term " + label(), "nonzero")
     return report
 
 
 def _pow_sign(e: int) -> int:
     return -1 if e % 2 else 1
-
-
-def _mul_chain(ctx, *series):
-    out = series[0]
-    for s in series[1:]:
-        out = mul(out, s, ctx)
-    return out
 
 
 # ---------------------------------------------------------------------

@@ -25,10 +25,12 @@ contracts every p of the left factor, act_left every q of the right
 factor.  act_right_table gives
 act_right(F, m) for each monomial m of a basis from one read of F
 (no memo outlives the call); all four entries run one pair loop
-(_pairs).  The tests compare the star product against unit-level
-matching enumeration and adjacent-transposition rewriting, and the
-actions against derivative chains; tests/test_action_tables.py
-compares the tables against one act_right call per monomial.
+(_pairs).  exp_series is algebra.exp_sum over the star product, and
+the coefficient boundary of check_master_chain is algebra.derivation.
+The tests compare the star product against unit-level matching
+enumeration and adjacent-transposition rewriting, and the actions
+against derivative chains; tests/test_action_tables.py compares the
+tables against one act_right call per monomial.
 """
 
 from __future__ import annotations
@@ -46,10 +48,10 @@ from .algebra import (
     GradedSeries,
     GradedSymbol,
     Monomial,
-    ONE,
     TruncationContext,
-    add_terms,
     collect,
+    derivation,
+    exp_sum,
     format_monomial,
     hbar_exponent,
     merge_words,
@@ -129,10 +131,9 @@ class OrbitSystem:
         return GradedSeries({((self.hbar, power),): coeff}) if power \
             else GradedSeries.unit(coeff)
 
-    def monomial(self, coeff, qs=(), ps=(), hpow: int = 0, ss=()) -> GradedSeries:
-        """Convenience builder; qs/ps are orbit names, ss extra symbols."""
-        entries = [(s, 1) for s in ss]
-        entries += [(self.q[n_], 1) for n_ in qs]
+    def monomial(self, coeff, qs=(), ps=(), hpow: int = 0) -> GradedSeries:
+        """Convenience builder; qs/ps are orbit names."""
+        entries = [(self.q[n_], 1) for n_ in qs]
         entries += [(self.p[n_], 1) for n_ in ps]
         if hpow:
             entries.append((self.hbar, hpow))
@@ -392,20 +393,12 @@ def exp_series(F: GradedSeries, sys: OrbitSystem,
     and is rejected.
     """
     reject_scalar_term(F)
-    out = {ONE: 1}
-    power = GradedSeries.unit()
     bound = (ctx.max_p_degree + (ctx.max_hbar - ctx.min_hbar)
              + ctx.max_word_length + len(sys.q) + 8)
-    k = 0
-    while True:
-        k += 1
-        power = star(power, F, sys, ctx)
-        if power.is_zero():
-            break
-        add_terms(out, power.terms, Fraction(1, factorial(k)))
-        if k > bound:
-            raise ExponentialError("exponential did not terminate within caps")
-    return GradedSeries.from_terms(out)
+    out = exp_sum(F, lambda x, y: star(x, y, sys, ctx), bound + 1)
+    if out is None:
+        raise ExponentialError("exponential did not terminate within caps")
+    return out
 
 
 # ---------------------------------------------------------------------
@@ -474,25 +467,13 @@ def check_master_f(F: GradedSeries, Hplus: GradedSeries, Hminus: GradedSeries,
 
 def coefficient_boundary_operator(bnd: Dict[GradedSymbol, GradedSeries]):
     """Extend a degree -1 map on string symbols to monomials as an odd
-    derivation over the coefficient block."""
+    derivation over the coefficient block (algebra.derivation)."""
+    img = {s: v.terms for s, v in bnd.items() if s.kind == KIND_S}
 
     def apply(series: GradedSeries, ctx: TruncationContext) -> GradedSeries:
         acc: dict = {}
         for m, c in series.terms.items():
-            par = 0
-            for k, (s, e) in enumerate(m):
-                img = bnd.get(s) if s.kind == KIND_S else None
-                if img:
-                    # d passes the units before s (degree par), then d(s)
-                    # moves to the front past them: (-1)^(|s| par).  An
-                    # even s^e gives e s^(e-1) d(s); an odd s has e == 1.
-                    sign = -e if s.degree * par % 2 else e
-                    rest = m[:k] + (((s, e - 1),) if e > 1 else ()) + m[k + 1:]
-                    for mi, ci in img.terms.items():
-                        res = merge_words(mi, rest)
-                        if res is not None:
-                            acc[res[1]] = acc.get(res[1], 0) + c * ci * sign * res[0]
-                par += s.degree * e
+            derivation(m, img.get, acc, c)
         return collect(acc, ctx)
 
     return apply
@@ -502,8 +483,9 @@ def check_master_chain(H: GradedSeries, coeff_boundary,
                        sys: OrbitSystem, ctx: TruncationContext) -> CheckReport:
     """Verify dH + (1/2) H*H = 0 with a coefficient differential.
 
-    coeff_boundary is either a mapping {string symbol: GradedSeries} or
-    a callable (series, ctx) -> series already extended to monomials.
+    coeff_boundary is None (d = 0), a mapping {string symbol:
+    GradedSeries}, or a callable (series, ctx) -> series already
+    extended to monomials.
     H * H skips its uncontracted part when every term of H has odd
     degree, odd or even s[...] symbols included: that part is the
     graded-commutative square, zero term by term (see check_master_h).
@@ -511,12 +493,8 @@ def check_master_chain(H: GradedSeries, coeff_boundary,
     report = CheckReport("chain-level master equation dH + (1/2)H*H = 0",
                          caps=_caps_dict(ctx))
     with timed(report):
-        if coeff_boundary is None:
-            op = lambda s, c: GradedSeries.zero()
-        elif callable(coeff_boundary):
-            op = coeff_boundary
-        else:
-            op = coefficient_boundary_operator(coeff_boundary)
+        op = coeff_boundary if callable(coeff_boundary) else \
+            coefficient_boundary_operator(coeff_boundary or {})
         wide = ctx.widen(extra_low=abs(ctx.min_hbar) + 1)
         lhs = op(H, wide) + star(H, H, sys, wide).scale(Fraction(1, 2))
         if not lhs.is_zero():

@@ -17,13 +17,15 @@ from sftstring.algebra import (
     TruncationContext,
     add_terms,
     collect,
-    koszul_sign,
+    derivation,
+    exp_sum,
     merge_words,
     monomial_degree,
     mul,
     normalize,
     standard_form,
 )
+from oracles import koszul_sign, units_of
 
 
 def sym(name, degree, kind=KIND_Q, orbit=None, index=0):
@@ -241,6 +243,78 @@ def test_add_terms_matches_one_product_per_term(scale):
             want = _add_terms_reference(dict(acc), terms, scale)
             acc = add_terms(acc, terms, scale)
             assert list(acc.items()) == list(want.items())
+
+
+def _derivation_reference(m, image, d_degree):
+    """The Leibniz rule written out: d passes the units before s, of
+    total degree P, with (-1)^(|d| P), and each word of d(s) takes the
+    place of s in the word, which is then normalized as a whole."""
+    units = units_of(m)
+    hs = [(s, e) for s, e in m if s.kind == KIND_H]
+    out = {}
+    for k, s in enumerate(units):
+        sign = -1 if d_degree * sum(u.degree for u in units[:k]) % 2 else 1
+        for word, c in (image(s) or {}).items():
+            entries = [(u, 1) for u in units[:k]] + list(word) + \
+                [(u, 1) for u in units[k + 1:]] + hs
+            add_terms(out, GradedSeries.from_word(entries, c * sign).terms)
+    return out
+
+
+@pytest.mark.parametrize("d_degree", [-1, 0, 1, 2])
+def test_derivation_matches_the_leibniz_rule_for_every_degree(d_degree):
+    # odd and even symbols of three kinds, even powers, h in the monomial
+    # and in the images; each image is homogeneous of degree |s| + |d|
+    syms = [sym("s[a]", -1, KIND_S, index=0), sym("s[b]", 0, KIND_S, index=1),
+            sym("s[c]", 2, KIND_S, index=2), sym("q[x]", 1, index=0),
+            sym("q[y]", 0, index=1), sym("p[z]", -3, KIND_P, index=0)]
+    h = sym("h", -2, KIND_H)
+    rng = random.Random(41 + d_degree)
+
+    def word():
+        entries = [(s, rng.randrange(1, 3)) for s in syms if rng.random() < 0.4]
+        if rng.random() < 0.3:
+            entries.append((h, rng.choice((-1, 1, 2))))
+        res = normalize(entries)
+        return None if res is None else res[1]
+
+    checked = 0
+    for _ in range(40):
+        image = {}
+        for s in syms:
+            words = {w for w in (word() for _ in range(12)) if w is not None
+                     and monomial_degree(w) == s.degree + d_degree}
+            if words and rng.random() < 0.8:
+                image[s] = {w: rng.choice((-2, -1, 1, Fraction(1, 2), 3))
+                            for w in words}
+        for _ in range(10):
+            m = word()
+            if m is None:
+                continue
+            scale = rng.choice((1, -1, 3, Fraction(2, 3)))
+            got = GradedSeries.from_terms(derivation(m, image.get, {}, scale))
+            want = GradedSeries.from_terms(
+                _derivation_reference(m, image.get, d_degree)).scale(scale)
+            assert got == want, (m, d_degree)
+            checked += not got.is_zero()
+    assert checked >= 50
+
+
+def test_exp_sum_stops_at_the_first_vanishing_power():
+    s = sym("s[y]", 0, KIND_S)
+    x = GradedSeries.generator(s, 2)
+    calls = []
+
+    def product(a, b):
+        # word length above 3 is dropped, so x^4 = 0
+        calls.append(None)
+        return mul(a, b, TruncationContext(max_word_length=3))
+
+    want = GradedSeries({(): 1, ((s, 1),): 2, ((s, 2),): 2,
+                         ((s, 3),): Fraction(4, 3)})
+    assert exp_sum(x, product, 4) == want and len(calls) == 4
+    assert exp_sum(x, product, 3) is None
+    assert exp_sum(GradedSeries.zero(), product, 1) == GradedSeries.unit()
 
 
 def test_unreferenced_symbol_leaves_the_intern_table():

@@ -21,9 +21,9 @@ from sftstring.algebra import (
     monomial_degree,
     split_h,
     standard_form,
-    units_of,
 )
 from sftstring.bv import FreeAlgebraSpec
+from oracles import units_of
 from sftstring.problemfile import parse
 from sftstring.weyl import (
     Orbit,
