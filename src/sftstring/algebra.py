@@ -84,6 +84,11 @@ Monomial = tuple
 ONE: Monomial = ()
 
 
+def hbar_symbol(n: int) -> GradedSymbol:
+    """The symbol h in dimension 2n - 1, of degree 2(n - 3)."""
+    return GradedSymbol("h", 2 * (n - 3), KIND_H, None, 0)
+
+
 def monomial_degree(m: Monomial) -> int:
     return sum(s.degree * e for s, e in m)
 

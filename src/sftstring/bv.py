@@ -17,7 +17,6 @@ from math import comb
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (
-    KIND_H,
     KIND_Q,
     Coeff,
     GradedSeries,
@@ -30,6 +29,7 @@ from .algebra import (
     exp_sum,
     format_monomial,
     hbar_exponent,
+    hbar_symbol,
     merge_words,
     monomial_degree,
     mul,
@@ -61,7 +61,7 @@ class FreeAlgebraSpec:
             self.symbols = [GradedSymbol(name, deg, KIND_Q, None, i)
                             for i, (name, deg) in enumerate(generators)]
         self.n = n
-        self.hbar = GradedSymbol("h", 2 * (n - 3), KIND_H, None, 0)
+        self.hbar = hbar_symbol(n)
         self.word_cap = word_cap
         self.hbar_cap = hbar_cap
 

@@ -109,8 +109,15 @@ def _caps_from_args(args, pf: ProblemFile) -> TruncationContext:
 
 
 def _load(path: str) -> ProblemFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        start = data.rfind(b"\n", 0, exc.start) + 1
+        raise ParseError("not UTF-8 text", data.count(b"\n", 0, start) + 1,
+                         exc.start - start + 1) from None
+    return parse(text)
 
 
 def _series_arg(pf: ProblemFile, name: str) -> GradedSeries:
@@ -326,17 +333,13 @@ def cmd_build_h(args) -> Output:
     pf = _load(args.input)
     if pf.surface is None or not pf.classes:
         raise UsageError("build-h needs a surface and class declarations")
-    names = {pf.classes[name]: name for name in pf.class_order}
+    names = {cls: name for name, cls in pf.classes.items()}
     alphabet = GeodesicAlphabet(pf.surface, list(names), names)
     H = build_H_surface(alphabet)
-    out = ProblemFile(n=2, caps=pf.caps, orbits=list(alphabet.sys.orbits),
-                      surface=pf.surface, surface_params=pf.surface_params,
-                      classes=dict(pf.classes),
-                      class_order=list(pf.class_order))
-    out.series["F"] = alphabet.F
-    out.series["H"] = H.series
-    out.series_order = ["F", "H"]
-    text = print_problem(out)
+    text = print_problem(ProblemFile(
+        n=2, caps=pf.caps, orbits=list(alphabet.sys.orbits),
+        surface=pf.surface, classes=dict(pf.classes),
+        series={"F": alphabet.F, "H": H.series}))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

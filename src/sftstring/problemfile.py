@@ -11,21 +11,39 @@ surfaces, classes, graded series and augmentations.
     series H = (1/h)*q[g1]*q[g1]*p[g3] + 2*h^2*p[g3]
     aug beta { q[g1] -> 1/2*h ; q[g3] -> 1 }
 
-Series expressions admit rational literals, h, q[...], p[...], s[...],
-+, -, *, integer powers via ^, parentheses, and (1/h) as the only
-negative h power.  Parsing is position-tagged; printing is canonical,
-and parse(print(file)) reproduces the file.
+Series expressions admit rational literals (ASCII digits), h, q[...],
+p[...], s[...], +, -, *, integer powers via ^ up to MAX_POWER,
+parentheses nested up to MAX_NESTING deep, and (1/h) as the only
+negative h power.  Parsing keeps every written term and is
+position-tagged; printing is canonical, and parse(print(file))
+reproduces the file.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from .algebra import GradedSeries, TruncationContext
+from .algebra import (GradedSeries, NormalizationError, TruncationContext,
+                      TruncationUnderflow, hbar_symbol, mul)
+from .strings import ClassAlgebra
 from .surfaces import Surface, Word, format_word, parse_word
 from .weyl import Orbit, OrbitSystem
+
+# `x^e` multiplies e times.  At 1,000 one monomial takes 3 ms (h, an even
+# p or an odd q, which vanishes at the square) and the two-term (h + 1)
+# 1.1 s; q[g1]^100000000 and h^100000000 ran past 10 s before this bound
+# (Python 3.11.7, 2-vCPU VM).  Powers of longer sums are not bounded here.
+MAX_POWER = 1_000
+# each level of parentheses takes four Python frames, so this depth stays
+# far below the interpreter's recursion limit
+MAX_NESTING = 100
+# parse-time products drop no term above any cap; below h^-64 they raise
+_KEEP_ALL = TruncationContext(max_p_degree=math.inf, max_hbar=math.inf,
+                              min_hbar=-64, max_word_length=math.inf)
 
 
 class ParseError(ValueError):
@@ -37,26 +55,23 @@ class ParseError(ValueError):
 
 @dataclass
 class ProblemFile:
+    """The declarations of a file; each dict is in declaration order."""
     n: int = 2
     caps: TruncationContext = field(default_factory=TruncationContext)
     orbits: List[Orbit] = field(default_factory=list)
     surface: Optional[Surface] = None
-    surface_params: Optional[Tuple[int, int]] = None
     classes: Dict[str, Word] = field(default_factory=dict)
-    class_order: List[str] = field(default_factory=list)
     series: Dict[str, GradedSeries] = field(default_factory=dict)
-    series_order: List[str] = field(default_factory=list)
     series_degree: Dict[str, int] = field(default_factory=dict)
     augs: Dict[str, Dict[str, GradedSeries]] = field(default_factory=dict)
-    aug_order: List[str] = field(default_factory=list)
     sys: Optional[OrbitSystem] = None
+
+    @property
+    def class_order(self) -> List[str]:
+        return list(self.classes)
 
 
 # -- tokenizer ---------------------------------------------------------
-
-_PUNCT = ("->", "=", "(", ")", "[", "]", "{", "}", "^", "*", "+", "-", "/",
-          ";", ",")
-
 
 @dataclass
 class Token:
@@ -66,44 +81,38 @@ class Token:
     col: int
 
 
+_TOKEN = re.compile(r"(->|[=()\[\]{}^*+\-/;,])|([0-9]+)|([^\W\d][\w.]*)|(\S)")
+_KINDS = ("punct", "int", "name", None)
+
+
+def _at(tok: Token, message: str) -> ParseError:
+    return ParseError(message, tok.line, tok.col)
+
+
 def _tokenize(text: str) -> List[Token]:
     tokens: List[Token] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for ln, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0]
-        i = 0
-        while i < len(line):
-            ch = line[i]
-            if ch.isspace():
-                i += 1
-                continue
-            matched = False
-            for p in _PUNCT:
-                if line.startswith(p, i):
-                    tokens.append(Token("punct", p, ln, i + 1))
-                    i += len(p)
-                    matched = True
-                    break
-            if matched:
-                continue
-            if ch.isdigit():
-                j = i
-                while j < len(line) and line[j].isdigit():
-                    j += 1
-                tokens.append(Token("int", line[i:j], ln, i + 1))
-                i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < len(line) and (line[j].isalnum() or line[j] in "_."):
-                    j += 1
-                tokens.append(Token("name", line[i:j], ln, i + 1))
-                i = j
-                continue
-            raise ParseError("unexpected character %r" % ch, ln, i + 1)
+        for m in _TOKEN.finditer(line):
+            tok = Token(_KINDS[m.lastindex - 1], m.group(), ln, m.start() + 1)
+            # a name starts with a letter or _, not another numeric like ²
+            if tok.kind is None or (tok.kind == "name" and tok.text[0] != "_"
+                                    and not tok.text[0].isalpha()):
+                raise _at(tok, "unexpected character %r" % tok.text[0])
+            tokens.append(tok)
         if tokens and tokens[-1].kind != "eol":
             tokens.append(Token("eol", "", ln, len(line) + 1))
-    tokens.append(Token("eol", "", len(text.splitlines()) + 1, 1))
+    tokens.append(Token("eol", "", len(lines) + 1, 1))
     return tokens
+
+
+def _number(tok: Token) -> int:
+    try:
+        return int(tok.text)
+    except ValueError:  # over the interpreter's digit limit
+        raise _at(tok, "integer of %d digits is too long" % len(tok.text)) \
+            from None
 
 
 class _Parser:
@@ -111,6 +120,10 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.pf = ProblemFile()
+        self.alg: Optional[ClassAlgebra] = None  # reset like pf.sys
+        self.degree_at: Dict[str, Token] = {}
+        self.nesting = 0
+        self.keyword: Optional[Token] = None  # of the declaration being read
 
     # -- token helpers -------------------------------------------------
     def peek(self) -> Token:
@@ -121,13 +134,24 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def accept(self, text: str) -> bool:
+        """Take the next token if it reads `text`."""
+        if self.tokens[self.pos].text == text:
+            self.pos += 1
+            return True
+        return False
+
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
         tok = self.peek()
         if tok.kind != kind or (text is not None and tok.text != text):
             want = text if text is not None else kind
-            raise ParseError("expected %r, found %r" % (want, tok.text or "end of line"),
-                             tok.line, tok.col)
+            raise _at(tok, "expected %r, found %r"
+                      % (want, tok.text or "end of line"))
         return self.next()
+
+    def fail_back(self, message: str):
+        """Raise at the token just taken."""
+        raise _at(self.tokens[self.pos - 1], message)
 
     def skip_eol(self):
         while self.peek().kind == "eol" and self.pos < len(self.tokens) - 1:
@@ -137,300 +161,254 @@ class _Parser:
         return self.pos >= len(self.tokens) - 1 and self.peek().kind == "eol"
 
     def _int(self) -> int:
-        sign = 1
-        if self.peek().kind == "punct" and self.peek().text == "-":
-            self.next()
-            sign = -1
-        tok = self.expect("int")
-        return sign * int(tok.text)
+        sign = -1 if self.accept("-") else 1
+        return sign * _number(self.expect("int"))
 
-    def _keyval_int(self, key: str) -> int:
+    def _value(self, key: str):
+        """The value after `key=`: a side tag for side, else an integer."""
+        self.expect("punct", "=")
+        if key != "side":
+            return self._int()
+        side = self.expect("name").text
+        if side not in ("pos", "neg", "none"):
+            self.fail_back("side must be pos, neg or none")
+        return side
+
+    def _attributes(self, values: dict, unknown: str) -> dict:
+        """`key=value` attributes over the defaults `values`; the key
+        `bad` takes no value."""
+        while self.peek().kind == "name":
+            key = self.next().text
+            if key not in values:
+                self.fail_back(unknown % key)
+            values[key] = True if key == "bad" else self._value(key)
+        return values
+
+    def _named(self, key: str) -> int:
         tok = self.expect("name")
         if tok.text != key:
-            raise ParseError("expected %r" % key, tok.line, tok.col)
-        self.expect("punct", "=")
-        return self._int()
+            raise _at(tok, "expected %r" % key)
+        return self._value(key)
 
     # -- declarations ----------------------------------------------------
     def parse(self) -> ProblemFile:
         self.skip_eol()
         while not self.at_end():
-            tok = self.peek()
+            tok = self.next()
             if tok.kind != "name":
-                raise ParseError("expected a declaration", tok.line, tok.col)
-            if tok.text == "n":
-                self.next()
-                self.expect("punct", "=")
-                self.pf.n = self._int()
-                self.pf.sys = None
-            elif tok.text == "caps":
-                self.next()
-                self._parse_caps()
-            elif tok.text == "orbit":
-                self.next()
-                self._parse_orbit()
-            elif tok.text == "surface":
-                self.next()
-                self._parse_surface()
-            elif tok.text == "class":
-                self.next()
-                self._parse_class()
-            elif tok.text == "series":
-                self.next()
-                self._parse_series()
-            elif tok.text == "aug":
-                self.next()
-                self._parse_aug()
-            else:
-                raise ParseError("unknown declaration %r" % tok.text,
-                                 tok.line, tok.col)
+                raise _at(tok, "expected a declaration")
+            if tok.text not in self.DECLARATIONS:
+                raise _at(tok, "unknown declaration %r" % tok.text)
+            self.keyword = tok
+            self.DECLARATIONS[tok.text](self)
             if not self.at_end():
                 self.expect("eol")
                 self.skip_eol()
         self._orbit_system()
-        self._check_degrees()
+        for name, want in self.pf.series_degree.items():
+            got = self.pf.series[name].homogeneous_degree()
+            if got != want:
+                raise _at(self.degree_at[name],
+                          "series %r declared with degree %d but has degree %s"
+                          % (name, want, got))
         return self.pf
 
-    def _parse_caps(self):
-        tok = self.tokens[self.pos - 1]
-        vals = {"max_p": 6, "max_h": 6, "min_h": -1, "max_len": 8}
-        while self.peek().kind == "name":
-            key = self.next().text
-            if key not in vals:
-                raise ParseError("unknown cap %r" % key,
-                                 self.tokens[self.pos - 1].line,
-                                 self.tokens[self.pos - 1].col)
-            self.expect("punct", "=")
-            vals[key] = self._int()
-        try:
-            self.pf.caps = TruncationContext(vals["max_p"], vals["max_h"],
-                                             vals["min_h"], vals["max_len"])
-        except ValueError as exc:
-            raise ParseError(str(exc), tok.line, tok.col) from None
+    def _n(self):
+        self.expect("punct", "=")
+        self.pf.n = self._int()
+        self.pf.sys = self.alg = None
 
-    def _parse_orbit(self):
+    def _caps(self):
+        vals = self._attributes(
+            {"max_p": 6, "max_h": 6, "min_h": -1, "max_len": 8},
+            "unknown cap %r")
+        try:
+            self.pf.caps = TruncationContext(*vals.values())
+        except ValueError as exc:
+            raise _at(self.keyword, str(exc)) from None
+
+    def _orbit(self):
         name = self.expect("name").text
-        cz, kappa, good, side = 0, 1, True, "none"
-        while self.peek().kind == "name":
-            key = self.next().text
-            if key == "bad":
-                good = False
-                continue
-            if key == "cz":
-                self.expect("punct", "=")
-                cz = self._int()
-            elif key == "kappa":
-                self.expect("punct", "=")
-                kappa = self._int()
-            elif key == "side":
-                self.expect("punct", "=")
-                side = self.expect("name").text
-                if side not in ("pos", "neg", "none"):
-                    raise ParseError("side must be pos, neg or none",
-                                     self.tokens[self.pos - 1].line,
-                                     self.tokens[self.pos - 1].col)
-            else:
-                raise ParseError("unknown orbit attribute %r" % key,
-                                 self.tokens[self.pos - 1].line,
-                                 self.tokens[self.pos - 1].col)
+        a = self._attributes({"cz": 0, "kappa": 1, "bad": False,
+                              "side": "none"}, "unknown orbit attribute %r")
         if any(o.name == name for o in self.pf.orbits):
-            tok = self.peek()
-            raise ParseError("orbit %r declared twice" % name, tok.line, tok.col)
-        self.pf.orbits.append(Orbit(name, cz, kappa, good, side))
+            raise _at(self.peek(), "orbit %r declared twice" % name)
+        try:
+            orbit = Orbit(name, a["cz"], a["kappa"], not a["bad"], a["side"])
+        except ValueError as exc:
+            raise _at(self.keyword, str(exc)) from None
+        self.pf.orbits.append(orbit)
         self.pf.sys = None
 
-    def _parse_surface(self):
-        genus = self._keyval_int("genus")
-        boundary = self._keyval_int("boundary")
-        self.pf.surface_params = (genus, boundary)
-        self.pf.surface = Surface(genus, boundary)
+    def _surface(self):
+        self.pf.surface = Surface(self._named("genus"),
+                                  self._named("boundary"))
+        self.alg = None
 
-    def _parse_class(self):
+    def _class(self):
         tok = self.expect("name")
         name = tok.text
         self.expect("punct", "=")
         if self.pf.surface is None:
-            raise ParseError("class declared before a surface", tok.line, tok.col)
+            raise _at(tok, "class declared before a surface")
         letters = []
         while self.peek().kind == "name":
             letters.append(self.next().text)
         if not letters:
-            tok = self.peek()
-            raise ParseError("empty class word", tok.line, tok.col)
+            raise _at(self.peek(), "empty class word")
         word = parse_word(" ".join(letters), self.pf.surface)
         cls = self.pf.surface.canonical_class(word)
         if cls is None:
-            raise ParseError("class %r is trivial" % name, tok.line, tok.col)
+            raise _at(tok, "class %r is trivial" % name)
         if name in self.pf.classes:
-            raise ParseError("class %r declared twice" % name, tok.line, tok.col)
+            raise _at(tok, "class %r declared twice" % name)
         self.pf.classes[name] = cls
-        self.pf.class_order.append(name)
 
-    def _parse_series(self):
+    def _series(self):
         tok = self.expect("name")
-        name = tok.text
-        degree = None
-        if self.peek().kind == "name" and self.peek().text == "deg":
-            self.next()
-            self.expect("punct", "=")
-            degree = self._int()
+        degree = self._value("deg") if self.accept("deg") else None
         self.expect("punct", "=")
         series = self._expr()
-        if name in self.pf.series:
-            raise ParseError("series %r declared twice" % name, tok.line, tok.col)
-        self.pf.series[name] = series
-        self.pf.series_order.append(name)
+        if tok.text in self.pf.series:
+            raise _at(tok, "series %r declared twice" % tok.text)
+        self.pf.series[tok.text] = series
         if degree is not None:
-            self.pf.series_degree[name] = degree
+            self.pf.series_degree[tok.text] = degree
+            self.degree_at[tok.text] = tok
 
-    def _parse_aug(self):
+    def _aug(self):
         tok = self.expect("name")
-        name = tok.text
         self.expect("punct", "{")
         entries: Dict[str, GradedSeries] = {}
         while True:
             self.skip_eol()
-            nxt = self.peek()
-            if nxt.kind == "punct" and nxt.text == "}":
-                self.next()
+            if self.accept("}"):
                 break
             self.expect("name", "q")
             self.expect("punct", "[")
             orbit = self.expect("name")
             good = {o.name: o.good for o in self.pf.orbits}.get(orbit.text)
             if not good:
-                raise ParseError("%s orbit %r" % (
-                    "undefined" if good is None else "bad", orbit.text),
-                    orbit.line, orbit.col)
+                raise _at(orbit, "%s orbit %r" % (
+                    "undefined" if good is None else "bad", orbit.text))
             self.expect("punct", "]")
             self.expect("punct", "->")
             entries[orbit.text] = self._expr()
-            if self.peek().kind == "punct" and self.peek().text == ";":
-                self.next()
-        if name in self.pf.augs:
-            raise ParseError("augmentation %r declared twice" % name,
-                             tok.line, tok.col)
-        self.pf.augs[name] = entries
-        self.pf.aug_order.append(name)
+            self.accept(";")
+        if tok.text in self.pf.augs:
+            raise _at(tok, "augmentation %r declared twice" % tok.text)
+        self.pf.augs[tok.text] = entries
+
+    DECLARATIONS = {"n": _n, "caps": _caps, "orbit": _orbit,
+                    "surface": _surface, "class": _class, "series": _series,
+                    "aug": _aug}
 
     # -- expression grammar ---------------------------------------------
     def _expr(self) -> GradedSeries:
         out = self._term()
-        while True:
-            tok = self.peek()
-            if tok.kind == "punct" and tok.text in ("+", "-") :
-                op = self.next().text
-                term = self._term()
-                out = out + (term if op == "+" else term.scale(-1))
-            else:
-                return out
+        while self.peek().text in ("+", "-"):
+            minus = self.next().text == "-"
+            term = self._term()
+            out = out + (term.scale(-1) if minus else term)
+        return out
 
     def _term(self) -> GradedSeries:
         out = self._factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "punct" and tok.text == "*":
-                self.next()
-                out = self._mul(out, self._factor())
-            else:
-                return out
+        while self.accept("*"):
+            out = self._mul(out, self._factor())
+        return out
 
     def _mul(self, a: GradedSeries, b: GradedSeries) -> GradedSeries:
-        from .algebra import mul, NormalizationError
-        wide = TruncationContext(max_p_degree=64, max_hbar=64, min_hbar=-64,
-                                 max_word_length=64)
         tok = self.peek()
         try:
-            return mul(a, b, wide)
-        except NormalizationError as exc:
-            raise ParseError(str(exc), tok.line, tok.col)
+            return mul(a, b, _KEEP_ALL)
+        except (NormalizationError, TruncationUnderflow) as exc:
+            raise _at(tok, str(exc)) from None
 
     def _factor(self) -> GradedSeries:
         base = self._atom()
-        if self.peek().kind == "punct" and self.peek().text == "^":
-            self.next()
-            tok = self.peek()
-            e = self._int()
-            if e < 0:
-                raise ParseError("negative powers only via (1/h)", tok.line, tok.col)
-            out = GradedSeries.unit()
-            for _ in range(e):
-                out = self._mul(out, base)
-            return out
-        return base
+        if not self.accept("^"):
+            return base
+        tok = self.peek()
+        e = self._int()
+        if e < 0:
+            raise _at(tok, "negative powers only via (1/h)")
+        if e > MAX_POWER:
+            raise _at(tok, "power %d is above the maximum %d" % (e, MAX_POWER))
+        out = GradedSeries.unit()
+        for _ in range(e):
+            out = self._mul(out, base)
+        return out
 
     def _atom(self) -> GradedSeries:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text == "-":
-            self.next()
-            return self._atom().scale(-1)
+        negative = False
+        while self.accept("-"):
+            negative = not negative
+        out = self._primary()
+        return out.scale(-1) if negative else out
+
+    def _primary(self) -> GradedSeries:
+        tok = self.next()
         if tok.kind == "int":
-            self.next()
-            num = int(tok.text)
-            if self.peek().kind == "punct" and self.peek().text == "/":
-                self.next()
-                den = self.expect("int")
-                return GradedSeries.unit(Fraction(num, int(den.text)))
-            return GradedSeries.unit(num)
-        if tok.kind == "punct" and tok.text == "(":
-            self.next()
-            # the (1/h) form
-            if (self.peek().kind == "int" and self.peek().text == "1"
-                    and self.tokens[self.pos + 1].kind == "punct"
-                    and self.tokens[self.pos + 1].text == "/"
-                    and self.tokens[self.pos + 2].kind == "name"
-                    and self.tokens[self.pos + 2].text == "h"):
-                self.next(), self.next(), self.next()
+            num = _number(tok)
+            if not self.accept("/"):
+                return GradedSeries.unit(num)
+            den = _number(self.expect("int"))
+            if not den:
+                self.fail_back("division by zero")
+            return GradedSeries.unit(Fraction(num, den))
+        if tok.text == "(":
+            if [t.text for t in self.tokens[self.pos:self.pos + 3]] \
+                    == ["1", "/", "h"]:
+                self.pos += 3
                 self.expect("punct", ")")
                 return self._hbar(-1)
+            if self.nesting == MAX_NESTING:
+                raise _at(tok, "parentheses nested deeper than %d"
+                          % MAX_NESTING)
+            self.nesting += 1
             inner = self._expr()
+            self.nesting -= 1
             self.expect("punct", ")")
             return inner
-        if tok.kind == "name" and tok.text == "h":
-            self.next()
+        if tok.text == "h":
             return self._hbar(1)
-        if tok.kind == "name" and tok.text in ("q", "p", "s"):
-            kind = self.next().text
+        if tok.text in ("q", "p", "s"):
             self.expect("punct", "[")
             parts = []
-            while not (self.peek().kind == "punct" and self.peek().text == "]"):
-                t2 = self.peek()
-                if t2.kind == "eol":
-                    raise ParseError("unterminated %s[" % kind, t2.line, t2.col)
+            while not self.accept("]"):
+                if self.peek().kind == "eol":
+                    raise _at(self.peek(), "unterminated %s[" % tok.text)
                 parts.append(self.next().text)
-            self.expect("punct", "]")
-            ident = " ".join(parts)
-            return self._variable(kind, ident, tok)
-        raise ParseError("expected a series atom, found %r"
-                         % (tok.text or "end of line"), tok.line, tok.col)
+            return self._variable(tok.text, " ".join(parts), tok)
+        raise _at(tok, "expected a series atom, found %r"
+                  % (tok.text or "end of line"))
 
     def _hbar(self, power: int) -> GradedSeries:
-        from .algebra import GradedSymbol, KIND_H
-        hbar = GradedSymbol("h", 2 * (self.pf.n - 3), KIND_H, None, 0)
-        return GradedSeries({((hbar, power),): 1})
+        return GradedSeries({((hbar_symbol(self.pf.n), power),): 1})
 
     def _variable(self, kind: str, ident: str, tok: Token) -> GradedSeries:
         if kind in ("q", "p"):
             sys = self._orbit_system()
             table = sys.q if kind == "q" else sys.p
             if ident not in table:
-                raise ParseError("undefined orbit %r" % ident, tok.line, tok.col)
+                raise _at(tok, "undefined orbit %r" % ident)
             return GradedSeries.generator(table[ident])
         if self.pf.surface is None:
-            raise ParseError("string symbol before a surface declaration",
-                             tok.line, tok.col)
-        alg = self._class_algebra()
+            raise _at(tok, "string symbol before a surface declaration")
+        if self.alg is None:
+            self.alg = ClassAlgebra(self.pf.surface, self.pf.n)
         if ident in self.pf.classes:
-            return alg.single(self.pf.classes[ident])
+            return self.alg.single(self.pf.classes[ident])
         # otherwise the bracket may hold a literal word
         try:
             cls = self.pf.surface.canonical_class(
                 parse_word(ident, self.pf.surface))
         except Exception:
-            raise ParseError("undefined class %r" % ident, tok.line, tok.col)
+            raise _at(tok, "undefined class %r" % ident)
         if cls is None:
-            raise ParseError("class %r is trivial" % ident, tok.line, tok.col)
-        return alg.single(cls)
+            raise _at(tok, "class %r is trivial" % ident)
+        return self.alg.single(cls)
 
     def _orbit_system(self) -> OrbitSystem:
         """The orbit system of the declarations so far; an `n` or `orbit`
@@ -438,20 +416,6 @@ class _Parser:
         if self.pf.sys is None:
             self.pf.sys = OrbitSystem(self.pf.n, self.pf.orbits)
         return self.pf.sys
-
-    def _class_algebra(self):
-        from .strings import ClassAlgebra
-        if not hasattr(self, "_alg") or self._alg is None:
-            self._alg = ClassAlgebra(self.pf.surface, self.pf.n)
-        return self._alg
-
-    def _check_degrees(self):
-        for name, want in self.pf.series_degree.items():
-            got = self.pf.series[name].homogeneous_degree()
-            if got != want:
-                raise ParseError(
-                    "series %r declared with degree %d but has degree %s"
-                    % (name, want, got), 0, 0)
 
 
 def parse(text: str) -> ProblemFile:
@@ -461,38 +425,22 @@ def parse(text: str) -> ProblemFile:
 # -- canonical printer -------------------------------------------------
 
 def print_series(series: GradedSeries) -> str:
-    if series.is_zero():
-        return "0"
-    chunks = []
+    text = ""
     for mono, coeff in series.iter_terms():
-        parts = []
-        if coeff == -1:
-            sign, mag = "-", ""
-        elif coeff < 0:
-            sign, mag = "-", str(-coeff)
-        elif coeff == 1:
-            sign, mag = "+", ""
-        else:
-            sign, mag = "+", str(coeff)
-        if mag:
-            parts.append(mag)
+        parts = [str(abs(coeff))] if abs(coeff) != 1 or not mono else []
         for sym, e in mono:
-            if sym.kind == "h":
-                if e >= 0:
-                    parts.append("h" if e == 1 else "h^%d" % e)
-                else:
-                    parts.append("(1/h)" if e == -1 else "(1/h)^%d" % (-e))
+            if sym.kind != "h":
+                parts.append(sym.name if e == 1 else "%s^%d" % (sym.name, e))
+            elif e >= 0:
+                parts.append("h" if e == 1 else "h^%d" % e)
             else:
-                nm = sym.name
-                parts.append(nm if e == 1 else "%s^%d" % (nm, e))
-        if not parts:
-            parts = [str(abs(coeff))]
-        chunks.append((sign, "*".join(parts)))
-    first_sign, first = chunks[0]
-    text = ("-" if first_sign == "-" else "") + first
-    for sign, body in chunks[1:]:
-        text += " %s %s" % (sign, body)
-    return text
+                parts.append("(1/h)" if e == -1 else "(1/h)^%d" % -e)
+        if text:
+            text += " - " if coeff < 0 else " + "
+        elif coeff < 0:
+            text = "-"
+        text += "*".join(parts)
+    return text or "0"
 
 
 def print_problem(pf: ProblemFile) -> str:
@@ -507,19 +455,17 @@ def print_problem(pf: ProblemFile) -> str:
         if o.side != "none":
             bits.append("side=%s" % o.side)
         lines.append(" ".join(bits))
-    if pf.surface_params is not None:
-        lines.append("surface genus=%d boundary=%d" % pf.surface_params)
-    for name in pf.class_order:
-        lines.append("class %s = %s"
-                     % (name, format_word(pf.classes[name], pf.surface)))
-    for name in pf.series_order:
+    if pf.surface is not None:
+        lines.append("surface genus=%d boundary=%d"
+                     % (pf.surface.genus, pf.surface.boundary))
+    for name, cls in pf.classes.items():
+        lines.append("class %s = %s" % (name, format_word(cls, pf.surface)))
+    for name, series in pf.series.items():
         deg = ""
         if name in pf.series_degree:
             deg = " deg=%d" % pf.series_degree[name]
-        lines.append("series %s%s = %s"
-                     % (name, deg, print_series(pf.series[name])))
-    for name in pf.aug_order:
-        entries = pf.augs[name]
+        lines.append("series %s%s = %s" % (name, deg, print_series(series)))
+    for name, entries in pf.augs.items():
         body = " ; ".join("q[%s] -> %s" % (orb, print_series(v))
                           for orb, v in entries.items())
         lines.append("aug %s { %s }" % (name, body))

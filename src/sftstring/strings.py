@@ -310,24 +310,18 @@ def _pow_sign(e: int) -> int:
 # ---------------------------------------------------------------------
 
 def d_string(series: GradedSeries, alg: ClassAlgebra, sys: OrbitSystem,
-             ctx: TruncationContext, boundary=None) -> GradedSeries:
-    """The string operator d + split + h * join, coefficient-wise.
-
-    At homology level the chain boundary d vanishes; a coefficient
-    differential can be supplied for chain-level data.
-    """
+             ctx: TruncationContext) -> GradedSeries:
+    """The string operator d + split + h * join, coefficient-wise; at
+    homology level the chain boundary d vanishes."""
     out = delta_op(series, alg, ctx)
     joined = nabla_op(series, alg, ctx)
     hseries = GradedSeries({((sys.hbar, 1),): 1})
-    out = out + mul(hseries, joined, ctx)
-    if boundary is not None:
-        out = out + boundary(series, ctx)
-    return out
+    return out + mul(hseries, joined, ctx)
 
 
 def check_master_l(L: GradedSeries, Hplus: GradedSeries, Hminus: GradedSeries,
                    alg: ClassAlgebra, sys: OrbitSystem,
-                   ctx: TruncationContext, boundary=None) -> CheckReport:
+                   ctx: TruncationContext) -> CheckReport:
     """Verify (d + split + h*join) e^L = e^L <-H+  -  H-> e^L."""
     report = CheckReport("master equation with Lagrangian boundary",
                          caps=_caps_dict(ctx))
@@ -336,7 +330,7 @@ def check_master_l(L: GradedSeries, Hplus: GradedSeries, Hminus: GradedSeries,
             return report
         wide = ctx.widen(extra_low=ctx.max_p_degree + ctx.max_word_length + 2)
         eL = exp_series(L, sys, wide)
-        lhs = d_string(eL, alg, sys, wide, boundary)
+        lhs = d_string(eL, alg, sys, wide)
         rhs = project_out(star(eL, Hplus, sys, wide), sides=FILLING_KILL, sys=sys) - \
             project_out(star(Hminus, eL, sys, wide), sides=FILLING_KILL, sys=sys)
         diff = lhs - rhs
@@ -359,14 +353,14 @@ def check_string_mc(A: GradedSeries, alg: ClassAlgebra, sys: OrbitSystem,
 
 
 def check_fukaya_disk(a1: GradedSeries, alg: ClassAlgebra,
-                      ctx: TruncationContext, boundary=None) -> CheckReport:
+                      ctx: TruncationContext) -> CheckReport:
     """Disk-level reduction: d a1 + (1/2)[a1, a1] = 0 on a single-string
     potential, realized as the string operator on its exponential.
 
     At homology level the self-bracket term collapses: the two ordered
     joinings of a pair of single strings produce conjugate classes with
     opposite signs, so the surviving obstruction is the splitting part
-    (plus the supplied chain boundary, zero at homology level).  The
+    (the chain boundary is zero at homology level).  The
     bracket obstruction proper is exercised by two-string potentials in
     the Maurer-Cartan check.
     """
@@ -379,7 +373,7 @@ def check_fukaya_disk(a1: GradedSeries, alg: ClassAlgebra,
                 break
         sys = OrbitSystem(alg.n, [])
         eA = exp_series(a1, sys, ctx)
-        lhs = d_string(eA, alg, sys, ctx, boundary)
+        lhs = d_string(eA, alg, sys, ctx)
         if not lhs.is_zero():
             series_witnesses(report, lhs)
     return report

@@ -71,7 +71,7 @@ def parse_word(text: str, surface: "Surface") -> Word:
     """Parse whitespace-separated letters like "a1 b1 A1 B1 a2"."""
     letters = []
     for tok in text.split():
-        if len(tok) < 2 or tok[0].lower() not in "abc" or not tok[1:].isdigit():
+        if len(tok) < 2 or tok[0].lower() not in "abc" or not tok[1:].isdecimal():
             raise SurfaceError("bad letter %r" % tok)
         kind, idx = tok[0], int(tok[1:])
         if idx < 1:

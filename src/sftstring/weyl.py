@@ -54,6 +54,7 @@ from .algebra import (
     exp_sum,
     format_monomial,
     hbar_exponent,
+    hbar_symbol,
     merge_words,
     monomial_degree,
     truncation_underflow,
@@ -98,7 +99,7 @@ class OrbitSystem:
         names = [o.name for o in self.orbits]
         if len(set(names)) != len(names):
             raise ValueError("duplicate orbit names")
-        self.hbar = GradedSymbol("h", 2 * (n - 3), KIND_H, None, 0)
+        self.hbar = hbar_symbol(n)
         self.q: Dict[str, GradedSymbol] = {}
         self.p: Dict[str, GradedSymbol] = {}
         self.kappa: Dict[str, int] = {}
@@ -483,9 +484,8 @@ def check_master_chain(H: GradedSeries, coeff_boundary,
                        sys: OrbitSystem, ctx: TruncationContext) -> CheckReport:
     """Verify dH + (1/2) H*H = 0 with a coefficient differential.
 
-    coeff_boundary is None (d = 0), a mapping {string symbol:
-    GradedSeries}, or a callable (series, ctx) -> series already
-    extended to monomials.
+    coeff_boundary is None (d = 0) or a mapping {string symbol:
+    GradedSeries}.
     H * H skips its uncontracted part when every term of H has odd
     degree, odd or even s[...] symbols included: that part is the
     graded-commutative square, zero term by term (see check_master_h).
@@ -493,8 +493,7 @@ def check_master_chain(H: GradedSeries, coeff_boundary,
     report = CheckReport("chain-level master equation dH + (1/2)H*H = 0",
                          caps=_caps_dict(ctx))
     with timed(report):
-        op = coeff_boundary if callable(coeff_boundary) else \
-            coefficient_boundary_operator(coeff_boundary or {})
+        op = coefficient_boundary_operator(coeff_boundary or {})
         wide = ctx.widen(extra_low=abs(ctx.min_hbar) + 1)
         lhs = op(H, wide) + star(H, H, sys, wide).scale(Fraction(1, 2))
         if not lhs.is_zero():

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from sftstring.cli import main
-from sftstring.problemfile import ParseError, parse, print_problem
+from sftstring.problemfile import MAX_POWER, ParseError, parse, print_problem
 
 DATA = Path(__file__).parent / "data"
 CORPUS = sorted(DATA.glob("*.sft"))
@@ -68,6 +69,147 @@ def test_degree_annotation_checked():
     assert pf.series["H"].homogeneous_degree() == -1
 
 
+def test_degree_error_points_at_the_series():
+    with pytest.raises(ParseError) as err:
+        parse("n = 2\nseries H deg=0 = 0\n")
+    assert (err.value.line, err.value.col) == (2, 8)
+    assert "declared with degree 0 but has degree None" in str(err.value)
+
+
+def test_parse_keeps_every_written_term():
+    # p[g1] is even for cz=1; no product window may drop p^65 or h^65
+    pf = parse("n = 2\norbit g1 cz=1 kappa=1\n"
+               "series H = p[g1]^65 + h^65 + 1\n")
+    assert len(pf.series["H"].terms) == 3
+    text = print_problem(pf)
+    assert text.endswith("series H = 1 + p[g1]^65 + h^65\n")
+    assert parse(text).series == pf.series and print_problem(parse(text)) == text
+
+
+HEAD = "n = 2\norbit g1 cz=1 kappa=1\n"
+
+
+@pytest.mark.parametrize("body, message", [
+    (b"series H = 1/0*p[g1]\n", "line 3, col 14: division by zero"),
+    (b"orbit g2 cz=0 kappa=0\n",
+     "line 3, col 1: orbit multiplicity must be positive"),
+    ("series H = 3\u00b2*p[g1]\n".encode(),
+     "line 3, col 13: unexpected character '\u00b2'"),
+    (b"series H = \xff\n", "line 3, col 12: not UTF-8 text"),
+    (b"series H = " + b"(" * 3000 + b"\n",
+     "line 3, col 112: parentheses nested deeper than 100"),
+    (b"series H = " + b"-" * 5000 + b"\n",
+     "line 3, col 5012: expected a series atom, found 'end of line'"),
+    (b"series H = " + b"9" * 5000 + b"\n",
+     "line 3, col 12: integer of 5000 digits is too long"),
+    ("surface genus=2 boundary=0\nclass K = a\u00b2\n".encode(),
+     "bad letter 'a\u00b2'"),
+], ids=["zero-denominator", "kappa-0", "superscript", "not-utf8",
+        "deep-parentheses", "many-minus", "long-integer", "superscript-index"])
+def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, body,
+                                               message):
+    path = tmp_path / "bad.sft"
+    path.write_bytes(HEAD.encode() + body)
+    code, out, err = run_cli(["parse", "--input", str(path)], capsys)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+def test_unary_minus_runs_without_recursion(tmp_path, capsys):
+    path = tmp_path / "minus.sft"
+    path.write_text(HEAD + "series H = " + "-" * 5001 + "p[g1]\n")
+    code, out, _ = run_cli(["parse", "--input", str(path)], capsys)
+    assert code == 0 and out.endswith("series H = -p[g1]\n")
+
+
+def test_power_guard_bounds_parse_time(tmp_path):
+    path = tmp_path / "power.sft"
+    for e, code in ((MAX_POWER, 0), (MAX_POWER + 1, 2)):
+        path.write_text(HEAD + "series H = h^%d + q[g1]^%d\n" % (e, e))
+        proc = _run_module(["parse", "--input", str(path)], timeout=10)
+        assert proc.returncode == code, proc.stderr
+    assert proc.stderr == ("error: line 3, col 14: power %d is above the "
+                           "maximum %d\n" % (MAX_POWER + 1, MAX_POWER))
+
+
+# -- seeded fuzz of the problem-file grammar ---------------------------
+
+FUZZ_PRELUDE = ("n = 2\norbit g1 cz=0 kappa=1\norbit g2 cz=1 kappa=2\n"
+                "orbit g3 cz=1 kappa=1 bad\nsurface genus=2 boundary=0\n"
+                "class K = a1 b1\n")
+FUZZ_TERMINALS = ["n", "caps", "orbit", "surface", "class", "series", "aug",
+                  "deg", "cz", "kappa", "bad", "=", "(", ")", "[", "]", "{",
+                  "}", "^", "*", "+", "-", "/", ";", "->", "0", "1", "2", "h",
+                  "q", "p", "s", "g1", "g2", "g3", "K", "a1", "\n"]
+
+
+def _fuzz_atom(rng, depth):
+    pick = rng.randrange(8 if depth < 3 else 6)
+    if pick == 0:
+        return [str(rng.randrange(3))]
+    if pick == 1:
+        return [str(rng.randrange(3)), "/", str(rng.randrange(3))]
+    if pick == 2:
+        return ["(", "1", "/", "h", ")"]
+    if pick == 3:
+        return ["h"]
+    if pick == 4:
+        return [rng.choice("qp"), "[", rng.choice(["g1", "g2", "g3"]), "]"]
+    if pick == 5:
+        return ["s", "[", rng.choice(["K", "a1", "b1 b1"]), "]"]
+    if pick == 6:
+        return ["-"] + _fuzz_atom(rng, depth + 1)
+    return ["("] + _fuzz_expr(rng, depth + 1) + [")"]
+
+
+def _fuzz_expr(rng, depth=0):
+    tokens = []
+    for i in range(rng.randint(1, 3)):
+        for j in range(rng.randint(1, 2)):
+            tokens += [rng.choice("+-")] if i and not j else []
+            tokens += ["*"] if j else []
+            tokens += _fuzz_atom(rng, depth)
+            if rng.random() < 0.2:
+                tokens += ["^", str(rng.randrange(4))]
+    return tokens
+
+
+def _fuzz_declaration(rng):
+    pick = rng.randrange(4)
+    if pick == 0:
+        return ["orbit", "g%d" % rng.randint(4, 9), "cz", "=",
+                str(rng.randrange(2)), "kappa", "=", str(rng.randrange(3))]
+    if pick == 1:
+        return ["series", "H", "="] + _fuzz_expr(rng)
+    if pick == 2:
+        return ["series", "H", "deg", "=", str(rng.randrange(-1, 2)),
+                "="] + _fuzz_expr(rng)
+    return ["aug", "beta", "{", "q", "[", "g1", "]", "->"] \
+        + _fuzz_expr(rng) + ["}"]
+
+
+def test_parse_fuzz_exits_0_or_2_with_one_line(tmp_path, capsys):
+    """Grammar sentences, some with a token inserted, deleted or replaced:
+    each parses, or exits 2 with one line and nothing on stdout."""
+    rng = random.Random(19)
+    path = tmp_path / "fuzz.sft"
+    codes = []
+    for _ in range(300):
+        tokens = _fuzz_declaration(rng)
+        for _ in range(rng.randrange(3)):
+            i = rng.randrange(len(tokens))
+            tokens[i:i + rng.randrange(2)] = \
+                [rng.choice(FUZZ_TERMINALS)] * rng.randrange(2)
+        path.write_text(FUZZ_PRELUDE + " ".join(tokens) + "\n")
+        code, out, err = run_cli(["parse", "--input", str(path)], capsys)
+        codes.append(code)
+        if code == 2:
+            assert out == "" and err.startswith("error: line ")
+            assert err.count("\n") == 1 and "Traceback" not in err
+        else:
+            assert (code, err) == (0, "") and out.startswith("n = ")
+    assert codes.count(0) > 50 and codes.count(2) > 50
+
+
 def test_parser_builds_orbit_system_once_per_declaration(monkeypatch):
     from sftstring import problemfile
     built = []
@@ -83,6 +225,14 @@ def test_parser_builds_orbit_system_once_per_declaration(monkeypatch):
     assert built == [2, 4] and pf.sys.n == 4
     assert pf.series["A"].homogeneous_degree() == -1
     assert pf.series["B"].homogeneous_degree() == 1
+
+
+def test_string_symbols_follow_a_later_n():
+    # s[...] has degree n - 3 for the n in force where it is written
+    pf = parse("surface genus=2 boundary=0\nseries A = s[a1]\n"
+               "n = 3\nseries B = s[a1]\n")
+    assert pf.series["A"].homogeneous_degree() == -1
+    assert pf.series["B"].homogeneous_degree() == 0
 
 
 def test_exit_codes(capsys):
@@ -384,13 +534,14 @@ def test_build_h_command(tmp_path, capsys):
     assert code == 0
 
 
-def _run_module(args, **env):
+def _run_module(args, timeout=60, **env):
     """`python -m sftstring.cli ARGS` in a subprocess that imports this
-    checkout's src/, with `env` added to the environment."""
+    checkout's src/, with `env` added to the environment, killed after
+    `timeout` seconds."""
     src = str(Path(__file__).parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "sftstring.cli", *args],
-                          capture_output=True, text=True, timeout=60,
+                          capture_output=True, text=True, timeout=timeout,
                           env=dict(os.environ, PYTHONPATH=path, **env))
 
 
