@@ -1,11 +1,11 @@
 """BV-infinity algebras on free graded-commutative algebras.
 
-Operators are stored extensionally: a table of values on the generator
-monomials inside the truncation window.  The h-expansion
-D = (1/h) sum_k D^k h^k is recovered from the table, the order <= k
-condition is checked by the inductive graded-commutator criterion, and
-augmentations twist D into a constant-term-free operator whose quadratic
-parts carry an involutive Lie bialgebra.
+Operators are stored extensionally: values on the generator monomials
+inside the truncation window, tabulated or computed on first read.  The
+h-expansion D = (1/h) sum_k D^k h^k is recovered from the table, the
+order <= k condition is checked by the inductive graded-commutator
+criterion, and augmentations twist D into a constant-term-free operator
+whose quadratic parts carry an involutive Lie bialgebra.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -108,22 +109,39 @@ _WIDE = TruncationContext(max_p_degree=64, max_hbar=64, min_hbar=-64,
 
 
 class LinearMap:
-    """h-linear map stored on h-free monomials."""
+    """h-linear map on h-free monomials: a table, or a rule computing a
+    word's value on its first read, kept for later reads.  With a rule,
+    table is the dict the values are kept in, shared with the rule."""
 
     def __init__(self, spec: FreeAlgebraSpec, table: Dict[Monomial, GradedSeries],
-                 degree: int):
+                 degree: int, rule: Optional[Callable] = None):
         self.spec = spec
-        self.table = dict(table)
+        self._values = table if rule else dict(table)
         self.degree = degree
+        self._rule = rule
+
+    @property
+    def table(self) -> Dict[Monomial, GradedSeries]:
+        """The values; with a rule, on every basis word in basis order."""
+        if self._rule is not None:
+            self._values = {m: self._word(m) for m in self.spec.basis_monomials()}
+            self._rule = None
+        return self._values
+
+    def _word(self, w: Monomial) -> GradedSeries:
+        v = self._values.get(w)
+        if v is None:
+            if q_degree(w) > self.spec.word_cap:
+                raise BvError("value of %s outside the table"
+                              % format_monomial(w))
+            if self._rule is None:
+                return GradedSeries.zero()
+            v = self._values[w] = self._rule(w)
+        return v
 
     def value(self, m: Monomial) -> GradedSeries:
         rest, h = split_h(m)
-        v = self.table.get(rest)
-        if v is None:
-            if q_degree(rest) > self.spec.word_cap:
-                raise BvError("value of %s outside the table"
-                              % format_monomial(rest))
-            v = GradedSeries.zero()
+        v = self._word(rest)
         if h == 0:
             return v
         return self.spec.mul(self.spec.hpow(h), v)
@@ -138,8 +156,9 @@ class LinearMap:
 class BvOperator(LinearMap):
     """Degree -1 operator with expansion D = (1/h) sum D^k h^k."""
 
-    def __init__(self, spec: FreeAlgebraSpec, table: Dict[Monomial, GradedSeries]):
-        super().__init__(spec, table, -1)
+    def __init__(self, spec: FreeAlgebraSpec, table: Dict[Monomial, GradedSeries],
+                 rule: Optional[Callable] = None):
+        super().__init__(spec, table, -1, rule)
 
     def component(self, k: int) -> Dict[Monomial, GradedSeries]:
         """D^k as an h-free table: the h^(k-1) coefficient of each value."""
@@ -283,9 +302,11 @@ def exp_morphism(phi: LinearMap, element: GradedSeries,
 
 
 def _exp_words(phi: LinearMap,
-               target_mul: Callable[[GradedSeries, GradedSeries], GradedSeries]
+               target_mul: Callable[[GradedSeries, GradedSeries], GradedSeries],
+               memo: Optional[Dict[Monomial, GradedSeries]] = None
                ) -> Callable[[Monomial], GradedSeries]:
-    """e^phi on h-free monomials, each word computed once per call.
+    """e^phi on h-free monomials, each word computed once and kept in
+    memo (a new dict unless one is given).
 
     The partition sum goes by the block B that holds the first unit of
     w: e^phi(w) = sum_B eps(B, w - B) phi(B) e^phi(w - B), eps the Koszul
@@ -296,42 +317,52 @@ def _exp_words(phi: LinearMap,
     e_t of each other symbol t.  A zero map costs nothing past 1.  On a
     word w past word_cap, BvError is raised, whole word first, by a block
     B past word_cap that holds the first unit and is not in phi's table;
-    likewise by a value phi(B) of the wrong parity.
+    likewise by a value phi(B) of the wrong parity.  The recursion is
+    _exp_word bound to its arguments, not a closure that calls itself,
+    so memo is freed with the last reference to the returned function.
     """
     blocks: Dict[GradedSymbol, List[Tuple[Monomial, GradedSeries]]] = {}
     for b, v in phi.table.items():
         if b and v:
             blocks.setdefault(b[0][0], []).append((b, v))
-    memo: Dict[Monomial, GradedSeries] = {ONE: GradedSeries.unit()}
+    if memo is None:
+        memo = {}
+    memo[ONE] = GradedSeries.unit()
+    return partial(_exp_word, phi, target_mul, blocks, memo)
 
-    def on_word(w: Monomial) -> GradedSeries:
-        val = memo.get(w)
-        if val is None:
-            if q_degree(w) > phi.spec.word_cap:
-                # phi.value raises on a block past word_cap not in the table
-                for counts in itertools.product(*(
-                        reversed(range(t is w[0][0], e + 1)) for t, e in w)):
-                    phi.value(tuple((t, f) for (t, _), f in zip(w, counts) if f))
-            acc: Dict[Monomial, Coeff] = {}
-            for b, v in blocks.get(w[0][0], ()):
-                left, count = dict(w), 1
-                for t, f in b:
-                    e = left.get(t, 0)
-                    if e < f:
-                        break
-                    count *= comb(e - 1, f - 1) if t is b[0][0] else comb(e, f)
-                    left[t] = e - f
-                else:
-                    if any(monomial_degree(mono) % 2 != monomial_degree(b) % 2
-                           for mono in v.terms):
-                        raise BvError("map does not preserve parity, as e^phi "
-                                      "needs: %s -> %r" % (format_monomial(b), v))
-                    rest = tuple((t, e) for t, e in left.items() if e)
-                    prod = target_mul(v, on_word(rest))
-                    add_terms(acc, prod.terms, merge_words(b, rest)[0] * count)
-            val = memo[w] = GradedSeries.from_terms(acc)
-        return val
-    return on_word
+
+def _exp_word(phi, target_mul, blocks, memo, w: Monomial) -> GradedSeries:
+    val = memo.get(w)
+    if val is None:
+        if q_degree(w) > phi.spec.word_cap:
+            # phi.value raises on a block past word_cap not in the table
+            for counts in itertools.product(*(
+                    reversed(range(t is w[0][0], e + 1)) for t, e in w)):
+                phi.value(tuple((t, f) for (t, _), f in zip(w, counts) if f))
+        acc: Dict[Monomial, Coeff] = {}
+        for b, v in blocks.get(w[0][0], ()):
+            left, count = dict(w), 1
+            for t, f in b:
+                e = left.get(t, 0)
+                if e < f:
+                    break
+                count *= comb(e - 1, f - 1) if t is b[0][0] else comb(e, f)
+                left[t] = e - f
+            else:
+                _check_parity(b, v)
+                rest = tuple((t, e) for t, e in left.items() if e)
+                prod = target_mul(v, _exp_word(phi, target_mul, blocks, memo,
+                                               rest))
+                add_terms(acc, prod.terms, merge_words(b, rest)[0] * count)
+        val = memo[w] = GradedSeries.from_terms(acc)
+    return val
+
+
+def _check_parity(b: Monomial, v: GradedSeries) -> None:
+    if any(monomial_degree(mono) % 2 != monomial_degree(b) % 2
+           for mono in v.terms):
+        raise BvError("map does not preserve parity, as e^phi needs: %s -> %r"
+                      % (format_monomial(b), v))
 
 
 class Augmentation(LinearMap):
@@ -443,8 +474,9 @@ def twist_by_augmentation(D: BvOperator, beta: Augmentation,
     """Build Phi, its inverse, and the twisted operator Phi D Phi^(-1).
 
     Phi = (e^beta (x) id) Delta and its inverse come from _phi_maps.
-    The twisted operator has no constant terms; that is checked and
-    enforced here.
+    All three compute a word on its first read.  With validate, the
+    twisted operator must have no constant term on the words D's growth
+    leaves reliable, read here in basis order.
 
     Phi and Phi^(-1) depend on beta and on D.spec alone (its symbols,
     word_cap, hbar_cap and n), not on D, so they are built once per
@@ -462,14 +494,12 @@ def twist_by_augmentation(D: BvOperator, beta: Augmentation,
     if maps is None:
         maps = beta._phi_memo[key] = _phi_maps(spec, beta)
     Phi, PhiInv = maps
-    twisted = {m: Phi.apply(D.apply(PhiInv.value(m))) for m in Phi.table}
-    Dbeta = BvOperator(spec, twisted)
+    Dbeta = BvOperator(spec, {},
+                       lambda m: Phi.apply(D.apply(PhiInv.value(m))))
     if validate:
         reliable = spec.word_cap - operator_growth(D)
-        for m, v in Dbeta.table.items():
-            if q_degree(m) > reliable:
-                continue
-            for mono, c in v.terms.items():
+        for m in spec.basis_monomials(reliable):
+            for mono, c in Dbeta.value(m).terms.items():
                 rest, _h = split_h(mono)
                 if not rest:
                     raise BvError("twisted operator has constant term %s on %s"
@@ -487,7 +517,8 @@ def _phi_maps(spec: FreeAlgebraSpec, beta: Augmentation
     Koszul sign of moving the subset to the front.  In the partition sum
     of e^(beta + iota) the rest is the singleton blocks that pick iota.
     e^(-beta) is the convolution inverse of e^beta, so the second map
-    inverts the first.
+    inverts the first.  A block of beta + iota of the wrong parity
+    raises here, the first in basis order, as building every word would.
     """
     maps = []
     for sign in (1, -1):
@@ -495,9 +526,13 @@ def _phi_maps(spec: FreeAlgebraSpec, beta: Augmentation
                  for s in spec.symbols}
         for m, v in beta.table.items():
             table[m] = table.get(m, GradedSeries.zero()) + v.scale(sign)
-        on_word = _exp_words(LinearMap(spec, table, 0), spec.mul)
-        maps.append(LinearMap(spec, {m: on_word(m)
-                                     for m in spec.basis_monomials()}, 0))
+        if sign == 1:
+            for b in spec.basis_monomials():
+                if b in table:
+                    _check_parity(b, table[b])
+        memo: Dict[Monomial, GradedSeries] = {}
+        on_word = _exp_words(LinearMap(spec, table, 0), spec.mul, memo)
+        maps.append(LinearMap(spec, memo, 0, on_word))
     return maps[0], maps[1]
 
 
@@ -819,11 +854,16 @@ def check_lie_bialgebra(data: LieBialgebraData) -> CheckReport:
             for vb in reps:
                 if not ax.antisymmetry(va, vb):
                     report.add_witness("antisymmetry", "pair")
-        for va in reps:
-            for vb in reps:
-                for vc in reps:
-                    if not ax.jacobi(va, vb, vc):
-                        report.add_witness("Jacobi", "triple")
+        # rotations of a triple share its verdict: rho^3 = 1 and the
+        # representatives are homogeneous
+        verdicts: Dict[Tuple[int, int, int], bool] = {}
+        for i, j, k in itertools.product(range(len(reps)), repeat=3):
+            orbit = min((i, j, k), (j, k, i), (k, i, j))
+            ok = verdicts.get(orbit)
+            if ok is None:
+                ok = verdicts[orbit] = ax.jacobi(reps[i], reps[j], reps[k])
+            if not ok:
+                report.add_witness("Jacobi", "triple")
         for va in reps:
             for vb in reps:
                 if not ax.drinfeld(va, vb):

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional
 from .algebra import (GradedSeries, NormalizationError, TruncationContext,
                       TruncationUnderflow, hbar_symbol, mul)
 from .strings import ClassAlgebra
-from .surfaces import Surface, Word, format_word, parse_word
+from .surfaces import Surface, SurfaceError, Word, format_word, parse_word
 from .weyl import Orbit, OrbitSystem
 
 # `x^e` multiplies e times.  At 1,000 one monomial takes 3 ms (h, an even
@@ -241,8 +241,11 @@ class _Parser:
         self.pf.sys = None
 
     def _surface(self):
-        self.pf.surface = Surface(self._named("genus"),
-                                  self._named("boundary"))
+        genus, boundary = self._named("genus"), self._named("boundary")
+        try:
+            self.pf.surface = Surface(genus, boundary)
+        except SurfaceError as exc:
+            raise _at(self.keyword, str(exc)) from None
         self.alg = None
 
     def _class(self):
@@ -251,12 +254,15 @@ class _Parser:
         self.expect("punct", "=")
         if self.pf.surface is None:
             raise _at(tok, "class declared before a surface")
-        letters = []
+        word: Word = ()
         while self.peek().kind == "name":
-            letters.append(self.next().text)
-        if not letters:
+            letter = self.next()
+            try:
+                word += parse_word(letter.text, self.pf.surface)
+            except SurfaceError as exc:
+                raise _at(letter, str(exc)) from None
+        if not word:
             raise _at(self.peek(), "empty class word")
-        word = parse_word(" ".join(letters), self.pf.surface)
         cls = self.pf.surface.canonical_class(word)
         if cls is None:
             raise _at(tok, "class %r is trivial" % name)

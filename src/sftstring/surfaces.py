@@ -73,7 +73,11 @@ def parse_word(text: str, surface: "Surface") -> Word:
     for tok in text.split():
         if len(tok) < 2 or tok[0].lower() not in "abc" or not tok[1:].isdecimal():
             raise SurfaceError("bad letter %r" % tok)
-        kind, idx = tok[0], int(tok[1:])
+        try:
+            kind, idx = tok[0], int(tok[1:])
+        except ValueError:  # over the interpreter's digit limit
+            raise SurfaceError("letter index of %d digits is too long"
+                               % (len(tok) - 1)) from None
         if idx < 1:
             raise SurfaceError("bad letter index in %r" % tok)
         if kind.lower() == "a":

@@ -3,10 +3,13 @@
 `koszul_sign` counts odd-odd inversions of a permutation directly, and
 `units_of` lists a monomial's symbols unit by unit; the library signs
 and products go by `standard_form`, `merge_words` and
-`algebra.derivation` instead.
+`algebra.derivation` instead.  `eager_twist_tables` tabulates the twist
+by an augmentation on every basis word up front, where the library
+computes each word on its first read.
 """
 
-from sftstring.algebra import KIND_H
+from sftstring.algebra import KIND_H, GradedSeries
+from sftstring.bv import LinearMap, _exp_words
 
 
 def units_of(m):
@@ -36,3 +39,25 @@ def koszul_sign(symbols, permutation) -> int:
                 if symbols[permutation[i]].parity and symbols[permutation[j]].parity:
                     sign = -sign
     return sign
+
+
+def eager_twist_tables(D, beta):
+    """The tables of Phi, Phi^-1 and D^beta = Phi D Phi^-1, each value
+    computed up front on every basis word of D.spec, in basis order.
+
+    Phi = e^(beta + iota) and Phi^-1 = e^(-beta + iota), iota the
+    inclusion of the generators.
+    """
+    spec = D.spec
+    maps = []
+    for sign in (1, -1):
+        table = {((s, 1),): GradedSeries({((s, 1),): 1})
+                 for s in spec.symbols}
+        for m, v in beta.table.items():
+            table[m] = table.get(m, GradedSeries.zero()) + v.scale(sign)
+        on_word = _exp_words(LinearMap(spec, table, 0), spec.mul)
+        maps.append(LinearMap(spec, {m: on_word(m)
+                                     for m in spec.basis_monomials()}, 0))
+    Phi, PhiInv = maps
+    return (Phi.table, PhiInv.table,
+            {m: Phi.apply(D.apply(PhiInv.value(m))) for m in Phi.table})

@@ -103,9 +103,16 @@ HEAD = "n = 2\norbit g1 cz=1 kappa=1\n"
     (b"series H = " + b"9" * 5000 + b"\n",
      "line 3, col 12: integer of 5000 digits is too long"),
     ("surface genus=2 boundary=0\nclass K = a\u00b2\n".encode(),
-     "bad letter 'a\u00b2'"),
+     "line 4, col 11: bad letter 'a\u00b2'"),
+    (b"surface genus=2 boundary=0\nclass K = a1 zz\n",
+     "line 4, col 14: bad letter 'zz'"),
+    (b"surface genus=2 boundary=0\nclass K = a" + b"1" * 5000 + b"\n",
+     "line 4, col 11: letter index of 5000 digits is too long"),
+    (b"surface genus=0 boundary=0\n",
+     "line 3, col 1: need genus >= 1 or at least three boundary circles"),
 ], ids=["zero-denominator", "kappa-0", "superscript", "not-utf8",
-        "deep-parentheses", "many-minus", "long-integer", "superscript-index"])
+        "deep-parentheses", "many-minus", "long-integer", "superscript-index",
+        "bad-letter", "long-letter-index", "no-surface"])
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, body,
                                                message):
     path = tmp_path / "bad.sft"
