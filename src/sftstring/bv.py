@@ -11,6 +11,7 @@ whose quadratic parts carry an involutive Lie bialgebra.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -65,6 +66,13 @@ class FreeAlgebraSpec:
         self.hbar = hbar_symbol(n)
         self.word_cap = word_cap
         self.hbar_cap = hbar_cap
+        self._basis: Optional[List[Monomial]] = None
+
+    @classmethod
+    def of_q(cls, sys: OrbitSystem, word_cap: int, hbar_cap: int
+             ) -> "FreeAlgebraSpec":
+        """S(q), the free algebra on the q variables of an orbit system."""
+        return cls([], word_cap, hbar_cap, sys.n, list(sys.q.values()))
 
     def truncate(self, series: GradedSeries) -> GradedSeries:
         return GradedSeries.from_terms(
@@ -85,8 +93,18 @@ class FreeAlgebraSpec:
         raise KeyError(name)
 
     def basis_monomials(self, max_len: Optional[int] = None) -> List[Monomial]:
-        """All h-free monomials with total exponent within the cap."""
-        cap = self.word_cap if max_len is None else max_len
+        """The h-free monomials of q-degree <= max_len (default and at
+        most word_cap), ordered by q-degree, then name.  The basis is
+        enumerated on the first call and kept; each call returns a new
+        list, a prefix of it."""
+        if self._basis is None:
+            self._basis = self._enumerate()
+        if max_len is None:
+            return self._basis[:]
+        return self._basis[:bisect_right(self._basis, max_len, key=q_degree)]
+
+    def _enumerate(self) -> List[Monomial]:
+        cap = self.word_cap
         out: List[Monomial] = [ONE]
         for s in self.symbols:
             emax = 1 if s.parity else cap
@@ -111,7 +129,9 @@ _WIDE = TruncationContext(max_p_degree=64, max_hbar=64, min_hbar=-64,
 class LinearMap:
     """h-linear map on h-free monomials: a table, or a rule computing a
     word's value on its first read, kept for later reads.  With a rule,
-    table is the dict the values are kept in, shared with the rule."""
+    table is the dict the values are kept in, shared with the rule.
+    _exp keeps the e^phi recursion of exp_morphism for one target
+    product: (target_mul, recursion)."""
 
     def __init__(self, spec: FreeAlgebraSpec, table: Dict[Monomial, GradedSeries],
                  degree: int, rule: Optional[Callable] = None):
@@ -119,6 +139,7 @@ class LinearMap:
         self._values = table if rule else dict(table)
         self.degree = degree
         self._rule = rule
+        self._exp: Optional[Tuple[Callable, Callable]] = None
 
     @property
     def table(self) -> Dict[Monomial, GradedSeries]:
@@ -131,9 +152,7 @@ class LinearMap:
     def _word(self, w: Monomial) -> GradedSeries:
         v = self._values.get(w)
         if v is None:
-            if q_degree(w) > self.spec.word_cap:
-                raise BvError("value of %s outside the table"
-                              % format_monomial(w))
+            _check_window(self.spec, w)
             if self._rule is None:
                 return GradedSeries.zero()
             v = self._values[w] = self._rule(w)
@@ -180,6 +199,12 @@ class BvOperator(LinearMap):
         return best
 
 
+def _check_window(spec: FreeAlgebraSpec, w: Monomial) -> None:
+    """Raise on a word past word_cap, whose value no table holds."""
+    if q_degree(w) > spec.word_cap:
+        raise BvError("value of %s outside the table" % format_monomial(w))
+
+
 def derivation_operator(spec: FreeAlgebraSpec,
                         images: Dict[str, GradedSeries]) -> BvOperator:
     """Odd derivation determined by generator images (a pure D^1),
@@ -199,12 +224,9 @@ def validate_bv(D: BvOperator, name: str = "BV operator") -> CheckReport:
     with timed(report):
         if not D.value(ONE).is_zero():
             report.add_witness("D(1)", repr(D.value(ONE)))
-        growth = operator_growth(D)
-        conclusive = True
-        for m in D.table:
-            if q_degree(m) + growth > spec.word_cap:
-                conclusive = False
-                continue
+        reliable = reliable_cap(D)
+        conclusive = all(q_degree(m) <= reliable for m in D.table)
+        for m in spec.basis_monomials(reliable):
             sq = D.apply(D.value(m))
             if not sq.is_zero():
                 report.add_witness("DD(%s)" % format_monomial(m), repr(sq))
@@ -237,13 +259,12 @@ def order_at_most(op: LinearMap, k: int, domain_cap: Optional[int] = None) -> Tu
     if spec.word_cap < k + 1:
         return True, False
     conclusive = domain_cap >= 1
+    words = spec.basis_monomials(domain_cap - 1)
     for a in spec.symbols:
         table: Dict[Monomial, GradedSeries] = {}
         gen = GradedSeries.generator(a)
         sign = -1 if (op.degree % 2) and (a.degree % 2) else 1
-        for x in spec.basis_monomials():
-            if q_degree(x) + 1 > domain_cap:
-                continue
+        for x in words:
             ax = mul(gen, GradedSeries({x: 1}), _WIDE)
             table[x] = op.apply(ax) - spec.mul(gen, op.value(x)).scale(sign)
         sub = LinearMap(spec, table, op.degree + a.degree)
@@ -289,8 +310,13 @@ def exp_morphism(phi: LinearMap, element: GradedSeries,
     partition into r blocks of sizes c_i carries the same signed
     product, and their weights 1/(r!*prod(c_i!)) add up to 1.  A block
     value of the wrong parity raises BvError.
+
+    The recursion over words, with its memo, is kept on phi for the
+    last target_mul it was called with, so later calls share it.
     """
-    on_word = _exp_words(phi, target_mul)
+    if phi._exp is None or phi._exp[0] != target_mul:
+        phi._exp = target_mul, _exp_words(phi.table, phi.spec, target_mul, {})
+    on_word = phi._exp[1]
     out: Dict[Monomial, Coeff] = {}
     for m, c in element.terms.items():
         rest, h = split_h(m)
@@ -301,12 +327,12 @@ def exp_morphism(phi: LinearMap, element: GradedSeries,
     return GradedSeries.from_terms(out)
 
 
-def _exp_words(phi: LinearMap,
+def _exp_words(table: Dict[Monomial, GradedSeries], spec: FreeAlgebraSpec,
                target_mul: Callable[[GradedSeries, GradedSeries], GradedSeries],
-               memo: Optional[Dict[Monomial, GradedSeries]] = None
+               memo: Dict[Monomial, GradedSeries]
                ) -> Callable[[Monomial], GradedSeries]:
-    """e^phi on h-free monomials, each word computed once and kept in
-    memo (a new dict unless one is given).
+    """e^phi on h-free monomials, phi the map of table on spec, each
+    word computed once and kept in memo.
 
     The partition sum goes by the block B that holds the first unit of
     w: e^phi(w) = sum_B eps(B, w - B) phi(B) e^phi(w - B), eps the Koszul
@@ -316,29 +342,31 @@ def _exp_words(phi: LinearMap,
     of that word, f of the e copies of the first symbol and f_t of the
     e_t of each other symbol t.  A zero map costs nothing past 1.  On a
     word w past word_cap, BvError is raised, whole word first, by a block
-    B past word_cap that holds the first unit and is not in phi's table;
+    B past word_cap that holds the first unit and is not in table;
     likewise by a value phi(B) of the wrong parity.  The recursion is
     _exp_word bound to its arguments, not a closure that calls itself,
-    so memo is freed with the last reference to the returned function.
+    and it holds phi's table and spec, not a LinearMap, so memo is freed
+    with the last reference to the returned function, even when that
+    reference is the map's own.
     """
     blocks: Dict[GradedSymbol, List[Tuple[Monomial, GradedSeries]]] = {}
-    for b, v in phi.table.items():
+    for b, v in table.items():
         if b and v:
             blocks.setdefault(b[0][0], []).append((b, v))
-    if memo is None:
-        memo = {}
     memo[ONE] = GradedSeries.unit()
-    return partial(_exp_word, phi, target_mul, blocks, memo)
+    return partial(_exp_word, table, spec, target_mul, blocks, memo)
 
 
-def _exp_word(phi, target_mul, blocks, memo, w: Monomial) -> GradedSeries:
+def _exp_word(table, spec, target_mul, blocks, memo, w: Monomial
+              ) -> GradedSeries:
     val = memo.get(w)
     if val is None:
-        if q_degree(w) > phi.spec.word_cap:
-            # phi.value raises on a block past word_cap not in the table
+        if q_degree(w) > spec.word_cap:
             for counts in itertools.product(*(
                     reversed(range(t is w[0][0], e + 1)) for t, e in w)):
-                phi.value(tuple((t, f) for (t, _), f in zip(w, counts) if f))
+                b = tuple((t, f) for (t, _), f in zip(w, counts) if f)
+                if b not in table:
+                    _check_window(spec, b)
         acc: Dict[Monomial, Coeff] = {}
         for b, v in blocks.get(w[0][0], ()):
             left, count = dict(w), 1
@@ -351,8 +379,8 @@ def _exp_word(phi, target_mul, blocks, memo, w: Monomial) -> GradedSeries:
             else:
                 _check_parity(b, v)
                 rest = tuple((t, e) for t, e in left.items() if e)
-                prod = target_mul(v, _exp_word(phi, target_mul, blocks, memo,
-                                               rest))
+                prod = target_mul(v, _exp_word(table, spec, target_mul,
+                                               blocks, memo, rest))
                 add_terms(acc, prod.terms, merge_words(b, rest)[0] * count)
         val = memo[w] = GradedSeries.from_terms(acc)
     return val
@@ -381,48 +409,32 @@ class Augmentation(LinearMap):
         if table.get(ONE):
             raise BvError("augmentation does not kill the unit")
         super().__init__(spec, table, 0)
-        # e^beta of each h-free monomial, filled on first use
-        self._exp_memo: Dict[Monomial, GradedSeries] = {}
-        # (Phi, Phi^-1) of twist_by_augmentation per target spec, keyed
-        # on all they read of it: symbols, word_cap, hbar_cap and n
-        self._phi_memo: Dict[tuple, Tuple[LinearMap, LinearMap]] = {}
+        # (Phi, Phi^-1) of twist_by_augmentation per target spec
+        self._phi_memo: Dict[FreeAlgebraSpec, Tuple[LinearMap, LinearMap]] = {}
 
     def exp(self, element: GradedSeries) -> GradedSeries:
-        out: Dict[Monomial, Coeff] = {}
-        for m, c in element.terms.items():
-            rest, h = split_h(m)
-            val = self._exp_memo.get(rest)
-            if val is None:
-                val = self._exp_memo[rest] = exp_morphism(
-                    self, GradedSeries({rest: 1}), _scalar_mul)
-            if h:
-                val = _scalar_mul(self.spec.hpow(h), val)
-            add_terms(out, val.terms, c)
-        return GradedSeries.from_terms(out)
+        """e^beta into K[[h]], h powers multiplied without truncation."""
+        return exp_morphism(self, element, _scalar_mul)
 
 
 def _scalar_mul(x: GradedSeries, y: GradedSeries) -> GradedSeries:
     return mul(x, y, _WIDE)
 
 
-def operator_growth(D: LinearMap) -> int:
-    """Largest word-length increase across the stored values; values on
-    monomials longer than cap - growth may be affected by truncation."""
-    growth = 0
-    for m, v in D.table.items():
-        for mono in v.terms:
-            growth = max(growth, q_degree(mono) - q_degree(m))
-    return growth
+def reliable_cap(D: LinearMap) -> int:
+    """word_cap less the largest q-degree increase across D's values:
+    values on longer words may be cut by the truncation."""
+    return D.spec.word_cap - max([0] + [
+        q_degree(mono) - q_degree(m) for m, v in D.table.items()
+        for mono in v.terms])
 
 
 def check_augmentation(beta: Augmentation, D: BvOperator) -> CheckReport:
     report = CheckReport("augmentation law e^beta D = 0",
                          caps={"word_cap": D.spec.word_cap})
     with timed(report):
-        reliable = D.spec.word_cap - operator_growth(D)
-        for m in D.table:
-            if q_degree(m) > reliable:
-                continue
+        reliable = reliable_cap(D)
+        for m in D.spec.basis_monomials(reliable):
             val = beta.exp(D.value(m))
             if not val.is_zero():
                 report.add_witness("e^beta D(%s)" % format_monomial(m), repr(val))
@@ -448,12 +460,9 @@ def check_bv_morphism(phi: LinearMap, D_A: BvOperator, D_B: BvOperator,
                         "phi^%d on length-%d word %s"
                         % (hbar_exponent(mono) + 1, ln, format_monomial(m)),
                         c)
-        growth = operator_growth(D_A)
-        conclusive = True
-        for m in D_A.table:
-            if q_degree(m) + growth > D_A.spec.word_cap:
-                conclusive = False
-                continue
+        reliable = reliable_cap(D_A)
+        conclusive = all(q_degree(m) <= reliable for m in D_A.table)
+        for m in D_A.spec.basis_monomials(reliable):
             lhs = exp_morphism(phi, D_A.value(m), target_mul)
             rhs = D_B.apply(exp_morphism(phi, GradedSeries({m: 1}), target_mul))
             if not (lhs - rhs).is_zero():
@@ -478,26 +487,24 @@ def twist_by_augmentation(D: BvOperator, beta: Augmentation,
     twisted operator must have no constant term on the words D's growth
     leaves reliable, read here in basis order.
 
-    Phi and Phi^(-1) depend on beta and on D.spec alone (its symbols,
-    word_cap, hbar_cap and n), not on D, so they are built once per
-    such spec and memoized on beta: a later twist by the same beta
-    returns the same two maps, with tables equal, in the same order,
-    to a fresh build.
+    Phi and Phi^(-1) depend on beta and on D.spec alone, not on D, so
+    they are built once per spec and memoized on beta: a later twist by
+    the same beta and spec returns the same two maps, with tables
+    equal, in the same order, to a fresh build.
     """
     spec = D.spec
     if validate:
         rep = check_augmentation(beta, D)
         if not rep.passed:
             raise BvError("not an augmentation: %s" % rep.witnesses[:1])
-    key = (tuple(spec.symbols), spec.word_cap, spec.hbar_cap, spec.n)
-    maps = beta._phi_memo.get(key)
+    maps = beta._phi_memo.get(spec)
     if maps is None:
-        maps = beta._phi_memo[key] = _phi_maps(spec, beta)
+        maps = beta._phi_memo[spec] = _phi_maps(spec, beta)
     Phi, PhiInv = maps
     Dbeta = BvOperator(spec, {},
                        lambda m: Phi.apply(D.apply(PhiInv.value(m))))
     if validate:
-        reliable = spec.word_cap - operator_growth(D)
+        reliable = reliable_cap(D)
         for m in spec.basis_monomials(reliable):
             for mono, c in Dbeta.value(m).terms.items():
                 rest, _h = split_h(mono)
@@ -531,7 +538,7 @@ def _phi_maps(spec: FreeAlgebraSpec, beta: Augmentation
                 if b in table:
                     _check_parity(b, table[b])
         memo: Dict[Monomial, GradedSeries] = {}
-        on_word = _exp_words(LinearMap(spec, table, 0), spec.mul, memo)
+        on_word = _exp_words(table, spec, spec.mul, memo)
         maps.append(LinearMap(spec, memo, 0, on_word))
     return maps[0], maps[1]
 
@@ -920,11 +927,9 @@ def twist_by_mc(D: BvOperator, a: GradedSeries) -> BvOperator:
         if not quad.is_zero():
             raise BvError("quadratic Maurer-Cartan form is nonzero although "
                           "D(e^a) = 0")
-    table = {}
-    for m in spec.basis_monomials():
-        val = D.apply(spec.mul(ea, GradedSeries({m: 1})))
-        table[m] = spec.mul(e_ma, val)
-    Da = BvOperator(spec, table)
+    Da = BvOperator(spec, {
+        m: spec.mul(e_ma, D.apply(spec.mul(ea, GradedSeries({m: 1}))))
+        for m in spec.basis_monomials()})
     if not Da.value(ONE).is_zero():
         raise BvError("twisted operator does not kill the unit")
     return Da
@@ -977,12 +982,11 @@ def linearize_morphism(phi: LinearMap, D_A: BvOperator, alpha: Augmentation,
 
 
 def bv_from_hamiltonian(sys: OrbitSystem, H: GradedSeries,
-                        word_cap: int = 3, hbar_cap: int = 3) -> BvOperator:
+                        spec: FreeAlgebraSpec) -> BvOperator:
     """The differential operator of a symplectization Hamiltonian acting
-    on the polynomial algebra in the q variables."""
-    spec = FreeAlgebraSpec([], word_cap=word_cap, hbar_cap=hbar_cap,
-                           n=sys.n, symbols=[sys.q[o] for o in sys.q])
-    wide = TruncationContext(max_p_degree=64, max_hbar=hbar_cap,
+    on spec, the polynomial algebra in the q variables of sys
+    (FreeAlgebraSpec.of_q), tabulated on its basis."""
+    wide = TruncationContext(max_p_degree=64, max_hbar=spec.hbar_cap,
                              min_hbar=-1, max_word_length=64)
     table = act_right_table(H, spec.basis_monomials(), sys, wide)
     return BvOperator(spec, {m: spec.truncate(v) for m, v in table.items()})

@@ -19,12 +19,14 @@ from typing import List, Optional
 
 from .algebra import (GradedSeries, NormalizationError, TruncationContext,
                       TruncationUnderflow)
-from .bv import BvError
+from .bv import (Augmentation, BvError, FreeAlgebraSpec, bv_from_hamiltonian,
+                 check_lie_bialgebra, homology, linearize,
+                 twist_by_augmentation, validate_bv)
 from .problemfile import ParseError, ProblemFile, parse, print_problem
 from .reports import CheckReport
 from .surfaces import Surface, SurfaceError, format_word, parse_word, torus_bracket_oracle
 from .strings import (ClassAlgebra, check_goldman_turaev_axioms,
-                      check_string_identities)
+                      check_master_l, check_string_identities)
 from .weyl import ExponentialError, OrbitSystem, check_master_f, check_master_h
 from .cotangent import (
     AlphabetError,
@@ -43,14 +45,16 @@ EXIT_USAGE = 2
 # genus 2, length 6 (156,864 words) took 144 s, and each further length
 # multiplies the count by 7
 MAX_AXIOM_WORDS = 200_000
-# linearize and check-bialgebra cap the Bell(k) set partitions of each
-# basis word of k units, summed in closed form by _bv_partitions: a bound,
-# not the cost of e^beta, which visits only the words where beta is
-# nonzero.  Measured while e^beta walked them all (2-core x86, Python 3.11):
-# one even and one odd orbit at --max-word-len 12 (1.0e7 partitions)
-# took 2.0 s and at 13 (6.5e7) 10.7 s; six even and one odd orbit at 8
-# (9.9e6) took 3.5 s and at 9 (7.9e7) 18.7 s
-MAX_BV_PARTITIONS = 20_000_000
+# torus-oracle prints its answer as a word of |m+p| + |n+q| letters,
+# about 6 bytes each: 10^5 letters took 0.11 s and 10^6 took 1.1 s
+MAX_ORACLE_LETTERS = 100_000
+# linearize and check-bialgebra cap the words of the q-basis, counted
+# in closed form by _bv_words before anything is built.  With one odd
+# orbit o0 and e even ones, H = sum_i q[e_i] p[o0] (2-core x86, Python
+# 3.11): e = 6 at --max-word-len 9 (8,008 words) took 15.6 s; e = 19 at
+# 4 (10,395) 9.7 s and at 5 (51,359) 78 s; e = 39 at 3 (12,300) 8.5 s;
+# e = 1 at 4,999 (9,999) 3.6 s
+MAX_BV_WORDS = 10_000
 # each --samples draw adds a sampled pair and triple to the axiom sweep
 # (0.1 to 0.5 s per long-word triple) and a tuple to the identity suite
 MAX_AXIOM_SAMPLES = 1_000
@@ -148,7 +152,6 @@ def cmd_check_master_f(args) -> Output:
 
 
 def cmd_check_master_l(args) -> Output:
-    from .strings import check_master_l
     pf = _load(args.input)
     if pf.surface is None:
         raise UsageError("check-master-l needs a surface declaration")
@@ -160,50 +163,36 @@ def cmd_check_master_l(args) -> Output:
     return _report(check_master_l(L, Hp, Hm, alg, pf.sys, ctx))
 
 
-def _bv_partitions(orbits: OrbitSystem, cap: int) -> int:
-    """The set partitions of all words of the q-basis up to length cap,
-    by the closed form: with e even and o odd orbits, the words of
-    length k number sum_j C(o, j) C(k - j + e - 1, e - 1), and each has
-    Bell(k) partitions.  The sum stops once it passes
-    MAX_BV_PARTITIONS, or runs out of words."""
+def _bv_words(orbits: OrbitSystem, cap: int) -> int:
+    """The words of the q-basis up to q-degree cap, in closed form: with
+    e even and o odd orbits, sum_j C(o, j) C(cap - j + e, e), j odd units
+    and at most cap - j even ones."""
     odd = sum(s.parity for s in orbits.q.values())
     even = len(orbits.q) - odd
-    total, row = 0, [1]  # row k of the Bell triangle starts with Bell(k)
-    for k in range(cap + 1):
-        words = sum(comb(odd, j) * (comb(k - j + even - 1, even - 1) if even
-                                    else int(j == k))
-                    for j in range(min(odd, k) + 1))
-        if not words:
-            break
-        total += words * row[0]
-        if total > MAX_BV_PARTITIONS:
-            break
-        nxt = [row[-1]]
-        for x in row:
-            nxt.append(nxt[-1] + x)
-        row = nxt
-    return total
+    return sum(comb(odd, j) * comb(cap - j + even, even)
+               for j in range(min(odd, cap) + 1))
 
 
-def _bv_caps(args, orbits: OrbitSystem) -> dict:
+def _bv_spec(args, orbits: OrbitSystem) -> FreeAlgebraSpec:
+    """S(q) of the orbits at the --max-word-len and --max-hbar caps."""
     cap = _option(args.max_word_len, 3, 2, "--max-word-len")
-    if _bv_partitions(orbits, cap) > MAX_BV_PARTITIONS:
+    words = _bv_words(orbits, cap)
+    if words > MAX_BV_WORDS:
         raise UsageError(
-            "--max-word-len %d needs more than %d set partitions of basis "
-            "words over these orbits" % (cap, MAX_BV_PARTITIONS))
-    return {"word_cap": cap,
-            "hbar_cap": _option(args.max_hbar, 3, 0, "--max-hbar")}
+            "--max-word-len %d gives %d basis words over these orbits, "
+            "more than %d" % (cap, words, MAX_BV_WORDS))
+    return FreeAlgebraSpec.of_q(orbits, cap,
+                                _option(args.max_hbar, 3, 0, "--max-hbar"))
 
 
 def _linearized(args):
     """The BV operator of the --series Hamiltonian of --input, and the
     linearization of its twist by the --aug augmentation (zero when not
-    given)."""
-    from .bv import (Augmentation, bv_from_hamiltonian, linearize,
-                     twist_by_augmentation)
+    given), both on one spec."""
     pf = _load(args.input)
     H = _series_arg(pf, args.series)
-    D = bv_from_hamiltonian(pf.sys, H, **_bv_caps(args, pf.sys))
+    spec = _bv_spec(args, pf.sys)
+    D = bv_from_hamiltonian(pf.sys, H, spec)
     table = {}
     if args.aug:
         entries = pf.augs.get(args.aug)
@@ -211,12 +200,11 @@ def _linearized(args):
             raise UsageError("augmentation %r not found" % args.aug)
         for orbit, val in entries.items():
             table[((pf.sys.q[orbit], 1),)] = val
-    _phi, _phiinv, Dbeta = twist_by_augmentation(D, Augmentation(D.spec, table))
+    _phi, _phiinv, Dbeta = twist_by_augmentation(D, Augmentation(spec, table))
     return D, linearize(Dbeta)
 
 
 def cmd_linearize(args) -> Output:
-    from .bv import homology, validate_bv
     D, data = _linearized(args)
     rep = validate_bv(D)
     hom = homology(data.dlin, data.basis)
@@ -246,7 +234,6 @@ def cmd_linearize(args) -> Output:
 
 
 def cmd_check_bialgebra(args) -> Output:
-    from .bv import check_lie_bialgebra
     _D, data = _linearized(args)
     return _report(check_lie_bialgebra(data))
 
@@ -367,6 +354,10 @@ def cmd_closure(args) -> Output:
 
 
 def cmd_torus_oracle(args) -> Output:
+    letters = abs(args.m + args.p) + abs(args.n + args.q)
+    if letters > MAX_ORACLE_LETTERS:
+        raise UsageError("the answer would have %d letters, more than %d"
+                         % (letters, MAX_ORACLE_LETTERS))
     return _bracket(Surface(1, 0),
                     torus_bracket_oracle(args.m, args.n, args.p, args.q))
 

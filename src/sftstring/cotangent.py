@@ -305,9 +305,7 @@ def surface_structure_constants(alphabet: GeodesicAlphabet, cap: int):
 
 
 def _fit_spec(alphabet: GeodesicAlphabet) -> FreeAlgebraSpec:
-    sys = alphabet.sys
-    return FreeAlgebraSpec([], word_cap=4, hbar_cap=3, n=2,
-                           symbols=[sys.q[o] for o in sys.q])
+    return FreeAlgebraSpec.of_q(alphabet.sys, word_cap=4, hbar_cap=3)
 
 
 def build_H_surface(alphabet: GeodesicAlphabet,
@@ -369,8 +367,7 @@ def build_H_surface(alphabet: GeodesicAlphabet,
     # -- c-family: augmentation law on cubic words ----------------------
     c: Dict[tuple, Coeff] = {}
     partial = _assemble(alphabet, a, b, {}, d)
-    D = bv_from_hamiltonian(sys, partial, word_cap=spec.word_cap,
-                            hbar_cap=spec.hbar_cap)
+    D = bv_from_hamiltonian(sys, partial, spec)
     for trip in itertools.combinations(alphabet.classes, 3):
         mono = _word_monomial(alphabet, trip)
         if mono is None:
@@ -454,8 +451,7 @@ def _linearized_mu(alphabet: GeodesicAlphabet, H: GradedSeries,
                    beta: Augmentation, spec: FreeAlgebraSpec):
     """Bracket of the linearization of the twisted operator, indexed by
     alphabet classes."""
-    D = bv_from_hamiltonian(alphabet.sys, H,
-                            word_cap=spec.word_cap, hbar_cap=spec.hbar_cap)
+    D = bv_from_hamiltonian(alphabet.sys, H, spec)
     _Phi, _PhiInv, Dbeta = twist_by_augmentation(D, beta, validate=False)
     data = linearize(Dbeta)
     out = {}
@@ -516,8 +512,7 @@ def check_psi_intertwining(H: SurfaceHamiltonian,
             cap = max(len(w) for w in alphabet.classes)
         cob, br = surface_structure_constants(alphabet, cap)
         spec, beta = alphabet.filling
-        D = bv_from_hamiltonian(alphabet.sys, H.series,
-                                word_cap=spec.word_cap, hbar_cap=spec.hbar_cap)
+        D = bv_from_hamiltonian(alphabet.sys, H.series, spec)
         _Phi, _PhiInv, Dbeta = twist_by_augmentation(D, beta)
         data = linearize(Dbeta)
         # dlin vanishes: the surface differential is zero

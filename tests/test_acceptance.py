@@ -13,6 +13,7 @@ from sftstring.algebra import GradedSeries, TruncationContext, mul
 from sftstring.bv import (
     Augmentation,
     BvOperator,
+    FreeAlgebraSpec,
     LinearMap,
     bv_bracket,
     bv_from_hamiltonian,
@@ -151,7 +152,7 @@ def test_criterion_3_bv_suite(hamiltonian):
     hams.append((hamiltonian.sys, hamiltonian.series))
     for sys, H in hams:
         assert check_master_h(H, sys, ctx).passed
-        D = bv_from_hamiltonian(sys, H, word_cap=3, hbar_cap=3)
+        D = bv_from_hamiltonian(sys, H, FreeAlgebraSpec.of_q(sys, 3, 3))
         rep = validate_bv(D)
         assert not rep.witnesses, rep.witnesses
         # D(1) = 0 explicitly
@@ -175,7 +176,6 @@ def test_criterion_3_bv_suite(hamiltonian):
 
 
 def test_criterion_4_linearization_worked_example():
-    from sftstring.bv import FreeAlgebraSpec
     spec = FreeAlgebraSpec([("x", 1), ("y", 0)], word_cap=4, hbar_cap=3, n=2)
     y = spec.generator("y")
     D = derivation_operator(spec, {"x": spec.mul(y, y) - GradedSeries.unit(),

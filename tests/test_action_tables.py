@@ -94,8 +94,7 @@ def alphabet():
 def test_genus2_tables_match_per_monomial_loop(alphabet):
     spec = _fit_spec(alphabet)
     H = build_H_surface(alphabet).series
-    got = bv_from_hamiltonian(alphabet.sys, H, word_cap=spec.word_cap,
-                              hbar_cap=spec.hbar_cap).table
+    got = bv_from_hamiltonian(alphabet.sys, H, spec).table
     want = bv_table_reference(alphabet.sys, H, spec.word_cap, spec.hbar_cap)
     assert _items(got) == _items(want)
     assert len(want) == 163 and sum(map(bool, want.values())) >= 80
@@ -129,7 +128,8 @@ def test_random_hamiltonian_tables_match_per_monomial_loop(index):
     for _ in range(40):
         H = _random_hamiltonian(rng, sys)
         want = _outcome(bv_table_reference, sys, H)
-        got = _outcome(lambda: bv_from_hamiltonian(sys, H).table)
+        got = _outcome(lambda: bv_from_hamiltonian(
+            sys, H, FreeAlgebraSpec.of_q(sys, 3, 3)).table)
         assert got == want
         nonzero += sum(bool(v) for _, v in want)
     assert nonzero >= 100
@@ -141,7 +141,8 @@ def test_underflow_is_raised_with_the_same_text():
         sys.monomial(Fraction(1, 2), qs=["g3"], hpow=-2)
     want = _outcome(bv_table_reference, sys, H)
     assert isinstance(want, str) and want.startswith("underflow: ")
-    assert _outcome(lambda: bv_from_hamiltonian(sys, H).table) == want
+    assert _outcome(lambda: bv_from_hamiltonian(
+        sys, H, FreeAlgebraSpec.of_q(sys, 3, 3)).table) == want
 
 
 def _negated(beta):
@@ -196,7 +197,7 @@ def test_linearized_structure_does_not_read_the_term_order_of_phi(
     # dicts
     spec, beta = alphabet.filling
     D = bv_from_hamiltonian(alphabet.sys, build_H_surface(alphabet).series,
-                            word_cap=spec.word_cap, hbar_cap=spec.hbar_cap)
+                            spec)
     _Phi, _PhiInv, want = twist_by_augmentation(
         D, Augmentation(spec, beta.table))
     phi_maps = bv._phi_maps

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sftstring.algebra import GradedSeries, ONE, TruncationContext
+from sftstring.algebra import GradedSeries, ONE, TruncationContext, q_degree
 from sftstring.bv import (
     Augmentation,
     BvError,
@@ -32,6 +32,20 @@ from sftstring.weyl import Orbit, OrbitSystem, check_master_h
 def xy_spec(word_cap=4, hbar_cap=3):
     # x odd of degree 1, y even of degree 0
     return FreeAlgebraSpec([("x", 1), ("y", 0)], word_cap, hbar_cap, n=2)
+
+
+def test_basis_is_kept_and_read_by_prefix():
+    spec = FreeAlgebraSpec([("x", 1), ("y", 0), ("z", 2)], 4, 2, n=2)
+    full = spec.basis_monomials()
+    assert full == spec._enumerate()
+    assert [q_degree(m) for m in full] == sorted(q_degree(m) for m in full)
+    for k in range(-1, 6):
+        assert spec.basis_monomials(k) == [m for m in full
+                                           if q_degree(m) <= k], k
+    # a caller's change to a returned list leaves the kept basis alone
+    full.clear()
+    spec.basis_monomials(2).clear()
+    assert spec.basis_monomials() == spec._enumerate() != []
 
 
 def test_derivation_has_order_one():
@@ -200,7 +214,7 @@ def test_linearize_weyl_bracket_example():
                             max_word_length=4)
     H = sys.monomial(1, qs=["g3"], ps=["g1", "g2"], hpow=-1)
     assert check_master_h(H, sys, ctx).passed
-    D = bv_from_hamiltonian(sys, H, word_cap=3, hbar_cap=3)
+    D = bv_from_hamiltonian(sys, H, FreeAlgebraSpec.of_q(sys, 3, 3))
     rep = validate_bv(D)
     assert rep.passed
     beta0 = Augmentation(D.spec, {})
@@ -324,7 +338,6 @@ def test_check_bv_morphism_identity():
 
 
 def _window(spec, series, cap):
-    from sftstring.algebra import q_degree
     return GradedSeries({m: c for m, c in series.terms.items()
                          if q_degree(m) <= cap})
 
@@ -337,7 +350,6 @@ def test_twist_by_mc():
         assert Da.value(m) == D.value(m)
     # closed element of degree 0: y is D-closed and bracket-free; the
     # comparison is reliable away from the truncation boundary
-    from sftstring.algebra import q_degree
     y = spec.generator("y")
     Da = twist_by_mc(D, y)
     cap = spec.word_cap - 2

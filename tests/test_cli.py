@@ -348,16 +348,6 @@ def test_check_axioms_sample_limit(monkeypatch, capsys):
     assert seen == [1_000]
 
 
-def _bell(k):
-    row = [1]
-    for _ in range(k):
-        nxt = [row[-1]]
-        for x in row:
-            nxt.append(nxt[-1] + x)
-        row = nxt
-    return row[0]
-
-
 def _orbit_file(tmp_path, even, odd):
     """n = 2: cz=1 gives an even q, cz=0 an odd one; H = p of the last
     odd orbit."""
@@ -369,36 +359,35 @@ def _orbit_file(tmp_path, even, odd):
     return path
 
 
-def test_bv_partition_count_matches_the_basis(tmp_path):
+def test_bv_word_count_matches_the_basis(tmp_path):
     from sftstring import cli
-    from sftstring.algebra import q_degree
     from sftstring.bv import FreeAlgebraSpec
-    for even, odd in ((0, 2), (1, 1), (2, 3), (4, 1)):
+    for even, odd in ((0, 2), (1, 1), (2, 3), (4, 1), (0, 9)):
         sys_ = parse(_orbit_file(tmp_path, even, odd).read_text()).sys
-        for cap in range(2, 8):
-            spec = FreeAlgebraSpec([], word_cap=cap, n=2,
-                                   symbols=list(sys_.q.values()))
-            want = sum(_bell(q_degree(m)) for m in spec.basis_monomials())
-            assert cli._bv_partitions(sys_, cap) == want, (even, odd, cap)
+        for cap in range(0, 12):
+            spec = FreeAlgebraSpec.of_q(sys_, cap, 3)
+            assert cli._bv_words(sys_, cap) == \
+                len(spec.basis_monomials()), (even, odd, cap)
 
 
 def test_bv_word_cap_limit(monkeypatch, tmp_path, capsys):
-    """linearize and check-bialgebra reject a --max-word-len whose basis
-    words have too many set partitions, before the BV operator is
-    built; the corpus and the default caps stay accepted."""
-    from sftstring import bv
+    """linearize and check-bialgebra reject a --max-word-len whose
+    q-basis has too many words, before the BV operator is built; the
+    corpus and the default caps stay accepted."""
+    from sftstring import cli
     from sftstring.bv import BvError
     built = []
 
-    def stub(sys_, H, word_cap, hbar_cap):
-        built.append(word_cap)
+    def stub(sys_, H, spec):
+        built.append(spec.word_cap)
         raise BvError("stub")
 
-    monkeypatch.setattr(bv, "bv_from_hamiltonian", stub)
+    monkeypatch.setattr(cli, "bv_from_hamiltonian", stub)
     two, six = _orbit_file(tmp_path, 1, 1), _orbit_file(tmp_path, 6, 1)
-    cases = [(two, "12", True), (two, "13", False), (two, "14", False),
-             (two, "1000000000", False), (six, "8", True), (six, "9", False),
-             (six, "10", False)]
+    cases = [(two, "4999", True), (two, "5000", False),
+             (two, "1000000000", False), (six, "9", True), (six, "10", False),
+             (_orbit_file(tmp_path, 19, 1), None, True),
+             (_orbit_file(tmp_path, 39, 1), None, False)]
     cases += [(path, None, True) for path in CORPUS
               if "H" in parse(path.read_text()).series]
     for command in ("linearize", "check-bialgebra"):
@@ -409,7 +398,7 @@ def test_bv_word_cap_limit(monkeypatch, tmp_path, capsys):
             code, out, err = run_cli(argv, capsys)
             assert code == 2 and out == "" and err.count("\n") == 1
             assert built == ([int(cap or 3)] if accepted else []), argv
-            assert ("set partitions" in err) != accepted, err
+            assert ("basis words" in err) != accepted, err
 
 
 def test_linearize_of_a_zero_augmentation_on_long_words(tmp_path, capsys):
@@ -483,6 +472,24 @@ def test_torus_oracle_command(capsys):
     assert code == 0 and "(a1 b1)" in out
     code, _, err = run_cli(["torus-oracle", "0", "0", "1", "1"], capsys)
     assert code == 2
+
+
+def test_torus_oracle_letter_limit(capsys):
+    """The answer's |m+p| + |n+q| letters are bounded before any work."""
+    from sftstring import cli
+    assert cli.MAX_ORACLE_LETTERS == 100_000
+    for args, letters in (((99_998, 0, 1, 1), 100_000),
+                          ((-1, -49_998, -50_000, 0), 99_999),
+                          ((99_999, 1, 1, 0), None),
+                          ((10 ** 9, 1, 1, 10 ** 9), None)):
+        code, out, err = run_cli(["torus-oracle"] + [str(a) for a in args],
+                                 capsys)
+        if letters:
+            assert code == 0, args
+            assert len(out[out.index("("):].split()) == letters, args
+        else:
+            assert code == 2 and out == "" and err.count("\n") == 1, args
+            assert "letters" in err
 
 
 def test_master_f_command(capsys):

@@ -4,7 +4,8 @@ import pytest
 
 from sftstring import cotangent
 from sftstring.algebra import KIND_Q, TruncationContext
-from sftstring.bv import bv_from_hamiltonian, twist_by_augmentation
+from sftstring.bv import (FreeAlgebraSpec, bv_from_hamiltonian,
+                          twist_by_augmentation)
 from sftstring.cotangent import (
     AlphabetError,
     GeodesicAlphabet,
@@ -196,15 +197,14 @@ def _tables(maps):
 
 def test_twist_memo_matches_a_fresh_beta(alphabet, hamiltonian):
     # build_H_surface twists the partial H (a- and d-families) and
-    # check_psi_intertwining the full H, both by the alphabet's beta
+    # check_psi_intertwining the full H, both by the alphabet's beta on
+    # its one spec; Phi and Phi^-1 are memoized per spec object
     spec = _fit_spec(alphabet)
     F = build_F(alphabet)
     partial = _assemble(alphabet, hamiltonian.a, {}, {}, hamiltonian.d)
 
-    def twist(series, beta, validate, word_cap=spec.word_cap,
-              hbar_cap=spec.hbar_cap):
-        D = bv_from_hamiltonian(alphabet.sys, series, word_cap=word_cap,
-                                hbar_cap=hbar_cap)
+    def twist(series, beta, validate, on=spec):
+        D = bv_from_hamiltonian(alphabet.sys, series, on)
         return twist_by_augmentation(D, beta, validate=validate)
 
     warm = filling_augmentation(alphabet, F, spec)
@@ -214,9 +214,15 @@ def test_twist_memo_matches_a_fresh_beta(alphabet, hamiltonian):
         assert got[0] is first[0] and got[1] is first[1]
         fresh = twist(series, filling_augmentation(alphabet, F, spec), validate)
         assert _tables(got) == _tables(fresh)
-    for caps in ({"word_cap": 3}, {"hbar_cap": 2}):
-        got = twist(hamiltonian.series, warm, False, **caps)
+    # another spec object, with the same caps or others, gets new maps
+    for caps in ((4, 3), (3, 3), (4, 2)):
+        other = FreeAlgebraSpec.of_q(alphabet.sys, *caps)
+        got = twist(hamiltonian.series, warm, False, other)
         assert got[0] is not first[0] and got[1] is not first[1]
+        again = twist(partial, warm, False, other)
+        assert again[0] is got[0] and again[1] is got[1]
         fresh = twist(hamiltonian.series,
-                      filling_augmentation(alphabet, F, spec), False, **caps)
+                      filling_augmentation(alphabet, F, other), False, other)
         assert _tables(got) == _tables(fresh)
+        if caps == (4, 3):
+            assert _tables(got[:2]) == _tables(first[:2])

@@ -52,7 +52,7 @@ def test_genus2_alphabet_matches_eager_tables():
         genus2, [parse_word(t, genus2) for t in ALPHABET_WORDS])
     spec, beta = alphabet.filling
     D = bv_from_hamiltonian(alphabet.sys, build_H_surface(alphabet).series,
-                            word_cap=spec.word_cap, hbar_cap=spec.hbar_cap)
+                            spec)
     assert len(spec.basis_monomials()) == 163
     _assert_matches_eager(D, Augmentation(spec, beta.table),
                           reversed(spec.basis_monomials(2)))
@@ -139,10 +139,40 @@ def test_twisting_leaves_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        maps = twist_by_augmentation(D, Augmentation(spec, beta.table))
+        aug = Augmentation(spec, beta.table)
+        maps = twist_by_augmentation(D, aug)
         linearize(maps[2])
         assert maps[0].table and maps[1].table
-        del maps
+        # e^beta keeps its recursion on aug, which must not refer back
+        assert any(aug.exp(GradedSeries({m: 1}))
+                   for m in spec.basis_monomials())
+        del maps, aug
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_one_basis_enumeration_per_pass(monkeypatch, tmp_path, capsys):
+    # every reader of the words of q-degree <= k takes a prefix of the
+    # one basis of the one spec of the pass
+    made = []
+    enumerate_basis = bv.FreeAlgebraSpec._enumerate
+
+    def counted(spec):
+        made.append(spec)
+        return enumerate_basis(spec)
+
+    monkeypatch.setattr(bv.FreeAlgebraSpec, "_enumerate", counted)
+    assert cli.main(["build-h", "--input", str(DATA / "genus2_alphabet.sft"),
+                     "--verify", "--json"]) == 0
+    assert len(made) == 1
+    # twelve even orbits and one odd one, H = sum_i q[e_i] p[o0]
+    path = tmp_path / "thirteen.sft"
+    path.write_text("n = 2\n" + "".join("orbit e%d cz=1\n" % i
+                                        for i in range(12))
+                    + "orbit o0 cz=0\nseries H deg=-1 = "
+                    + " + ".join("q[e%d]*p[o0]" % i for i in range(12)) + "\n")
+    del made[:]
+    assert cli.main(["linearize", "--input", str(path)]) == 0
+    assert len(made) == 1 and len(made[0].basis_monomials()) == 546
+    capsys.readouterr()
