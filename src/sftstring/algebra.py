@@ -316,11 +316,11 @@ class TruncationContext:
         if self.min_hbar < -64:
             raise ValueError("min_hbar unreasonably low")
 
-    def widen(self, extra_low: int = 0, extra_high: int = 0,
-              extra_p: int = 0, extra_len: int = 0) -> "TruncationContext":
+    def widen(self, extra_low: int = 0, extra_p: int = 0,
+              extra_len: int = 0) -> "TruncationContext":
         return TruncationContext(
             self.max_p_degree + extra_p,
-            self.max_hbar + extra_high,
+            self.max_hbar,
             self.min_hbar - extra_low,
             self.max_word_length + extra_len,
         )

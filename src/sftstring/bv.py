@@ -14,7 +14,7 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from math import comb
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -130,8 +130,7 @@ class LinearMap:
     """h-linear map on h-free monomials: a table, or a rule computing a
     word's value on its first read, kept for later reads.  With a rule,
     table is the dict the values are kept in, shared with the rule.
-    _exp keeps the e^phi recursion of exp_morphism for one target
-    product: (target_mul, recursion)."""
+    _exp keeps e^phi once exp_map has built it."""
 
     def __init__(self, spec: FreeAlgebraSpec, table: Dict[Monomial, GradedSeries],
                  degree: int, rule: Optional[Callable] = None):
@@ -139,7 +138,7 @@ class LinearMap:
         self._values = table if rule else dict(table)
         self.degree = degree
         self._rule = rule
-        self._exp: Optional[Tuple[Callable, Callable]] = None
+        self._exp: Optional[LinearMap] = None
 
     @property
     def table(self) -> Dict[Monomial, GradedSeries]:
@@ -242,13 +241,18 @@ def validate_bv(D: BvOperator, name: str = "BV operator") -> CheckReport:
     return report
 
 
-def order_at_most(op: LinearMap, k: int, domain_cap: Optional[int] = None) -> Tuple[bool, bool]:
+def order_at_most(op: LinearMap, k: int, domain_cap: Optional[int] = None,
+                  first: int = 0) -> Tuple[bool, bool]:
     """Inductive differential-operator criterion with Koszul signs.
 
     op has order <= k iff for every generator a the graded commutator
     x -> op(a x) - (-1)^(|op||a|) a op(x) has order <= k-1; order <= -1
     means the zero map.  Left multiplications are the order-zero
     operators of the graded setting.  Returns (holds, conclusive).
+
+    Left multiplications graded-commute, so [[op, a], b] = +-[[op, b], a]
+    and each multiset of generators is taken once: below the commutator
+    with spec.symbols[first], generators are picked from first on.
     """
     spec = op.spec
     if domain_cap is None:
@@ -260,7 +264,8 @@ def order_at_most(op: LinearMap, k: int, domain_cap: Optional[int] = None) -> Tu
         return True, False
     conclusive = domain_cap >= 1
     words = spec.basis_monomials(domain_cap - 1)
-    for a in spec.symbols:
+    for i in range(first, len(spec.symbols)):
+        a = spec.symbols[i]
         table: Dict[Monomial, GradedSeries] = {}
         gen = GradedSeries.generator(a)
         sign = -1 if (op.degree % 2) and (a.degree % 2) else 1
@@ -268,7 +273,7 @@ def order_at_most(op: LinearMap, k: int, domain_cap: Optional[int] = None) -> Tu
             ax = mul(gen, GradedSeries({x: 1}), _WIDE)
             table[x] = op.apply(ax) - spec.mul(gen, op.value(x)).scale(sign)
         sub = LinearMap(spec, table, op.degree + a.degree)
-        ok, concl = order_at_most(sub, k - 1, domain_cap - 1)
+        ok, concl = order_at_most(sub, k - 1, domain_cap - 1, i)
         conclusive = conclusive and concl
         if not ok:
             return False, conclusive
@@ -294,45 +299,43 @@ def bv_bracket(D: BvOperator, a: GradedSeries, b: GradedSeries) -> GradedSeries:
 # morphisms and augmentations
 # ---------------------------------------------------------------------
 
-def exp_morphism(phi: LinearMap, element: GradedSeries,
-                 target_mul: Callable[[GradedSeries, GradedSeries], GradedSeries]
-                 ) -> GradedSeries:
-    """The exponential of a linear map on S(V).
+def exp_map(phi: LinearMap) -> LinearMap:
+    """The exponential e^phi of a linear map on S(V), a map on phi.spec
+    that computes a word's value on its first read.
 
     e^phi(v_1...v_k) is the sum, over the unordered set partitions of
     the k positions, of the product of phi on the blocks, with the
     Koszul sign of listing the blocks one after another; the empty
     product is the unit, so e^phi(1) = 1.
 
-    Preconditions: phi has degree 0 (it preserves parity) and target_mul
-    is graded-commutative.  Then each of the r!*prod(c_i!) (permutation,
-    composition) pairs of the multinomial formula that lands on one
-    partition into r blocks of sizes c_i carries the same signed
-    product, and their weights 1/(r!*prod(c_i!)) add up to 1.  A block
-    value of the wrong parity raises BvError.
+    Precondition: phi has degree 0 (it preserves parity).  Then each of
+    the r!*prod(c_i!) (permutation, composition) pairs of the multinomial
+    formula that lands on one partition into r blocks of sizes c_i
+    carries the same signed product, and their weights 1/(r!*prod(c_i!))
+    add up to 1.  A block value of the wrong parity raises BvError.
 
-    The recursion over words, with its memo, is kept on phi for the
-    last target_mul it was called with, so later calls share it.
+    The products are spec.mul, truncated to the spec's caps like every
+    other map on it, and a word past word_cap raises BvError by the
+    window rule of LinearMap.  The map is built once and kept on phi, so
+    every reader of e^phi shares one memo.
     """
-    if phi._exp is None or phi._exp[0] != target_mul:
-        phi._exp = target_mul, _exp_words(phi.table, phi.spec, target_mul, {})
-    on_word = phi._exp[1]
-    out: Dict[Monomial, Coeff] = {}
-    for m, c in element.terms.items():
-        rest, h = split_h(m)
-        term = on_word(rest)
-        if h:
-            term = target_mul(phi.spec.hpow(h), term)
-        add_terms(out, term.terms, c)
-    return GradedSeries.from_terms(out)
+    if phi._exp is None:
+        memo: Dict[Monomial, GradedSeries] = {}
+        phi._exp = LinearMap(phi.spec, memo, 0,
+                             _exp_words(phi.table, phi.spec, memo))
+    return phi._exp
+
+
+def exp_morphism(phi: LinearMap, element: GradedSeries) -> GradedSeries:
+    """e^phi(element), by exp_map."""
+    return exp_map(phi).apply(element)
 
 
 def _exp_words(table: Dict[Monomial, GradedSeries], spec: FreeAlgebraSpec,
-               target_mul: Callable[[GradedSeries, GradedSeries], GradedSeries],
                memo: Dict[Monomial, GradedSeries]
                ) -> Callable[[Monomial], GradedSeries]:
-    """e^phi on h-free monomials, phi the map of table on spec, each
-    word computed once and kept in memo.
+    """e^phi on h-free monomials within word_cap, phi the map of table
+    on spec, each word computed once and kept in memo.
 
     The partition sum goes by the block B that holds the first unit of
     w: e^phi(w) = sum_B eps(B, w - B) phi(B) e^phi(w - B), eps the Koszul
@@ -340,12 +343,10 @@ def _exp_words(table: Dict[Monomial, GradedSeries], spec: FreeAlgebraSpec,
     nonzero that start with the first symbol of w and divide w; one term
     stands for the C(e - 1, f - 1) * prod_t C(e_t, f_t) position blocks
     of that word, f of the e copies of the first symbol and f_t of the
-    e_t of each other symbol t.  A zero map costs nothing past 1.  On a
-    word w past word_cap, BvError is raised, whole word first, by a block
-    B past word_cap that holds the first unit and is not in table;
-    likewise by a value phi(B) of the wrong parity.  The recursion is
+    e_t of each other symbol t.  A zero map costs nothing past 1.  A
+    value phi(B) of the wrong parity raises BvError.  The recursion is
     _exp_word bound to its arguments, not a closure that calls itself,
-    and it holds phi's table and spec, not a LinearMap, so memo is freed
+    and it holds phi's blocks and spec, not a LinearMap, so memo is freed
     with the last reference to the returned function, even when that
     reference is the map's own.
     """
@@ -354,19 +355,12 @@ def _exp_words(table: Dict[Monomial, GradedSeries], spec: FreeAlgebraSpec,
         if b and v:
             blocks.setdefault(b[0][0], []).append((b, v))
     memo[ONE] = GradedSeries.unit()
-    return partial(_exp_word, table, spec, target_mul, blocks, memo)
+    return partial(_exp_word, spec, blocks, memo)
 
 
-def _exp_word(table, spec, target_mul, blocks, memo, w: Monomial
-              ) -> GradedSeries:
+def _exp_word(spec, blocks, memo, w: Monomial) -> GradedSeries:
     val = memo.get(w)
     if val is None:
-        if q_degree(w) > spec.word_cap:
-            for counts in itertools.product(*(
-                    reversed(range(t is w[0][0], e + 1)) for t, e in w)):
-                b = tuple((t, f) for (t, _), f in zip(w, counts) if f)
-                if b not in table:
-                    _check_window(spec, b)
         acc: Dict[Monomial, Coeff] = {}
         for b, v in blocks.get(w[0][0], ()):
             left, count = dict(w), 1
@@ -379,8 +373,7 @@ def _exp_word(table, spec, target_mul, blocks, memo, w: Monomial
             else:
                 _check_parity(b, v)
                 rest = tuple((t, e) for t, e in left.items() if e)
-                prod = target_mul(v, _exp_word(table, spec, target_mul,
-                                               blocks, memo, rest))
+                prod = spec.mul(v, _exp_word(spec, blocks, memo, rest))
                 add_terms(acc, prod.terms, merge_words(b, rest)[0] * count)
         val = memo[w] = GradedSeries.from_terms(acc)
     return val
@@ -409,16 +402,15 @@ class Augmentation(LinearMap):
         if table.get(ONE):
             raise BvError("augmentation does not kill the unit")
         super().__init__(spec, table, 0)
-        # (Phi, Phi^-1) of twist_by_augmentation per target spec
-        self._phi_memo: Dict[FreeAlgebraSpec, Tuple[LinearMap, LinearMap]] = {}
 
     def exp(self, element: GradedSeries) -> GradedSeries:
-        """e^beta into K[[h]], h powers multiplied without truncation."""
-        return exp_morphism(self, element, _scalar_mul)
+        """e^beta into K[[h]], truncated at hbar_cap."""
+        return exp_morphism(self, element)
 
-
-def _scalar_mul(x: GradedSeries, y: GradedSeries) -> GradedSeries:
-    return mul(x, y, _WIDE)
+    @cached_property
+    def _phi(self) -> Tuple[LinearMap, LinearMap]:
+        """(Phi, Phi^-1) of twist_by_augmentation, built on first use."""
+        return _phi_maps(self.spec, self)
 
 
 def reliable_cap(D: LinearMap) -> int:
@@ -430,6 +422,10 @@ def reliable_cap(D: LinearMap) -> int:
 
 
 def check_augmentation(beta: Augmentation, D: BvOperator) -> CheckReport:
+    """e^beta D(m) = 0 on the words D's growth leaves reliable.  e^beta
+    truncates at hbar_cap, which loses nothing reliable: its h^c
+    coefficient for c > hbar_cap takes in the h^(>hbar_cap) part of
+    D(m), which D's table never holds."""
     report = CheckReport("augmentation law e^beta D = 0",
                          caps={"word_cap": D.spec.word_cap})
     with timed(report):
@@ -441,12 +437,10 @@ def check_augmentation(beta: Augmentation, D: BvOperator) -> CheckReport:
     return report
 
 
-def check_bv_morphism(phi: LinearMap, D_A: BvOperator, D_B: BvOperator,
-                      target_mul=None) -> CheckReport:
-    """BVmor1-3 for a map phi: S(V_A) -> B[[h]]."""
-    specB = D_B.spec
-    if target_mul is None:
-        target_mul = specB.mul
+def check_bv_morphism(phi: LinearMap, D_A: BvOperator, D_B: BvOperator
+                      ) -> CheckReport:
+    """BVmor1-3 for a map phi: S(V_A) -> B[[h]], e^phi taken on
+    phi.spec."""
     report = CheckReport("BV-morphism laws",
                          caps={"word_cap": D_A.spec.word_cap})
     with timed(report):
@@ -463,8 +457,8 @@ def check_bv_morphism(phi: LinearMap, D_A: BvOperator, D_B: BvOperator,
         reliable = reliable_cap(D_A)
         conclusive = all(q_degree(m) <= reliable for m in D_A.table)
         for m in D_A.spec.basis_monomials(reliable):
-            lhs = exp_morphism(phi, D_A.value(m), target_mul)
-            rhs = D_B.apply(exp_morphism(phi, GradedSeries({m: 1}), target_mul))
+            lhs = exp_morphism(phi, D_A.value(m))
+            rhs = D_B.apply(exp_morphism(phi, GradedSeries({m: 1})))
             if not (lhs - rhs).is_zero():
                 report.add_witness("intertwining on %s" % format_monomial(m),
                                    repr(lhs - rhs))
@@ -487,20 +481,19 @@ def twist_by_augmentation(D: BvOperator, beta: Augmentation,
     twisted operator must have no constant term on the words D's growth
     leaves reliable, read here in basis order.
 
-    Phi and Phi^(-1) depend on beta and on D.spec alone, not on D, so
-    they are built once per spec and memoized on beta: a later twist by
-    the same beta and spec returns the same two maps, with tables
-    equal, in the same order, to a fresh build.
+    D must be on beta.spec, the spec object itself.  Phi and Phi^(-1)
+    depend on beta alone, not on D, so they are built once and kept on
+    beta: a later twist by the same beta returns the same two maps.
     """
     spec = D.spec
+    if spec is not beta.spec:
+        raise BvError("the operator and the augmentation are on different "
+                      "specs")
     if validate:
         rep = check_augmentation(beta, D)
         if not rep.passed:
             raise BvError("not an augmentation: %s" % rep.witnesses[:1])
-    maps = beta._phi_memo.get(spec)
-    if maps is None:
-        maps = beta._phi_memo[spec] = _phi_maps(spec, beta)
-    Phi, PhiInv = maps
+    Phi, PhiInv = beta._phi
     Dbeta = BvOperator(spec, {},
                        lambda m: Phi.apply(D.apply(PhiInv.value(m))))
     if validate:
@@ -537,9 +530,7 @@ def _phi_maps(spec: FreeAlgebraSpec, beta: Augmentation
             for b in spec.basis_monomials():
                 if b in table:
                     _check_parity(b, table[b])
-        memo: Dict[Monomial, GradedSeries] = {}
-        on_word = _exp_words(table, spec, spec.mul, memo)
-        maps.append(LinearMap(spec, memo, 0, on_word))
+        maps.append(exp_map(LinearMap(spec, table, 0)))
     return maps[0], maps[1]
 
 
@@ -943,13 +934,14 @@ def linearize_morphism(phi: LinearMap, D_A: BvOperator, alpha: Augmentation,
                        D_B: BvOperator, beta: Augmentation):
     """Linear part of the twisted morphism Phi_beta e^phi Phi_alpha^(-1)
     restricted to the generators, with the compatibility and chain-map
-    checks.  Returns (map: dict symbol -> Vector, report)."""
-    specA, specB = D_A.spec, D_B.spec
+    checks; e^phi is taken on phi.spec.  Returns (map: dict symbol ->
+    Vector, report)."""
+    specA = D_A.spec
     report = CheckReport("linearized morphism")
     with timed(report):
         for m in specA.basis_monomials():
             lhs = alpha.exp(GradedSeries({m: 1}))
-            ephi = exp_morphism(phi, GradedSeries({m: 1}), specB.mul)
+            ephi = exp_morphism(phi, GradedSeries({m: 1}))
             rhs = beta.exp(ephi)
             if not (lhs - rhs).is_zero():
                 report.add_witness("compatibility e^alpha = e^beta e^phi on %s"
@@ -961,7 +953,7 @@ def linearize_morphism(phi: LinearMap, D_A: BvOperator, alpha: Augmentation,
         lin: Dict[GradedSymbol, Vector] = {}
         for v in specA.symbols:
             x = PhiAinv.value(((v, 1),))
-            y = exp_morphism(phi, x, specB.mul)
+            y = exp_morphism(phi, x)
             z = PhiB.apply(y)
             vec: Vector = {}
             for m, c in z.terms.items():

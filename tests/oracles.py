@@ -55,7 +55,7 @@ def eager_twist_tables(D, beta):
                  for s in spec.symbols}
         for m, v in beta.table.items():
             table[m] = table.get(m, GradedSeries.zero()) + v.scale(sign)
-        on_word = _exp_words(table, spec, spec.mul, {})
+        on_word = _exp_words(table, spec, {})
         maps.append(LinearMap(spec, {m: on_word(m)
                                      for m in spec.basis_monomials()}, 0))
     Phi, PhiInv = maps

@@ -1,8 +1,10 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from sftstring import bv
 from sftstring.algebra import GradedSeries, ONE, TruncationContext, q_degree
 from sftstring.bv import (
     Augmentation,
@@ -127,6 +129,24 @@ def test_bv_bracket_order_two_example():
     assert got == GradedSeries.unit() or got == GradedSeries.unit(-1)
 
 
+def test_order_check_takes_one_commutator_per_multiset(monkeypatch):
+    # [[op, a], b] = +-[[op, b], a], so below the top call the nested
+    # commutators of an order <= 2 check are taken once per multiset of
+    # at most 3 of the 3 generators: C(d + 2, d) calls at depth d, where
+    # every ordered pick would make 3^d
+    spec = FreeAlgebraSpec([("x", 1), ("y", 0), ("z", 2)], word_cap=4,
+                           hbar_cap=1, n=2)
+    nodes = []
+
+    def counted(op, k, *args):
+        nodes.append(k)
+        return order(op, k, *args)
+    order = bv.order_at_most
+    monkeypatch.setattr(bv, "order_at_most", counted)
+    assert bv.order_at_most(LinearMap(spec, {}, -1), 2) == (True, True)
+    assert Counter(nodes) == {2: 1, 1: 3, 0: 6, -1: 10}
+
+
 def test_exp_morphism_small_cases():
     # target = source algebra; phi sends odd generators to odd elements
     spec = FreeAlgebraSpec([("v", 1), ("w", 1)], word_cap=3, hbar_cap=2, n=2)
@@ -141,12 +161,12 @@ def test_exp_morphism_small_cases():
     phi = LinearMap(spec, phi_table, 0)
     unit = GradedSeries.unit()
     # e^phi(1) = 1
-    assert exp_morphism(phi, unit, spec.mul) == unit
+    assert exp_morphism(phi, unit) == unit
     # single generator: e^phi(v) = phi(v)
-    assert exp_morphism(phi, v, spec.mul) == v.scale(2)
+    assert exp_morphism(phi, v) == v.scale(2)
     # two odd generators: e^phi(vw) = phi(vw) + phi(v)phi(w); the swap
     # summand cancels against the rearrangement sign
-    assert exp_morphism(phi, vw, spec.mul) == vw.scale(5 + 6)
+    assert exp_morphism(phi, vw) == vw.scale(5 + 6)
 
 
 def worked_example():
@@ -331,9 +351,8 @@ def test_check_bv_morphism_identity():
     assert rep.status in ("pass", "inconclusive")
     assert not rep.witnesses
     # augmentation as morphism to the trivial algebra
-    scal = lambda a, b: spec.mul(a, b)
     zeroD = BvOperator(spec, {ONE: GradedSeries.zero()})
-    rep2 = check_bv_morphism(beta, D, zeroD, target_mul=scal)
+    rep2 = check_bv_morphism(beta, D, zeroD)
     assert not rep2.witnesses
 
 

@@ -180,12 +180,13 @@ def test_mixed_parity_exp_and_morphism_check_match_reference(monkeypatch):
     for m in spec.basis_monomials():
         for element in (GradedSeries({m: Fraction(1)}),
                         spec.mul(h, GradedSeries({m: Fraction(-2)}))):
-            assert exp_morphism(phi, element, spec.mul) == \
+            assert exp_morphism(phi, element) == \
                 exp_morphism_reference(phi, element, spec.mul), m
     D = derivation_operator(spec, {"u": w, "v": GradedSeries.zero(),
                                    "x": spec.mul(w, w), "w": GradedSeries.zero()})
     got = check_bv_morphism(phi, D, D)
-    monkeypatch.setattr(bv, "exp_morphism", exp_morphism_reference)
+    monkeypatch.setattr(bv, "exp_morphism", lambda phi_, element:
+                        exp_morphism_reference(phi_, element, phi_.spec.mul))
     want = check_bv_morphism(phi, D, D)
     assert got.witnesses and got.witnesses == want.witnesses
     assert got.status == want.status
@@ -247,37 +248,42 @@ def test_exp_rejects_a_parity_changing_map():
         beta.exp(GradedSeries({((sx, 1), (sz, 1)): Fraction(1)}))
 
 
-def _counting(target_mul):
+def _counting(monkeypatch, spec):
+    """The list of calls of spec.mul from here on."""
     calls = []
+    spec_mul = spec.mul
 
     def counted(a, b):
         calls.append(None)
-        return target_mul(a, b)
-    return counted, calls
+        return spec_mul(a, b)
+    monkeypatch.setattr(spec, "mul", counted)
+    return calls
 
 
-def test_zero_map_multiplies_nothing():
+def test_zero_map_multiplies_nothing(monkeypatch):
     spec = FreeAlgebraSpec([("x", 1), ("y", 0), ("z", 0)], word_cap=11,
                            hbar_cap=1, n=2)
     word = GradedSeries.from_word([(spec.symbol("x"), 1),
                                    (spec.symbol("y"), 4),
                                    (spec.symbol("z"), 6)])
     assert q_degree(next(iter(word.terms))) == 11
-    counted, calls = _counting(spec.mul)
-    got = exp_morphism(LinearMap(spec, {}, 0), word, counted)
+    calls = _counting(monkeypatch, spec)
+    got = exp_morphism(LinearMap(spec, {}, 0), word)
     assert got.is_zero() and calls == []
 
 
-def test_exp_of_the_inclusion_is_the_identity():
+def test_exp_of_the_inclusion_is_the_identity(monkeypatch):
     # iota is nonzero on the generators only, so each word of k units
     # costs k products: one per unit, each with the only block offered
+    # (a fresh iota per word, so no word is served from the memo)
     spec = _mixed_spec()
-    iota = LinearMap(spec, {_mono(spec, n): spec.generator(n)
-                            for n in "uvwx"}, 0)
+    calls = _counting(monkeypatch, spec)
     for m in spec.basis_monomials():
+        iota = LinearMap(spec, {_mono(spec, n): spec.generator(n)
+                                for n in "uvwx"}, 0)
         one = GradedSeries({m: Fraction(1)})
-        counted, calls = _counting(spec.mul)
-        assert exp_morphism(iota, one, counted) == one, m
+        del calls[:]
+        assert exp_morphism(iota, one) == one, m
         assert len(calls) == q_degree(m), m
 
 
@@ -291,21 +297,47 @@ def test_value_outside_the_table_is_an_error():
     one = GradedSeries({word: Fraction(1)})
     for element in (one, _scalar_mul(spec.hpow(1), one.scale(3))):
         with pytest.raises(BvError) as err:
-            exp_morphism(beta, element, _scalar_mul)
+            exp_morphism(beta, element)
         assert str(err.value) == message
         with pytest.raises(BvError) as err:
             beta.exp(element)
         assert str(err.value) == message
-    # a word past word_cap that the table does hold is not an error
+    # phi's table may hold a word past word_cap; e^phi, a map on the
+    # spec, holds no value there
     xh = _scalar_mul(spec.hpow(1), spec.generator("x"))
     phi = LinearMap(spec, {word: xh}, 0)
-    assert exp_morphism(phi, one, _scalar_mul) == xh
-    # e^phi(x y^3) needs phi on the block x y^2, also past word_cap
-    long_word = ((sx, 1), (sy, 3))
-    long_one = GradedSeries({long_word: Fraction(1)})
-    phi = LinearMap(spec, {long_word: xh}, 0)
+    assert phi.value(word) == xh
     with pytest.raises(BvError) as err:
-        exp_morphism(phi, long_one, _scalar_mul)
+        exp_morphism(phi, one)
     assert str(err.value) == message
-    phi = LinearMap(spec, {long_word: xh, word: xh}, 0)
-    assert exp_morphism(phi, long_one, _scalar_mul) == xh
+
+
+def test_exp_past_word_cap_names_the_whole_word():
+    # e^phi(x y^3) would need phi on the block x y^2, also past
+    # word_cap; the error names the word read, whatever phi holds
+    spec = FreeAlgebraSpec([("x", 1), ("y", 0)], word_cap=2, hbar_cap=1, n=2)
+    sx, sy = spec.symbol("x"), spec.symbol("y")
+    long_word = ((sx, 1), (sy, 3))
+    message = "value of %s outside the table" % format_monomial(long_word)
+    long_one = GradedSeries({long_word: Fraction(1)})
+    xh = _scalar_mul(spec.hpow(1), spec.generator("x"))
+    for table in ({long_word: xh}, {long_word: xh, ((sx, 1), (sy, 2)): xh},
+                  {((sy, 1),): GradedSeries.unit()}):
+        phi = LinearMap(spec, table, 0)
+        with pytest.raises(BvError) as err:
+            exp_morphism(phi, long_one)
+        assert str(err.value) == message
+
+
+def test_exp_of_an_augmentation_truncates_at_hbar_cap():
+    # e^beta(y^2) = beta(y)^2 = h^2, above hbar_cap = 1: the term is
+    # dropped, as spec.mul drops it, and h^1 terms are kept
+    spec = FreeAlgebraSpec([("x", 1), ("y", 0)], word_cap=3, hbar_cap=1, n=2)
+    sy = spec.symbol("y")
+    beta = Augmentation(spec, {((sy, 1),): spec.hpow(1)})
+    y2 = GradedSeries({((sy, 2),): Fraction(1)})
+    assert beta.exp(y2).is_zero()
+    assert beta.exp(GradedSeries({((sy, 1),): Fraction(1)})) == spec.hpow(1)
+    assert beta.exp(spec.mul(spec.hpow(1), spec.generator("y"))).is_zero()
+    assert exp_morphism_reference(beta, y2, _scalar_mul) == spec.hpow(2)
+    assert exp_morphism_reference(beta, y2, spec.mul).is_zero()

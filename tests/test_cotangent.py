@@ -4,7 +4,7 @@ import pytest
 
 from sftstring import cotangent
 from sftstring.algebra import KIND_Q, TruncationContext
-from sftstring.bv import (FreeAlgebraSpec, bv_from_hamiltonian,
+from sftstring.bv import (BvError, FreeAlgebraSpec, bv_from_hamiltonian,
                           twist_by_augmentation)
 from sftstring.cotangent import (
     AlphabetError,
@@ -198,7 +198,7 @@ def _tables(maps):
 def test_twist_memo_matches_a_fresh_beta(alphabet, hamiltonian):
     # build_H_surface twists the partial H (a- and d-families) and
     # check_psi_intertwining the full H, both by the alphabet's beta on
-    # its one spec; Phi and Phi^-1 are memoized per spec object
+    # its one spec; Phi and Phi^-1 are kept on beta
     spec = _fit_spec(alphabet)
     F = build_F(alphabet)
     partial = _assemble(alphabet, hamiltonian.a, {}, {}, hamiltonian.d)
@@ -214,15 +214,14 @@ def test_twist_memo_matches_a_fresh_beta(alphabet, hamiltonian):
         assert got[0] is first[0] and got[1] is first[1]
         fresh = twist(series, filling_augmentation(alphabet, F, spec), validate)
         assert _tables(got) == _tables(fresh)
-    # another spec object, with the same caps or others, gets new maps
+    # an operator on another spec object, with the same caps or others,
+    # is refused; a beta on that spec twists it
     for caps in ((4, 3), (3, 3), (4, 2)):
         other = FreeAlgebraSpec.of_q(alphabet.sys, *caps)
-        got = twist(hamiltonian.series, warm, False, other)
-        assert got[0] is not first[0] and got[1] is not first[1]
-        again = twist(partial, warm, False, other)
-        assert again[0] is got[0] and again[1] is got[1]
+        for series in (hamiltonian.series, partial):
+            with pytest.raises(BvError, match="different specs"):
+                twist(series, warm, False, other)
         fresh = twist(hamiltonian.series,
                       filling_augmentation(alphabet, F, other), False, other)
-        assert _tables(got) == _tables(fresh)
         if caps == (4, 3):
-            assert _tables(got[:2]) == _tables(first[:2])
+            assert _tables(fresh[:2]) == _tables(first[:2])

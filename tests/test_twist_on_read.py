@@ -132,6 +132,35 @@ def test_values_read_by_the_fit_serve_the_later_twist():
         Phi.value(((spec.symbol("y"), spec.word_cap + 1),))
 
 
+def test_twist_needs_the_operator_on_the_augmentation_spec():
+    # an equal spec is not enough: Phi and Phi^-1 are kept on beta for
+    # beta.spec, the one object
+    spec, D, beta = worked_example()
+    other = xy_spec()
+    y = other.generator("y")
+    D_other = bv.derivation_operator(
+        other, {"x": other.mul(y, y) - GradedSeries.unit(),
+                "y": GradedSeries.zero()})
+    for validate in (True, False):
+        with pytest.raises(BvError, match="different specs"):
+            twist_by_augmentation(D_other, beta, validate=validate)
+    assert twist_by_augmentation(D, beta)[2].table
+
+
+def test_repeated_twists_by_one_beta_share_phi():
+    # Phi and Phi^-1 depend on beta alone: every twist by beta, of any
+    # operator on its spec, returns the one pair kept on beta
+    spec, D, beta = worked_example()
+    y = spec.generator("y")
+    D2 = bv.derivation_operator(
+        spec, {"x": spec.mul(y, y) - y.scale(2) + GradedSeries.unit(),
+               "y": GradedSeries.zero()})
+    Phi, PhiInv = beta._phi
+    for op, validate in ((D, True), (D2, False), (D, False), (D2, False)):
+        got = twist_by_augmentation(op, beta, validate=validate)
+        assert got[0] is Phi and got[1] is PhiInv
+
+
 def test_twisting_leaves_no_reference_cycle():
     # the memo of e^(beta + iota) is freed with its map, not left to
     # the cyclic collector
