@@ -427,7 +427,14 @@ def _term_sort_key(m: Monomial):
 
 
 def mul(a: GradedSeries, b: GradedSeries, ctx: TruncationContext) -> GradedSeries:
-    """Graded-commutative product, re-truncated to the context.
+    """Graded-commutative product, re-truncated to the context: collect()
+    of product_terms()."""
+    return collect(product_terms(a, b), ctx)
+
+
+def product_terms(a: GradedSeries, b: GradedSeries) -> dict:
+    """The terms of the graded-commutative product a b, summed as they
+    come, zeros included, for collect() or another window to drop.
 
     Each pair of terms is merged (merge_words), as both are in standard
     form; a pair in which an orbit has its p in the left monomial and
@@ -451,7 +458,7 @@ def mul(a: GradedSeries, b: GradedSeries, ctx: TruncationContext) -> GradedSerie
                 continue
             sgn, mono = res
             acc[mono] = acc.get(mono, 0) + (c1 * c2 if sgn > 0 else -(c1 * c2))
-    return collect(acc, ctx)
+    return acc
 
 
 def collect(acc: dict, ctx: TruncationContext) -> GradedSeries:

@@ -19,6 +19,7 @@ from math import comb
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (
+    KIND_H,
     KIND_Q,
     Coeff,
     GradedSeries,
@@ -36,6 +37,7 @@ from .algebra import (
     monomial_degree,
     mul,
     normalize,
+    product_terms,
     q_degree,
     split_h,
 )
@@ -74,14 +76,33 @@ class FreeAlgebraSpec:
         """S(q), the free algebra on the q variables of an orbit system."""
         return cls([], word_cap, hbar_cap, sys.n, list(sys.q.values()))
 
+    def window(self, terms: dict) -> GradedSeries:
+        """The series of the nonzero terms of a sum within word_cap and
+        hbar_cap, a Fraction with denominator 1 as its int, built in the
+        one pass that reads each term."""
+        word_cap, hbar_cap = self.word_cap, self.hbar_cap
+        out = {}
+        for m, c in terms.items():
+            if not c:
+                continue
+            q = h = 0
+            for s, e in m:
+                if s.kind == KIND_Q:
+                    q += e
+                elif s.kind == KIND_H:
+                    h = e
+            if q <= word_cap and h <= hbar_cap:
+                out[m] = c if c.__class__ is int or c.denominator != 1 \
+                    else c.numerator
+        series = GradedSeries.__new__(GradedSeries)
+        series.terms = out
+        return series
+
     def truncate(self, series: GradedSeries) -> GradedSeries:
-        return GradedSeries.from_terms(
-            {m: c for m, c in series.terms.items()
-             if q_degree(m) <= self.word_cap
-             and hbar_exponent(m) <= self.hbar_cap})
+        return self.window(series.terms)
 
     def mul(self, a: GradedSeries, b: GradedSeries) -> GradedSeries:
-        return self.truncate(mul(a, b, _WIDE))
+        return self.window(product_terms(a, b))
 
     def generator(self, name: str) -> GradedSeries:
         return GradedSeries.generator(self.symbol(name))
@@ -168,7 +189,7 @@ class LinearMap:
         out: Dict[Monomial, Coeff] = {}
         for m, c in series.terms.items():
             add_terms(out, self.value(m).terms, c)
-        return self.spec.truncate(GradedSeries.from_terms(out))
+        return self.spec.window(out)
 
 
 class BvOperator(LinearMap):
@@ -210,7 +231,7 @@ def derivation_operator(spec: FreeAlgebraSpec,
     tabulated on the basis monomials by algebra.derivation."""
     img = {spec.symbol(nm): v.terms for nm, v in images.items()}
     return BvOperator(spec, {
-        m: spec.truncate(GradedSeries.from_terms(derivation(m, img.get, {})))
+        m: spec.window(derivation(m, img.get, {}))
         for m in spec.basis_monomials()})
 
 
@@ -344,11 +365,11 @@ def _exp_words(table: Dict[Monomial, GradedSeries], spec: FreeAlgebraSpec,
     stands for the C(e - 1, f - 1) * prod_t C(e_t, f_t) position blocks
     of that word, f of the e copies of the first symbol and f_t of the
     e_t of each other symbol t.  A zero map costs nothing past 1.  A
-    value phi(B) of the wrong parity raises BvError.  The recursion is
-    _exp_word bound to its arguments, not a closure that calls itself,
-    and it holds phi's blocks and spec, not a LinearMap, so memo is freed
-    with the last reference to the returned function, even when that
-    reference is the map's own.
+    value phi(B) of the wrong parity raises BvError.  The returned
+    function is _exp_word bound to its arguments, not a closure, and it
+    holds phi's blocks and spec, not a LinearMap, so memo is freed with
+    the last reference to the function, even when that reference is the
+    map's own.
     """
     blocks: Dict[GradedSymbol, List[Tuple[Monomial, GradedSeries]]] = {}
     for b, v in table.items():
@@ -359,24 +380,48 @@ def _exp_words(table: Dict[Monomial, GradedSeries], spec: FreeAlgebraSpec,
 
 
 def _exp_word(spec, blocks, memo, w: Monomial) -> GradedSeries:
-    val = memo.get(w)
-    if val is None:
+    """e^phi(w), and every word w - B - B' - ... it needs, without
+    recursion.  The words are first found depth first, each block's
+    parity checked as it is met, in the order a recursion would meet
+    them; then they are evaluated shortest first, so that each w - B,
+    shorter than w, is in memo when w is."""
+    if w in memo:
+        return memo[w]
+    terms: Dict[Monomial, list] = {w: []}  # word -> [(phi(B), w - B, sign)]
+    stack = [(w, _peel(blocks, w))]
+    while stack:
+        u, peel = stack[-1]
+        step = next(peel, None)
+        if step is None:
+            stack.pop()
+            continue
+        b, v, rest, count = step
+        _check_parity(b, v)
+        terms[u].append((v, rest, merge_words(b, rest)[0] * count))
+        if rest not in memo and rest not in terms:
+            terms[rest] = []
+            stack.append((rest, _peel(blocks, rest)))
+    for u in sorted(terms, key=q_degree):
         acc: Dict[Monomial, Coeff] = {}
-        for b, v in blocks.get(w[0][0], ()):
-            left, count = dict(w), 1
-            for t, f in b:
-                e = left.get(t, 0)
-                if e < f:
-                    break
-                count *= comb(e - 1, f - 1) if t is b[0][0] else comb(e, f)
-                left[t] = e - f
-            else:
-                _check_parity(b, v)
-                rest = tuple((t, e) for t, e in left.items() if e)
-                prod = spec.mul(v, _exp_word(spec, blocks, memo, rest))
-                add_terms(acc, prod.terms, merge_words(b, rest)[0] * count)
-        val = memo[w] = GradedSeries.from_terms(acc)
-    return val
+        for v, rest, sign in terms[u]:
+            add_terms(acc, spec.mul(v, memo[rest]).terms, sign)
+        memo[u] = GradedSeries.from_terms(acc)
+    return memo[w]
+
+
+def _peel(blocks, w: Monomial):
+    """(B, phi(B), w - B, number of position blocks) for each block B of
+    phi that starts with the first symbol of w and divides w."""
+    for b, v in blocks.get(w[0][0], ()):
+        left, count = dict(w), 1
+        for t, f in b:
+            e = left.get(t, 0)
+            if e < f:
+                break
+            count *= comb(e - 1, f - 1) if t is b[0][0] else comb(e, f)
+            left[t] = e - f
+        else:
+            yield b, v, tuple((t, e) for t, e in left.items() if e), count
 
 
 def _check_parity(b: Monomial, v: GradedSeries) -> None:

@@ -55,6 +55,14 @@ MAX_ORACLE_LETTERS = 100_000
 # 4 (10,395) 9.5 s and at 5 (51,359) 62 s; e = 39 at 3 (12,300) 7.4 s;
 # e = 1 at 4,999 (9,999) 3.9 s
 MAX_BV_WORDS = 10_000
+# bracket and cobracket canonicalize words as long as all their input
+# letters together (bracket: each concatenation x y), and that grows
+# about 8x per 10 letters on strip-rich words (blocks a1 b1 A1 B1, each
+# followed by a1 or b2).  At genus 2 (2-vCPU VM, Python 3.11.7):
+# cobracket took 0.7 s at 40 letters, 1.7 s at 45, 6.7 s at 50 and
+# 16.6 s at 60; bracket of such a word with itself 1.3 s at 20 + 20
+# letters, 3.5 s at 20 + 25 and 97 s at 30 + 30
+MAX_STRING_LETTERS = 40
 # each --samples draw adds a sampled pair and triple to the axiom sweep
 # (0.1 to 0.5 s per long-word triple) and a tuple to the identity suite
 MAX_AXIOM_SAMPLES = 1_000
@@ -262,23 +270,30 @@ def _bracket(surface: Surface, terms) -> Output:
                   _format_string_sum(surface, terms) + "\n")
 
 
-def _class_arg(surface: Surface, word: str):
-    x = surface.class_of(word)
-    if x is None:
+def _class_args(surface: Surface, *words: str) -> list:
+    """The classes of the words, which may have MAX_STRING_LETTERS
+    letters in all; a longer input or a trivial class is a usage error."""
+    parsed = [parse_word(w, surface) for w in words]
+    letters = sum(len(w) for w in parsed)
+    if letters > MAX_STRING_LETTERS:
+        raise UsageError("%d letters in all; at most %d are accepted"
+                         % (letters, MAX_STRING_LETTERS))
+    classes = [surface.canonical_class(w) for w in parsed]
+    if None in classes:
         raise UsageError("trivial class")
-    return x
+    return classes
 
 
 def cmd_bracket(args) -> Output:
     surface = Surface(args.genus, args.boundary)
-    x = _class_arg(surface, args.word1)
-    y = _class_arg(surface, args.word2)
+    x, y = _class_args(surface, args.word1, args.word2)
     return _bracket(surface, surface.goldman_terms(x, y))
 
 
 def cmd_cobracket(args) -> Output:
     surface = Surface(args.genus, args.boundary)
-    terms = surface.turaev_terms(_class_arg(surface, args.word1))
+    (x,) = _class_args(surface, args.word1)
+    terms = surface.turaev_terms(x)
     payload = {"schema": 1,
                "cobracket": {"%s | %s" % (format_word(u, surface),
                                           format_word(v, surface)): str(c)

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import random
 from functools import reduce
-from typing import Dict, List, Sequence
+from types import MappingProxyType
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (
     KIND_S,
@@ -31,7 +32,6 @@ from .algebra import (
     collect,
     derivation,
     hbar_exponent,
-    monomial_degree,
     mul,
     normalize,
     p_degree,
@@ -51,6 +51,10 @@ from .weyl import (
 )
 
 
+# the one read-only image that every empty entry of an image memo shares
+_NO_TERMS = MappingProxyType({})
+
+
 class ClassAlgebra:
     """Registry mapping free homotopy classes to graded symbols.
 
@@ -66,7 +70,9 @@ class ClassAlgebra:
         self._symbols: Dict[Word, GradedSymbol] = {}
         # names are format_word(cls), injective on classes
         self._classes: Dict[GradedSymbol, Word] = {}
-        # unscaled, uncollected images of one monomial under split/join
+        # image memos: the split of one symbol, and the unscaled,
+        # uncollected images of one monomial under split/join
+        self._splits: Dict[GradedSymbol, Dict[Monomial, Coeff]] = {}
         self._split_images: Dict[Monomial, Dict[Monomial, Coeff]] = {}
         self._join_images: Dict[Monomial, Dict[Monomial, Coeff]] = {}
 
@@ -100,6 +106,26 @@ class ClassAlgebra:
         entries = [(self.symbol(c), 1) for c in classes]
         return GradedSeries.from_word(entries, coeff)
 
+    def split_of(self, sym: GradedSymbol) -> Optional[Dict[Monomial, Coeff]]:
+        """The split image of the one-string monomial of a string symbol:
+        (-1)^(n-3) times the cobracket of its class, each Turaev pair
+        (u, v) as the normalized word u v.  Computed once per symbol, and
+        the same dict is that monomial's entry in the split memo; None
+        for a symbol of another kind."""
+        if sym.kind != KIND_S:
+            return None
+        out = self._splits.get(sym)
+        if out is None:
+            sign = -1 if (self.n - 3) % 2 else 1
+            out = {}
+            cls = self.class_of_symbol(sym)
+            for (u, v), cc in self.surface.turaev_terms(cls).items():
+                res = normalize([(self.symbol(u), 1), (self.symbol(v), 1)])
+                if res is not None:
+                    out[res[1]] = out.get(res[1], 0) + res[0] * cc * sign
+            out = self._splits[sym] = out or _NO_TERMS
+        return out
+
     def word_of(self, text: str) -> Word:
         cls = self.surface.class_of(text)
         if cls is None:
@@ -127,7 +153,7 @@ def _apply_images(series: GradedSeries, alg: ClassAlgebra, memo: dict,
     for m, c in series.terms.items():
         img = memo.get(m)
         if img is None:
-            img = memo[m] = image(m, alg)
+            img = memo[m] = image(m, alg) or _NO_TERMS
         add_terms(out, img, c)
     return collect(out, ctx)
 
@@ -145,22 +171,13 @@ def delta_op(series: GradedSeries, alg: ClassAlgebra,
 
 
 def _split_image(m: Monomial, alg: ClassAlgebra) -> Dict[Monomial, Coeff]:
-    """(-1)^(n-3) times algebra.derivation with d(s) the cobracket of the
-    class of s, each Turaev pair (u, v) as the normalized word u v: slot
-    r's sign (-1)^(r(3-n)) is (-1)^(n-3) (-1)^(|s|P), P = (r-1)(n-3)."""
-
-    def cobracket(s: GradedSymbol):
-        if s.kind != KIND_S:
-            return None
-        out: Dict[Monomial, Coeff] = {}
-        cls = alg.class_of_symbol(s)
-        for (u, v), cc in alg.surface.turaev_terms(cls).items():
-            res = normalize([(alg.symbol(u), 1), (alg.symbol(v), 1)])
-            if res is not None:
-                out[res[1]] = out.get(res[1], 0) + res[0] * cc
-        return out
-
-    return derivation(m, cobracket, {}, -1 if (alg.n - 3) % 2 else 1)
+    """algebra.derivation with d(s) = alg.split_of(s), which holds the
+    factor (-1)^(n-3): slot r's sign (-1)^(r(3-n)) is (-1)^(n-3)
+    (-1)^(|s|P), P = (r-1)(n-3).  On a one-string monomial that
+    derivation copies d(s), so the image is d(s) itself."""
+    if len(m) == 1 and m[0][1] == 1:
+        return alg.split_of(m[0][0])
+    return derivation(m, alg.split_of, {})
 
 
 def nabla_op(series: GradedSeries, alg: ClassAlgebra,
@@ -222,19 +239,23 @@ def _pool_tuples(classes: List[Word], max_slots: int, total_len: int):
     max_slots slots and total word length within the cap; classes are
     sorted by length, as classes_up_to lists them."""
     out: List[List[Word]] = []
-
-    def rec(start: int, cur: List[Word], remaining: int):
-        for idx in range(start, len(classes)):
-            c = classes[idx]
-            if len(c) > remaining:
-                break
-            t = cur + [c]
-            out.append(t)
-            if len(t) < max_slots:
-                rec(idx, t, remaining - len(c))
-
-    rec(0, [], total_len)
+    _extend_pool(out, classes, max_slots, 0, [], total_len)
     return out
+
+
+def _extend_pool(out: List[List[Word]], classes: List[Word], max_slots: int,
+                 start: int, cur: List[Word], remaining: int) -> None:
+    """Append to out each tuple cur + [c, ...] of _pool_tuples, c from
+    classes[start:]; a module function, not a closure that calls itself,
+    so that no reference cycle keeps out alive past the call."""
+    for idx in range(start, len(classes)):
+        c = classes[idx]
+        if len(c) > remaining:
+            break
+        t = cur + [c]
+        out.append(t)
+        if len(t) < max_slots:
+            _extend_pool(out, classes, max_slots, idx, t, remaining - len(c))
 
 
 def check_string_identities(surface: Surface, max_len: int = 4,
@@ -244,7 +265,17 @@ def check_string_identities(surface: Surface, max_len: int = 4,
     """Verify the multi-string operator identities on the tuple algebra:
     split^2 = 0, join^2 = 0, anticommutation of split and join, the
     co-derivation rule of the split, and the seven-term relation of the
-    join, over all tuples within the caps (plus random extras)."""
+    join, over all tuples within the caps (plus random extras).
+
+    Each value that several tuples share is computed once per call, on
+    first use: every symbol's split (its class's cobracket) and every
+    monomial's split and join images, in the memos of the call's
+    ClassAlgebra; each class's single string c with D(c) and N(c), and
+    each pair's join N(c_i c_j), in local tables freed on return.  The
+    tuple's own monomial s is the product c1 c2 (or c1 c2 c3) that the
+    two relations take apart, so their left sides are D(s) and N(s),
+    already at hand.  A product with a zero factor is not taken.
+    """
     alg = ClassAlgebra(surface, n)
     ctx = TruncationContext(max_p_degree=0, max_hbar=2, min_hbar=0,
                             max_word_length=4 * max_len)
@@ -262,6 +293,33 @@ def check_string_identities(surface: Surface, max_len: int = 4,
             tuples = tuples + extra
         D = lambda s: delta_op(s, alg, ctx)
         N = lambda s: nabla_op(s, alg, ctx)
+        singles: Dict[Word, Tuple[GradedSeries, ...]] = {}
+        joins: Dict[Tuple[Word, Word], GradedSeries] = {}
+
+        def m(*xs: GradedSeries) -> GradedSeries:
+            """The product of xs; zero, with no product taken, when a
+            factor is zero."""
+            if not all(xs):
+                return GradedSeries()
+            return reduce(lambda x, y: mul(x, y, ctx), xs)
+
+        def single(w: Word) -> Tuple[GradedSeries, ...]:
+            """(c, D(c), N(c)) for the class w."""
+            got = singles.get(w)
+            if got is None:
+                c = alg.single(w)
+                got = singles[w] = (c, D(c), N(c))
+            return got
+
+        def join(w1: Word, w2: Word) -> GradedSeries:
+            """N(c1 c2) for the classes w1, w2."""
+            got = joins.get((w1, w2))
+            if got is None:
+                got = joins[w1, w2] = N(m(single(w1)[0], single(w2)[0]))
+            return got
+
+        # every class symbol has degree n - 3
+        d1 = d2 = d3 = alg.degree
         for t in tuples:
             s = alg.multi(t)
             if s.is_zero():
@@ -273,30 +331,31 @@ def check_string_identities(surface: Surface, max_len: int = 4,
                 report.add_witness("split^2 " + label(), "nonzero")
             if not N(ns).is_zero():
                 report.add_witness("join^2 " + label(), "nonzero")
-            if not (D(ns) + N(ds)).is_zero():
+            if add_terms(dict(D(ns).terms), N(ds).terms):
                 report.add_witness("split-join anticommutator " + label(), "nonzero")
             if len(t) == 2:
-                # co-derivation rule of the split
-                c1, c2 = alg.single(t[0]), alg.single(t[1])
-                d1 = monomial_degree(next(iter(c1.terms)))
-                lhs = D(mul(c1, c2, ctx))
-                rhs = mul(D(c1), c2, ctx) + mul(c1, D(c2), ctx).scale(_pow_sign(d1))
-                if not (lhs - rhs).is_zero():
+                # co-derivation rule of the split:
+                # D(s) - D(c1) c2 - (-1)^|c1| c1 D(c2) = 0
+                (c1, dc1, _), (c2, dc2, _) = single(t[0]), single(t[1])
+                diff = dict(ds.terms)
+                add_terms(diff, m(dc1, c2).terms, -1)
+                add_terms(diff, m(c1, dc2).terms, -_pow_sign(d1))
+                if diff:
                     report.add_witness("co-derivation rule " + label(), "nonzero")
             if len(t) == 3:
-                c1, c2, c3 = (alg.single(w) for w in t)
-                d1 = monomial_degree(next(iter(c1.terms)))
-                d2 = monomial_degree(next(iter(c2.terms)))
-                d3 = monomial_degree(next(iter(c3.terms)))
-                m = lambda *xs: reduce(lambda x, y: mul(x, y, ctx), xs)
-                lhs = N(m(c1, c2, c3))
-                rhs = (m(N(m(c1, c2)), c3)
-                       + m(c1, N(m(c2, c3))).scale(_pow_sign(d1))
-                       + m(N(m(c1, c3)), c2).scale(_pow_sign(d2 * d3))
-                       - m(N(c1), c2, c3)
-                       - m(c1, N(c2), c3).scale(_pow_sign(d1))
-                       - m(c1, c2, N(c3)).scale(_pow_sign(d1 + d2)))
-                if not (lhs - rhs).is_zero():
+                # seven-term relation of the join: N(s) less six terms
+                (c1, _, n1), (c2, _, n2), (c3, _, n3) = (single(w) for w in t)
+                w1, w2, w3 = t
+                diff = dict(ns.terms)
+                for term, sign in (
+                        (m(join(w1, w2), c3), 1),
+                        (m(c1, join(w2, w3)), _pow_sign(d1)),
+                        (m(join(w1, w3), c2), _pow_sign(d2 * d3)),
+                        (m(n1, c2, c3), -1),
+                        (m(c1, n2, c3), -_pow_sign(d1)),
+                        (m(c1, c2, n3), -_pow_sign(d1 + d2))):
+                    add_terms(diff, term.terms, -sign)
+                if diff:
                     report.add_witness("seven-term " + label(), "nonzero")
     return report
 

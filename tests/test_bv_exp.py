@@ -12,8 +12,9 @@ monomial.
 """
 
 import itertools
+import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -341,3 +342,48 @@ def test_exp_of_an_augmentation_truncates_at_hbar_cap():
     assert beta.exp(spec.mul(spec.hpow(1), spec.generator("y"))).is_zero()
     assert exp_morphism_reference(beta, y2, _scalar_mul) == spec.hpow(2)
     assert exp_morphism_reference(beta, y2, spec.mul).is_zero()
+
+
+def test_exp_of_a_long_word_from_a_fresh_map():
+    # e^iota(y^1500) needs the 1,500 words y^k below it, each from the
+    # next shorter one; they are evaluated without recursion, past the
+    # interpreter's recursion limit
+    spec = FreeAlgebraSpec([("y", 0)], word_cap=4999, hbar_cap=1, n=2)
+    sy = spec.symbol("y")
+    iota = LinearMap(spec, {((sy, 1),): spec.generator("y")}, 0)
+    word = GradedSeries({((sy, 1500),): Fraction(1)})
+    assert exp_morphism(iota, word) == word
+
+
+def test_exp_readers_in_any_order_agree_with_basis_order():
+    # Phi and Phi^-1 of a mixed-parity augmentation, read word by word in
+    # seeded orders from fresh maps, against fresh maps read whole in
+    # basis order; the memo one reader fills serves the next
+    spec = _mixed_spec()
+    h = spec.hpow(1)
+    beta = Augmentation(spec, {
+        _mono(spec, "w"): GradedSeries.unit(2),
+        _mono(spec, "uv"): h.scale(3),
+        _mono(spec, "ux"): h.scale(-1),
+        _mono(spec, "wwuv"): spec.hpow(3),
+    })
+    want = [m.table for m in bv._phi_maps(spec, beta)]
+    for seed in range(4):
+        order = spec.basis_monomials()
+        random.Random(seed).shuffle(order)
+        maps = bv._phi_maps(spec, beta)
+        for m in order:
+            for exp_map, table in zip(maps, want):
+                assert exp_map.value(m) == table[m], m
+    # phi(y) = y + 1 gives the substitution y -> y + 1, so e^phi(y^k) is
+    # sum_j C(k, j) y^j, whatever word was read first
+    spec = FreeAlgebraSpec([("y", 0)], word_cap=40, hbar_cap=1, n=2)
+    sy = spec.symbol("y")
+    power = lambda k: ((sy, k),) if k else ()
+    phi = LinearMap(spec, {power(1): spec.generator("y") + GradedSeries.unit()}, 0)
+    order = list(range(41))
+    random.Random(7).shuffle(order)
+    exp_phi = bv.exp_map(phi)
+    for k in order:
+        assert exp_phi.value(power(k)) == GradedSeries(
+            {power(j): comb(k, j) for j in range(k + 1)}), k

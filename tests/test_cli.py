@@ -467,6 +467,36 @@ def test_bracket_and_cobracket_commands(capsys):
     assert json.loads(out)["bracket"] == {"a1 b1": "1"}
 
 
+def _strip_rich(letters, seed=1):
+    """A genus-2 word of blocks a1 b1 A1 B1, each followed by a1 or b2:
+    geodesic, and the slowest kind to canonicalize at its length."""
+    rng = random.Random(seed)
+    word = []
+    while len(word) < letters:
+        word += ["a1", "b1", "A1", "B1", rng.choice(["a1", "b2"])]
+    return " ".join(word[:letters])
+
+
+@pytest.mark.parametrize("words", [[40], [41], [20, 20], [20, 21], [1, 40]],
+                         ids=["cobracket-40", "cobracket-41", "bracket-20-20",
+                              "bracket-20-21", "bracket-1-40"])
+def test_bracket_and_cobracket_letter_limit(words):
+    """Up to MAX_STRING_LETTERS letters in all a command answers in a few
+    seconds; one more exits 2 with one line before any class is built."""
+    from sftstring import cli
+    assert cli.MAX_STRING_LETTERS == 40
+    command = "cobracket" if len(words) == 1 else "bracket"
+    proc = _run_module([command, "--genus", "2"]
+                       + [_strip_rich(n) for n in words], timeout=30)
+    if sum(words) <= cli.MAX_STRING_LETTERS:
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout and not proc.stderr
+    else:
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert "%d letters" % sum(words) in proc.stderr
+
+
 def test_torus_oracle_command(capsys):
     code, out, _ = run_cli(["torus-oracle", "1", "0", "0", "1"], capsys)
     assert code == 0 and "(a1 b1)" in out

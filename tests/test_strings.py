@@ -1,11 +1,18 @@
+import gc
 import itertools
+import json
 import random
+import types
+import weakref
 from fractions import Fraction
+from functools import reduce
+from pathlib import Path
 
 import pytest
 
+from sftstring import strings
 from sftstring.algebra import (KIND_S, GradedSeries, TruncationContext,
-                               add_terms, collect, mul)
+                               add_terms, collect, mul, word_length)
 from sftstring.strings import (
     ClassAlgebra,
     _pool_tuples,
@@ -417,3 +424,90 @@ def test_pool_tuples_stop_at_first_long_class(genus, boundary):
 
     rec(0, [], 4)
     assert _pool_tuples(classes, 3, 4) == out
+
+
+# ---------------------------------------------------------------------
+# the identity suite: witnesses pinned, per-call tables freed
+# ---------------------------------------------------------------------
+
+WITNESSES = Path(__file__).parent / "data" / "identities" / "witnesses.json"
+
+
+@pytest.mark.parametrize("op", ["split", "join"])
+def test_identity_witnesses_under_a_broken_operator(monkeypatch, genus2, op):
+    """tests/data/identities/witnesses.json holds the witness list, in
+    order, of check_string_identities on genus 2 with max_len=3 when the
+    split (80 witnesses) or the join (72) image is negated on two-slot
+    monomials.  A memo that skips, repeats or reorders an identity on
+    some tuple changes the list."""
+    name = "_%s_image" % op
+    image = getattr(strings, name)
+
+    def broken(m, alg):
+        img = image(m, alg)
+        return {k: -c for k, c in img.items()} if word_length(m) == 2 else img
+    monkeypatch.setattr(strings, name, broken)
+    got = check_string_identities(genus2, max_len=3).witnesses
+    want = json.loads(WITNESSES.read_text(encoding="utf-8"))[op]
+    assert len(want) == {"split": 80, "join": 72}[op]
+    assert [list(w) for w in got] == want
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_tuple_monomial_is_the_product_of_its_classes(genus2, n):
+    """The identity suite takes D(s) and N(s) of the tuple's monomial s
+    as D(c1 c2) and N(c1 c2 c3): multi must give the product of the
+    single strings, in the window, for pool tuples and for sampled
+    tuples in any order, repeats included (at n = 3 a repeat survives)."""
+    alg = ClassAlgebra(genus2, n)
+    ctx = _pool_ctx(4)
+    classes = genus2.classes_up_to(4)
+    rng = random.Random(17)
+    sampled = [[rng.choice(classes[:40]) for _ in range(rng.randrange(2, 4))]
+               for _ in range(300)]
+    nonzero = 0
+    for t in _pool_tuples(classes, 3, 4) + sampled:
+        if len(t) > 1:
+            s = alg.multi(t)
+            assert reduce(lambda x, y: mul(x, y, ctx),
+                          [alg.single(w) for w in t]) == s, t
+            nonzero += not s.is_zero()
+    assert nonzero >= 2000
+
+
+def test_identity_suite_leaves_only_the_image_memos(monkeypatch, genus2):
+    """The call's tables die with it: its ClassAlgebra, which every
+    closure of the call reaches, is freed by reference counting alone
+    once dropped, the cycle collector finds no function of the module,
+    and the algebra keeps its class registry and image memos only."""
+    made = []
+
+    class Recorded(ClassAlgebra):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+    monkeypatch.setattr(strings, "ClassAlgebra", Recorded)
+    gc.collect()
+    gc.disable()
+    try:
+        assert check_string_identities(genus2, max_len=3, samples=20,
+                                       seed=3).passed
+        (alg,) = made
+        made.clear()
+        assert set(vars(alg)) == {
+            "surface", "n", "degree", "_symbols", "_classes",
+            "_splits", "_split_images", "_join_images"}
+        assert alg._splits and alg._split_images and alg._join_images
+        ref = weakref.ref(alg)
+        del alg
+        assert ref() is None
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        left = [o.__qualname__ for o in gc.garbage
+                if isinstance(o, types.FunctionType)
+                and o.__module__ == strings.__name__]
+        assert left == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
