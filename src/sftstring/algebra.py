@@ -379,9 +379,6 @@ class GradedSeries:
     def __sub__(self, other: "GradedSeries") -> "GradedSeries":
         return self + other.scale(-1)
 
-    def __neg__(self) -> "GradedSeries":
-        return self.scale(-1)
-
     def scale(self, c) -> "GradedSeries":
         c = exact(c)
         return GradedSeries.from_terms(
@@ -389,9 +386,6 @@ class GradedSeries:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GradedSeries) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import lru_cache
 from math import comb
 from typing import List, Optional
 
@@ -377,9 +378,9 @@ def cmd_torus_oracle(args) -> Output:
                     torus_bracket_oracle(args.m, args.n, args.p, args.q))
 
 
-def _add_caps(sp):
-    for flag in ("--max-p-degree", "--max-hbar", "--min-hbar",
-                 "--max-word-len"):
+def _add_caps(sp, flags=("--max-p-degree", "--max-hbar", "--min-hbar",
+                         "--max-word-len")):
+    for flag in flags:
         sp.add_argument(flag, type=int)
 
 
@@ -388,7 +389,11 @@ def _add_surface(sp):
     sp.add_argument("--boundary", type=int, default=0)
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: its actions and help formatters
+    hold reference cycles, which a parser per call would leave to the
+    cyclic collector."""
     ap = argparse.ArgumentParser(
         prog="sft",
         description="master-equation and string-topology checkers")
@@ -425,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = command(name, fn, help)
         sp.add_argument("--series", default="H")
         sp.add_argument("--aug")
-        _add_caps(sp)
+        _add_caps(sp, ("--max-hbar", "--max-word-len"))  # what _bv_spec reads
 
     sp = command("bracket", cmd_bracket, "Goldman bracket of two classes",
                  input_file=False)
@@ -443,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_surface(sp)
     sp.add_argument("--samples", type=int)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--max-word-len", type=int)
+    _add_caps(sp, ("--max-word-len",))
 
     sp = command("build-h", cmd_build_h,
                  "assemble H and F from surface structure constants")

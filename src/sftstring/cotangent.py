@@ -47,6 +47,7 @@ from .algebra import (
 from .bv import (
     Augmentation,
     FreeAlgebraSpec,
+    LieBialgebraData,
     bv_from_hamiltonian,
     check_lie_bialgebra,
     cobracket_pairs,
@@ -67,6 +68,18 @@ from .weyl import (
 
 _WIDE = TruncationContext(max_p_degree=32, max_hbar=16, min_hbar=-4,
                           max_word_length=32)
+# the window of check_surface_master's H * H = 0, and the wider one of
+# its filling equation, in which e^F is built
+_MASTER = TruncationContext(max_p_degree=4, max_hbar=3, min_hbar=-1,
+                            max_word_length=0)
+_FILLING = _MASTER.widen(extra_low=_MASTER.max_p_degree // 2 + 2)
+
+# the four monomial shapes of H: by family, the key slots that name
+# q-variables, those that name p-variables, and the power of h
+_SHAPES = {"a": ((1, 2), (0,), -1),   # (1/h) q_i q_j p_k at (k, i, j)
+           "b": ((0,), (1, 2), -1),   # (1/h) q_i p_j p_k at (i, j, k)
+           "c": ((), (0, 1, 2), -1),  # (1/h) p_i p_j p_k at (i, j, k)
+           "d": ((), (0,), 0)}        # p_i at (i,)
 
 # the most classes close_alphabet admits
 MAX_CLOSURE = 64
@@ -86,8 +99,6 @@ class GeodesicAlphabet:
     names: Dict[Word, str]
     sys: OrbitSystem = field(init=False)
     partner: Dict[Word, Word] = field(init=False)
-    _exp_F: Dict[TruncationContext, GradedSeries] = field(
-        init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set(self.classes)
@@ -108,8 +119,8 @@ class GeodesicAlphabet:
         self.sys = OrbitSystem(2, orbits)
 
     @classmethod
-    def from_words(cls, surface: Surface, words: Sequence[Word],
-                   names: Optional[Dict[Word, str]] = None) -> "GeodesicAlphabet":
+    def from_words(cls, surface: Surface, words: Sequence[Word]
+                   ) -> "GeodesicAlphabet":
         classes = []
         for w in words:
             c = surface.canonical_class(w)
@@ -117,25 +128,18 @@ class GeodesicAlphabet:
                 raise AlphabetError("trivial class in the alphabet")
             if c not in classes:
                 classes.append(c)
-        if names is None:
-            names = {w: format_word(w, surface).replace(" ", ".")
-                     for w in classes}
+        names = {w: format_word(w, surface).replace(" ", ".")
+                 for w in classes}
         return cls(surface, classes, names)
 
     def name(self, w: Word) -> str:
         return self.names[w]
 
-    def q(self, w: Word, coeff=1) -> GradedSeries:
-        return self.sys.series_q(self.names[w], coeff)
+    def q(self, w: Word) -> GradedSeries:
+        return self.sys.series_q(self.names[w])
 
     def qsym(self, w: Word) -> GradedSymbol:
         return self.sys.q[self.names[w]]
-
-    def class_of_qsym(self, sym: GradedSymbol) -> Word:
-        for w, nm in self.names.items():
-            if self.sys.q[nm] == sym:
-                return w
-        raise KeyError(sym.name)
 
     def iterated(self) -> List[Word]:
         return [w for w in self.classes if self.surface.multiplicity(w) > 1]
@@ -145,12 +149,25 @@ class GeodesicAlphabet:
         """The cobordism potential `build_F`, built on first use."""
         return build_F(self)
 
-    def exp_F(self, ctx: TruncationContext) -> GradedSeries:
-        """e^F in the window ctx, built once per window: the sign flips
-        of one Hamiltonian share their alphabet, and so this series."""
-        if ctx not in self._exp_F:
-            self._exp_F[ctx] = exp_series(self.F, self.sys, ctx)
-        return self._exp_F[ctx]
+    @cached_property
+    def class_of_qsym(self) -> Dict[GradedSymbol, Word]:
+        """The class of each q-variable."""
+        return {self.qsym(w): w for w in self.classes}
+
+    @cached_property
+    def exp_F(self) -> GradedSeries:
+        """e^F in the filling window of check_surface_master, built on
+        first use: the sign flips of one Hamiltonian share their
+        alphabet, and so this series."""
+        return exp_series(self.F, self.sys, _FILLING)
+
+    @cached_property
+    def constants(self):
+        """The structure constants (cobracket, bracket) up to the length
+        of the longest class, built on first use for the fit and the
+        intertwining check; neither changes them."""
+        return surface_structure_constants(
+            self, max(len(w) for w in self.classes))
 
     @cached_property
     def filling(self) -> Tuple[FreeAlgebraSpec, Augmentation]:
@@ -244,27 +261,26 @@ class SurfaceHamiltonian:
         """Copy with one structure constant's sign flipped."""
         fams = {k: dict(v) for k, v in self.coefficients().items()}
         fams[family][key] = -fams[family][key]
-        series = _assemble(self.alphabet, fams["a"], fams["b"], fams["c"],
-                           fams["d"])
-        return SurfaceHamiltonian(self.alphabet, series, fams["a"], fams["b"],
-                                  fams["c"], fams["d"], list(self.notes))
+        return SurfaceHamiltonian(self.alphabet, _assemble(self.alphabet, fams),
+                                  notes=list(self.notes), **fams)
 
 
-def _assemble(alphabet: GeodesicAlphabet, a, b, c, d) -> GradedSeries:
-    sys = alphabet.sys
-    nm = alphabet.name
+def _term(alphabet: GeodesicAlphabet, family: str, key: tuple,
+          coeff: Coeff = 1) -> GradedSeries:
+    """The term of `family` at `key`, in the family's shape."""
+    qs, ps, hpow = _SHAPES[family]
+    names = [alphabet.names[w] for w in key]
+    return alphabet.sys.monomial(coeff, qs=[names[i] for i in qs],
+                                 ps=[names[i] for i in ps], hpow=hpow)
+
+
+def _assemble(alphabet: GeodesicAlphabet,
+              families: Dict[str, Dict[tuple, Coeff]]) -> GradedSeries:
+    """The sum of the terms of {family: {key: coefficient}}."""
     out: Dict[Monomial, Coeff] = {}
-    for (k, i, j), coeff in a.items():
-        add_terms(out, sys.monomial(coeff, qs=[nm(i), nm(j)], ps=[nm(k)],
-                                    hpow=-1).terms)
-    for (i, j, k), coeff in b.items():
-        add_terms(out, sys.monomial(coeff, qs=[nm(i)], ps=[nm(j), nm(k)],
-                                    hpow=-1).terms)
-    for (i, j, k), coeff in c.items():
-        add_terms(out, sys.monomial(coeff, ps=[nm(i), nm(j), nm(k)],
-                                    hpow=-1).terms)
-    for (i,), coeff in d.items():
-        add_terms(out, sys.monomial(coeff, ps=[nm(i)], hpow=0).terms)
+    for family, coeffs in families.items():
+        for key, coeff in coeffs.items():
+            add_terms(out, _term(alphabet, family, key, coeff).terms)
     return GradedSeries.from_terms(out)
 
 
@@ -308,15 +324,12 @@ def _fit_spec(alphabet: GeodesicAlphabet) -> FreeAlgebraSpec:
     return FreeAlgebraSpec.of_q(alphabet.sys, word_cap=4, hbar_cap=3)
 
 
-def build_H_surface(alphabet: GeodesicAlphabet,
-                    cap: Optional[int] = None) -> SurfaceHamiltonian:
+def build_H_surface(alphabet: GeodesicAlphabet) -> SurfaceHamiltonian:
     """Assemble the candidate Hamiltonian from the Goldman-Turaev
     structure constants of the alphabet."""
     S = alphabet.surface
     sys = alphabet.sys
-    if cap is None:
-        cap = max(len(w) for w in alphabet.classes)
-    cob, br = surface_structure_constants(alphabet, cap)
+    cob, br = alphabet.constants
     notes = []
     iterated = alphabet.iterated()
     if iterated:
@@ -332,31 +345,33 @@ def build_H_surface(alphabet: GeodesicAlphabet,
         for (u, v), coeff in cob[k].items():
             if order[u] < order[v]:
                 probe = _delta_probe(alphabet, k, u, v)
-                a[(k, u, v)] = exact(a.get((k, u, v), 0)
-                                     + Fraction(coeff, probe))
+                a[(k, u, v)] = exact(Fraction(coeff, probe))
     # -- d-family: kill the constant terms of the twisted operator ------
     # D(q_k) of the a-family is its quadratic part: under full contraction
     # only the a-terms holding p_k act on q_k
     d: Dict[tuple, Coeff] = {}
-    H_a = _assemble(alphabet, a, {}, {}, {})
+    H_a = _assemble(alphabet, {"a": a})
+    h = ((sys.hbar, 1),)
     for k in alphabet.classes:
         resid = beta.exp(act_right(H_a, alphabet.q(k), sys, _WIDE))
         if resid:
-            # the h p probe contributes kappa * h to D(q_k)
-            kap = sys.kappa[alphabet.name(k)]
-            coeff = exact(Fraction(-resid.coefficient(((sys.hbar, 1),)), kap))
+            # the unit d-term p_k contributes kappa * h to D(q_k)
+            kap = _probe(alphabet, "d", (k,), (k,)).coefficient(h)
+            coeff = exact(Fraction(-resid.coefficient(h), kap))
             if coeff:
                 d[(k,)] = coeff
     # -- b-family: match the bracket through the h-linear part ----------
     b: Dict[tuple, Coeff] = {}
-    partial = _assemble(alphabet, a, {}, {}, d)
-    mu_now = _linearized_mu(alphabet, partial, beta, spec)
+    mu = _linearized(alphabet, _assemble(alphabet, {"a": a, "d": d}),
+                     validate=False).mu
+    cls = alphabet.class_of_qsym
     for x in alphabet.classes:
         for y in alphabet.classes:
             if order[x] >= order[y]:
                 continue
-            target: Dict[Word, Coeff] = dict(br[(x, y)])
-            have = mu_now.get((x, y), {})
+            target = br[(x, y)]
+            have = {cls[s]: coeff for s, coeff in
+                    mu.get((alphabet.qsym(x), alphabet.qsym(y)), {}).items()}
             gap = {z: target.get(z, 0) - have.get(z, 0)
                    for z in set(target) | set(have)}
             for z, g in gap.items():
@@ -366,8 +381,8 @@ def build_H_surface(alphabet: GeodesicAlphabet,
                 b[(z, x, y)] = exact(Fraction(g, t))
     # -- c-family: augmentation law on cubic words ----------------------
     c: Dict[tuple, Coeff] = {}
-    partial = _assemble(alphabet, a, b, {}, d)
-    D = bv_from_hamiltonian(sys, partial, spec)
+    D = bv_from_hamiltonian(sys, _assemble(alphabet, {"a": a, "b": b, "d": d}),
+                            spec)
     for trip in itertools.combinations(alphabet.classes, 3):
         mono = _word_monomial(alphabet, trip)
         if mono is None:
@@ -375,7 +390,7 @@ def build_H_surface(alphabet: GeodesicAlphabet,
         resid = beta.exp(D.value(mono))
         if resid.is_zero():
             continue
-        t_probe = _c_probe(alphabet, beta, trip)
+        t_probe = beta.exp(_probe(alphabet, "c", trip, trip))
         # solve resid + coeff_c * probe = 0 termwise; probe and resid are
         # proportional scalar h^2 series
         mono2, cc2 = next(iter(resid.terms.items()))
@@ -386,8 +401,9 @@ def build_H_surface(alphabet: GeodesicAlphabet,
         check = resid + t_probe.scale(c[trip])
         if not check.is_zero():
             raise AlphabetError("cubic residual is not proportional to the probe")
-    series = _assemble(alphabet, a, b, c, d)
-    H = SurfaceHamiltonian(alphabet, series, a, b, c, d, notes)
+    fams = {"a": a, "b": b, "c": c, "d": d}
+    H = SurfaceHamiltonian(alphabet, _assemble(alphabet, fams), notes=notes,
+                           **fams)
     _validate_shapes(H)
     return H
 
@@ -403,14 +419,20 @@ def _word_monomial(alphabet: GeodesicAlphabet, words) -> Optional[Monomial]:
     return mono
 
 
+def _probe(alphabet: GeodesicAlphabet, family: str, key: tuple, words
+           ) -> GradedSeries:
+    """The action of the unit term of `family` at `key` on the product
+    of the q-variables of `words`."""
+    return act_right(_term(alphabet, family, key),
+                     GradedSeries({_word_monomial(alphabet, words): 1}),
+                     alphabet.sys, _WIDE)
+
+
 def _delta_probe(alphabet: GeodesicAlphabet, k: Word, u: Word, v: Word
                  ) -> Coeff:
     """Coefficient of u (x) v in the extracted cobracket when the unit
     a-term q_u q_v p_k is the whole Hamiltonian."""
-    sys = alphabet.sys
-    term = sys.monomial(1, qs=[alphabet.name(u), alphabet.name(v)],
-                        ps=[alphabet.name(k)], hpow=-1)
-    img = act_right(term, alphabet.q(k), sys, _WIDE)
+    img = _probe(alphabet, "a", (k, u, v), (k,))
     total = 0
     pair = (alphabet.qsym(u), alphabet.qsym(v))
     for mono, cc in img.terms.items():
@@ -425,13 +447,8 @@ def _delta_probe(alphabet: GeodesicAlphabet, k: Word, u: Word, v: Word
 def _b_probe(alphabet: GeodesicAlphabet, z: Word, x: Word, y: Word) -> Coeff:
     """Coefficient of q_z h in the action of the unit b-term
     (1/h) q_z p_x p_y on q_x q_y, with the bracket's front sign."""
-    sys = alphabet.sys
-    term = sys.monomial(1, qs=[alphabet.name(z)],
-                        ps=[alphabet.name(x), alphabet.name(y)], hpow=-1)
-    mono = _word_monomial(alphabet, (x, y))
-    img = act_right(term, GradedSeries({mono: 1}), sys, _WIDE)
-    want = ((alphabet.qsym(z), 1), (sys.hbar, 1))
-    val = img.coefficient(want)
+    img = _probe(alphabet, "b", (z, x, y), (x, y))
+    val = img.coefficient(((alphabet.qsym(z), 1), (alphabet.sys.hbar, 1)))
     # mu(v1, v2) carries the extra (-1)^{|v1|}
     sign = -1 if alphabet.qsym(x).parity else 1
     if not val:
@@ -439,33 +456,22 @@ def _b_probe(alphabet: GeodesicAlphabet, z: Word, x: Word, y: Word) -> Coeff:
     return val * sign
 
 
-def _c_probe(alphabet: GeodesicAlphabet, beta: Augmentation, trip) -> GradedSeries:
-    sys = alphabet.sys
-    term = sys.monomial(1, ps=[alphabet.name(w) for w in trip], hpow=-1)
-    mono = _word_monomial(alphabet, trip)
-    img = act_right(term, GradedSeries({mono: 1}), sys, _WIDE)
-    return beta.exp(img)
-
-
-def _linearized_mu(alphabet: GeodesicAlphabet, H: GradedSeries,
-                   beta: Augmentation, spec: FreeAlgebraSpec):
-    """Bracket of the linearization of the twisted operator, indexed by
-    alphabet classes."""
+def _linearized(alphabet: GeodesicAlphabet, H: GradedSeries,
+                validate: bool = True) -> LieBialgebraData:
+    """The linearization of the operator of H twisted by the filling
+    augmentation; `validate` as in twist_by_augmentation."""
+    spec, beta = alphabet.filling
     D = bv_from_hamiltonian(alphabet.sys, H, spec)
-    _Phi, _PhiInv, Dbeta = twist_by_augmentation(D, beta, validate=False)
-    data = linearize(Dbeta)
-    out = {}
-    for (s1, s2), vec in data.mu.items():
-        w1, w2 = alphabet.class_of_qsym(s1), alphabet.class_of_qsym(s2)
-        out[(w1, w2)] = {alphabet.class_of_qsym(s): c for s, c in vec.items()}
-    return out
+    _Phi, _PhiInv, Dbeta = twist_by_augmentation(D, beta, validate=validate)
+    return linearize(Dbeta)
 
 
 def _validate_shapes(H: SurfaceHamiltonian) -> None:
     """Only the four monomial shapes may occur, all of degree -1."""
+    shapes = {(len(qs), len(ps), h) for qs, ps, h in _SHAPES.values()}
     for mono in H.series.terms:
         qd, pd, h = q_degree(mono), p_degree(mono), hbar_exponent(mono)
-        if (qd, pd, h) not in ((2, 1, -1), (1, 2, -1), (0, 3, -1), (0, 1, 0)):
+        if (qd, pd, h) not in shapes:
             raise AlphabetError("forbidden monomial shape %s"
                                 % format_monomial(mono))
         if monomial_degree(mono) != -1:
@@ -473,8 +479,7 @@ def _validate_shapes(H: SurfaceHamiltonian) -> None:
                                 % (format_monomial(mono), monomial_degree(mono)))
 
 
-def check_surface_master(H: SurfaceHamiltonian,
-                         ctx: Optional[TruncationContext] = None) -> CheckReport:
+def check_surface_master(H: SurfaceHamiltonian) -> CheckReport:
     """H * H = 0 together with the filling equation e^F <-H = 0.
 
     The d-family never multiplies a q-variable of the alphabet (its
@@ -487,34 +492,24 @@ def check_surface_master(H: SurfaceHamiltonian,
     with the same coefficients, without building the q-carrying terms
     the projection would drop.
     """
-    if ctx is None:
-        ctx = TruncationContext(max_p_degree=4, max_hbar=3, min_hbar=-1,
-                                max_word_length=0)
-    report = check_master_h(H.series, H.sys, ctx)
+    report = check_master_h(H.series, H.sys, _MASTER)
     report.name = "surface Hamiltonian master equation"
     report.notes.extend(H.notes)
     with timed(report):
-        wide = ctx.widen(extra_low=ctx.max_p_degree // 2 + 2)
-        filling = act_left(H.alphabet.exp_F(wide), H.series, H.sys, wide)
+        filling = act_left(H.alphabet.exp_F, H.series, H.sys, _FILLING)
         for mono, cc in filling.iter_terms():
             report.add_witness("filling: " + format_monomial(mono), cc)
     return report
 
 
-def check_psi_intertwining(H: SurfaceHamiltonian,
-                           cap: Optional[int] = None) -> CheckReport:
+def check_psi_intertwining(H: SurfaceHamiltonian) -> CheckReport:
     """The linearized bracket and cobracket of (H, ->F) must equal the
     Goldman-Turaev structure constants under the orbit-to-class map."""
     alphabet = H.alphabet
     report = CheckReport("linearized structure matches the surface operations")
     with timed(report):
-        if cap is None:
-            cap = max(len(w) for w in alphabet.classes)
-        cob, br = surface_structure_constants(alphabet, cap)
-        spec, beta = alphabet.filling
-        D = bv_from_hamiltonian(alphabet.sys, H.series, spec)
-        _Phi, _PhiInv, Dbeta = twist_by_augmentation(D, beta)
-        data = linearize(Dbeta)
+        cob, br = alphabet.constants
+        data = _linearized(alphabet, H.series)
         # dlin vanishes: the surface differential is zero
         for s, vec in data.dlin.items():
             if vec:

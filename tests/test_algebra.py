@@ -346,3 +346,9 @@ def test_bad_kind_raises_and_leaves_no_table_entry():
         GradedSymbol("x", 0, "z")
     assert ("x", 0, "z", None, 0) not in algebra._INTERNED
     assert info.traceback
+
+
+def test_series_is_unhashable():
+    # a series is a mutable holder of terms compared by value
+    with pytest.raises(TypeError):
+        hash(GradedSeries.unit())

@@ -441,3 +441,74 @@ def test_linearize_morphism_nontrivial_second_component():
     alpha_bad = Augmentation(spec, {((s1, 1), (s2, 1)): spec.hpow(1, 5)})
     _lin, rep_bad = linearize_morphism(phi, D0, alpha_bad, D0, beta)
     assert not rep_bad.passed
+
+
+# -- failure witnesses: each input fails at exactly the named check ---------
+
+def _labels(report):
+    return [label for label, _value in report.witnesses]
+
+
+def test_validate_bv_witnesses_a_nonzero_unit_value():
+    # multiplication by the odd x squares to zero and has order 0, but
+    # takes 1 to x
+    spec = xy_spec()
+    x = spec.generator("x")
+    D = BvOperator(spec, {m: spec.mul(x, GradedSeries({m: 1}))
+                          for m in spec.basis_monomials()})
+    assert _labels(validate_bv(D)) == ["D(1)"]
+
+
+def test_validate_bv_witnesses_a_component_of_too_high_order():
+    # d^2/dq1 dq2 at h^0 is the component D^1, of order two; on even
+    # generators of degree 0 its square is d^4/dq1^2 dq2^2
+    spec = FreeAlgebraSpec([("q1", 0), ("q2", 0)], word_cap=4, hbar_cap=2, n=3)
+    s1, s2 = spec.symbol("q1"), spec.symbol("q2")
+
+    def second(m):
+        d = dict(m)
+        if not (d.get(s1) and d.get(s2)):
+            return GradedSeries.zero()
+        return GradedSeries.from_word(
+            [(s, e - 1) for s, e in m], d[s1] * d[s2])
+
+    rep = validate_bv(BvOperator(spec, {m: second(m)
+                                        for m in spec.basis_monomials()}))
+    assert _labels(rep) == ["DD(q1^2*q2^2)", "component 1 has order > 1"]
+
+
+def test_check_bv_morphism_witnesses_a_nonzero_unit_value():
+    spec, D, _beta = worked_example()
+    sx, sy = spec.symbol("x"), spec.symbol("y")
+    phi = LinearMap(spec, {ONE: spec.hpow(1),
+                           ((sx, 1),): spec.generator("x"),
+                           ((sy, 1),): spec.generator("y")}, 0)
+    assert "phi(1)" in _labels(check_bv_morphism(phi, D, D))
+
+
+def test_check_bv_morphism_witnesses_a_word_below_its_h_order():
+    # phi^k may take a word of length n only at h^(k-1) with k >= n: a
+    # scalar on y^2 is phi^1 on a length-2 word
+    spec, D, _beta = worked_example()
+    sx, sy = spec.symbol("x"), spec.symbol("y")
+    phi = LinearMap(spec, {((sx, 1),): spec.generator("x"),
+                           ((sy, 1),): spec.generator("y"),
+                           ((sy, 2),): GradedSeries.unit(3)}, 0)
+    rep = check_bv_morphism(phi, D, D)
+    assert "phi^1 on length-2 word y^2" in _labels(rep)
+
+
+def test_linearize_morphism_witnesses_a_map_that_is_no_chain_map():
+    # d x = y on both sides, and lin x = 2x, lin y = y: lin d x = y but
+    # d lin x = 2y; with zero augmentations compatibility holds for
+    # every phi
+    spec = xy_spec()
+    sx, sy = spec.symbol("x"), spec.symbol("y")
+    D = derivation_operator(spec, {"x": spec.generator("y"),
+                                   "y": GradedSeries.zero()})
+    phi = LinearMap(spec, {((sx, 1),): spec.generator("x").scale(2),
+                           ((sy, 1),): spec.generator("y")}, 0)
+    zero = Augmentation(spec, {})
+    lin, rep = linearize_morphism(phi, D, zero, D, zero)
+    assert lin[sx] == {sx: 2} and lin[sy] == {sy: 1}
+    assert _labels(rep) == ["chain map fails on x"]

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -415,11 +416,34 @@ def test_linearize_of_a_zero_augmentation_on_long_words(tmp_path, capsys):
 
 
 def test_check_axioms_rejects_caps_it_does_not_use(capsys):
-    for flag in ("--max-p-degree", "--max-hbar", "--min-hbar"):
-        code, out, err = run_cli(["check-axioms", "--genus", "2",
-                                  flag, "3"], capsys)
-        assert code == 2 and out == ""
-        assert "unrecognized arguments: %s 3" % flag in err
+    # check-axioms reads only --max-word-len, linearize and
+    # check-bialgebra only --max-word-len and --max-hbar
+    three_orbit = ["--input", str(DATA / "three_orbit_pass.sft")]
+    for argv, unused in (
+            (["check-axioms", "--genus", "2"],
+             ("--max-p-degree", "--max-hbar", "--min-hbar")),
+            (["linearize"] + three_orbit, ("--max-p-degree", "--min-hbar")),
+            (["check-bialgebra"] + three_orbit,
+             ("--max-p-degree", "--min-hbar"))):
+        for flag in unused:
+            code, out, err = run_cli(argv + [flag, "3"], capsys)
+            assert code == 2 and out == ""
+            assert "unrecognized arguments: %s 3" % flag in err
+
+
+def test_repeated_call_leaves_no_cyclic_garbage(capsys):
+    # main reuses one parser, so a call after the first leaves nothing
+    # for the cyclic collector
+    argv = ["parse", "--input", str(DATA / "three_orbit_pass.sft")]
+    assert run_cli(argv, capsys)[0] == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()
 
 
 def test_explicit_zero_options_are_honoured(capsys):

@@ -1,8 +1,10 @@
+import copy
 import random
+from pathlib import Path
 
 import pytest
 
-from sftstring import cotangent
+from sftstring import cli, cotangent
 from sftstring.algebra import KIND_Q, TruncationContext
 from sftstring.bv import (BvError, FreeAlgebraSpec, bv_from_hamiltonian,
                           twist_by_augmentation)
@@ -22,6 +24,7 @@ from sftstring.cotangent import (
 from sftstring.surfaces import Surface, parse_word
 from sftstring.weyl import act_left, exp_series, project_out, star
 
+DATA = Path(__file__).parent / "data"
 ALPHABET_WORDS = ["a1 a2 A1 A2", "a1 A2 A1 a2", "a1", "A1", "a2", "A2",
                   "a1 a2", "A1 A2"]
 
@@ -165,9 +168,9 @@ def test_filling_action_equals_projected_star(alphabet, hamiltonian):
 
 
 def test_flips_share_one_exponential(alphabet, hamiltonian, monkeypatch):
-    # the sign flips of one H share its alphabet, which builds e^F once
-    # per window; the reports are those of a fresh e^F per check
-    flips = _single_flips(hamiltonian)[:2]
+    # the sign flips of one H share its alphabet, which builds e^F once;
+    # the reports are those of a fresh e^F per check
+    flips = _single_flips(hamiltonian)
 
     def report(H):
         rep = check_surface_master(H)
@@ -175,7 +178,7 @@ def test_flips_share_one_exponential(alphabet, hamiltonian, monkeypatch):
 
     fresh = []
     for H in flips:
-        alphabet._exp_F.clear()
+        vars(alphabet).pop("exp_F", None)
         fresh.append(report(H))
     calls = []
 
@@ -184,10 +187,29 @@ def test_flips_share_one_exponential(alphabet, hamiltonian, monkeypatch):
         return exp_series(*args)
 
     monkeypatch.setattr(cotangent, "exp_series", counted)
-    alphabet._exp_F.clear()
+    vars(alphabet).pop("exp_F", None)
     assert [report(H) for H in flips] == fresh
     assert len(calls) == 1
-    assert not fresh[0][0] and fresh[0][1]
+    assert not any(passed for passed, _w, _n in fresh)
+    assert all(witnesses for _p, witnesses, _n in fresh)
+
+
+def test_build_h_verify_computes_the_constants_once(monkeypatch, capsys):
+    # the fit and the intertwining check read the alphabet's one pair of
+    # structure-constant tables, and neither changes it
+    built = []
+
+    def counted(alphabet, cap):
+        tables = surface_structure_constants(alphabet, cap)
+        built.append((cap, tables, copy.deepcopy(tables)))
+        return tables
+
+    monkeypatch.setattr(cotangent, "surface_structure_constants", counted)
+    assert cli.main(["build-h", "--input", str(DATA / "genus2_alphabet.sft"),
+                     "--verify", "--json"]) == 0
+    assert '"status": "pass"' in capsys.readouterr().out
+    assert [cap for cap, _t, _c in built] == [4]
+    assert built[0][1] == built[0][2]
 
 
 def _tables(maps):
@@ -201,7 +223,7 @@ def test_twist_memo_matches_a_fresh_beta(alphabet, hamiltonian):
     # its one spec; Phi and Phi^-1 are kept on beta
     spec = _fit_spec(alphabet)
     F = build_F(alphabet)
-    partial = _assemble(alphabet, hamiltonian.a, {}, {}, hamiltonian.d)
+    partial = _assemble(alphabet, {"a": hamiltonian.a, "d": hamiltonian.d})
 
     def twist(series, beta, validate, on=spec):
         D = bv_from_hamiltonian(alphabet.sys, series, on)
