@@ -37,13 +37,14 @@ from .algebra import (
     monomial_degree,
     mul,
     normalize,
+    p_degree,
     product_terms,
     q_degree,
     split_h,
 )
 from .linalg import Subspace, kernel_basis, rref
 from .reports import CheckReport, PASS, timed
-from .weyl import OrbitSystem, act_right_table
+from .weyl import OrbitSystem, act_right_words
 
 Vector = Dict[GradedSymbol, Coeff]
 Tensor2 = Dict[Tuple[GradedSymbol, GradedSymbol], Coeff]
@@ -245,7 +246,7 @@ def validate_bv(D: BvOperator, name: str = "BV operator") -> CheckReport:
         if not D.value(ONE).is_zero():
             report.add_witness("D(1)", repr(D.value(ONE)))
         reliable = reliable_cap(D)
-        conclusive = all(q_degree(m) <= reliable for m in D.table)
+        conclusive = _conclusive(spec, reliable)
         for m in spec.basis_monomials(reliable):
             sq = D.apply(D.value(m))
             if not sq.is_zero():
@@ -459,11 +460,30 @@ class Augmentation(LinearMap):
 
 
 def reliable_cap(D: LinearMap) -> int:
-    """word_cap less the largest q-degree increase across D's values:
-    values on longer words may be cut by the truncation."""
-    return D.spec.word_cap - max([0] + [
-        q_degree(mono) - q_degree(m) for m, v in D.table.items()
-        for mono in v.terms])
+    """word_cap less the largest q-degree increase across D's values,
+    floored at 0: values on longer words may be cut by the truncation.
+
+    Only the words of q-degree below word_cap are read, and that is
+    exact for a map whose values lie in the spec's window, as every map
+    this module builds does: spec.window, truncate and mul drop every
+    term of q-degree above word_cap.  On a word of q-degree word_cap no
+    term of its value then has a larger q-degree, so its increase is at
+    most 0, which the floor at 0 already counts.  So D is never
+    evaluated on the longest words here.
+    """
+    spec = D.spec
+    return spec.word_cap - max([0] + [
+        q_degree(mono) - q_degree(m)
+        for m in spec.basis_monomials(spec.word_cap - 1)
+        for mono in D.value(m).terms])
+
+
+def _conclusive(spec: FreeAlgebraSpec, reliable: int) -> bool:
+    """Whether every basis word is one the truncation leaves reliable,
+    read off the last (longest) basis word.  That word may be shorter
+    than word_cap, when odd generators run out, so reliable < word_cap
+    alone does not make a check inconclusive."""
+    return q_degree(spec.basis_monomials()[-1]) <= reliable
 
 
 def check_augmentation(beta: Augmentation, D: BvOperator) -> CheckReport:
@@ -500,7 +520,7 @@ def check_bv_morphism(phi: LinearMap, D_A: BvOperator, D_B: BvOperator
                         % (hbar_exponent(mono) + 1, ln, format_monomial(m)),
                         c)
         reliable = reliable_cap(D_A)
-        conclusive = all(q_degree(m) <= reliable for m in D_A.table)
+        conclusive = _conclusive(D_A.spec, reliable)
         for m in D_A.spec.basis_monomials(reliable):
             lhs = exp_morphism(phi, D_A.value(m))
             rhs = D_B.apply(exp_morphism(phi, GradedSeries({m: 1})))
@@ -1022,8 +1042,23 @@ def bv_from_hamiltonian(sys: OrbitSystem, H: GradedSeries,
                         spec: FreeAlgebraSpec) -> BvOperator:
     """The differential operator of a symplectization Hamiltonian acting
     on spec, the polynomial algebra in the q variables of sys
-    (FreeAlgebraSpec.of_q), tabulated on its basis."""
+    (FreeAlgebraSpec.of_q): the rule-form BvOperator whose value on a
+    basis word m is spec.truncate(act_right(H, m)), computed on the
+    word's first read and kept, with H read into weyl records once for
+    the operator (weyl.act_right_words).
+
+    The action of a term of H carries h to the power of its h exponent
+    plus its p-degree, as every p contracts.  Only when that falls below
+    h^-1 for some term can a word's value fall below the window; then
+    every basis word is read here, in basis order, so that the first
+    such word raises its TruncationUnderflow, as a table built up front
+    would, whatever order later readers take.
+    """
     wide = TruncationContext(max_p_degree=64, max_hbar=spec.hbar_cap,
                              min_hbar=-1, max_word_length=64)
-    table = act_right_table(H, spec.basis_monomials(), sys, wide)
-    return BvOperator(spec, {m: spec.truncate(v) for m, v in table.items()})
+    act = act_right_words(H, sys, wide)
+    D = BvOperator(spec, {}, lambda m: spec.truncate(act(m)))
+    if any(hbar_exponent(t) + p_degree(t) < wide.min_hbar for t in H.terms):
+        for m in spec.basis_monomials():
+            D.value(m)
+    return D

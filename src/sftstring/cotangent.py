@@ -61,7 +61,7 @@ from .weyl import (
     OrbitSystem,
     act_left,
     act_right,
-    act_right_table,
+    act_right_words,
     check_master_h,
     exp_series,
 )
@@ -230,9 +230,12 @@ def filling_augmentation(alphabet: GeodesicAlphabet, F: GradedSeries,
                          spec: FreeAlgebraSpec) -> Augmentation:
     """The scalar part of the right action of the potential, tabulated
     on the basis monomials."""
-    basis = [m for m in spec.basis_monomials() if m != ONE]
+    act = act_right_words(F, alphabet.sys, _WIDE)
     table: Dict[Monomial, GradedSeries] = {}
-    for m, val in act_right_table(F, basis, alphabet.sys, _WIDE).items():
+    for m in spec.basis_monomials():
+        if m == ONE:
+            continue
+        val = act(m)
         scal = GradedSeries({mono: c for mono, c in val.terms.items()
                              if q_degree(mono) == 0})
         if not scal.is_zero():
@@ -258,10 +261,15 @@ class SurfaceHamiltonian:
         return {"a": self.a, "b": self.b, "c": self.c, "d": self.d}
 
     def flipped(self, family: str, key: tuple) -> "SurfaceHamiltonian":
-        """Copy with one structure constant's sign flipped."""
+        """Copy with one structure constant's sign flipped.  H is linear
+        in its constants, so the series is H - 2c * (term at key): the
+        same terms in the same order as _assemble of the flipped
+        families, since each term has its own monomial."""
         fams = {k: dict(v) for k, v in self.coefficients().items()}
-        fams[family][key] = -fams[family][key]
-        return SurfaceHamiltonian(self.alphabet, _assemble(self.alphabet, fams),
+        c = fams[family][key]
+        fams[family][key] = -c
+        series = self.series - _term(self.alphabet, family, key, 2 * c)
+        return SurfaceHamiltonian(self.alphabet, series,
                                   notes=list(self.notes), **fams)
 
 

@@ -22,15 +22,19 @@ over the common denominator d gives n itself when d is 1, n // d when
 d divides n, and Fraction(n, d) only otherwise.  The operator actions
 are the same kernel restricted to full contraction: act_right
 contracts every p of the left factor, act_left every q of the right
-factor.  act_right_table gives
-act_right(F, m) for each monomial m of a basis from one read of F
-(no memo outlives the call); all four entries run one pair loop
-(_pairs).  exp_series is algebra.exp_sum over the star product, and
-the coefficient boundary of check_master_chain is algebra.derivation.
-The tests compare the star product against unit-level matching
-enumeration and adjacent-transposition rewriting, and the actions
-against derivative chains; tests/test_action_tables.py compares the
-tables against one act_right call per monomial.
+factor.  act_right_words(F) is the function m -> act_right(F, m) on
+single monomials, with F read into records once when it is made and
+each m when it is called; it keeps no values, so the caller that owns
+the function decides which words are ever computed (bv's operator of
+a Hamiltonian computes each on its first read).  All four entries run
+one pair loop (_pairs).  exp_series is algebra.exp_sum over the star
+product, and the coefficient boundary of check_master_chain is
+algebra.derivation.  The tests compare the star product against
+unit-level matching enumeration and adjacent-transposition rewriting,
+and the actions against derivative chains; tests/test_action_tables.py
+compares the two operators built on act_right_words (bv's operator of a
+Hamiltonian, cotangent's filling augmentation) against one act_right
+call per monomial.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .algebra import (
     KIND_H,
@@ -168,17 +172,17 @@ def act_right(F: GradedSeries, g: GradedSeries, sys: OrbitSystem,
     return _contract(F, g, sys, ctx, KIND_P)
 
 
-def act_right_table(F: GradedSeries, basis: Sequence[Monomial],
-                    sys: OrbitSystem, ctx: TruncationContext
-                    ) -> Dict[Monomial, GradedSeries]:
-    """act_right(F, GradedSeries({m: 1})) for each monomial m of basis,
-    keyed in basis order, each value with the same terms in the same
-    order as that call; F is read into records once for the whole table.
-    The first m in basis order whose action has a term below the window
-    raises that call's TruncationUnderflow."""
+def act_right_words(F: GradedSeries, sys: OrbitSystem,
+                    ctx: TruncationContext
+                    ) -> Callable[[Monomial], GradedSeries]:
+    """The function m -> act_right(F, GradedSeries({m: 1})) on
+    monomials m, each value with the same terms in the same order as
+    that call, and a term below the window raising that call's
+    TruncationUnderflow.  F is read into records once, here; each call
+    reads only m, into its one record, and keeps nothing."""
     left, dl = _records(F.terms)
-    return {m: _pairs(left, dl, *_records({m: 1}), sys, ctx, KIND_P, False)
-            for m in basis}
+    return lambda m: _pairs(left, dl, *_records({m: 1}), sys, ctx, KIND_P,
+                            False)
 
 
 def act_left(g: GradedSeries, H: GradedSeries, sys: OrbitSystem,

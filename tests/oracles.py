@@ -5,10 +5,12 @@
 and products go by `standard_form`, `merge_words` and
 `algebra.derivation` instead.  `eager_twist_tables` tabulates the twist
 by an augmentation on every basis word up front, where the library
-computes each word on its first read.
+computes each word on its first read.  `reliable_cap_full_table` reads
+the truncation's reliable cap off every basis word, where the library
+reads only the words below word_cap.
 """
 
-from sftstring.algebra import KIND_H, GradedSeries
+from sftstring.algebra import KIND_H, GradedSeries, q_degree
 from sftstring.bv import LinearMap, _exp_words
 
 
@@ -61,3 +63,11 @@ def eager_twist_tables(D, beta):
     Phi, PhiInv = maps
     return (Phi.table, PhiInv.table,
             {m: Phi.apply(D.apply(PhiInv.value(m))) for m in Phi.table})
+
+
+def reliable_cap_full_table(D):
+    """bv.reliable_cap read off D's whole table: word_cap less the
+    largest q-degree increase over every basis word, floored at 0."""
+    return D.spec.word_cap - max([0] + [
+        q_degree(mono) - q_degree(m) for m, v in D.table.items()
+        for mono in v.terms])

@@ -1,6 +1,7 @@
 """The operator tables of bv_from_hamiltonian and filling_augmentation
-against the per-monomial act_right loop they are built from, and the
-inverse of the twist against its Neumann series."""
+against the per-monomial act_right loop they are built from, reliable_cap
+against the whole table, and the inverse of the twist against its
+Neumann series."""
 
 import random
 from fractions import Fraction
@@ -32,6 +33,8 @@ from sftstring.cotangent import (
 )
 from sftstring.surfaces import Surface, parse_word
 from sftstring.weyl import Orbit, OrbitSystem, act_right
+
+from oracles import reliable_cap_full_table
 
 ALPHABET_WORDS = ["a1 a2 A1 A2", "a1 A2 A1 a2", "a1", "A1", "a2", "A2",
                   "a1 a2", "A1 A2"]
@@ -143,6 +146,31 @@ def test_underflow_is_raised_with_the_same_text():
     assert isinstance(want, str) and want.startswith("underflow: ")
     assert _outcome(lambda: bv_from_hamiltonian(
         sys, H, FreeAlgebraSpec.of_q(sys, 3, 3)).table) == want
+
+
+@pytest.mark.parametrize("index", range(len(SYSTEMS)))
+def test_reliable_cap_equals_the_whole_table_formula(index):
+    # the Hamiltonians of the table test above: reliable_cap reads the
+    # words below word_cap only, the oracle every basis word
+    sys = SYSTEMS[index]
+    rng = random.Random(4401 + index)
+    caps = []
+    for _ in range(40):
+        H = _random_hamiltonian(rng, sys)
+        try:
+            D = bv_from_hamiltonian(sys, H, FreeAlgebraSpec.of_q(sys, 3, 3))
+        except TruncationUnderflow:
+            continue
+        caps.append(bv.reliable_cap(D))
+        assert caps[-1] == reliable_cap_full_table(D)
+    assert len(caps) >= 20 and len(set(caps)) >= 2
+
+
+def test_reliable_cap_on_the_genus2_hamiltonian(alphabet):
+    spec = _fit_spec(alphabet)
+    D = bv_from_hamiltonian(alphabet.sys, build_H_surface(alphabet).series,
+                            spec)
+    assert bv.reliable_cap(D) == reliable_cap_full_table(D) == 3
 
 
 def _negated(beta):

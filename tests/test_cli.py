@@ -298,6 +298,32 @@ def test_library_errors_exit_2_with_one_line(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+_LOW = "(1/h)*" * 4
+# two even orbits, a term (1/h) q1^2 p1 that raises the q-degree by one,
+# so the checks read fewer words than the basis holds, and terms that
+# act below h^-1 only on words of q-degree word_cap
+_UNDERFLOW_ONLY_ON_LONGEST_WORDS = [
+    # q1*q2 (h^-3) comes before q1^2 (h^-2) in basis order, though
+    # linearize meets the pair (g1, g1) first
+    (["linearize", "--max-word-len", "2"],
+     _LOW + "p[g1]*p[g1] + " + _LOW + "(1/h)*p[g1]*p[g2]", "h^-3"),
+    # no check of check-bialgebra reads the one word q1^2*q2
+    (["check-bialgebra"], _LOW + "(1/h)*p[g1]*p[g1]*p[g2]", "h^-2"),
+]
+
+
+@pytest.mark.parametrize("argv, low, power", _UNDERFLOW_ONLY_ON_LONGEST_WORDS)
+def test_underflow_on_the_longest_words_is_raised_first_in_basis_order(
+        tmp_path, capsys, argv, low, power):
+    path = tmp_path / "low.sft"
+    path.write_text("n = 2\norbit g1 cz=1 kappa=1\norbit g2 cz=1 kappa=1\n"
+                    "series H = (1/h)*q[g1]*q[g1]*p[g1] + %s\n" % low)
+    code, out, err = run_cli(argv + ["--input", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: term %s needs hbar%s below the context "
+                   "minimum -1\n" % (power, power[1:]))
+
+
 def test_product_of_p_and_q_of_one_orbit_is_a_parse_error(tmp_path, capsys):
     # p[g] * q[g] is not a graded-commutative product; mul refuses it
     path = tmp_path / "pq.sft"

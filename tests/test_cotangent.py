@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from sftstring import cli, cotangent
-from sftstring.algebra import KIND_Q, TruncationContext
+from sftstring import bv, cli, cotangent, problemfile
+from sftstring.algebra import KIND_Q, TruncationContext, q_degree
 from sftstring.bv import (BvError, FreeAlgebraSpec, bv_from_hamiltonian,
                           twist_by_augmentation)
 from sftstring.cotangent import (
@@ -125,6 +125,46 @@ def test_flip_sensitivity_sample(hamiltonian):
         bad = hamiltonian.flipped(fam, key)
         rep = check_surface_master(bad)
         assert not rep.passed and rep.witnesses, (fam, key)
+
+
+def test_flipped_series_equals_the_assembled_flip(alphabet, hamiltonian):
+    # flipped subtracts twice the one term; _assemble rebuilds all 26
+    flips = 0
+    for family, entries in hamiltonian.coefficients().items():
+        for key in entries:
+            flipped = hamiltonian.flipped(family, key)
+            want = _assemble(alphabet, flipped.coefficients())
+            assert list(flipped.series.terms.items()) == \
+                list(want.terms.items()), (family, key)
+            assert [type(c) for c in flipped.series.terms.values()] == \
+                [type(c) for c in want.terms.values()]
+            assert flipped.coefficients()[family][key] == -entries[key]
+            flips += 1
+    assert flips == 26
+
+
+def test_build_h_checks_evaluate_no_dh_on_the_longest_words(monkeypatch):
+    # D_H computes a word on its first read; the fit and both checks of
+    # build-h --verify never read a word of q-degree word_cap
+    read = []
+    act_right_words = bv.act_right_words
+
+    def counted(F, sys, ctx):
+        act = act_right_words(F, sys, ctx)
+
+        def on_word(m):
+            read.append(q_degree(m))
+            return act(m)
+        return on_word
+
+    monkeypatch.setattr(bv, "act_right_words", counted)
+    pf = problemfile.parse((DATA / "genus2_alphabet.sft").read_text())
+    names = {pf.classes[n]: n for n in pf.class_order}
+    alpha = GeodesicAlphabet(pf.surface, list(names), names)
+    H = build_H_surface(alpha)
+    assert check_surface_master(H).passed
+    assert check_psi_intertwining(H).passed
+    assert read and max(read) == _fit_spec(alpha).word_cap - 1
 
 
 def test_psi_map_and_intertwining(alphabet, hamiltonian):

@@ -33,10 +33,11 @@ ALPHABET = DATA / "genus2_alphabet.sft"
 MODULES = (algebra, weyl, strings, surfaces, bv, cotangent, cli, problemfile)
 WATCHED = [
     (weyl, "star"), (weyl, "act_right"), (weyl, "act_left"),
-    (weyl, "act_right_table"), (weyl, "exp_series"), (algebra, "mul"),
+    (weyl, "exp_series"), (algebra, "mul"),
     (strings, "delta_op"), (strings, "nabla_op"),
     (surfaces.Surface, "goldman_terms"), (surfaces.Surface, "turaev_terms"),
-    (cotangent, "build_H_surface"), (bv, "bv_from_hamiltonian"),
+    (cotangent, "build_H_surface"), (cotangent, "filling_augmentation"),
+    (bv, "bv_from_hamiltonian"),
     (bv, "linearize"), (bv, "exp_morphism"), (bv, "twist_by_augmentation"),
 ]
 
@@ -127,8 +128,8 @@ def test_exact_on_the_cli_over_test_data(watch):
             accepted += run_cli(argv) != 2
     assert accepted >= 10
     assert run_cli(["build-h", "--input", str(ALPHABET), "--verify"]) == 0
-    watch.assert_exact(["star", "act_right", "act_left", "act_right_table",
-                        "exp_series", "mul", "delta_op", "nabla_op",
+    watch.assert_exact(["star", "act_right", "act_left",
+                        "filling_augmentation", "exp_series", "mul", "delta_op", "nabla_op",
                         "goldman_terms", "turaev_terms", "build_H_surface",
                         "bv_from_hamiltonian", "linearize", "exp_morphism",
                         "twist_by_augmentation"])
@@ -170,8 +171,8 @@ def test_exact_on_build_h_and_its_sign_flips(watch):
             assert not cotangent.check_surface_master(flipped).passed
             flips += 1
     assert flips == 26
-    watch.assert_exact(["star", "act_right", "act_left", "act_right_table",
-                        "exp_series", "build_H_surface", "bv_from_hamiltonian",
+    watch.assert_exact(["star", "act_right", "act_left",
+                        "filling_augmentation", "exp_series", "build_H_surface", "bv_from_hamiltonian",
                         "linearize", "exp_morphism", "twist_by_augmentation"])
 
 
