@@ -214,22 +214,6 @@ def _join_image(m: Monomial, alg: ClassAlgebra) -> Dict[Monomial, Coeff]:
     return out
 
 
-def string_bracket(alg: ClassAlgebra, a: GradedSeries, b: GradedSeries,
-                   ctx: TruncationContext) -> GradedSeries:
-    """Goldman bracket extended bilinearly to single-string sums."""
-    out: Dict[Monomial, Coeff] = {}
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
-            t1, t2 = _tuple_of(m1), _tuple_of(m2)
-            if len(t1) != 1 or len(t2) != 1 or _rest_of(m1) or _rest_of(m2):
-                raise ValueError("string bracket expects single strings")
-            x = alg.class_of_symbol(t1[0])
-            y = alg.class_of_symbol(t2[0])
-            for z, cc in alg.surface.goldman_terms(x, y).items():
-                add_terms(out, alg.single(z, c1 * c2 * cc).terms)
-    return collect(out, ctx)
-
-
 # ---------------------------------------------------------------------
 # identity suite
 # ---------------------------------------------------------------------

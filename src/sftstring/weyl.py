@@ -28,10 +28,9 @@ each m when it is called; it keeps no values, so the caller that owns
 the function decides which words are ever computed (bv's operator of
 a Hamiltonian computes each on its first read).  All four entries run
 one pair loop (_pairs).  exp_series is algebra.exp_sum over the star
-product, and the coefficient boundary of check_master_chain is
-algebra.derivation.  The tests compare the star product against
-unit-level matching enumeration and adjacent-transposition rewriting,
-and the actions against derivative chains; tests/test_action_tables.py
+product.  The tests compare the star product against unit-level
+matching enumeration and adjacent-transposition rewriting, and the
+actions against derivative chains; tests/test_action_tables.py
 compares the two operators built on act_right_words (bv's operator of a
 Hamiltonian, cotangent's filling augmentation) against one act_right
 call per monomial.
@@ -48,13 +47,10 @@ from .algebra import (
     KIND_H,
     KIND_P,
     KIND_Q,
-    KIND_S,
     GradedSeries,
     GradedSymbol,
     Monomial,
     TruncationContext,
-    collect,
-    derivation,
     exp_sum,
     format_monomial,
     hbar_exponent,
@@ -119,12 +115,6 @@ class OrbitSystem:
             self.kappa[o.name] = o.kappa
             self.side[o.name] = o.side
             idx += 1
-
-    def good_orbits(self) -> List[Orbit]:
-        return [o for o in self.orbits if o.good]
-
-    def one(self) -> GradedSeries:
-        return GradedSeries.unit()
 
     def series_q(self, name: str, coeff=1) -> GradedSeries:
         return GradedSeries.generator(self.q[name], coeff)
@@ -467,39 +457,4 @@ def check_master_f(F: GradedSeries, Hplus: GradedSeries, Hminus: GradedSeries,
         diff = lhs - rhs
         if not diff.is_zero():
             series_witnesses(report, diff)
-    return report
-
-
-def coefficient_boundary_operator(bnd: Dict[GradedSymbol, GradedSeries]):
-    """Extend a degree -1 map on string symbols to monomials as an odd
-    derivation over the coefficient block (algebra.derivation)."""
-    img = {s: v.terms for s, v in bnd.items() if s.kind == KIND_S}
-
-    def apply(series: GradedSeries, ctx: TruncationContext) -> GradedSeries:
-        acc: dict = {}
-        for m, c in series.terms.items():
-            derivation(m, img.get, acc, c)
-        return collect(acc, ctx)
-
-    return apply
-
-
-def check_master_chain(H: GradedSeries, coeff_boundary,
-                       sys: OrbitSystem, ctx: TruncationContext) -> CheckReport:
-    """Verify dH + (1/2) H*H = 0 with a coefficient differential.
-
-    coeff_boundary is None (d = 0) or a mapping {string symbol:
-    GradedSeries}.
-    H * H skips its uncontracted part when every term of H has odd
-    degree, odd or even s[...] symbols included: that part is the
-    graded-commutative square, zero term by term (see check_master_h).
-    """
-    report = CheckReport("chain-level master equation dH + (1/2)H*H = 0",
-                         caps=_caps_dict(ctx))
-    with timed(report):
-        op = coefficient_boundary_operator(coeff_boundary or {})
-        wide = ctx.widen(extra_low=abs(ctx.min_hbar) + 1)
-        lhs = op(H, wide) + star(H, H, sys, wide).scale(Fraction(1, 2))
-        if not lhs.is_zero():
-            series_witnesses(report, lhs)
     return report

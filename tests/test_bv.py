@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from sftstring import bv
-from sftstring.algebra import GradedSeries, ONE, TruncationContext, q_degree
+from sftstring.algebra import GradedSeries, TruncationContext, q_degree
 from sftstring.bv import (
     Augmentation,
     BvError,
@@ -15,16 +15,13 @@ from sftstring.bv import (
     LieBialgebraData,
     bv_bracket,
     bv_from_hamiltonian,
-    check_bv_morphism,
     check_lie_bialgebra,
     derivation_operator,
     exp_morphism,
     homology,
     linearize,
-    linearize_morphism,
     order_at_most,
     twist_by_augmentation,
-    twist_by_mc,
     validate_bv,
     BialgebraAxioms,
 )
@@ -342,107 +339,6 @@ def test_check_lie_bialgebra_sees_cobracket_off_the_boundaries():
     assert any(label == "co-antisymmetry" for label, _ in rep.witnesses)
 
 
-def test_check_bv_morphism_identity():
-    spec, D, beta = worked_example()
-    sx, sy = spec.symbol("x"), spec.symbol("y")
-    phi = LinearMap(spec, {((sx, 1),): spec.generator("x"),
-                           ((sy, 1),): spec.generator("y")}, 0)
-    rep = check_bv_morphism(phi, D, D)
-    assert rep.status in ("pass", "inconclusive")
-    assert not rep.witnesses
-    # augmentation as morphism to the trivial algebra
-    zeroD = BvOperator(spec, {ONE: GradedSeries.zero()})
-    rep2 = check_bv_morphism(beta, D, zeroD)
-    assert not rep2.witnesses
-
-
-def _window(spec, series, cap):
-    return GradedSeries({m: c for m, c in series.terms.items()
-                         if q_degree(m) <= cap})
-
-
-def test_twist_by_mc():
-    spec, D, _ = worked_example()
-    # a = 0: twisted operator equals D
-    Da = twist_by_mc(D, GradedSeries.zero())
-    for m in spec.basis_monomials():
-        assert Da.value(m) == D.value(m)
-    # closed element of degree 0: y is D-closed and bracket-free; the
-    # comparison is reliable away from the truncation boundary
-    y = spec.generator("y")
-    Da = twist_by_mc(D, y)
-    cap = spec.word_cap - 2
-    for m in spec.basis_monomials(max_len=cap):
-        assert _window(spec, Da.value(m), cap) == _window(spec, D.value(m), cap)
-
-
-def test_twist_by_mc_rejects_non_mc():
-    # D with Dx = y (degree mismatch aside, make a genuine failure):
-    # use Dy' = x'-style operator where e^a is not closed
-    spec = FreeAlgebraSpec([("x", 1), ("y", 0)], 4, 3, n=2)
-    D = derivation_operator(spec, {"x": GradedSeries.zero(),
-                                   "y": spec.generator("x")})
-    with pytest.raises(BvError):
-        twist_by_mc(D, spec.generator("y"))
-
-
-def test_twist_by_mc_quadratic_equivalence():
-    # order-2 operator with [a,a]_D != 0 and Da = -(h/2)[a,a]_D passes;
-    # build D = h d^2/dx1 dx2 + correction on even generators
-    spec = FreeAlgebraSpec([("x1", 0), ("x2", 0)], word_cap=4, hbar_cap=4, n=3)
-    s1, s2 = spec.symbol("x1"), spec.symbol("x2")
-
-    def d2(m):
-        d = dict(m)
-        if d.get(s1, 0) >= 1 and d.get(s2, 0) >= 1:
-            entries = [(s, e - (s in (s1, s2))) for s, e in m]
-            return GradedSeries.from_word(entries, d[s1] * d[s2])
-        return GradedSeries.zero()
-
-    # D = h * d^2/dx1 dx2 (degree issues are moot: n=3 makes h degree 0
-    # and the generators even; this is a BV-style square-zero operator)
-    table = {m: spec.mul(spec.hpow(1), d2(m)) for m in spec.basis_monomials()}
-    D = BvOperator(spec, table)
-    a = spec.mul(spec.generator("x1"), spec.generator("x2"))
-    assert not bv_bracket(D, a, a).is_zero()
-    with pytest.raises(BvError):
-        twist_by_mc(D, a)
-
-
-def test_linearize_morphism_identity():
-    spec, D, beta = worked_example()
-    sx, sy = spec.symbol("x"), spec.symbol("y")
-    phi = LinearMap(spec, {((sx, 1),): spec.generator("x"),
-                           ((sy, 1),): spec.generator("y")}, 0)
-    lin, rep = linearize_morphism(phi, D, beta, D, beta)
-    assert rep.passed
-    assert lin[sx] == {sx: Fraction(1)}
-    assert lin[sy] == {sy: Fraction(1)}
-
-
-def test_linearize_morphism_nontrivial_second_component():
-    # abelian even system (h has degree zero): phi has a genuine
-    # two-to-zero component, compensated by the source augmentation
-    spec = FreeAlgebraSpec([("q1", 0), ("q2", 0)], word_cap=3, hbar_cap=2, n=3)
-    s1, s2 = spec.symbol("q1"), spec.symbol("q2")
-    D0 = BvOperator(spec, {m: GradedSeries.zero() for m in spec.basis_monomials()})
-    hseries = spec.hpow(1, 3)
-    phi = LinearMap(spec, {
-        ((s1, 1),): spec.generator("q1"),
-        ((s2, 1),): spec.generator("q2"),
-        ((s1, 1), (s2, 1)): hseries,
-    }, 0)
-    alpha = Augmentation(spec, {((s1, 1), (s2, 1)): hseries})
-    beta = Augmentation(spec, {})
-    lin, rep = linearize_morphism(phi, D0, alpha, D0, beta)
-    assert rep.passed
-    assert lin[s1] == {s1: Fraction(1)} and lin[s2] == {s2: Fraction(1)}
-    # breaking the compensation breaks the compatibility identity
-    alpha_bad = Augmentation(spec, {((s1, 1), (s2, 1)): spec.hpow(1, 5)})
-    _lin, rep_bad = linearize_morphism(phi, D0, alpha_bad, D0, beta)
-    assert not rep_bad.passed
-
-
 # -- failure witnesses: each input fails at exactly the named check ---------
 
 def _labels(report):
@@ -475,40 +371,3 @@ def test_validate_bv_witnesses_a_component_of_too_high_order():
     rep = validate_bv(BvOperator(spec, {m: second(m)
                                         for m in spec.basis_monomials()}))
     assert _labels(rep) == ["DD(q1^2*q2^2)", "component 1 has order > 1"]
-
-
-def test_check_bv_morphism_witnesses_a_nonzero_unit_value():
-    spec, D, _beta = worked_example()
-    sx, sy = spec.symbol("x"), spec.symbol("y")
-    phi = LinearMap(spec, {ONE: spec.hpow(1),
-                           ((sx, 1),): spec.generator("x"),
-                           ((sy, 1),): spec.generator("y")}, 0)
-    assert "phi(1)" in _labels(check_bv_morphism(phi, D, D))
-
-
-def test_check_bv_morphism_witnesses_a_word_below_its_h_order():
-    # phi^k may take a word of length n only at h^(k-1) with k >= n: a
-    # scalar on y^2 is phi^1 on a length-2 word
-    spec, D, _beta = worked_example()
-    sx, sy = spec.symbol("x"), spec.symbol("y")
-    phi = LinearMap(spec, {((sx, 1),): spec.generator("x"),
-                           ((sy, 1),): spec.generator("y"),
-                           ((sy, 2),): GradedSeries.unit(3)}, 0)
-    rep = check_bv_morphism(phi, D, D)
-    assert "phi^1 on length-2 word y^2" in _labels(rep)
-
-
-def test_linearize_morphism_witnesses_a_map_that_is_no_chain_map():
-    # d x = y on both sides, and lin x = 2x, lin y = y: lin d x = y but
-    # d lin x = 2y; with zero augmentations compatibility holds for
-    # every phi
-    spec = xy_spec()
-    sx, sy = spec.symbol("x"), spec.symbol("y")
-    D = derivation_operator(spec, {"x": spec.generator("y"),
-                                   "y": GradedSeries.zero()})
-    phi = LinearMap(spec, {((sx, 1),): spec.generator("x").scale(2),
-                           ((sy, 1),): spec.generator("y")}, 0)
-    zero = Augmentation(spec, {})
-    lin, rep = linearize_morphism(phi, D, zero, D, zero)
-    assert lin[sx] == {sx: 2} and lin[sy] == {sy: 1}
-    assert _labels(rep) == ["chain map fails on x"]

@@ -2,10 +2,12 @@
 
 For each (subcommand, file) pair the subcommand accepts, the snapshot in
 tests/data/golden/snapshot.json holds the exit code and the stdout, in
-text and --json form, with the volatile "seconds" lines removed.  A
-refactor of the algebra must leave every byte unchanged; the text form
-of `linearize` prints inner dicts in insertion order, so it also pins
-the order in which terms are accumulated.
+text and --json form, with the volatile "seconds" lines removed;
+linearize and check-bialgebra twist by the file's first augmentation,
+when it declares one (--aug).  A refactor of the algebra must leave
+every byte unchanged; the text form of `linearize` prints inner dicts
+in insertion order, so it also pins the order in which terms are
+accumulated.
 
 Regenerate (only for an intended output change) with
 
@@ -23,9 +25,10 @@ import pytest
 
 DATA = Path(__file__).parent / "data"
 SNAPSHOT = DATA / "golden" / "snapshot.json"
-COMMANDS = ("parse", "check-master", "check-master-f", "linearize",
-            "check-bialgebra", "build-h")
+COMMANDS = ("parse", "check-master", "check-master-f", "check-master-l",
+            "linearize", "check-bialgebra", "build-h")
 _SECONDS = re.compile(r'^\s*"seconds": [-+0-9.eE]+,?\n', re.M)
+_AUG = re.compile(r"^aug (\w+)", re.M)
 
 
 def _argv(command, path, as_json):
@@ -35,6 +38,9 @@ def _argv(command, path, as_json):
         for flag, name in (("--hplus", "Hplus"), ("--hminus", "Hminus")):
             if "series %s " % name in text:
                 argv += [flag, name]
+    aug = _AUG.search(text)
+    if aug and command in ("linearize", "check-bialgebra"):
+        argv += ["--aug", aug.group(1)]
     return argv + (["--json"] if as_json else [])
 
 

@@ -23,7 +23,6 @@ from sftstring.strings import (
     check_string_mc,
     delta_op,
     nabla_op,
-    string_bracket,
 )
 from sftstring.surfaces import Surface
 from sftstring.weyl import Orbit, OrbitSystem
@@ -224,15 +223,6 @@ def test_single_string_square_collapses(alg, genus2):
     # genuine two-string data (covered by the Maurer-Cartan check)
     a1 = alg.single(alg.word_of("a1")) + alg.single(alg.word_of("b1"), 2)
     assert mul(a1, a1, CTX).is_zero()
-    assert string_bracket(alg, a1, a1, CTX).is_zero()
-
-
-def test_string_bracket_bilinear(alg, genus2):
-    a = alg.single(alg.word_of("a1"))
-    b = alg.single(alg.word_of("b1"))
-    lhs = string_bracket(alg, a + b, a + b, CTX)
-    assert lhs == string_bracket(alg, a, b, CTX) + string_bracket(alg, b, a, CTX)
-    assert lhs.is_zero()  # antisymmetry
 
 
 def test_multi_product_examples(alg, genus2):

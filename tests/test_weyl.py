@@ -31,9 +31,7 @@ from sftstring.weyl import (
     act_left,
     act_right,
     check_master_f,
-    check_master_chain,
     check_master_h,
-    coefficient_boundary_operator,
     exp_series,
     project_out,
     star,
@@ -80,8 +78,8 @@ def test_star_even_double_contraction():
 def test_star_unit():
     sys = odd_system(2)
     F = sys.monomial(3, qs=["g1"], ps=["g2"], hpow=1)
-    assert star(sys.one(), F, sys, CTX) == F
-    assert star(F, sys.one(), sys, CTX) == F
+    assert star(GradedSeries.unit(), F, sys, CTX) == F
+    assert star(F, GradedSeries.unit(), sys, CTX) == F
 
 
 def _random_weyl_series(rng, sys, max_terms=3, max_h=1):
@@ -461,7 +459,7 @@ def test_act_right_pair_short_of_q_leaves_no_key():
 def test_act_right_kills_constants():
     sys = odd_system(2)
     F = sys.monomial(1, qs=["g1"], ps=["g2"])
-    assert act_right(F, sys.one(), sys, CTX).is_zero()
+    assert act_right(F, GradedSeries.unit(), sys, CTX).is_zero()
 
 
 @pytest.mark.parametrize("maker", [
@@ -608,45 +606,7 @@ def test_exp_series_basic():
     F = sys.monomial(1, qs=["g1"], ps=["g2"], hpow=0)
     eF = exp_series(F, sys, CTX)
     # odd element: e^F = 1 + F
-    assert eF == sys.one() + F
-
-
-def test_check_master_chain_zero_boundary_reduces_to_master_h():
-    sys = odd_system(3)
-    H = sys.monomial(1, qs=["g1", "g2"], ps=["g3"], hpow=-1)
-    assert check_master_chain(H, None, sys, CTX).passed
-    H_bad = sys.monomial(1, qs=["g1"], ps=["g2"], hpow=-1) + \
-        sys.monomial(1, qs=["g2"], ps=["g1"], hpow=-1)
-    assert not check_master_chain(H_bad, None, sys, CTX).passed
-
-
-def _word(*units, coeff=1):
-    return GradedSeries.from_word(list(units), coeff)
-
-
-def test_coefficient_boundary_is_a_derivation_on_even_symbols():
-    # |s| = 2, |t| = |u| = 1, d(s) = t: d(s^2) = 2 s t, and
-    # d(u s) = (-1)^|u| u d(s) = -u t whichever order the symbols take
-    for order in permutations(range(3)):
-        s, t, u = (GradedSymbol(nm, deg, KIND_S, None, i) for nm, deg, i
-                   in zip("stu", (2, 1, 1), order))
-        d = coefficient_boundary_operator({s: _word((t, 1))})
-        assert d(_word((s, 2)), CTX) == _word((s, 1), (t, 1), coeff=2), order
-        assert d(_word((u, 1), (s, 1)), CTX) == _word((u, 1), (t, 1), coeff=-1), order
-
-
-def test_check_master_chain_with_even_coefficient_symbols():
-    # H = s t u p + w q - (1/4) s^2 u w h: the contraction of s t u p
-    # against w q gives (1/2) h s t u w in (1/2) H*H, and d(s^2) = 2 s t
-    # cancels it; the derivation must keep s in d(s^2)
-    s, t, u, w = (GradedSymbol(nm, deg, KIND_S, None, i)
-                  for i, (nm, deg) in enumerate(zip("stuw", (2, 1, 1, 2))))
-    sys = OrbitSystem(2, [Orbit("g1", 0, 1)])
-    q, p, h = sys.q["g1"], sys.p["g1"], sys.hbar
-    H = _word((s, 1), (t, 1), (u, 1), (p, 1)) + _word((w, 1), (q, 1)) \
-        + _word((s, 2), (u, 1), (w, 1), (h, 1), coeff=Fraction(-1, 4))
-    assert check_master_chain(H, {s: _word((t, 1))}, sys, CTX).passed
-    assert not check_master_chain(H, None, sys, CTX).passed
+    assert eF == GradedSeries.unit() + F
 
 
 def test_star_equals_mul_without_contractions():
@@ -663,7 +623,6 @@ def test_star_equals_mul_without_contractions():
 def test_bad_orbits_get_no_variables():
     sys = OrbitSystem(2, [Orbit("good1", 0, 1), Orbit("bad1", 1, 2, good=False)])
     assert "good1" in sys.q and "bad1" not in sys.q
-    assert len(sys.good_orbits()) == 1
     # gradings: |q| = n-3+cz, |p| = n-3-cz, |h| = 2(n-3)
     sys2 = OrbitSystem(4, [Orbit("g", 3, 1)])
     assert sys2.q["g"].degree == 4 - 3 + 3
