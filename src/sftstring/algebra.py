@@ -15,7 +15,6 @@ from __future__ import annotations
 import weakref
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from math import factorial
 from typing import Iterable, Iterator, Optional, Tuple, Union
 
 # symbol kinds, also the block order inside a normalized monomial
@@ -131,16 +130,33 @@ def normalize(entries: Iterable) -> Optional[tuple]:
     symbol acquires exponent >= 2).  Raises NormalizationError if the
     word contains p and q of the same orbit with the p on the left:
     that move is not super-commutative and belongs to the star product.
+    The units are merged in one at a time (merge_words); a negative
+    exponent left on a symbol other than h is an error.
     """
     word = [(s, e) for s, e in entries if e != 0]
     # p_gamma left of q_gamma (same orbit) is not ours to reorder
-    seen_p: dict = {}
+    seen_p = set()
     for s, e in word:
         if s.kind == KIND_P and s.orbit is not None:
-            seen_p[s.orbit] = True
-        elif s.kind == KIND_Q and s.orbit is not None and seen_p.get(s.orbit):
+            seen_p.add(s.orbit)
+        elif s.kind == KIND_Q and s.orbit in seen_p:
             raise weyl_order_error(s.orbit)
-    return standard_form(word)
+    sign, out = 1, ()
+    for unit in word:
+        s = unit[0]
+        if s.parity and unit[1] > 1:
+            return None
+        if not out or out[-1][0].sort_key < s.sort_key:
+            out += (unit,)  # what merge_words gives for a unit past the end
+            continue
+        res = merge_words(out, (unit,))
+        if res is None:
+            return None
+        sign, out = sign * res[0], res[1]
+    for s, e in out:
+        if e < 0 and s.kind != KIND_H:
+            raise NormalizationError("negative exponent on %r" % (s,))
+    return sign, out
 
 
 def weyl_order_error(orbit: str) -> NormalizationError:
@@ -148,42 +164,6 @@ def weyl_order_error(orbit: str) -> NormalizationError:
     return NormalizationError(
         "word mixes p and q of orbit %r in Weyl order; use the star product"
         % (orbit,))
-
-
-def standard_form(word: list) -> Optional[tuple]:
-    """normalize() without the same-orbit guard; sorts `word` in place.
-
-    Same-orbit p, q pairs in `word` take the plain Koszul-swap branch
-    of the commutation relation.  A product of two words that are
-    already in standard form is merge_words, not this sort.
-    """
-    # insertion sort by sort_key, counting odd-odd transpositions
-    sign = 1
-    for i in range(1, len(word)):
-        j = i
-        while j > 0 and word[j - 1][0].sort_key > word[j][0].sort_key:
-            a, b = word[j - 1], word[j]
-            if (a[0].parity * a[1]) % 2 and (b[0].parity * b[1]) % 2:
-                sign = -sign
-            word[j - 1], word[j] = b, a
-            j -= 1
-    # merge equal symbols
-    merged = []
-    for s, e in word:
-        if merged and merged[-1][0] == s:
-            merged[-1] = (s, merged[-1][1] + e)
-        else:
-            merged.append((s, e))
-    out = []
-    for s, e in merged:
-        if e == 0:
-            continue
-        if s.parity and e > 1:
-            return None
-        if e < 0 and s.kind != KIND_H:
-            raise NormalizationError("negative exponent on %r" % (s,))
-        out.append((s, e))
-    return sign, tuple(out)
 
 
 def merge_words(left, right) -> Optional[tuple]:
@@ -230,22 +210,22 @@ def merge_words(left, right) -> Optional[tuple]:
     return sign, tuple(out)
 
 
-def derivation(m: Monomial, image, acc: dict, scale=1) -> dict:
-    """acc += scale * d(m), d the derivation with d(s) = image(s).
+def derivation(m: Monomial, image) -> dict:
+    """d(m), d the derivation with d(s) = image(s), as a dict of terms.
 
     image(s) is a dict {standard-form word: coefficient}, empty or None
     where d(s) = 0.  d passes the units before s, of total degree P, and
     d(s) moves to the front past them: the sign is (-1)^(|s| P) for
     every degree of d.  An even s^e gives e s^(e-1) d(s); an odd s has
-    e == 1.  Each product is merge_words; the sums land in acc as they
+    e == 1.  Each product is merge_words; the sums are kept as they
     come, zeros included, for collect() or from_terms() to drop.
-    Returns acc.
     """
+    acc: dict = {}
     par = 0
     for k, (s, e) in enumerate(m):
         img = image(s)
         if img:
-            c0 = scale * (-e if s.degree * par % 2 else e)
+            c0 = -e if s.degree * par % 2 else e
             rest = m[:k] + (((s, e - 1),) if e > 1 else ()) + m[k + 1:]
             for mi, ci in img.items():
                 res = merge_words(mi, rest)
@@ -316,14 +296,11 @@ class TruncationContext:
         if self.min_hbar < -64:
             raise ValueError("min_hbar unreasonably low")
 
-    def widen(self, extra_low: int = 0, extra_p: int = 0,
-              extra_len: int = 0) -> "TruncationContext":
-        return TruncationContext(
-            self.max_p_degree + extra_p,
-            self.max_hbar,
-            self.min_hbar - extra_low,
-            self.max_word_length + extra_len,
-        )
+    def widen(self, extra_low: int) -> "TruncationContext":
+        """The window with min_hbar lowered by extra_low."""
+        return TruncationContext(self.max_p_degree, self.max_hbar,
+                                 self.min_hbar - extra_low,
+                                 self.max_word_length)
 
 
 class GradedSeries:
@@ -361,8 +338,8 @@ class GradedSeries:
         return cls({ONE: coeff})
 
     @classmethod
-    def generator(cls, sym: GradedSymbol, coeff=1) -> "GradedSeries":
-        return cls({((sym, 1),): coeff})
+    def generator(cls, sym: GradedSymbol) -> "GradedSeries":
+        return cls({((sym, 1),): 1})
 
     @classmethod
     def from_word(cls, entries, coeff=1) -> "GradedSeries":
@@ -486,19 +463,6 @@ def collect(acc: dict, ctx: TruncationContext) -> GradedSeries:
     series = GradedSeries.__new__(GradedSeries)
     series.terms = out  # nonzero and exact already
     return series
-
-
-def exp_sum(x: GradedSeries, product, steps: int) -> Optional[GradedSeries]:
-    """sum_k x^k / k!, the powers x^k = product(x^(k-1), x) from x^0 = 1,
-    when one of x^1 .. x^steps vanishes; None when x^steps does not."""
-    out = {ONE: 1}
-    power = GradedSeries.unit()
-    for k in range(1, steps + 1):
-        power = product(power, x)
-        if power.is_zero():
-            return GradedSeries.from_terms(out)
-        add_terms(out, power.terms, Fraction(1, factorial(k)))
-    return None
 
 
 def truncation_underflow(m: Monomial, min_h: int) -> TruncationUnderflow:

@@ -136,10 +136,10 @@ class FreeAlgebraSpec:
             out = new
         return sorted(out, key=lambda m: (q_degree(m), format_monomial(m)))
 
-    def hpow(self, a: int, coeff=1) -> GradedSeries:
+    def hpow(self, a: int) -> GradedSeries:
         if a == 0:
-            return GradedSeries.unit(coeff)
-        return GradedSeries({((self.hbar, a),): coeff})
+            return GradedSeries.unit()
+        return GradedSeries({((self.hbar, a),): 1})
 
 
 _WIDE = TruncationContext(max_p_degree=64, max_hbar=64, min_hbar=-64,
@@ -230,15 +230,15 @@ def derivation_operator(spec: FreeAlgebraSpec,
     tabulated on the basis monomials by algebra.derivation."""
     img = {spec.symbol(nm): v.terms for nm, v in images.items()}
     return BvOperator(spec, {
-        m: spec.window(derivation(m, img.get, {}))
+        m: spec.window(derivation(m, img.get))
         for m in spec.basis_monomials()})
 
 
-def validate_bv(D: BvOperator, name: str = "BV operator") -> CheckReport:
+def validate_bv(D: BvOperator) -> CheckReport:
     """BV1 DD = 0, BV2 order of the components, BV3 D(1) = 0, all
     within caps; inconclusive when the window is too small."""
     spec = D.spec
-    report = CheckReport("%s axioms" % name,
+    report = CheckReport("BV operator axioms",
                          caps={"word_cap": spec.word_cap, "hbar_cap": spec.hbar_cap})
     with timed(report):
         if not D.value(ONE).is_zero():

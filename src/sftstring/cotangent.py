@@ -28,6 +28,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (
+    KIND_P,
     KIND_Q,
     Coeff,
     GradedSeries,
@@ -229,11 +230,20 @@ def build_F(alphabet: GeodesicAlphabet) -> GradedSeries:
 def filling_augmentation(alphabet: GeodesicAlphabet, F: GradedSeries,
                          spec: FreeAlgebraSpec) -> Augmentation:
     """The scalar part of the right action of the potential, tabulated
-    on the basis monomials."""
-    act = act_right_words(F, alphabet.sys, _WIDE)
+    on the basis monomials.
+
+    act_right contracts every p of a term of F with a q of the word m,
+    so the q-part that the term leaves is m less the term's q-word (its
+    p-part with each p written as the q of its orbit).  Only m equal to
+    such a q-word can have a scalar value, so only those words are read,
+    in basis order; a q-word past word_cap is not a basis word."""
+    sys = alphabet.sys
+    act = act_right_words(F, sys, _WIDE)
+    words = {tuple((sys.q[s.orbit], e) for s, e in m if s.kind == KIND_P)
+             for m in F.terms}
     table: Dict[Monomial, GradedSeries] = {}
     for m in spec.basis_monomials():
-        if m == ONE:
+        if m == ONE or m not in words:
             continue
         val = act(m)
         scal = GradedSeries({mono: c for mono, c in val.terms.items()

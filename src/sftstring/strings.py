@@ -31,12 +31,8 @@ from .algebra import (
     add_terms,
     collect,
     derivation,
-    hbar_exponent,
     mul,
     normalize,
-    p_degree,
-    q_degree,
-    word_length,
 )
 from .reports import CheckReport, series_witnesses, timed
 from .surfaces import Surface, Word, format_word, parse_word
@@ -99,12 +95,11 @@ class ClassAlgebra:
         raise KeyError(sym.name)
 
     def single(self, cls: Word, coeff=1) -> GradedSeries:
-        return GradedSeries.generator(self.symbol(cls), coeff)
+        return GradedSeries({((self.symbol(cls), 1),): coeff})
 
-    def multi(self, classes: Sequence[Word], coeff=1) -> GradedSeries:
+    def multi(self, classes: Sequence[Word]) -> GradedSeries:
         """Ordered tuple of classes as a (canonicalized) monomial."""
-        entries = [(self.symbol(c), 1) for c in classes]
-        return GradedSeries.from_word(entries, coeff)
+        return GradedSeries.from_word([(self.symbol(c), 1) for c in classes])
 
     def split_of(self, sym: GradedSymbol) -> Optional[Dict[Monomial, Coeff]]:
         """The split image of the one-string monomial of a string symbol:
@@ -131,18 +126,6 @@ class ClassAlgebra:
         if cls is None:
             raise ValueError("trivial class %r" % text)
         return cls
-
-
-def _tuple_of(monomial: Monomial) -> List[GradedSymbol]:
-    out = []
-    for s, e in monomial:
-        if s.kind == KIND_S:
-            out.extend([s] * e)
-    return out
-
-
-def _rest_of(monomial: Monomial):
-    return tuple((s, e) for s, e in monomial if s.kind != KIND_S)
 
 
 def _apply_images(series: GradedSeries, alg: ClassAlgebra, memo: dict,
@@ -177,7 +160,7 @@ def _split_image(m: Monomial, alg: ClassAlgebra) -> Dict[Monomial, Coeff]:
     derivation copies d(s), so the image is d(s) itself."""
     if len(m) == 1 and m[0][1] == 1:
         return alg.split_of(m[0][0])
-    return derivation(m, alg.split_of, {})
+    return derivation(m, alg.split_of)
 
 
 def nabla_op(series: GradedSeries, alg: ClassAlgebra,
@@ -195,8 +178,8 @@ def nabla_op(series: GradedSeries, alg: ClassAlgebra,
 def _join_image(m: Monomial, alg: ClassAlgebra) -> Dict[Monomial, Coeff]:
     sgn_exp = 3 - alg.n
     out: Dict[Monomial, Coeff] = {}
-    slots = _tuple_of(m)
-    rest = _rest_of(m)
+    slots = [s for s, e in m if s.kind == KIND_S for _ in range(e)]
+    rest = tuple((s, e) for s, e in m if s.kind != KIND_S)
     k = len(slots)
     for r1 in range(1, k + 1):
         for r2 in range(r1 + 1, k + 1):
@@ -244,8 +227,7 @@ def _extend_pool(out: List[List[Word]], classes: List[Word], max_slots: int,
 
 def check_string_identities(surface: Surface, max_len: int = 4,
                             max_slots: int = 3,
-                            samples: int = 0, seed: int = 0,
-                            n: int = 2) -> CheckReport:
+                            samples: int = 0, seed: int = 0) -> CheckReport:
     """Verify the multi-string operator identities on the tuple algebra:
     split^2 = 0, join^2 = 0, anticommutation of split and join, the
     co-derivation rule of the split, and the seven-term relation of the
@@ -260,7 +242,7 @@ def check_string_identities(surface: Surface, max_len: int = 4,
     two relations take apart, so their left sides are D(s) and N(s),
     already at hand.  A product with a zero factor is not taken.
     """
-    alg = ClassAlgebra(surface, n)
+    alg = ClassAlgebra(surface)
     ctx = TruncationContext(max_p_degree=0, max_hbar=2, min_hbar=0,
                             max_word_length=4 * max_len)
     report = CheckReport("multi-string identities (genus %d, boundary %d)"
@@ -352,20 +334,16 @@ def _pow_sign(e: int) -> int:
 # master equation with Lagrangian boundary
 # ---------------------------------------------------------------------
 
-def d_string(series: GradedSeries, alg: ClassAlgebra, sys: OrbitSystem,
-             ctx: TruncationContext) -> GradedSeries:
-    """The string operator d + split + h * join, coefficient-wise; at
-    homology level the chain boundary d vanishes."""
-    out = delta_op(series, alg, ctx)
-    joined = nabla_op(series, alg, ctx)
-    hseries = GradedSeries({((sys.hbar, 1),): 1})
-    return out + mul(hseries, joined, ctx)
-
-
 def check_master_l(L: GradedSeries, Hplus: GradedSeries, Hminus: GradedSeries,
                    alg: ClassAlgebra, sys: OrbitSystem,
                    ctx: TruncationContext) -> CheckReport:
-    """Verify (d + split + h*join) e^L = e^L <-H+  -  H-> e^L."""
+    """Verify (d + split + h*join) e^L = e^L <-H+  -  H-> e^L.
+
+    With H+ = H- = 0 and no orbits this is the string Maurer-Cartan
+    equation (split + h*join) e^L = 0, and on a single-string L the
+    disk-level equation d L + (1/2)[L, L] = 0: at n = 2 the two ordered
+    joinings of a pair of single strings cancel, so only the splitting
+    part can fail there."""
     report = CheckReport("master equation with Lagrangian boundary",
                          caps=_caps_dict(ctx))
     with timed(report):
@@ -373,52 +351,14 @@ def check_master_l(L: GradedSeries, Hplus: GradedSeries, Hminus: GradedSeries,
             return report
         wide = ctx.widen(extra_low=ctx.max_p_degree + ctx.max_word_length + 2)
         eL = exp_series(L, sys, wide)
-        lhs = d_string(eL, alg, sys, wide)
+        # d + split + h*join; at homology level the chain boundary d is 0
+        h = GradedSeries({((sys.hbar, 1),): 1})
+        lhs = delta_op(eL, alg, wide) + mul(h, nabla_op(eL, alg, wide), wide)
         rhs = project_out(star(eL, Hplus, sys, wide), sides=FILLING_KILL, sys=sys) - \
             project_out(star(Hminus, eL, sys, wide), sides=FILLING_KILL, sys=sys)
         diff = lhs - rhs
         if not diff.is_zero():
             series_witnesses(report, diff)
-    return report
-
-
-def check_string_mc(A: GradedSeries, alg: ClassAlgebra, sys: OrbitSystem,
-                    ctx: TruncationContext) -> CheckReport:
-    """Maurer-Cartan reduction: boundary-and-puncture-free potential,
-    (split + h*join) e^A = 0."""
-    report = CheckReport("string Maurer-Cartan equation")
-    with timed(report):
-        eA = exp_series(A, sys, ctx)
-        lhs = d_string(eA, alg, sys, ctx)
-        if not lhs.is_zero():
-            series_witnesses(report, lhs)
-    return report
-
-
-def check_fukaya_disk(a1: GradedSeries, alg: ClassAlgebra,
-                      ctx: TruncationContext) -> CheckReport:
-    """Disk-level reduction: d a1 + (1/2)[a1, a1] = 0 on a single-string
-    potential, realized as the string operator on its exponential.
-
-    At homology level the self-bracket term collapses: the two ordered
-    joinings of a pair of single strings produce conjugate classes with
-    opposite signs, so the surviving obstruction is the splitting part
-    (the chain boundary is zero at homology level).  The
-    bracket obstruction proper is exercised by two-string potentials in
-    the Maurer-Cartan check.
-    """
-    report = CheckReport("disk-level boundary equation")
-    with timed(report):
-        for m in a1.terms:
-            if word_length(m) != 1 or p_degree(m) or q_degree(m) \
-                    or hbar_exponent(m):
-                report.notes.append("potential is not a pure single-string sum")
-                break
-        sys = OrbitSystem(alg.n, [])
-        eA = exp_series(a1, sys, ctx)
-        lhs = d_string(eA, alg, sys, ctx)
-        if not lhs.is_zero():
-            series_witnesses(report, lhs)
     return report
 
 

@@ -27,8 +27,7 @@ single monomials, with F read into records once when it is made and
 each m when it is called; it keeps no values, so the caller that owns
 the function decides which words are ever computed (bv's operator of
 a Hamiltonian computes each on its first read).  All four entries run
-one pair loop (_pairs).  exp_series is algebra.exp_sum over the star
-product.  The tests compare the star product against unit-level
+one pair loop (_pairs).  exp_series sums the star powers.  The tests compare the star product against unit-level
 matching enumeration and adjacent-transposition rewriting, and the
 actions against derivative chains; tests/test_action_tables.py
 compares the two operators built on act_right_words (bv's operator of a
@@ -50,8 +49,9 @@ from .algebra import (
     GradedSeries,
     GradedSymbol,
     Monomial,
+    ONE,
     TruncationContext,
-    exp_sum,
+    add_terms,
     format_monomial,
     hbar_exponent,
     hbar_symbol,
@@ -116,11 +116,11 @@ class OrbitSystem:
             self.side[o.name] = o.side
             idx += 1
 
-    def series_q(self, name: str, coeff=1) -> GradedSeries:
-        return GradedSeries.generator(self.q[name], coeff)
+    def series_q(self, name: str) -> GradedSeries:
+        return GradedSeries.generator(self.q[name])
 
-    def series_p(self, name: str, coeff=1) -> GradedSeries:
-        return GradedSeries.generator(self.p[name], coeff)
+    def series_p(self, name: str) -> GradedSeries:
+        return GradedSeries.generator(self.p[name])
 
     def series_h(self, power: int = 1, coeff=1) -> GradedSeries:
         return GradedSeries({((self.hbar, power),): coeff}) if power \
@@ -379,21 +379,28 @@ def reject_scalar_term(series: GradedSeries,
 
 def exp_series(F: GradedSeries, sys: OrbitSystem,
                ctx: TruncationContext) -> GradedSeries:
-    """Truncated exponential sum_k F^(*k) / k!.
+    """Truncated exponential sum_k F^(*k) / k!, the powers F^(*k) =
+    F^(*(k-1)) * F from F^(*0) = 1, summed up to the first that
+    vanishes.
 
     Termination: every admissible term of F raises the p-degree, the
     hbar order, or the coefficient word length, or contains odd symbols
     (nilpotent), so powers eventually leave the truncation window.  A
     pure scalar term with hbar exponent <= 0 never leaves the window
-    and is rejected.
+    and is rejected, and so is a series none of whose first bound + 1
+    powers vanishes.
     """
     reject_scalar_term(F)
     bound = (ctx.max_p_degree + (ctx.max_hbar - ctx.min_hbar)
              + ctx.max_word_length + len(sys.q) + 8)
-    out = exp_sum(F, lambda x, y: star(x, y, sys, ctx), bound + 1)
-    if out is None:
-        raise ExponentialError("exponential did not terminate within caps")
-    return out
+    out = {ONE: 1}
+    power = GradedSeries.unit()
+    for k in range(1, bound + 2):
+        power = star(power, F, sys, ctx)
+        if power.is_zero():
+            return GradedSeries.from_terms(out)
+        add_terms(out, power.terms, Fraction(1, factorial(k)))
+    raise ExponentialError("exponential did not terminate within caps")
 
 
 # ---------------------------------------------------------------------

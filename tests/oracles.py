@@ -1,16 +1,16 @@
 """Oracles shared by the tests, which the library does not use.
 
-`koszul_sign` counts odd-odd inversions of a permutation directly, and
-`units_of` lists a monomial's symbols unit by unit; the library signs
-and products go by `standard_form`, `merge_words` and
-`algebra.derivation` instead.  `eager_twist_tables` tabulates the twist
+`koszul_sign` counts odd-odd inversions of a permutation directly,
+`units_of` lists a monomial's symbols unit by unit, and `standard_form`
+sorts a whole word by adjacent transpositions; the library signs and
+products go by `merge_words` and `algebra.derivation` instead.  `eager_twist_tables` tabulates the twist
 by an augmentation on every basis word up front, where the library
 computes each word on its first read.  `reliable_cap_full_table` reads
 the truncation's reliable cap off every basis word, where the library
 reads only the words below word_cap.
 """
 
-from sftstring.algebra import KIND_H, GradedSeries, q_degree
+from sftstring.algebra import KIND_H, GradedSeries, NormalizationError, q_degree
 from sftstring.bv import LinearMap, _exp_words
 
 
@@ -41,6 +41,42 @@ def koszul_sign(symbols, permutation) -> int:
                 if symbols[permutation[i]].parity and symbols[permutation[j]].parity:
                     sign = -sign
     return sign
+
+
+def standard_form(word: list):
+    """(sign, standard-form monomial) of a word of (symbol, exponent)
+    pairs, or None when an odd symbol ends with an exponent above 1;
+    sorts `word` in place.
+
+    An insertion sort by sort_key counts the odd-odd transpositions,
+    then equal neighbours merge.  Same-orbit p, q pairs take the plain
+    Koszul swap (no contraction term).
+    """
+    sign = 1
+    for i in range(1, len(word)):
+        j = i
+        while j > 0 and word[j - 1][0].sort_key > word[j][0].sort_key:
+            a, b = word[j - 1], word[j]
+            if (a[0].parity * a[1]) % 2 and (b[0].parity * b[1]) % 2:
+                sign = -sign
+            word[j - 1], word[j] = b, a
+            j -= 1
+    merged = []
+    for s, e in word:
+        if merged and merged[-1][0] == s:
+            merged[-1] = (s, merged[-1][1] + e)
+        else:
+            merged.append((s, e))
+    out = []
+    for s, e in merged:
+        if e == 0:
+            continue
+        if s.parity and e > 1:
+            return None
+        if e < 0 and s.kind != KIND_H:
+            raise NormalizationError("negative exponent on %r" % (s,))
+        out.append((s, e))
+    return sign, tuple(out)
 
 
 def eager_twist_tables(D, beta):

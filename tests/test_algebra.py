@@ -18,14 +18,14 @@ from sftstring.algebra import (
     add_terms,
     collect,
     derivation,
-    exp_sum,
     merge_words,
     monomial_degree,
     mul,
     normalize,
-    standard_form,
 )
-from oracles import koszul_sign, units_of
+from sftstring import weyl
+from sftstring.weyl import ExponentialError, OrbitSystem, exp_series
+from oracles import koszul_sign, standard_form, units_of
 
 
 def sym(name, degree, kind=KIND_Q, orbit=None, index=0):
@@ -176,6 +176,31 @@ def test_merge_words_matches_standard_form_of_the_concatenation():
         assert merge_words(left, right) == standard_form(list(left) + list(right))
 
 
+def test_normalize_matches_standard_form_on_random_words():
+    """normalize merges a word's units in one at a time; the oracle sorts
+    the whole word.  Unsorted words with repeats, odd units squared by a
+    repeat or an exponent of 2, and h of either sign."""
+    syms = [sym("s[x]", 1, kind=KIND_S, index=0), sym("s[y]", 2, kind=KIND_S, index=1),
+            q1, q2, q3, sym("q[4]", 1, orbit="4", index=3),
+            sym("p[1]", -1, kind=KIND_P, orbit="1", index=0),
+            sym("h", 2, kind=KIND_H)]
+    rng = random.Random(27)
+    vanished = 0
+    for _ in range(3000):
+        word = []
+        for _ in range(rng.randrange(0, 7)):
+            s = rng.choice(syms)
+            e = rng.randrange(-2, 3) if s.kind == KIND_H else \
+                rng.choice((1, 1, 1, 2))
+            word.append((s, e))
+        if any(s.kind == KIND_P for s, _ in word):  # no p left of q[1]
+            word = [(s, e) for s, e in word if s is not q1]
+        got = normalize(word)
+        assert got == standard_form([(s, e) for s, e in word if e]), word
+        vanished += got is None
+    assert 300 < vanished < 2700
+
+
 def _mul_reference(a, b, ctx):
     """mul by normalize() of each concatenated pair of terms."""
     acc = {}
@@ -291,30 +316,40 @@ def test_derivation_matches_the_leibniz_rule_for_every_degree(d_degree):
             m = word()
             if m is None:
                 continue
-            scale = rng.choice((1, -1, 3, Fraction(2, 3)))
-            got = GradedSeries.from_terms(derivation(m, image.get, {}, scale))
+            got = GradedSeries.from_terms(derivation(m, image.get))
             want = GradedSeries.from_terms(
-                _derivation_reference(m, image.get, d_degree)).scale(scale)
+                _derivation_reference(m, image.get, d_degree))
             assert got == want, (m, d_degree)
             checked += not got.is_zero()
     assert checked >= 50
 
 
-def test_exp_sum_stops_at_the_first_vanishing_power():
+def test_exp_sum_stops_at_the_first_vanishing_power(monkeypatch):
+    """exp_series takes star powers up to the first that vanishes, and
+    raises ExponentialError after bound + 1 powers that do not."""
     s = sym("s[y]", 0, KIND_S)
-    x = GradedSeries.generator(s, 2)
+    x = GradedSeries({((s, 1),): 2})
+    sys = OrbitSystem(2, [])
+    # word length above 3 is dropped, so x^4 = 0
+    ctx = TruncationContext(max_word_length=3)
     calls = []
+    star = weyl.star
 
-    def product(a, b):
-        # word length above 3 is dropped, so x^4 = 0
+    def counted(a, b, sys, ctx):
         calls.append(None)
-        return mul(a, b, TruncationContext(max_word_length=3))
-
+        return star(a, b, sys, ctx)
+    monkeypatch.setattr(weyl, "star", counted)
     want = GradedSeries({(): 1, ((s, 1),): 2, ((s, 2),): 2,
                          ((s, 3),): Fraction(4, 3)})
-    assert exp_sum(x, product, 4) == want and len(calls) == 4
-    assert exp_sum(x, product, 3) is None
-    assert exp_sum(GradedSeries.zero(), product, 1) == GradedSeries.unit()
+    assert exp_series(x, sys, ctx) == want and len(calls) == 4
+    assert exp_series(GradedSeries.zero(), sys, ctx) == GradedSeries.unit()
+    # bound = max_p + (max_h - min_h) + max_len + #orbits + 8 = 24
+    calls.clear()
+    monkeypatch.setattr(weyl, "star",
+                        lambda a, b, sys, ctx: calls.append(None) or x)
+    with pytest.raises(ExponentialError):
+        exp_series(x, sys, ctx)
+    assert len(calls) == 6 + 7 + 3 + 0 + 8 + 1
 
 
 def test_unreferenced_symbol_leaves_the_intern_table():

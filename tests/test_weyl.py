@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
 from pathlib import Path
@@ -20,10 +21,9 @@ from sftstring.algebra import (
     merge_words,
     monomial_degree,
     split_h,
-    standard_form,
 )
 from sftstring.bv import FreeAlgebraSpec
-from oracles import units_of
+from oracles import standard_form, units_of
 from sftstring.problemfile import parse
 from sftstring.weyl import (
     Orbit,
@@ -656,7 +656,7 @@ def test_star_underflow_survives_pruning():
     with pytest.raises(TruncationUnderflow):
         star(a, b, sys, tight)
     assert star(a, b, sys, tight.widen(extra_low=1)).is_zero()
-    assert star(a, b, sys, tight.widen(extra_low=1, extra_p=1)) == \
+    assert star(a, b, sys, replace(tight, min_hbar=-2, max_p_degree=2)) == \
         sys.monomial(-1, ps=["g2", "g3"], hpow=-1)
 
 
@@ -825,7 +825,7 @@ def test_word_cap_drop_before_merge_equals_collect(ctx):
     # collect() on the same product without a word cap drops the same
     # terms and leaves the same key order
     rng = random.Random(5151)
-    uncapped = ctx.widen(extra_len=16)
+    uncapped = replace(ctx, max_word_length=ctx.max_word_length + 16)
     dropped = 0
     for _ in range(80):
         sys = _mixed_system(rng)
