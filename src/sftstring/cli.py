@@ -18,8 +18,8 @@ from functools import lru_cache
 from math import comb
 from typing import List, Optional
 
-from .algebra import (GradedSeries, NormalizationError, TruncationContext,
-                      TruncationUnderflow)
+from .algebra import (KIND_S, GradedSeries, NormalizationError,
+                      TruncationContext, TruncationUnderflow)
 from .bv import (Augmentation, BvError, FreeAlgebraSpec, bv_from_hamiltonian,
                  check_lie_bialgebra, homology, linearize,
                  twist_by_augmentation, validate_bv)
@@ -168,7 +168,16 @@ def cmd_check_master_l(args) -> Output:
     L = _series_arg(pf, args.potential)
     Hp = _series_arg(pf, args.hplus) if args.hplus else GradedSeries.zero()
     Hm = _series_arg(pf, args.hminus) if args.hminus else GradedSeries.zero()
-    alg = ClassAlgebra(pf.surface, pf.n)
+    alg = pf.alg or ClassAlgebra(pf.surface, pf.n)
+    # an s[...] atom read before a later `n` or `surface` declaration is a
+    # symbol of an earlier algebra
+    for sym in [s for S in (L, Hp, Hm) for m in S.terms for s, _ in m
+                if s.kind == KIND_S]:
+        try:
+            alg.class_of_symbol(sym)
+        except KeyError:
+            raise UsageError("%s is read before the last n or surface "
+                             "declaration" % sym.name) from None
     return _report(check_master_l(L, Hp, Hm, alg, pf.sys, ctx))
 
 

@@ -65,6 +65,8 @@ class ProblemFile:
     series_degree: Dict[str, int] = field(default_factory=dict)
     augs: Dict[str, Dict[str, GradedSeries]] = field(default_factory=dict)
     sys: Optional[OrbitSystem] = None
+    # the symbols of the s[...] atoms; reset with `n` and `surface`, as sys
+    alg: Optional[ClassAlgebra] = None
 
     @property
     def class_order(self) -> List[str]:
@@ -120,7 +122,6 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.pf = ProblemFile()
-        self.alg: Optional[ClassAlgebra] = None  # reset like pf.sys
         self.degree_at: Dict[str, Token] = {}
         self.nesting = 0
         self.keyword: Optional[Token] = None  # of the declaration being read
@@ -216,7 +217,7 @@ class _Parser:
     def _n(self):
         self.expect("punct", "=")
         self.pf.n = self._int()
-        self.pf.sys = self.alg = None
+        self.pf.sys = self.pf.alg = None
 
     def _caps(self):
         vals = self._attributes(
@@ -246,7 +247,7 @@ class _Parser:
             self.pf.surface = Surface(genus, boundary)
         except SurfaceError as exc:
             raise _at(self.keyword, str(exc)) from None
-        self.alg = None
+        self.pf.alg = None
 
     def _class(self):
         tok = self.expect("name")
@@ -402,10 +403,10 @@ class _Parser:
             return GradedSeries.generator(table[ident])
         if self.pf.surface is None:
             raise _at(tok, "string symbol before a surface declaration")
-        if self.alg is None:
-            self.alg = ClassAlgebra(self.pf.surface, self.pf.n)
+        if self.pf.alg is None:
+            self.pf.alg = ClassAlgebra(self.pf.surface, self.pf.n)
         if ident in self.pf.classes:
-            return self.alg.single(self.pf.classes[ident])
+            return self.pf.alg.single(self.pf.classes[ident])
         # otherwise the bracket may hold a literal word
         try:
             cls = self.pf.surface.canonical_class(
@@ -414,7 +415,7 @@ class _Parser:
             raise _at(tok, "undefined class %r" % ident)
         if cls is None:
             raise _at(tok, "class %r is trivial" % ident)
-        return self.alg.single(cls)
+        return self.pf.alg.single(cls)
 
     def _orbit_system(self) -> OrbitSystem:
         """The orbit system of the declarations so far; an `n` or `orbit`

@@ -35,7 +35,7 @@ from .algebra import (
     normalize,
 )
 from .reports import CheckReport, series_witnesses, timed
-from .surfaces import Surface, Word, format_word, parse_word
+from .surfaces import Surface, Word, format_word
 from .weyl import (
     FILLING_KILL,
     OrbitSystem,
@@ -82,17 +82,8 @@ class ClassAlgebra:
         return sym
 
     def class_of_symbol(self, sym: GradedSymbol) -> Word:
-        cls = self._classes.get(sym)
-        if cls is not None:
-            return cls
-        # symbols are value objects: recover the class from the name
-        name = sym.name
-        if name.startswith("s[") and name.endswith("]"):
-            cls = self.surface.canonical_class(
-                parse_word(name[2:-1], self.surface))
-            if cls is not None and self.symbol(cls) == sym:
-                return cls
-        raise KeyError(sym.name)
+        """The class of a symbol of this algebra; KeyError for another."""
+        return self._classes[sym]
 
     def single(self, cls: Word, coeff=1) -> GradedSeries:
         return GradedSeries({((self.symbol(cls), 1),): coeff})

@@ -7,10 +7,11 @@ surface of genus g >= 2 the single vertex of the one-polygon cell
 structure carries a cyclic order of the 4g directed edges; crossings of
 curves are detected by comparing, in that order, the infinite reduced
 extensions of the four strands leaving a pair of occurrences.  Words on
-closed surfaces are kept Dehn-reduced, and rays are canonicalized by
-pushing every exact-half-relator strip to its rightmost route, which
-makes the first divergence of two rays decide their boundary order; a
-ray's key is eventually periodic, so a proven linear depth decides it.
+closed surfaces are Dehn-reduced by shortening half swaps, and rays are
+canonicalized by pushing every exact-half-relator strip to its rightmost
+route, which makes the first divergence of two rays decide their
+boundary order; a ray's key is eventually periodic, so a proven linear
+depth decides it.
 
 The closed torus has no hyperbolic combinatorics; it runs in lattice
 mode where a class is its homology vector and the bracket is the
@@ -46,10 +47,11 @@ def free_reduce(w: Sequence[int]) -> Word:
 
 
 def cyclic_reduce(w: Sequence[int]) -> Word:
-    out = list(free_reduce(w))
-    while len(out) > 1 and out[0] == -out[-1]:
-        out = out[1:-1]
-    return tuple(out)
+    w = free_reduce(w)
+    i, j = 0, len(w)
+    while j - i > 1 and w[i] == -w[j - 1]:
+        i, j = i + 1, j - 1
+    return w[i:j]
 
 
 def _shortlex_key(w: Sequence[int]):
@@ -107,6 +109,26 @@ def format_word(w: Word, surface: "Surface") -> str:
             kind = "c"
         names.append((kind if x > 0 else kind.upper()) + str(idx))
     return " ".join(names)
+
+
+def _extend_necklaces(a: List[int], t: int, p: int, top: int,
+                      out: List[Word]) -> None:
+    """Append to out each reduced necklace a[1..] with a[t..] below top,
+    p the period of the longest Lyndon prefix (a necklace when p divides
+    the length).  Not a closure that calls itself, so it leaves no
+    reference cycle (`Surface._necklaces`)."""
+    n = len(a) - 1
+    if t > n:
+        if n % p == 0 and (n == 1 or a[n] != a[1] ^ 1):
+            out.append(tuple([c >> 1 if c % 2 == 0 else -(c >> 1)
+                              for c in a[1:]]))
+        return
+    back = a[t - 1] ^ 1 if t > 1 else 0
+    lead = a[t - p]
+    for c in range(lead, top):
+        if c != back:
+            a[t] = c
+            _extend_necklaces(a, t + 1, p if c == lead else t, top, out)
 
 
 class Surface:
@@ -219,7 +241,6 @@ class Surface:
         R, Rb = self.relator, inverse_word(self.relator)
         n, h = len(R), self.half
         self.half_complement: Dict[Word, Word] = {}
-        self.long_complement: Dict[Word, Word] = {}
         for base in (R, Rb):
             for i in range(n):
                 rot = base[i:] + base[:i]
@@ -228,10 +249,6 @@ class Surface:
                 if key in self.half_complement and self.half_complement[key] != val:
                     raise SurfaceError("ambiguous half-relator table")
                 self.half_complement[key] = val
-                for L in range(h + 1, n + 1):
-                    k2, v2 = rot[:L], inverse_word(rot[L:])
-                    if k2 not in self.long_complement:
-                        self.long_complement[k2] = v2
 
     # -- class normal forms --------------------------------------------
     def torus_vector(self, w: Sequence[int]) -> Tuple[int, int]:
@@ -244,27 +261,21 @@ class Surface:
         return tuple([1 if m > 0 else -1] * abs(m) + [2 if n > 0 else -2] * abs(n))
 
     def dehn_reduce(self, w: Word) -> Word:
-        """Shorten every cyclic subword longer than half the relator."""
-        if not self.closed or self.torus_mode:
-            return cyclic_reduce(w)
+        """Cyclically reduce, then take the first shortening half swap
+        until none is left.  The result is Dehn-reduced: no cyclic
+        subword of 2g + 1 letters (or more) of a rotation r of R or R^-1.
+        Were r[:2g+1] in it, swapping the half r[:2g] would give
+        inverse(r[2g:]), whose last letter cancels the r[2g] after it.
+        Conversely, a swap shortens only when a letter next to the half
+        cancels the end of its complement, that is when the word extends
+        the half by one letter of r at either end."""
         w = cyclic_reduce(w)
-        changed = True
-        while changed and w:
-            changed = False
-            n = len(w)
-            double = w + w
-            for L in range(min(n, len(self.relator)), self.half, -1):
-                for i in range(n):
-                    seg = double[i:i + L]
-                    rep = self.long_complement.get(seg)
-                    if rep is None:
-                        continue
-                    rest = double[i + L:i + n]
-                    w = cyclic_reduce(rep + rest)
-                    changed = True
-                    break
-                if changed:
-                    break
+        if self.closed and not self.torus_mode:
+            nb: Optional[Word] = w
+            while nb is not None:
+                w = nb
+                nb = next((v for v in self._swap_neighbours(w)
+                           if len(v) < len(w)), None)
         return w
 
     def _swap_neighbours(self, w: Word) -> Iterable[Word]:
@@ -356,26 +367,10 @@ class Surface:
         and Wang, "Generating necklaces", J. Algorithms 1992) on letter
         codes, skipping a letter that cancels its predecessor: a prefix
         of a reduced necklace is a reduced prenecklace, so nothing is
-        lost.  `p` is the period of the longest Lyndon prefix; a word is
-        a necklace when p divides its length."""
-        top = 2 * self.rank + 2  # codes 2 .. 2 * rank + 1, inverse = code ^ 1
-        a = [2] * (n + 1)  # a[1..n]; a[0] seeds the first letter
+        lost."""
         out: List[Word] = []
-
-        def gen(t: int, p: int):
-            if t > n:
-                if n % p == 0 and (n == 1 or a[n] != a[1] ^ 1):
-                    out.append(tuple([c >> 1 if c % 2 == 0 else -(c >> 1)
-                                      for c in a[1:]]))
-                return
-            back = a[t - 1] ^ 1 if t > 1 else 0
-            lead = a[t - p]
-            for c in range(lead, top):
-                if c != back:
-                    a[t] = c
-                    gen(t + 1, p if c == lead else t)
-
-        gen(1, 1)
+        # codes 2 .. 2 * rank + 1, inverse = code ^ 1; a[0] seeds a[1]
+        _extend_necklaces([2] * (n + 1), 1, 1, 2 * self.rank + 2, out)
         return out
 
     # -- rays -----------------------------------------------------------

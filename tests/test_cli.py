@@ -586,6 +586,26 @@ def test_master_l_command(capsys):
     assert code == 0
 
 
+def test_master_l_reuses_the_parsers_class_algebra(capsys, monkeypatch):
+    from sftstring import cli
+    monkeypatch.setattr(cli, "ClassAlgebra", None)  # a second one would fail
+    code, _, _ = run_cli(["check-master-l", "--input",
+                          str(DATA / "surface_strings.sft"),
+                          "--potential", "L"], capsys)
+    assert code == 0
+
+
+@pytest.mark.parametrize("later", ["n = 3", "n = 2", "surface genus=2 boundary=0"])
+def test_master_l_rejects_string_symbols_of_an_earlier_declaration(
+        tmp_path, capsys, later):
+    path = tmp_path / "stale.sft"
+    path.write_text("surface genus=2 boundary=0\nseries L = s[a1]\n%s\n" % later)
+    code, out, err = run_cli(["check-master-l", "--input", str(path),
+                              "--potential", "L"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: s[a1] is read before the last n or surface declaration\n"
+
+
 def test_linearize_command(capsys):
     code, out, _ = run_cli(["linearize", "--input",
                             str(DATA / "three_orbit_pass.sft"),

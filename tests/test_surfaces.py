@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -288,6 +289,102 @@ def test_canonicalization_independence_of_rotation(genus2):
     c1, c2 = genus2.canonical_class(x1), genus2.canonical_class(x2)
     assert c1 == c2
     assert genus2.goldman_terms(c1, y) == genus2.goldman_terms(c2, y)
+
+
+def test_classes_up_to_leaves_no_cyclic_garbage():
+    Surface(2, 0).classes_up_to(3)
+    gc.collect()
+    gc.disable()
+    try:
+        Surface(2, 0).classes_up_to(3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _relator_rotations(S):
+    return [base[k:] + base[:k] for base in (S.relator, inverse_word(S.relator))
+            for k in range(len(S.relator))]
+
+
+def _strip_rich_words(S, count, seed):
+    """Words of 1-4 relator rotations, each cut to 2g-1 .. 4g letters and
+    followed by 0-2 random letters."""
+    rng = random.Random(seed)
+    letters = [x for a in range(1, S.rank + 1) for x in (a, -a)]
+    rotations = _relator_rotations(S)
+    out = []
+    for _ in range(count):
+        w = []
+        for _ in range(rng.randint(1, 4)):
+            w += rng.choice(rotations)[:rng.randint(S.half - 1, 2 * S.half)]
+            w += [rng.choice(letters) for _ in range(rng.randint(0, 2))]
+        out.append(tuple(w))
+    return out
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_dehn_reduce_leaves_no_long_relator_piece(genus):
+    # Dehn's condition: no cyclic subword of 2g + 1 letters of R or R^-1
+    S = Surface(genus, 0)
+    pieces = {r[:S.half + 1] for r in _relator_rotations(S)}
+    shortened = 0
+    for w in _strip_rich_words(S, 2000, seed=genus):
+        r = S.dehn_reduce(w)
+        assert cyclic_reduce(r) == r, w
+        periodic = r * (S.half + 1)
+        assert not any(periodic[i:i + S.half + 1] in pieces
+                       for i in range(len(r))), (w, r)
+        shortened += len(r) < len(cyclic_reduce(w))
+    assert shortened > 500
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_dehn_reduce_removes_relators(genus):
+    S = Surface(genus, 0)
+    for k in range(1, 6):
+        assert S.dehn_reduce(S.relator * k + (1,)) == (1,)
+        assert S.dehn_reduce(inverse_word(S.relator) * k + (1,)) == (1,)
+    assert S.dehn_reduce(S.relator) == ()
+
+
+def test_dehn_reduce_swaps_a_long_half(genus2):
+    # a1 b1 A1 B1 a2 is five letters of R: a1 b1 A1 B1 = a2 b2 A2 B2 ^-1
+    assert genus2.dehn_reduce(parse_word("a1 b1 A1 B1 a2", genus2)) == (3,)
+    assert genus2.dehn_reduce(parse_word("a1 b1 A1 B1 a2 a1", genus2)) == \
+        parse_word("b2 a2 B2 a1", genus2)
+
+
+def _is_ladder(S, w):
+    """A closed ladder: cyclic turns ((4g-1)^(2g-2), 4g-2)^m or
+    (1^(2g-2), 2)^m, the classes that get two keys today."""
+    n, m = len(w), S.half - 1
+    if n % m:
+        return False
+    turns = [S._turn[w[k]][w[(k + 1) % n]] for k in range(n)]
+    X = S.n_dirs - 1
+    return any(turns[k:] + turns[:k] == rung * (n // m)
+               for rung in ([X] * (m - 1) + [X - 1], [1] * (m - 1) + [2])
+               for k in range(m))
+
+
+@pytest.mark.parametrize("genus,skipped", [(2, 5), (3, 0)])
+def test_canonical_class_ignores_an_inserted_relator(genus, skipped):
+    S = Surface(genus, 0)
+    rng = random.Random(genus)
+    rotations = _relator_rotations(S)
+    words = _strip_rich_words(S, 2000, seed=10 + genus)
+    checked = ladders = 0
+    for w in words:
+        k = rng.randrange(len(w) + 1)
+        v = w[:k] + rng.choice(rotations) + w[k:]
+        c, d = S.canonical_class(w), S.canonical_class(v)
+        if c is not None and (_is_ladder(S, c) or _is_ladder(S, d)):
+            ladders += 1
+            continue
+        assert c == d, (w, v)
+        checked += 1
+    assert (ladders, checked) == (skipped, len(words) - skipped)
 
 
 def _forget_rays_and_tables(S):
