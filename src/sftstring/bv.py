@@ -2,9 +2,9 @@
 
 Operators are stored extensionally: values on the generator monomials
 inside the truncation window, tabulated or computed on first read.  The
-h-expansion D = (1/h) sum_k D^k h^k is recovered from the table, the
-order <= k condition is checked by the inductive graded-commutator
-criterion, and augmentations twist D into a constant-term-free operator
+h-expansion D = (1/h) sum_k D^k h^k is read off the values, the
+order <= k condition is checked on the Koszul brackets of the basis
+words, and augmentations twist D into a constant-term-free operator
 whose quadratic parts carry an involutive Lie bialgebra.
 """
 
@@ -33,7 +33,6 @@ from .algebra import (
     hbar_symbol,
     merge_words,
     monomial_degree,
-    mul,
     normalize,
     p_degree,
     product_terms,
@@ -142,10 +141,6 @@ class FreeAlgebraSpec:
         return GradedSeries({((self.hbar, a),): 1})
 
 
-_WIDE = TruncationContext(max_p_degree=64, max_hbar=64, min_hbar=-64,
-                          max_word_length=64)
-
-
 class LinearMap:
     """h-linear map on h-free monomials: a table, or a rule computing a
     word's value on its first read, kept for later reads.  With a rule,
@@ -171,7 +166,9 @@ class LinearMap:
     def _word(self, w: Monomial) -> GradedSeries:
         v = self._values.get(w)
         if v is None:
-            _check_window(self.spec, w)
+            if q_degree(w) > self.spec.word_cap:  # no table holds its value
+                raise BvError("value of %s outside the table"
+                              % format_monomial(w))
             if self._rule is None:
                 return GradedSeries.zero()
             v = self._values[w] = self._rule(w)
@@ -198,17 +195,15 @@ class BvOperator(LinearMap):
                  rule: Optional[Callable] = None):
         super().__init__(spec, table, -1, rule)
 
-    def component(self, k: int) -> Dict[Monomial, GradedSeries]:
-        """D^k as an h-free table: the h^(k-1) coefficient of each value."""
-        out = {}
-        for m, v in self.table.items():
-            acc: Dict[Monomial, Coeff] = {}
-            for mono, c in v.terms.items():
-                rest, h = split_h(mono)
-                if h == k - 1:
-                    acc[rest] = acc.get(rest, 0) + c
-            out[m] = GradedSeries(acc)
-        return out
+    def component(self, k: int) -> LinearMap:
+        """D^k, of degree -1 + 2(n-3)(1-k), as a rule-form map: the
+        h^(k-1) coefficient of each value, on the word's first read."""
+        def rule(m: Monomial) -> GradedSeries:
+            split = ((split_h(mono), c) for mono, c in self.value(m).terms.items())
+            return GradedSeries.from_terms(
+                {rest: c for (rest, h), c in split if h == k - 1})
+        return LinearMap(self.spec, {}, -1 + 2 * (self.spec.n - 3) * (1 - k),
+                         rule)
 
     def max_component(self) -> int:
         best = 0
@@ -218,20 +213,12 @@ class BvOperator(LinearMap):
         return best
 
 
-def _check_window(spec: FreeAlgebraSpec, w: Monomial) -> None:
-    """Raise on a word past word_cap, whose value no table holds."""
-    if q_degree(w) > spec.word_cap:
-        raise BvError("value of %s outside the table" % format_monomial(w))
-
-
 def derivation_operator(spec: FreeAlgebraSpec,
                         images: Dict[str, GradedSeries]) -> BvOperator:
     """Odd derivation determined by generator images (a pure D^1),
-    tabulated on the basis monomials by algebra.derivation."""
+    computed on a word's first read by algebra.derivation."""
     img = {spec.symbol(nm): v.terms for nm, v in images.items()}
-    return BvOperator(spec, {
-        m: spec.window(derivation(m, img.get))
-        for m in spec.basis_monomials()})
+    return BvOperator(spec, {}, lambda m: spec.window(derivation(m, img.get)))
 
 
 def validate_bv(D: BvOperator) -> CheckReport:
@@ -244,15 +231,15 @@ def validate_bv(D: BvOperator) -> CheckReport:
         if not D.value(ONE).is_zero():
             report.add_witness("D(1)", repr(D.value(ONE)))
         reliable = reliable_cap(D)
-        conclusive = _conclusive(spec, reliable)
+        # every basis word must be reliable; the last (longest) may be
+        # shorter than word_cap, when odd generators run out
+        conclusive = q_degree(spec.basis_monomials()[-1]) <= reliable
         for m in spec.basis_monomials(reliable):
             sq = D.apply(D.value(m))
             if not sq.is_zero():
                 report.add_witness("DD(%s)" % format_monomial(m), repr(sq))
         for k in range(1, D.max_component() + 1):
-            comp = D.component(k)
-            deg = -1 + 2 * (spec.n - 3) * (1 - k)
-            ok, concl = order_at_most(LinearMap(spec, comp, deg), k)
+            ok, concl = order_at_most(D.component(k), k)
             conclusive = conclusive and concl
             if concl and not ok:
                 report.add_witness("component %d has order > %d" % (k, k), "order")
@@ -261,43 +248,53 @@ def validate_bv(D: BvOperator) -> CheckReport:
     return report
 
 
-def order_at_most(op: LinearMap, k: int, domain_cap: Optional[int] = None,
-                  first: int = 0) -> Tuple[bool, bool]:
-    """Inductive differential-operator criterion with Koszul signs.
+def order_at_most(op: LinearMap, k: int) -> Tuple[bool, bool]:
+    """Whether op has order <= k, as (holds, conclusive): whether every
+    [..[op, a_0], .., a_k] vanishes, a_i generators and [T, a](x) =
+    T(a x) - (-1)^(|T||a|) a T(x); order <= -1 means op = 0.
 
-    op has order <= k iff for every generator a the graded commutator
-    x -> op(a x) - (-1)^(|op||a|) a op(x) has order <= k-1; order <= -1
-    means the zero map.  Left multiplications are the order-zero
-    operators of the graded setting.  Returns (holds, conclusive).
+    One pass over the basis, shortest word first, keeps the words w with
+    a nonzero Koszul bracket K(w) = op(w) - sum_u C(w, u) eps (w - u) K(u)
+    over the kept proper sub-words u of w (looked up among its sub-words
+    of at most k units: no longer word is kept), C(w, u) = prod_t
+    C(e_t, f_t) and eps the sign of (w - u) u = eps w times
+    (-1)^(|op||w - u|).  A kept word above q-degree k fails the check;
+    with word_cap < k + 1 there is none to check: (True, False).
 
-    Left multiplications graded-commute, so [[op, a], b] = +-[[op, b], a]
-    and each multiset of generators is taken once: below the commutator
-    with spec.symbols[first], generators are picked from first on.
+    (i) K(w) = [..[op, u_1], .., u_j](1), u_i the units of w in order:
+    unfold T(b x) = [T, b](x) + (-1)^(|T||b|) b T(x) over the units b,
+    and T(w) sums, over the position sets S of w, (w - S) times T's
+    commutator with the units of S at 1, signed eps; the C(w, u) sets of
+    one u give equal terms.  (ii) Order <= k iff K = 0 above q-degree k:
+    such a K(w) is a commutator of a (k+1)-fold one, and by (i) a
+    (k+1)-fold one at x sums terms +-(x - u) K(a_0..a_k u), commutators
+    graded-commuting, or 0 if an odd a repeats: [[T, a], a](x) =
+    T(a a x) - a a T(x) = 0.  The terms past the caps form an ideal for
+    h-free factors, so this holds in the spec's window.
     """
     spec = op.spec
-    if domain_cap is None:
-        domain_cap = spec.word_cap
-    if k < 0:
-        return all(v.is_zero() for m, v in op.table.items()
-                   if q_degree(m) <= domain_cap), True
     if spec.word_cap < k + 1:
         return True, False
-    conclusive = domain_cap >= 1
-    words = spec.basis_monomials(domain_cap - 1)
-    for i in range(first, len(spec.symbols)):
-        a = spec.symbols[i]
-        table: Dict[Monomial, GradedSeries] = {}
-        gen = GradedSeries.generator(a)
-        sign = -1 if (op.degree % 2) and (a.degree % 2) else 1
-        for x in words:
-            ax = mul(gen, GradedSeries({x: 1}), _WIDE)
-            table[x] = op.apply(ax) - spec.mul(gen, op.value(x)).scale(sign)
-        sub = LinearMap(spec, table, op.degree + a.degree)
-        ok, concl = order_at_most(sub, k - 1, domain_cap - 1, i)
-        conclusive = conclusive and concl
-        if not ok:
-            return False, conclusive
-    return True, conclusive
+    kept: Dict[Monomial, GradedSeries] = {}
+    for w in spec.basis_monomials():
+        acc = dict(op.value(w).terms)
+        subs = [()]  # the sub-words of w of at most k units
+        for s, e in w:
+            subs = [u + ((s, f),) if f else u for u in subs
+                    for f in range(min(e, k - q_degree(u)) + 1)]
+        for u in subs:
+            if u in kept:
+                rest, count = _divide(u, w)
+                sign = merge_words(rest, u)[0] * count \
+                    * (-1) ** (op.degree * monomial_degree(rest) % 2)
+                add_terms(acc, product_terms(GradedSeries({rest: 1}), kept[u]),
+                          -sign)
+        kw = spec.window(acc)
+        if kw:
+            if q_degree(w) > k:
+                return False, True
+            kept[w] = kw
+    return True, True
 
 
 def bv_bracket(D: BvOperator, a: GradedSeries, b: GradedSeries) -> GradedSeries:
@@ -410,17 +407,26 @@ def _exp_word(spec, blocks, memo, w: Monomial) -> GradedSeries:
 
 def _peel(blocks, w: Monomial):
     """(B, phi(B), w - B, number of position blocks) for each block B of
-    phi that starts with the first symbol of w and divides w."""
+    phi that starts with the first symbol of w and divides w: the first
+    of its e units in w is in B, so B's f of them take C(e - 1, f - 1) =
+    C(e, f) f / e blocks."""
     for b, v in blocks.get(w[0][0], ()):
-        left, count = dict(w), 1
-        for t, f in b:
-            e = left.get(t, 0)
-            if e < f:
-                break
-            count *= comb(e - 1, f - 1) if t is b[0][0] else comb(e, f)
-            left[t] = e - f
-        else:
-            yield b, v, tuple((t, e) for t, e in left.items() if e), count
+        part = _divide(b, w)
+        if part is not None:
+            yield b, v, part[0], part[1] * b[0][1] // w[0][1]
+
+
+def _divide(u: Monomial, w: Monomial) -> Optional[Tuple[Monomial, int]]:
+    """(w - u, prod_t C(e_t, f_t)), the number of sets of positions of w
+    that hold the units of u, when u divides w, else None."""
+    left, count = dict(w), 1
+    for t, f in u:
+        e = left.get(t, 0)
+        if e < f:
+            return None
+        count *= comb(e, f)
+        left[t] = e - f
+    return tuple((t, e) for t, e in left.items() if e), count
 
 
 def _check_parity(b: Monomial, v: GradedSeries) -> None:
@@ -474,14 +480,6 @@ def reliable_cap(D: LinearMap) -> int:
         q_degree(mono) - q_degree(m)
         for m in spec.basis_monomials(spec.word_cap - 1)
         for mono in D.value(m).terms])
-
-
-def _conclusive(spec: FreeAlgebraSpec, reliable: int) -> bool:
-    """Whether every basis word is one the truncation leaves reliable,
-    read off the last (longest) basis word.  That word may be shorter
-    than word_cap, when odd generators run out, so reliable < word_cap
-    alone does not make a check inconclusive."""
-    return q_degree(spec.basis_monomials()[-1]) <= reliable
 
 
 # ---------------------------------------------------------------------

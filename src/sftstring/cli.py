@@ -51,10 +51,10 @@ MAX_AXIOM_WORDS = 200_000
 MAX_ORACLE_LETTERS = 100_000
 # linearize and check-bialgebra cap the words of the q-basis, counted
 # in closed form by _bv_words before anything is built.  With one odd
-# orbit o0 and e even ones, H = sum_i q[e_i] p[o0] (2-vCPU VM, Python
-# 3.11.7): e = 6 at --max-word-len 9 (8,008 words) took 11 s; e = 19 at
-# 4 (10,395) 9.5 s and at 5 (51,359) 62 s; e = 39 at 3 (12,300) 7.4 s;
-# e = 1 at 4,999 (9,999) 3.9 s
+# orbit o0 and e even ones, H = sum_i q[e_i] p[o0] (sft linearize in
+# process, 2-vCPU VM, Python 3.11.7): e = 6 at --max-word-len 9 (8,008
+# words) took 1.3 s; e = 19 at 4 (10,395) 1.8 s and at 5 (51,359) 12 s
+# and 290 MB; e = 39 at 3 (12,300) 1.9 s; e = 1 at 4,999 (9,999) 0.6 s
 MAX_BV_WORDS = 10_000
 # bracket and cobracket canonicalize words as long as all their input
 # letters together (bracket: each concatenation x y), and that grows

@@ -411,7 +411,7 @@ class _Parser:
         try:
             cls = self.pf.surface.canonical_class(
                 parse_word(ident, self.pf.surface))
-        except Exception:
+        except SurfaceError:
             raise _at(tok, "undefined class %r" % ident)
         if cls is None:
             raise _at(tok, "class %r is trivial" % ident)

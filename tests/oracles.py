@@ -7,11 +7,21 @@ products go by `merge_words` and `algebra.derivation` instead.  `eager_twist_tab
 by an augmentation on every basis word up front, where the library
 computes each word on its first read.  `reliable_cap_full_table` reads
 the truncation's reliable cap off every basis word, where the library
-reads only the words below word_cap.
+reads only the words below word_cap.  `order_at_most_reference`
+decides a map's order by nested graded commutators, one table per
+multiset of generators, where the library walks the basis once for the
+Koszul brackets.
 """
 
-from sftstring.algebra import KIND_H, GradedSeries, NormalizationError, q_degree
+from typing import Dict, Optional, Tuple
+
+from sftstring.algebra import (KIND_H, GradedSeries, Monomial,
+                               NormalizationError, TruncationContext, mul,
+                               q_degree)
 from sftstring.bv import LinearMap, _exp_words
+
+_WIDE = TruncationContext(max_p_degree=64, max_hbar=64, min_hbar=-64,
+                          max_word_length=64)
 
 
 def units_of(m):
@@ -107,3 +117,43 @@ def reliable_cap_full_table(D):
     return D.spec.word_cap - max([0] + [
         q_degree(mono) - q_degree(m) for m, v in D.table.items()
         for mono in v.terms])
+
+
+def order_at_most_reference(op: LinearMap, k: int,
+                            domain_cap: Optional[int] = None,
+                            first: int = 0) -> Tuple[bool, bool]:
+    """Inductive differential-operator criterion with Koszul signs.
+
+    op has order <= k iff for every generator a the graded commutator
+    x -> op(a x) - (-1)^(|op||a|) a op(x) has order <= k-1; order <= -1
+    means the zero map.  Left multiplications are the order-zero
+    operators of the graded setting.  Returns (holds, conclusive).
+
+    Left multiplications graded-commute, so [[op, a], b] = +-[[op, b], a]
+    and each multiset of generators is taken once: below the commutator
+    with spec.symbols[first], generators are picked from first on.
+    """
+    spec = op.spec
+    if domain_cap is None:
+        domain_cap = spec.word_cap
+    if k < 0:
+        return all(v.is_zero() for m, v in op.table.items()
+                   if q_degree(m) <= domain_cap), True
+    if spec.word_cap < k + 1:
+        return True, False
+    conclusive = domain_cap >= 1
+    words = spec.basis_monomials(domain_cap - 1)
+    for i in range(first, len(spec.symbols)):
+        a = spec.symbols[i]
+        table: Dict[Monomial, GradedSeries] = {}
+        gen = GradedSeries.generator(a)
+        sign = -1 if (op.degree % 2) and (a.degree % 2) else 1
+        for x in words:
+            ax = mul(gen, GradedSeries({x: 1}), _WIDE)
+            table[x] = op.apply(ax) - spec.mul(gen, op.value(x)).scale(sign)
+        sub = LinearMap(spec, table, op.degree + a.degree)
+        ok, concl = order_at_most_reference(sub, k - 1, domain_cap - 1, i)
+        conclusive = conclusive and concl
+        if not ok:
+            return False, conclusive
+    return True, conclusive

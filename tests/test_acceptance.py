@@ -14,7 +14,6 @@ from sftstring.bv import (
     Augmentation,
     BvOperator,
     FreeAlgebraSpec,
-    LinearMap,
     bv_bracket,
     bv_from_hamiltonian,
     derivation_operator,
@@ -158,13 +157,12 @@ def test_criterion_3_bv_suite(hamiltonian):
         assert D.value(ONE).is_zero()
         # component orders
         for k in range(1, D.max_component() + 1):
-            comp = LinearMap(D.spec, D.component(k),
-                             -1 + 2 * (sys.n - 3) * (1 - k))
+            comp = D.component(k)
+            assert comp.degree == -1 + 2 * (sys.n - 3) * (1 - k)
             ok, _concl = order_at_most(comp, k)
             assert ok
         # the first component is a derivation with vanishing BV-bracket
-        comp1 = LinearMap(D.spec, D.component(1), -1)
-        D1 = BvOperator(D.spec, comp1.table)
+        D1 = BvOperator(D.spec, D.component(1).table)
         gens = [GradedSeries.generator(s) for s in D.spec.symbols[:4]]
         for a in gens:
             for b in gens:

@@ -1,11 +1,14 @@
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from sftstring import bv
-from sftstring.algebra import GradedSeries, TruncationContext, q_degree
+from sftstring.algebra import (GradedSeries, TruncationContext, add_terms,
+                               derivation, merge_words, monomial_degree,
+                               q_degree)
 from sftstring.bv import (
     Augmentation,
     BvError,
@@ -26,6 +29,7 @@ from sftstring.bv import (
     BialgebraAxioms,
 )
 from sftstring.weyl import Orbit, OrbitSystem, check_master_h
+from oracles import order_at_most_reference
 
 
 def xy_spec(word_cap=4, hbar_cap=3):
@@ -52,7 +56,7 @@ def test_derivation_has_order_one():
     y = spec.generator("y")
     D = derivation_operator(spec, {"x": spec.mul(y, y) - GradedSeries.unit(),
                                    "y": GradedSeries.zero()})
-    comp = LinearMap(spec, D.component(1), -1)
+    comp = D.component(1)
     assert order_at_most(comp, 1) == (True, True)
     assert order_at_most(comp, 0)[0] is False
 
@@ -126,22 +130,137 @@ def test_bv_bracket_order_two_example():
     assert got == GradedSeries.unit() or got == GradedSeries.unit(-1)
 
 
-def test_order_check_takes_one_commutator_per_multiset(monkeypatch):
-    # [[op, a], b] = +-[[op, b], a], so below the top call the nested
-    # commutators of an order <= 2 check are taken once per multiset of
-    # at most 3 of the 3 generators: C(d + 2, d) calls at depth d, where
-    # every ordered pick would make 3^d
+def test_order_check_reads_each_word_once_and_stops_at_the_first_failure():
+    # d^2/dy^2, of order 2: a passing check reads every basis word once,
+    # a second check reads none again, and a failing one reads the basis
+    # up to its first word of degree above k with a nonzero bracket, y^2
     spec = FreeAlgebraSpec([("x", 1), ("y", 0), ("z", 2)], word_cap=4,
                            hbar_cap=1, n=2)
-    nodes = []
+    sy = spec.symbol("y")
+    reads = []
 
-    def counted(op, k, *args):
-        nodes.append(k)
-        return order(op, k, *args)
-    order = bv.order_at_most
-    monkeypatch.setattr(bv, "order_at_most", counted)
-    assert bv.order_at_most(LinearMap(spec, {}, -1), 2) == (True, True)
-    assert Counter(nodes) == {2: 1, 1: 3, 0: 6, -1: 10}
+    def second(m):
+        reads.append(m)
+        e = dict(m).get(sy, 0)
+        return GradedSeries.from_word([(s, f - 2 * (s is sy)) for s, f in m],
+                                      e * (e - 1)) if e > 1 else GradedSeries()
+
+    op = LinearMap(spec, {}, 0, second)
+    assert order_at_most(op, 2) == (True, True)
+    assert reads == spec.basis_monomials()
+    assert order_at_most(op, 3) == (True, True)
+    assert reads == spec.basis_monomials()
+    del reads[:]
+    assert order_at_most(LinearMap(spec, {}, 0, second), 1) == (False, True)
+    basis = spec.basis_monomials()
+    assert reads == basis[:basis.index(((sy, 2),)) + 1]
+
+
+_KINDS = ("table", "derivations", "f_derivation", "multiplication")
+
+
+def _oracle_maps(rng, count):
+    """(kind, op) for count maps, the kinds in turn, on 1 to 4 generators
+    of degree -1 to 2, word_cap 1 to 5 and n 2 or 3: a random table of
+    a random declared degree, with values of mixed degree and h powers;
+    a composite of 2 or 3 derivations; f times a derivation; and
+    multiplication by f, f homogeneous."""
+    for i in range(count):
+        gens = [("g%d" % j, rng.randrange(-1, 3))
+                for j in range(rng.randint(1, 4))]
+        spec = FreeAlgebraSpec(gens, rng.randint(1, 5), 2,
+                               n=rng.choice((2, 3)))
+        basis = spec.basis_monomials()
+
+        def poly(degree=None, h=False):
+            words = [m for m in basis
+                     if degree is None or monomial_degree(m) == degree]
+            out = GradedSeries.zero()
+            for _ in range(rng.randint(1, 2) if words else 0):
+                term = GradedSeries({rng.choice(words): rng.randint(-3, 3)})
+                if h and rng.random() < 0.3:
+                    term = spec.mul(spec.hpow(rng.randint(1, 2)), term)
+                out = out + term
+            return out
+
+        def derivation_map():
+            d = monomial_degree(rng.choice(basis[1:] or basis)) \
+                - rng.choice(spec.symbols).degree
+            img = {s: poly(s.degree + d).terms for s in spec.symbols}
+            return LinearMap(spec, {}, d,
+                             lambda m: spec.window(derivation(m, img.get)))
+
+        kind = _KINDS[i % len(_KINDS)]
+        if kind == "table":
+            op = LinearMap(spec, {m: poly(h=True) for m in basis
+                                  if rng.random() < 0.5}, rng.randint(-2, 2))
+        elif kind == "derivations":
+            ds = [derivation_map() for _ in range(rng.randint(2, 3))]
+
+            def composite(m, ds=ds):
+                v = ds[-1].value(m)
+                for d in reversed(ds[:-1]):
+                    v = d.apply(v)
+                return v
+            op = LinearMap(spec, {}, sum(d.degree for d in ds), composite)
+        else:
+            df = monomial_degree(rng.choice(basis))
+            f = poly(df)
+            d = derivation_map() if kind == "f_derivation" else None
+            op = LinearMap(
+                spec, {}, df + (d.degree if d else 0),
+                lambda m, f=f, d=d: spec.mul(
+                    f, d.value(m) if d else GradedSeries({m: 1})))
+        yield kind, op
+
+
+def test_order_check_matches_the_nested_commutator_oracle():
+    """The Koszul-bracket pass against the nested-commutator recursion
+    it replaces, on 2,400 (map, k) cases, k = -1..4."""
+    seen = Counter()
+    for kind, op in _oracle_maps(random.Random(29), 400):
+        for k in range(-1, 5):
+            got = order_at_most(op, k)
+            assert got == order_at_most_reference(op, k), (kind, k)
+            seen[kind, got] += 1
+    assert sum(seen.values()) == 2400
+    # every kind meets every verdict: passing, failing and inconclusive
+    assert all(seen[kind, v] for kind in _KINDS
+               for v in ((True, True), (False, True), (True, False))), seen
+
+
+def test_generic_order_k_maps_have_order_exactly_k():
+    # op(w) = sum_u C(w, u) eps (w - u) K(u) over random brackets K on
+    # the words of degree <= k, nonzero on some word of degree k
+    rng = random.Random(7)
+    for k in range(4):
+        for n in (2, 3):
+            spec = FreeAlgebraSpec([("x", 1), ("y", 0), ("z", 1), ("w", 2)],
+                                   5, 1, n=n)
+            basis = spec.basis_monomials()
+            low = [m for m in basis if q_degree(m) < k]
+            brackets = {m: GradedSeries({rng.choice(basis): rng.randint(1, 3)})
+                        for m in rng.sample(low, min(3, len(low)))}
+            top = rng.choice([m for m in basis if q_degree(m) == k])
+            brackets[top] = GradedSeries.unit(rng.randint(1, 3))
+            degree = rng.randint(-2, 2)
+
+            def rule(w):
+                acc = {}
+                for u, ku in brackets.items():
+                    part = bv._divide(u, w)
+                    if part is not None:
+                        rest, count = part
+                        sign = merge_words(rest, u)[0] * count
+                        if degree % 2 and monomial_degree(rest) % 2:
+                            sign = -sign
+                        add_terms(acc, spec.mul(GradedSeries({rest: 1}),
+                                                ku).terms, sign)
+                return GradedSeries(acc)
+            op = LinearMap(spec, {}, degree, rule)
+            for check in (order_at_most, order_at_most_reference):
+                assert check(op, k) == (True, True), (k, n)
+                assert check(op, k - 1) == (False, True), (k, n)
 
 
 def test_exp_morphism_small_cases():

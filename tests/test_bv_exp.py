@@ -19,8 +19,8 @@ from math import comb, factorial
 import pytest
 
 from sftstring import bv
-from sftstring.algebra import (GradedSeries, add_terms, format_monomial,
-                               mul, q_degree, split_h)
+from sftstring.algebra import (GradedSeries, TruncationContext, add_terms,
+                               format_monomial, mul, q_degree, split_h)
 from sftstring.bv import (
     Augmentation,
     BvError,
@@ -40,7 +40,10 @@ from sftstring.cotangent import (
 from sftstring.surfaces import Surface, parse_word
 from oracles import koszul_sign
 
-_WIDE = bv._WIDE
+# wide enough that no product of the references is cut before the spec's
+# own truncation
+_WIDE = TruncationContext(max_p_degree=64, max_hbar=64, min_hbar=-64,
+                          max_word_length=64)
 
 
 def _units(m):

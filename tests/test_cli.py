@@ -606,6 +606,27 @@ def test_master_l_rejects_string_symbols_of_an_earlier_declaration(
     assert err == "error: s[a1] is read before the last n or surface declaration\n"
 
 
+@pytest.mark.parametrize("word", ["zz", "a1 a9", "a0"])
+def test_bad_string_word_exits_2_with_one_line(tmp_path, capsys, word):
+    path = tmp_path / "bad_word.sft"
+    path.write_text("surface genus=2 boundary=0\nseries A = s[%s]\n" % word)
+    code, out, err = run_cli(["parse", "--input", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: line 2, col 12: undefined class %r\n" % word
+
+
+def test_error_other_than_a_bad_string_word_propagates(monkeypatch):
+    # only a SurfaceError means an undefined class; a programming error
+    # inside the word's parse is not reported as one
+    from sftstring import problemfile
+
+    def broken(ident, surface):
+        raise TypeError("broken")
+    monkeypatch.setattr(problemfile, "parse_word", broken)
+    with pytest.raises(TypeError, match="broken"):
+        parse("surface genus=2 boundary=0\nseries A = s[a1]\n")
+
+
 def test_linearize_command(capsys):
     code, out, _ = run_cli(["linearize", "--input",
                             str(DATA / "three_orbit_pass.sft"),
