@@ -23,7 +23,8 @@ from .algebra import (KIND_S, GradedSeries, NormalizationError,
 from .bv import (Augmentation, BvError, FreeAlgebraSpec, bv_from_hamiltonian,
                  check_lie_bialgebra, homology, linearize,
                  twist_by_augmentation, validate_bv)
-from .problemfile import ParseError, ProblemFile, parse, print_problem
+from .problemfile import (MAX_STRING_LETTERS, ParseError, ProblemFile,
+                          parse, print_problem)
 from .reports import CheckReport
 from .surfaces import Surface, SurfaceError, format_word, parse_word, torus_bracket_oracle
 from .strings import (ClassAlgebra, check_goldman_turaev_axioms,
@@ -56,14 +57,6 @@ MAX_ORACLE_LETTERS = 100_000
 # words) took 1.3 s; e = 19 at 4 (10,395) 1.8 s and at 5 (51,359) 12 s
 # and 290 MB; e = 39 at 3 (12,300) 1.9 s; e = 1 at 4,999 (9,999) 0.6 s
 MAX_BV_WORDS = 10_000
-# bracket and cobracket canonicalize words as long as all their input
-# letters together (bracket: each concatenation x y), and that grows
-# about 8x per 10 letters on strip-rich words (blocks a1 b1 A1 B1, each
-# followed by a1 or b2).  At genus 2 (2-vCPU VM, Python 3.11.7):
-# cobracket took 0.7 s at 40 letters, 1.7 s at 45, 6.7 s at 50 and
-# 16.6 s at 60; bracket of such a word with itself 1.3 s at 20 + 20
-# letters, 3.5 s at 20 + 25 and 97 s at 30 + 30
-MAX_STRING_LETTERS = 40
 # each --samples draw adds a sampled pair and triple to the axiom sweep
 # (0.1 to 0.5 s per long-word triple) and a tuple to the identity suite
 MAX_AXIOM_SAMPLES = 1_000
@@ -362,9 +355,14 @@ def cmd_build_h(args) -> Output:
 
 def cmd_closure(args) -> Output:
     surface = Surface(args.genus, args.boundary)
-    seeds = [parse_word(w, surface) for w in args.words]
-    closure, escaped = close_alphabet(surface, seeds,
-                                      _option(args.cap, 4, 1, "--cap"))
+    # each bracket the closure takes joins two members of at most cap
+    # letters, the work bracket refuses above MAX_STRING_LETTERS in all
+    cap = _option(args.cap, 4, 1, "--cap")
+    if cap > MAX_STRING_LETTERS // 2:
+        raise UsageError("--cap %d is above the maximum %d"
+                         % (cap, MAX_STRING_LETTERS // 2))
+    closure, escaped = close_alphabet(
+        surface, _class_args(surface, *args.words), cap)
     payload = {
         "schema": 1,
         "closure": [format_word(w, surface) for w in closure],

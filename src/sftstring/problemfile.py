@@ -41,6 +41,15 @@ MAX_POWER = 1_000
 # each level of parentheses takes four Python frames, so this depth stays
 # far below the interpreter's recursion limit
 MAX_NESTING = 100
+# bracket and cobracket canonicalize words as long as all their input
+# letters together (bracket: each concatenation x y), and that grows
+# about 8x per 10 letters on strip-rich words (blocks a1 b1 A1 B1, each
+# followed by a1 or b2).  At genus 2 (2-vCPU VM, Python 3.11.7):
+# cobracket took 0.7 s at 40 letters, 1.7 s at 45, 6.7 s at 50 and
+# 16.6 s at 60; bracket of such a word with itself 1.3 s at 20 + 20
+# letters, 3.5 s at 20 + 25 and 97 s at 30 + 30.  A class word of a
+# file, in `class X = ...` or `s[...]`, has the same bound.
+MAX_STRING_LETTERS = 40
 # parse-time products drop no term above any cap; below h^-64 they raise
 _KEEP_ALL = TruncationContext(max_p_degree=math.inf, max_hbar=math.inf,
                               min_hbar=-64, max_word_length=math.inf)
@@ -258,6 +267,9 @@ class _Parser:
         word: Word = ()
         while self.peek().kind == "name":
             letter = self.next()
+            if len(word) == MAX_STRING_LETTERS:
+                raise _at(letter, "class word of more than %d letters"
+                          % MAX_STRING_LETTERS)
             try:
                 word += parse_word(letter.text, self.pf.surface)
             except SurfaceError as exc:
@@ -409,10 +421,13 @@ class _Parser:
             return self.pf.alg.single(self.pf.classes[ident])
         # otherwise the bracket may hold a literal word
         try:
-            cls = self.pf.surface.canonical_class(
-                parse_word(ident, self.pf.surface))
+            word = parse_word(ident, self.pf.surface)
         except SurfaceError:
             raise _at(tok, "undefined class %r" % ident)
+        if len(word) > MAX_STRING_LETTERS:
+            raise _at(tok, "class word of more than %d letters"
+                      % MAX_STRING_LETTERS)
+        cls = self.pf.surface.canonical_class(word)
         if cls is None:
             raise _at(tok, "class %r is trivial" % ident)
         return self.pf.alg.single(cls)

@@ -6,12 +6,16 @@ letter k > 0 is the k-th generator, -k its inverse.  For a closed
 surface of genus g >= 2 the single vertex of the one-polygon cell
 structure carries a cyclic order of the 4g directed edges; crossings of
 curves are detected by comparing, in that order, the infinite reduced
-extensions of the four strands leaving a pair of occurrences.  Words on
-closed surfaces are Dehn-reduced by shortening half swaps, and rays are
-canonicalized by pushing every exact-half-relator strip to its rightmost
-route, which makes the first divergence of two rays decide their
-boundary order; a ray's key is eventually periodic, so a proven linear
-depth decides it.
+extensions of the four strands leaving a pair of occurrences, once per
+shared run of the two strands: at its end, which a one-step test on the
+letters entering the pair finds.  Words on closed surfaces are
+Dehn-reduced by shortening half swaps, and a class whose reduced word
+has no half swap is its least rotation.  Rays are canonicalized by
+pushing every exact-half-relator strip to its rightmost route, which
+makes the first divergence of two rays decide their boundary order; a
+ray's key is eventually periodic, so a proven linear depth decides it.
+A word with no strip needs no rewriting, and the keys of all its
+strands are slices of one periodic turn sequence per direction.
 
 The closed torus has no hyperbolic combinatorics; it runs in lattice
 mode where a class is its homology vector and the bracket is the
@@ -65,7 +69,9 @@ def min_rotation(w: Word) -> Word:
         return w
     n = len(w)
     codes = _shortlex_key(w)[1] * 2
-    i = min(range(n), key=lambda i: codes[i:i + n])
+    least = min(codes)
+    i = min((i for i in range(n) if codes[i] == least),
+            key=lambda i: codes[i:i + n])
     return w[i:] + w[:i]
 
 
@@ -260,7 +266,7 @@ class Surface:
     def torus_word(m: int, n: int) -> Word:
         return tuple([1 if m > 0 else -1] * abs(m) + [2 if n > 0 else -2] * abs(n))
 
-    def dehn_reduce(self, w: Word) -> Word:
+    def dehn_reduce(self, w: Word) -> Tuple[Word, bool]:
         """Cyclically reduce, then take the first shortening half swap
         until none is left.  The result is Dehn-reduced: no cyclic
         subword of 2g + 1 letters (or more) of a rotation r of R or R^-1.
@@ -268,15 +274,22 @@ class Surface:
         inverse(r[2g:]), whose last letter cancels the r[2g] after it.
         Conversely, a swap shortens only when a letter next to the half
         cancels the end of its complement, that is when the word extends
-        the half by one letter of r at either end."""
+        the half by one letter of r at either end.
+
+        Also returns whether the last scan met any half swap: without
+        one, the class closure has no move from the result."""
         w = cyclic_reduce(w)
+        swappable = False
         if self.closed and not self.torus_mode:
             nb: Optional[Word] = w
             while nb is not None:
-                w = nb
-                nb = next((v for v in self._swap_neighbours(w)
-                           if len(v) < len(w)), None)
-        return w
+                w, nb, swappable = nb, None, False
+                for v in self._swap_neighbours(w):
+                    swappable = True
+                    if len(v) < len(w):
+                        nb = v
+                        break
+        return w, swappable
 
     def _swap_neighbours(self, w: Word) -> Iterable[Word]:
         n = len(w)
@@ -311,11 +324,13 @@ class Surface:
         if not self.closed:
             w = cyclic_reduce(w0)
             return min_rotation(w) if w else None
-        w = self.dehn_reduce(w0)
+        w, swappable = self.dehn_reduce(w0)
         if not w:
             return None
-        # breadth-first closure under exact-half swaps
         start = min_rotation(w)
+        if not swappable:
+            return start
+        # breadth-first closure under exact-half swaps
         seen = {start}
         frontier = [start]
         best, best_key = start, _shortlex_key(start)
@@ -325,8 +340,7 @@ class Surface:
                 if len(nb) < len(cur):
                     # a swap exposed a cancellation: restart from the
                     # genuinely shorter representative
-                    short = self._canonical_uncached(self.dehn_reduce(nb))
-                    return short
+                    return self._canonical_uncached(nb)
                 nb = min_rotation(nb)
                 if nb not in seen:
                     seen.add(nb)
@@ -431,6 +445,13 @@ class Surface:
         """Keys of the future and past rays of a strand, cut to their
         first T + |w| entries, every one exact; built once per strand.
 
+        When the cyclic turns of neither w nor its inverse hold a strip
+        X^(h-1) (on open surfaces, never), `canonical_ray` rewrites
+        nothing, so a key is the rank of the strand's first letter and
+        then a slice of the word's periodic turns: one call caches every
+        strand of w (`_cache_strip_free_rays`).  Otherwise each key comes
+        from `canonical_ray` on a window, as follows.
+
         A key is the rank of the first direction, then the turn at each
         later vertex; keys order rays counterclockwise, and equal keys
         trace the same line.  Let n = |w|: the input key has period n
@@ -461,47 +482,42 @@ class Surface:
         """
         hit = self._ray_cache.get((w, i))
         if hit is None:
-            size = self._key_start(len(w)) + len(w)
-            window = size + self._ray_slack(len(w))
-            hit = self._ray_cache[(w, i)] = tuple(
-                self._ray_key(self.canonical_ray(letters)[:size])
-                for letters in (self._periodic(w, i, window),
-                                self._periodic(inverse_word(w), -i, window)))
+            n = len(w)
+            size = self._key_start(n) + n
+            if not self._cache_strip_free_rays(w, size):
+                window = size + self._ray_slack(n)
+                self._ray_cache[(w, i)] = tuple(
+                    self._ray_key(self.canonical_ray(letters)[:size])
+                    for letters in (self._periodic(w, i, window),
+                                    self._periodic(inverse_word(w), -i, window)))
+            hit = self._ray_cache[(w, i)]
         return hit
+
+    def _cache_strip_free_rays(self, w: Word, size: int) -> bool:
+        """Cache the keys of every strand of w, each a slice of one
+        periodic turn sequence per direction, when neither w nor its
+        inverse has a strip X^(h-1) in its cyclic turns; else cache
+        nothing and return False."""
+        n = len(w)
+        # turns enough for the last strand's key and for a run that
+        # wraps past the end of w
+        reps = (n + size) // n + 1
+        keys = []
+        for v in (w, inverse_word(w)):
+            turns = bytes(self._turns(list(v * reps), 0, n * reps - 1))
+            if self.closed and \
+                    bytes((self.n_dirs - 1,)) * (self.half - 1) in turns:
+                return False
+            keys.append([bytes((self.rank_of[v[s]],)) + turns[s:s + size - 1]
+                         for s in range(n)])
+        future, past = keys
+        for i in range(n):
+            self._ray_cache[(w, i)] = (future[i], past[-i % n])
+        return True
 
     def _ray_key(self, ray) -> bytes:
         # every entry is below n_dirs <= 256, so bytes order as tuples do
         return bytes((self.rank_of[ray[0]], *self._turns(ray, 0, len(ray) - 1)))
-
-    def _pair_canonical(self, w1: Word, i: int, w2: Word, j: int
-                        ) -> Optional[Tuple[int, int]]:
-        """Attribute an occurrence pair to one end of any shared run.
-
-        Two strands through the vertex may run together along edges,
-        parallel (shared past) or anti-parallel (the past of one is the
-        future of the other); every aligned pair along such a run sees
-        the same pair of axes, so a single geometric crossing would be
-        counted once per shared vertex.  Walking to a canonical end
-        (past divergence for parallel runs, the out1 == in2 end for
-        anti-parallel ones) and deduplicating fixes the count.  A cycle
-        means the two strands trace the same line: tangential, no
-        transverse crossing.
-        """
-        n1, n2 = len(w1), len(w2)
-        seen = set()
-        while True:
-            if (i, j) in seen:
-                return None
-            seen.add((i, j))
-            in1 = -w1[(i - 1) % n1]
-            in2 = -w2[(j - 1) % n2]
-            out2 = w2[j % n2]
-            if in1 == in2:
-                i, j = (i - 1) % n1, (j - 1) % n2
-            elif in1 == out2:
-                i, j = (i - 1) % n1, (j + 1) % n2
-            else:
-                return (i, j)
 
     @staticmethod
     def _crossing(f1: bytes, p1: bytes, f2: bytes, p2: bytes) -> int:
@@ -520,20 +536,30 @@ class Surface:
         families; for w1 == w2 this enumerates ordered pairs of distinct
         phases, so every self-intersection appears with both orderings.
 
+        Two strands may run together along edges, parallel or
+        anti-parallel, and every aligned pair along a run sees the same
+        pair of axes, so a pair counts only at the end of its run: where
+        strand 1 enters neither along the edge strand 2 enters by,
+        w1[i-1] != w2[j-1], nor along the one it leaves by,
+        w1[i-1] != -w2[j].  A walk back along the run stops at once
+        exactly on these pairs, so they are its set of results; a
+        diagonal pair (k, k) never stops, both strands entering along one
+        edge, and strands that trace one line have no pair.
+
         Keys with periods p, q from entry T that agree on
         T + p + q - gcd(p, q) entries agree everywhere (Fine-Wilf), so
         strand keys unrolled once, by their period, to T + |w1| + |w2|
         entries order as the infinite rays do (`_strand_rays`)."""
         n1, n2 = len(w1), len(w2)
         depth = max(self._key_start(n1), self._key_start(n2)) + n1 + n2
-        canon = {self._pair_canonical(w1, i, w2, j) for i in range(n1)
-                 for j in range(n2) if w1 != w2 or i != j} - {None}
+        canon = [(i, j) for i in range(n1) for j in range(n2)
+                 if w1[i - 1] != w2[j - 1] and w1[i - 1] != -w2[j]]
         keys = {}
         for w, k in {(w1, i) for i, _ in canon} | {(w2, j) for _, j in canon}:
             keys[w, k] = tuple((r + r[-len(w):] * (depth // len(w)))[:depth]
                                for r in self._strand_rays(w, k))
         signs = [(i, j, self._crossing(*keys[w1, i], *keys[w2, j]))
-                 for i, j in sorted(canon)]
+                 for i, j in canon]
         return [s for s in signs if s[2]]
 
     # -- string operations ----------------------------------------------

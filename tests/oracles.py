@@ -10,10 +10,12 @@ the truncation's reliable cap off every basis word, where the library
 reads only the words below word_cap.  `order_at_most_reference`
 decides a map's order by nested graded commutators, one table per
 multiset of generators, where the library walks the basis once for the
-Koszul brackets.
+Koszul brackets.  `linked_pairs_by_walk` finds the end of each shared
+run of two strands by walking along it, where `Surface._linked_pairs`
+keeps the pairs a one-step test accepts.
 """
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from sftstring.algebra import (KIND_H, GradedSeries, Monomial,
                                NormalizationError, TruncationContext, mul,
@@ -157,3 +159,45 @@ def order_at_most_reference(op: LinearMap, k: int,
         if not ok:
             return False, conclusive
     return True, conclusive
+
+
+def pair_canonical_walk(w1, i, w2, j) -> Optional[Tuple[int, int]]:
+    """The end of the shared run through occurrence pair (i, j), or None
+    when the two strands trace one line.
+
+    Walk back while the strands entered along one edge (a parallel run)
+    or strand 1 entered along the edge strand 2 leaves by (an
+    anti-parallel run); a pair seen twice closes a cycle.
+    """
+    n1, n2 = len(w1), len(w2)
+    seen = set()
+    while True:
+        if (i, j) in seen:
+            return None
+        seen.add((i, j))
+        in1 = -w1[(i - 1) % n1]
+        in2 = -w2[(j - 1) % n2]
+        out2 = w2[j % n2]
+        if in1 == in2:
+            i, j = (i - 1) % n1, (j - 1) % n2
+        elif in1 == out2:
+            i, j = (i - 1) % n1, (j + 1) % n2
+        else:
+            return (i, j)
+
+
+def linked_pairs_by_walk(S, w1, w2) -> List[Tuple[int, int, int]]:
+    """`Surface._linked_pairs` with each occurrence pair (off the
+    diagonal when w1 == w2) walked to the end of its run, the distinct
+    ends sorted, and each signed from the surface's own strand keys."""
+    n1, n2 = len(w1), len(w2)
+    ends = {pair_canonical_walk(w1, i, w2, j) for i in range(n1)
+            for j in range(n2) if w1 != w2 or i != j} - {None}
+    depth = max(S._key_start(n1), S._key_start(n2)) + n1 + n2
+
+    def keys(w, k):
+        return [(r + r[-len(w):] * (depth // len(w)))[:depth]
+                for r in S._strand_rays(w, k)]
+    signs = [(i, j, S._crossing(*keys(w1, i), *keys(w2, j)))
+             for i, j in sorted(ends)]
+    return [s for s in signs if s[2]]

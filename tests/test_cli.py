@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -545,6 +546,52 @@ def test_bracket_and_cobracket_letter_limit(words):
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.count("\n") == 1, proc.stderr
         assert "%d letters" % sum(words) in proc.stderr
+
+
+@pytest.mark.parametrize("form", ["class", "s"])
+@pytest.mark.parametrize("letters", [40, 41, 100])
+def test_problem_file_class_word_letter_limit(tmp_path, form, letters):
+    """A class word of a file, declared or inside s[...], has at most
+    MAX_STRING_LETTERS letters; a longer one exits 2 with one line, at
+    once, before any class is built."""
+    word = _strip_rich(letters)
+    line = ("class X = %s\n" if form == "class" else "series A = s[%s]\n")
+    path = tmp_path / "long.sft"
+    path.write_text("surface genus=2 boundary=0\n" + line % word)
+    start = time.perf_counter()
+    proc = _run_module(["parse", "--input", str(path)], timeout=30)
+    seconds = time.perf_counter() - start
+    if letters <= 40:
+        assert proc.returncode == 0 and not proc.stderr, proc.stderr
+        return
+    # the 41st letter of a declared word, or the s of an s[...] atom
+    col = len("class X = ") + 3 * 40 + 1 if form == "class" else 12
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: line 2, col %d: class word of more than "
+                           "40 letters\n" % col)
+    assert seconds < 1, seconds
+
+
+@pytest.mark.parametrize("args,code", [
+    (["--cap", "20", "a1"], 0),
+    (["--cap", "21", "a1"], 2),
+    ([_strip_rich(40)], 1),
+    ([_strip_rich(20), _strip_rich(20)], 1),
+    ([_strip_rich(41)], 2),
+    ([_strip_rich(20), _strip_rich(21)], 2),
+    (["a1 A1"], 2),
+], ids=["cap-20", "cap-21", "seed-40", "seeds-20-20", "seed-41",
+        "seeds-20-21", "trivial-seed"])
+def test_closure_bounds(args, code):
+    """--cap is at most MAX_STRING_LETTERS // 2, and the seeds have at
+    most MAX_STRING_LETTERS letters in all and no trivial class; a seed
+    longer than the cap escapes at once."""
+    proc = _run_module(["closure", "--genus", "2"] + args, timeout=30)
+    assert proc.returncode == code, proc.stderr
+    if code == 2:
+        assert proc.stdout == "" and proc.stderr.count("\n") == 1
+    else:
+        assert proc.stdout and not proc.stderr
 
 
 def test_torus_oracle_command(capsys):

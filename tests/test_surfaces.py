@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import linked_pairs_by_walk, pair_canonical_walk
 from sftstring import surfaces
 from sftstring.surfaces import (
     Surface,
@@ -328,30 +329,34 @@ def test_dehn_reduce_leaves_no_long_relator_piece(genus):
     # Dehn's condition: no cyclic subword of 2g + 1 letters of R or R^-1
     S = Surface(genus, 0)
     pieces = {r[:S.half + 1] for r in _relator_rotations(S)}
-    shortened = 0
+    shortened = swappable = 0
     for w in _strip_rich_words(S, 2000, seed=genus):
-        r = S.dehn_reduce(w)
+        r, has_swap = S.dehn_reduce(w)
         assert cyclic_reduce(r) == r, w
         periodic = r * (S.half + 1)
         assert not any(periodic[i:i + S.half + 1] in pieces
                        for i in range(len(r))), (w, r)
         shortened += len(r) < len(cyclic_reduce(w))
-    assert shortened > 500
+        # the flag says whether r has a half swap at all
+        assert has_swap == any(True for _ in S._swap_neighbours(r)), w
+        swappable += has_swap
+    assert shortened > 500 and 0 < swappable < 2000
 
 
 @pytest.mark.parametrize("genus", [2, 3])
 def test_dehn_reduce_removes_relators(genus):
     S = Surface(genus, 0)
     for k in range(1, 6):
-        assert S.dehn_reduce(S.relator * k + (1,)) == (1,)
-        assert S.dehn_reduce(inverse_word(S.relator) * k + (1,)) == (1,)
-    assert S.dehn_reduce(S.relator) == ()
+        assert S.dehn_reduce(S.relator * k + (1,)) == ((1,), False)
+        assert S.dehn_reduce(inverse_word(S.relator) * k + (1,)) == \
+            ((1,), False)
+    assert S.dehn_reduce(S.relator) == ((), False)
 
 
 def test_dehn_reduce_swaps_a_long_half(genus2):
     # a1 b1 A1 B1 a2 is five letters of R: a1 b1 A1 B1 = a2 b2 A2 B2 ^-1
-    assert genus2.dehn_reduce(parse_word("a1 b1 A1 B1 a2", genus2)) == (3,)
-    assert genus2.dehn_reduce(parse_word("a1 b1 A1 B1 a2 a1", genus2)) == \
+    assert genus2.dehn_reduce(parse_word("a1 b1 A1 B1 a2", genus2))[0] == (3,)
+    assert genus2.dehn_reduce(parse_word("a1 b1 A1 B1 a2 a1", genus2))[0] == \
         parse_word("b2 a2 B2 a1", genus2)
 
 
@@ -450,6 +455,45 @@ def test_linked_pairs_stable_under_deeper_lookahead(monkeypatch):
     monkeypatch.setattr(Surface, "_key_start", lambda self, n: 4 * start(self, n))
     _forget_rays_and_tables(S)
     assert [S._linked_pairs(x, y) for x, y in pairs] == at_t
+
+
+def _pinned_strip_pair(S):
+    """A pair whose one crossing at a strip is counted at both of its
+    ends: x runs A2 B2 a1 b1 and y runs A1 B1 a2 b2, the two routes of
+    one half relator, in opposite directions."""
+    return (parse_word("a1 a1 A2 B2 a1 b1 b2 b2 b1 b2 b2", S),
+            parse_word("A1 B1 a2 b2 b2 a2", S))
+
+
+def _walk_oracle_pairs(S):
+    """Every ordered pair of classes of length <= 3 (on genus 3, with one
+    of them of length <= 2) and every self pair up to length 4 (3 on
+    genus 3); on closed surfaces also seeded strip-sharing pairs, and on
+    genus 2 the pinned strip pair."""
+    short = S.classes_up_to(3)
+    pairs = [(x, y) for x, y in itertools.product(short, repeat=2)
+             if S.genus < 3 or min(len(x), len(y)) <= 2]
+    if S.genus < 3:
+        pairs += [(w, w) for w in S.classes_up_to(4) if len(w) == 4]
+    else:
+        pairs += [(w, w) for w in short if len(w) == 3]
+    if S.closed:
+        pairs += _strip_sharing_pairs(S, 200, seed=30 + S.genus)
+    if S.genus == 2 and S.closed:
+        x, y = _pinned_strip_pair(S)
+        pairs += [(x, y), (y, x), (x, x), (y, y)]
+    return pairs
+
+
+@pytest.mark.parametrize("genus,boundary", [(2, 0), (3, 0), (1, 2), (0, 4)])
+def test_linked_pairs_match_the_walk_oracle(genus, boundary, monkeypatch):
+    # the one-step test keeps exactly the ends the walk along a shared
+    # run reaches, in (i, j) order; with every sign forced to 1 the lists
+    # hold every kept pair, linked or not
+    S = Surface(genus, boundary)
+    monkeypatch.setattr(Surface, "_crossing", staticmethod(lambda *keys: 1))
+    for x, y in _walk_oracle_pairs(S):
+        assert S._linked_pairs(x, y) == linked_pairs_by_walk(S, x, y), (x, y)
 
 
 def test_genus3_surface():
@@ -570,23 +614,33 @@ def _deep_keys(S, w, i):
 
 
 def _check_strand_keys(S, words):
-    """Every cached key is the start of the key from a window 4x as deep,
-    which repeats with period |w| from entry T on."""
+    """Every key is the start of the key from a window 4x as deep, which
+    repeats with period |w| from entry T on.  The keys of a strip-free
+    word are slices of its turn sequences, cached for all its strands at
+    once; the others come from `canonical_ray`.  Returns the number of
+    strip-free words."""
+    sliced = 0
     for w in words:
         n, start = len(w), S._key_start(len(w))
+        sliced += S._cache_strip_free_rays(w, start + n)
         for i in range(n):
             for key, deep in zip(S._strand_rays(w, i), _deep_keys(S, w, i)):
                 assert len(key) == start + n and deep[:len(key)] == key, (w, i)
                 assert deep[start:-n] == deep[start + n:], (w, i)
+    return sliced
 
 
-@pytest.mark.parametrize("genus,boundary,cap", [
-    pytest.param(2, 0, 5, id="2"), pytest.param(3, 0, 4, id="3"),
-    pytest.param(2, 1, 5, id="2-1"), pytest.param(0, 3, 5, id="0-3")])
-def test_strand_keys_exact_and_periodic_from_key_start(genus, boundary, cap):
-    # the keys of every strand are exact and periodic from the proven T
+@pytest.mark.parametrize("genus,boundary,cap,strips", [
+    pytest.param(2, 0, 5, 40, id="2"), pytest.param(3, 0, 4, 0, id="3"),
+    pytest.param(2, 1, 5, 0, id="2-1"), pytest.param(0, 3, 5, 0, id="0-3")])
+def test_strand_keys_exact_and_periodic_from_key_start(genus, boundary, cap,
+                                                       strips):
+    # the keys of every strand are exact and periodic from the proven T,
+    # by either path: no word of an open surface has a strip, and on
+    # genus 3 a strip needs 6 letters (the ladder test below has some)
     S = Surface(genus, boundary)
-    _check_strand_keys(S, S.classes_up_to(cap))
+    words = S.classes_up_to(cap)
+    assert len(words) - _check_strand_keys(S, words) == strips
 
 
 def _ladder_classes(S, count, seed):
@@ -620,7 +674,7 @@ def test_ray_keys_exact_beside_ladders(genus):
     # some entries before T + |w| wrong
     S = Surface(genus, 0)
     words = _ladder_classes(S, 12, seed=genus)
-    _check_strand_keys(S, words)
+    assert _check_strand_keys(S, words) == 0
     late = wrong = 0
     for w in words:
         n = len(w)
@@ -647,24 +701,39 @@ def test_crossing_signs_unchanged_with_later_period_start(genus2, monkeypatch):
     _forget_rays_and_tables(genus2)
 
 
+def _has_strip(S, w):
+    """Whether the cyclic turns of w or of its inverse hold a run of
+    h - 1 sharpest-left turns."""
+    n, run = len(w), [S.n_dirs - 1] * (S.half - 1)
+    for v in (w, inverse_word(w)):
+        turns = [S._turn[v[k]][v[(k + 1) % n]] for k in range(n)]
+        turns *= S.half // n + 2
+        if any(turns[k:k + S.half - 1] == run for k in range(n)):
+            return True
+    return False
+
+
 def test_ray_cache_holds_one_entry_per_strand():
-    # one key pair per strand of a canonical occurrence pair, each key
-    # exactly T + |w| entries long
+    # a strip-free word caches the keys of all its strands at once; a
+    # word with a strip only those of the strands of its canonical
+    # occurrence pairs; each key is exactly T + |w| entries long
     S = Surface(2, 0)
     x, y, z = (S.class_of(t) for t in ("a1 b2", "b1", "a1 a2 b1 b2 a2"))
     tied = [S.canonical_class((1,) * 17 + (t,)) for t in (2, -2, 3, -3)]
-    pairs = [(x, y), (x, z)] + list(itertools.combinations(tied, 2))
+    pairs = [(x, y), (x, z)] + list(itertools.combinations(tied, 2)) \
+        + _strip_sharing_pairs(S, 8, seed=3)
     strands = set()
     for a, b in pairs:
         S.goldman_terms(a, b)
-        for i in range(len(a)):
-            for j in range(len(b)):
-                cp = S._pair_canonical(a, i, b, j)
-                if cp is not None:
-                    strands |= {(a, cp[0]), (b, cp[1])}
-    assert set(S._ray_cache) == strands
-    assert {(w, i) for w, i in strands if w in (x, y, z)} == \
-        {(w, i) for w in (x, y, z) for i in range(len(w))}
+        ends = {pair_canonical_walk(a, i, b, j) for i in range(len(a))
+                for j in range(len(b))} - {None}
+        strands |= {(a, i) for i, _ in ends} | {(b, j) for _, j in ends}
+    words = {w for w, _ in strands}
+    free = {w for w in words if not _has_strip(S, w)}
+    assert {x, y, z} | set(tied) <= free and words - free
+    assert set(S._ray_cache) == \
+        {(w, i) for w in free for i in range(len(w))} | \
+        {(w, i) for w, i in strands if w not in free}
     for (w, _), keys in S._ray_cache.items():
         assert [len(k) for k in keys] == [S._key_start(len(w)) + len(w)] * 2
 
