@@ -170,12 +170,14 @@ def merge_words(left, right) -> Optional[tuple]:
     """Product of two standard-form words of (symbol, exponent) pairs.
 
     Returns (sign, standard-form tuple), or None when an odd symbol
-    occurs in both.  Both factors are already sorted, so one merge pass
-    does what standard_form does for their concatenation: each odd
-    left unit is passed by the odd right units emitted before it, and
-    contributes -1 when there is an odd number of those.  Equal even
-    symbols add their exponents; a zero sum (h^-1 * h) drops out.
-    """
+    occurs in both.  An empty word, or left ending below right's start,
+    gives (1, left + right); else one merge pass does what standard_form
+    does for the concatenation: each odd left unit is passed by the odd
+    right units emitted before it, and contributes -1 when there is an
+    odd number of those.  Equal even symbols add their exponents; a zero
+    sum (h^-1 * h) drops out."""
+    if not left or not right or left[-1][0].sort_key < right[0][0].sort_key:
+        return 1, left + right
     out = []
     sign = 1
     odd_right = 0

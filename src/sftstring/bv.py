@@ -14,7 +14,7 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, partial
-from math import comb
+from math import comb, inf
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -909,8 +909,8 @@ def bv_from_hamiltonian(sys: OrbitSystem, H: GradedSeries,
     such word raises its TruncationUnderflow, as a table built up front
     would, whatever order later readers take.
     """
-    wide = TruncationContext(max_p_degree=64, max_hbar=spec.hbar_cap,
-                             min_hbar=-1, max_word_length=64)
+    wide = TruncationContext(max_p_degree=inf, max_hbar=spec.hbar_cap,
+                             min_hbar=-1, max_word_length=inf)
     act = act_right_words(H, sys, wide)
     D = BvOperator(spec, {}, lambda m: spec.truncate(act(m)))
     if any(hbar_exponent(t) + p_degree(t) < wide.min_hbar for t in H.terms):

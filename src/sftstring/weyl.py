@@ -12,24 +12,25 @@ integer weight kappa^r r! C(a,r) C(b,r).  An odd orbit contracts at
 most once, with the flip (odd units after the p in the left factor +
 odd units before the q in the right factor); m odd contractions carry
 (-1)^(sum of flips + m(m-1)/2).  One kernel does it: each factor is
-read once into records (h-free body, h exponent, p-degree, word
-length, p and q positions, an odd-unit bitmask, the coefficient as an
-integer over the factor's common denominator); the shared orbits are
-folded in from the rightmost by slicing the bodies; terms the window
-drops are skipped before the two lowered factors, already in standard
-form, are merged (algebra.merge_words); an output term's integer sum n
-over the common denominator d gives n itself when d is 1, n // d when
-d divides n, and Fraction(n, d) only otherwise.  The operator actions
-are the same kernel restricted to full contraction: act_right
-contracts every p of the left factor, act_left every q of the right
-factor.  act_right_words(F) is the function m -> act_right(F, m) on
-single monomials, with F read into records once when it is made and
-each m when it is called; it keeps no values, so the caller that owns
-the function decides which words are ever computed (bv's operator of
-a Hamiltonian computes each on its first read).  All four entries run
-one pair loop (_pairs).  exp_series sums the star powers.  The tests compare the star product against unit-level
-matching enumeration and adjacent-transposition rewriting, and the
-actions against derivative chains; tests/test_action_tables.py
+read once into one-sided records (the left one's p's, the right one's
+q's, the coefficient as an integer over a common denominator); a pair
+with nothing to contract goes straight to the window, in any other the
+shared orbits are folded in from the rightmost by slicing the bodies;
+terms the window drops are skipped before the two lowered factors,
+already in standard form, are merged (algebra.merge_words); an output
+term's integer sum n over the common denominator d gives n itself when
+d is 1, n // d when d divides n, and Fraction(n, d) only otherwise.
+The operator actions are the same kernel restricted to full
+contraction: act_right contracts every p of the left factor, act_left
+every q of the right factor.  act_right_words(F) is the function
+m -> act_right(F, m) on single monomials, with F read into records
+once when it is made and each m when it is called; it keeps no values,
+so the caller that owns the function decides which words are ever
+computed (bv's operator of a Hamiltonian computes each on its first
+read).  All four entries run one pair loop (_pairs).  exp_series sums
+the star powers.  The tests compare the star product against
+unit-level matching enumeration and adjacent-transposition rewriting,
+and the actions against derivative chains; tests/test_action_tables.py
 compares the two operators built on act_right_words (bv's operator of a
 Hamiltonian, cotangent's filling augmentation) against one act_right
 call per monomial.
@@ -170,9 +171,9 @@ def act_right_words(F: GradedSeries, sys: OrbitSystem,
     that call, and a term below the window raising that call's
     TruncationUnderflow.  F is read into records once, here; each call
     reads only m, into its one record, and keeps nothing."""
-    left, dl = _records(F.terms)
-    return lambda m: _pairs(left, dl, *_records({m: 1}), sys, ctx, KIND_P,
-                            False)
+    left, dl = _records(F.terms, True)
+    return lambda m: _pairs(left, dl, *_records({m: 1}, False), sys, ctx,
+                            KIND_P, False)
 
 
 def act_left(g: GradedSeries, H: GradedSeries, sys: OrbitSystem,
@@ -193,14 +194,15 @@ def _contract(a: GradedSeries, b: GradedSeries, sys: OrbitSystem,
     monomials where one of those orbits cannot be fully contracted is
     skipped.
 
-    Each factor is read once into records (_records); the pair loop
-    sums integers over the product of the two common denominators.  A
-    pair whose shared odd p/q units are not all removed by its
-    contracted orbits vanishes and is skipped; an orbit with a shared
-    odd unit must contract.  The shared orbits are folded in from the
-    rightmost, lowering the bodies by slicing, in the order of a
-    matching enumeration (the leftmost orbit varies fastest); m odd
-    contractions add (-1)^(m(m-1)/2) to their flips.  The window is
+    A zero factor gives zero; else the left factor is read into p-side
+    records and the right one into q-side records (_records), and the
+    pair loop sums integers over the product of the two common
+    denominators.  A pair whose shared odd p/q units are not all
+    removed by its contracted orbits vanishes and is skipped; an orbit
+    with a shared odd unit must contract.  Any shared orbits are folded
+    in from the rightmost, lowering the bodies by slicing, in the order
+    of a matching enumeration (the leftmost orbit varies fastest); m
+    odd contractions add (-1)^(m(m-1)/2) to their flips.  The window is
     applied before the merge, from h = h0 + r, p-degree p1 + p2 - r
     and length l1 + l2, so exactly the terms collect() would drop are
     never built; a term below min_hbar is kept whatever its p-degree or
@@ -212,35 +214,39 @@ def _contract(a: GradedSeries, b: GradedSeries, sys: OrbitSystem,
     -m_j m_i at the same h and p-degree, and m_i m_i has an odd symbol
     twice), so no coefficient and no TruncationUnderflow depends on it.
     """
-    left, dl = _records(a.terms)
-    right, dr = (left, dl) if b is a else _records(b.terms)
+    if not a.terms or not b.terms:
+        return GradedSeries()
     odd_square = b is a and full is None and \
         all(monomial_degree(m) & 1 for m in a.terms)
-    return _pairs(left, dl, right, dr, sys, ctx, full, odd_square)
+    return _pairs(*_records(a.terms, True), *_records(b.terms, False), sys,
+                  ctx, full, odd_square)
 
 
 def _pairs(left, dl, right, dr, sys: OrbitSystem, ctx: TruncationContext,
            full: Optional[str], odd_square: bool) -> GradedSeries:
     """The pair loop of _contract over the records of its two factors
-    and their common denominators dl, dr."""
+    and their common denominators dl, dr.  The options over r of each
+    (p, q, x, y, lowest r, flip) are made once per call."""
     max_h, min_h, max_p = ctx.max_hbar, ctx.min_hbar, ctx.max_p_degree
     max_len, hbar, kappa = ctx.max_word_length, sys.hbar, sys.kappa
     acc: Dict[Monomial, int] = {}
-    low: Dict[Monomial, int] = {}
-    for body1, h1, p1, l1, pmap, _, pm, _, odd1, t1, n1 in left:
-        for body2, h2, p2, l2, _, qmap, _, qm, odd2, _, n2 in right:
+    low, weights = {}, {}  # terms below min_hbar; an orbit's options over r
+    for body1, h1, p1, l1, ps, pm, odd1, t1, n1 in left:
+        for body2, h2, p2, l2, qmap, qm, odd2, _, n2 in right:
             h0 = h1 + h2
+            if h0 > max_h:
+                continue
             cm = pm & qm  # orbits with a p on the left and a q on the right
             shared = odd1 & odd2
-            if h0 > max_h or shared & ~(cm * 3):
+            if shared & ~(cm * 3):
                 continue
             if full is None:
                 if odd_square and not cm:
                     continue
             elif cm != (pm if full == KIND_P else qm):
                 continue
-            states = [(body1, body2, 0, n1 * n2, 0)]
-            for o, (k1, x, through, par, bits) in reversed(pmap.items()) if cm else ():
+            states = ((body1, body2, 0, n1 * n2, 0),)
+            for o, k1, x, through, par, bits in ps if cm else ():
                 if not cm & bits:
                     continue
                 k2, y, before = qmap[o]
@@ -249,8 +255,11 @@ def _pairs(left, dl, right, dr, sys: OrbitSystem, ctx: TruncationContext,
                 else:  # r = x (or y), left in range() only when it is min(x, y)
                     lo = x if full == KIND_P else y
                 flip = par and (t1 - through + before) & 1
-                kap, s1, s2 = kappa[o], body1[k1][0], body2[k2][0]
-                opts = [(r, (-1) ** flip * kap ** r * factorial(r)
+                s1, s2 = body1[k1][0], body2[k2][0]
+                opts = weights.get((s1, s2, x, y, lo, flip))
+                if opts is None:
+                    opts = weights[s1, s2, x, y, lo, flip] = [
+                        (r, (-1) ** flip * kappa[o] ** r * factorial(r)
                          * comb(x, r) * comb(y, r),
                          ((s1, x - r),) if x > r else (),
                          ((s2, y - r),) if y > r else (), par and r)
@@ -294,40 +303,42 @@ def _pairs(left, dl, right, dr, sys: OrbitSystem, ctx: TruncationContext,
     return series
 
 
-def _records(terms: dict):
-    """Records of the monomials of a star-product factor (its terms), and
-    the common denominator d of its coefficients: (h-free body, h, p-degree, word
-    length, pmap, qmap, p-orbit mask, q-orbit mask, odd-unit mask, odd
-    units, c * d).  pmap maps an orbit to its p's position, exponent,
-    odd units up to it, parity and orbit bits; qmap to its q's position,
-    exponent and odd units before it, mod 2.  The orbit of symbol index
-    i (its place in the OrbitSystem) owns bits 2i (its q, and the orbit
-    masks) and 2i + 1 (its p).
-    """
-    d = lcm(*[c.denominator for c in terms.values()])
+def _records(terms: dict, left: bool):
+    """Records of the monomials of a left or right star-product factor
+    (its terms), and the common denominator d of its Fractions: (h-free
+    body, h, p-degree, word length, at, mask, odd-unit mask, odd units,
+    c * d).  On the left, `at` lists the p's from the rightmost as
+    (orbit, position, exponent, odd units up to it, parity, orbit bits);
+    on the right, it maps an orbit to its q's position, exponent and odd
+    units before it, mod 2; `mask` holds the orbits of those p's or q's.
+    The orbit of symbol index i (its place in the OrbitSystem) owns bits
+    2i (its q, and the orbit masks) and 2i + 1 (its p)."""
+    d = lcm(*[c.denominator for c in terms.values() if c.__class__ is not int])
     out = []
     for m, c in terms.items():
         body, h = (m[:-1], m[-1][1]) if m and m[-1][0].kind == KIND_H else (m, 0)
-        pdeg = length = pm = qm = odd = units = 0
-        pmap, qmap = {}, {}
+        pdeg = length = mask = odd = units = 0
+        at = [] if left else {}
         for k, (s, e) in enumerate(body):
             kind, par = s.kind, s.parity
             if kind == KIND_P:
                 bit = 1 << 2 * s.index
-                pmap[s.orbit] = (k, e, units + par, par, bit * 3)
+                if left:
+                    at.insert(0, (s.orbit, k, e, units + par, par, bit * 3))
+                    mask |= bit
                 pdeg += e
-                pm |= bit
                 odd |= par * bit << 1
             elif kind == KIND_Q:
                 bit = 1 << 2 * s.index
-                qmap[s.orbit] = (k, e, units & 1)
-                qm |= bit
+                if not left:
+                    at[s.orbit] = (k, e, units & 1)
+                    mask |= bit
                 odd |= par * bit
             else:
                 length += e
             units += par * e
-        out.append((body, h, pdeg, length, pmap, qmap, pm, qm, odd, units,
-                    c.numerator * (d // c.denominator)))
+        out.append((body, h, pdeg, length, at, mask, odd, units, c * d
+                    if c.__class__ is int else c.numerator * (d // c.denominator)))
     return out, d
 
 

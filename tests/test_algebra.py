@@ -176,6 +176,54 @@ def test_merge_words_matches_standard_form_of_the_concatenation():
         assert merge_words(left, right) == standard_form(list(left) + list(right))
 
 
+def test_merge_words_shortcut_cases_match_standard_form():
+    # seeded pairs of each shape: an empty word, disjoint words with all
+    # of left first (the concatenation) or all of right first, an odd
+    # symbol in both, and h^-1 * h cancelling
+    odd_s, even_s = sym("s[x]", 1, kind=KIND_S, index=0), sym("s[y]", 2, kind=KIND_S, index=1)
+    p1, h = sym("p[1]", -1, kind=KIND_P, orbit="1", index=0), sym("h", 2, kind=KIND_H)
+    order = [odd_s, even_s, q1, q2, q3, p1, h]  # sort_key order
+    assert order == sorted(order, key=lambda s: s.sort_key)
+    rng = random.Random(31)
+
+    def word(syms):
+        return tuple((s, rng.choice((-1, 1, 2)) if s is h else
+                      1 if s.parity else rng.randrange(1, 3)) for s in syms)
+
+    shapes = {"empty": 0, "left first": 0, "right first": 0, "odd in both": 0,
+              "h cancels": 0}
+    for _ in range(3000):
+        cut = rng.randrange(len(order) + 1)
+        left = word(sorted(rng.sample(order[:cut], rng.randrange(cut + 1)),
+                           key=order.index))
+        right = word(sorted(rng.sample(order[cut:], rng.randrange(len(order) - cut + 1)),
+                            key=order.index))
+        shape = rng.randrange(4)
+        if shape == 1:
+            left, right = right, left
+        elif shape == 2 and left:  # an odd symbol of left also in right
+            odd = [u for u in left if u[0].parity]
+            if odd:
+                right = tuple(sorted(right + (odd[0],), key=lambda u: order.index(u[0])))
+        elif shape == 3:
+            left = tuple(u for u in left if u[0] is not h) + ((h, -1),)
+            right = ((h, 1),)
+        got = merge_words(left, right)
+        assert got == standard_form(list(left) + list(right)), (left, right)
+        if not left or not right:
+            shapes["empty"] += 1
+        elif left[-1][0].sort_key < right[0][0].sort_key:
+            shapes["left first"] += 1
+            assert got == (1, left + right)
+        elif right[-1][0].sort_key < left[0][0].sort_key:
+            shapes["right first"] += 1
+        if shape == 2 and got is None:
+            shapes["odd in both"] += 1
+        if shape == 3 and got is not None and all(s is not h for s, _ in got[1]):
+            shapes["h cancels"] += 1
+    assert min(shapes.values()) > 100, shapes
+
+
 def test_normalize_matches_standard_form_on_random_words():
     """normalize merges a word's units in one at a time; the oracle sorts
     the whole word.  Unsorted words with repeats, odd units squared by a

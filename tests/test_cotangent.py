@@ -176,6 +176,18 @@ def test_psi_map_and_intertwining(alphabet, hamiltonian):
     assert rep.passed
 
 
+def test_psi_intertwining_fails_on_every_single_flip(hamiltonian):
+    # criterion 8's 26 sign flips: the filling's beta is no augmentation
+    # of a flipped H, which the report names as its witness
+    flips = _single_flips(hamiltonian)
+    assert len(flips) == 26
+    for bad in flips:
+        rep = check_psi_intertwining(bad)
+        assert not rep.passed and rep.witnesses
+        assert rep.witnesses[0][0] == "filling augmentation"
+        assert "not an augmentation" in rep.witnesses[0][1]
+
+
 def test_iterated_classes_are_flagged(genus2):
     words = [parse_word(t, genus2) for t in ("a1 a1", "A1 A1", "a2", "A2")]
     alpha = GeodesicAlphabet.from_words(genus2, words)

@@ -225,6 +225,57 @@ def test_star_matches_matchings_on_criterion_1_triples():
             assert got == star_matchings_reference(x, y, sys, ctx), trial
 
 
+def test_square_matches_product_with_an_equal_copy():
+    # star(H, H) reads its one factor both ways and, when every term is
+    # odd, skips the part with nothing contracted; star(H, H2) with an
+    # equal copy H2 takes neither path.  Odd-degree parts of series from
+    # criterion 1's generator, in criterion 1's window and in one with
+    # min_hbar = 1, below which the skipped part (h^0 terms) cancels
+    from test_acceptance import _random_series
+    rng = random.Random(20260810)
+    systems = _criterion_1_systems()
+    windows = [TruncationContext(max_p_degree=4, max_hbar=4, min_hbar=-1,
+                                 max_word_length=0),
+               TruncationContext(max_p_degree=4, max_hbar=4, min_hbar=1,
+                                 max_word_length=0)]
+    squares = nonzero = 0
+    for trial in range(400):
+        sys = systems[trial % len(systems)]
+        s = _random_series(rng, sys, max_terms=4, p_budget=2)
+        H = GradedSeries.from_terms({m: c for m, c in s.terms.items()
+                                     if monomial_degree(m) & 1})
+        H2 = GradedSeries.from_terms(dict(H.terms))
+        assert H2 == H and H2 is not H
+        for ctx in windows:
+            got = _outcome_of(star, H, H, sys, ctx)
+            assert got == _outcome_of(star, H, H2, sys, ctx), trial
+            squares += bool(H.terms)
+            nonzero += got != "underflow" and not got.is_zero()
+    assert squares > 300 and nonzero > 50, (squares, nonzero)
+
+
+def test_uncontracted_pair_below_the_window_raises_the_first_nonzero_term():
+    # no pair has an orbit to contract; the first h^-2 term, q[a] q[c],
+    # cancels (q[a] q[c] + q[c] q[a]), so the error names the next one
+    sys = OrbitSystem(2, [Orbit("a", 0), Orbit("b", 1), Orbit("c", 0, 2)])
+    ctx = TruncationContext(max_p_degree=4, max_hbar=4, min_hbar=-1,
+                            max_word_length=0)
+    q, h = sys.q, sys.hbar
+    a = GradedSeries({((q["a"], 1), (h, -1)): 1, ((q["c"], 1), (h, -1)): 1})
+    b = GradedSeries({((q["c"], 1), (h, -1)): 1, ((q["a"], 1), (h, -1)): 1,
+                      ((q["b"], 1), (h, -1)): 1})
+    for fn in (star, act_right):
+        with pytest.raises(TruncationUnderflow) as err:
+            fn(a, b, sys, ctx)
+        assert str(err.value) == \
+            "term q[a]*q[b]*h^-2 needs hbar^-2 below the context minimum -1"
+    with pytest.raises(TruncationUnderflow) as err:
+        star(GradedSeries({((q["a"], 1), (h, -1)): 1}),
+             GradedSeries({((q["b"], 1), (h, -1)): 2}), sys, ctx)
+    assert str(err.value) == \
+        "term q[a]*q[b]*h^-2 needs hbar^-2 below the context minimum -1"
+
+
 # n = 3: |q| = cz, so even cz gives an even orbit and odd cz an odd one
 _MIXED_ORBITS = (("e1", 0), ("o1", 1), ("e2", 2), ("o2", 3), ("o3", 1))
 _ODD_S = GradedSymbol("s[1]", 1, KIND_S, None, 0)
