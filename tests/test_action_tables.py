@@ -5,6 +5,7 @@ Neumann series."""
 
 import random
 from fractions import Fraction
+from math import inf
 
 import pytest
 
@@ -52,8 +53,8 @@ def bv_table_reference(sys, H, word_cap=3, hbar_cap=3):
     """bv_from_hamiltonian's table, one act_right call per monomial."""
     spec = FreeAlgebraSpec([], word_cap=word_cap, hbar_cap=hbar_cap,
                            n=sys.n, symbols=[sys.q[o] for o in sys.q])
-    wide = TruncationContext(max_p_degree=64, max_hbar=hbar_cap,
-                             min_hbar=-1, max_word_length=64)
+    wide = TruncationContext(max_p_degree=inf, max_hbar=hbar_cap,
+                             min_hbar=-1, max_word_length=inf)
     table = {}
     for m in spec.basis_monomials():
         val = act_right(H, GradedSeries({m: Fraction(1)}), sys, wide)
