@@ -13,8 +13,9 @@ this form accumulates the Koszul sign; odd symbols square to zero.
 from __future__ import annotations
 
 import weakref
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, replace
 from fractions import Fraction
+from math import inf
 from typing import Iterable, Iterator, Optional, Tuple, Union
 
 # symbol kinds, also the block order inside a normalized monomial
@@ -281,29 +282,33 @@ def add_terms(acc: dict, terms: dict, scale=1) -> dict:
 
 @dataclass(frozen=True)
 class TruncationContext:
-    """Working window for formal series.
-
-    Terms above the caps are dropped; a surviving term below min_hbar is
-    an error (silent cancellation of 1/h-divergences would hide bugs).
-    """
+    """The one window type: collect() keeps the terms whose p-degree,
+    q-degree, h exponent and word length are within the caps (a cap of
+    math.inf, as the q cap's default, cuts nothing); a surviving term
+    below min_hbar is an error (silent cancellation of 1/h-divergences
+    would hide bugs).  Only bv.FreeAlgebraSpec.caps sets a q cap."""
 
     max_p_degree: int = 6
     max_hbar: int = 6
     min_hbar: int = -1
     max_word_length: int = 8
+    max_q_degree: int = inf
 
     def __post_init__(self):
-        if self.max_p_degree < 0 or self.max_hbar < self.min_hbar:
+        if self.max_p_degree < 0 or self.max_q_degree < 0 \
+                or self.max_hbar < self.min_hbar:
             raise ValueError("inconsistent truncation caps")
         if self.min_hbar < -64:
             raise ValueError("min_hbar unreasonably low")
 
     def widen(self, extra_low: int) -> "TruncationContext":
         """The window with min_hbar lowered by extra_low."""
-        return TruncationContext(self.max_p_degree, self.max_hbar,
-                                 self.min_hbar - extra_low,
-                                 self.max_word_length)
+        return replace(self, min_hbar=self.min_hbar - extra_low)
 
+
+# the window that drops no term above any cap; below h^-64 it raises
+KEEP_ALL = TruncationContext(max_p_degree=inf, max_hbar=inf, min_hbar=-64,
+                             max_word_length=inf)
 
 class GradedSeries:
     """Finite rational linear combination of normalized monomials.
@@ -435,31 +440,35 @@ def product_terms(a: GradedSeries, b: GradedSeries) -> dict:
 
 
 def collect(acc: dict, ctx: TruncationContext) -> GradedSeries:
-    """Series of the accumulated terms inside the context window.
+    """Series of the accumulated terms inside the context window: the
+    one function that windows a finished sum.
 
     Zeros and terms above the caps are dropped, and a Fraction with
     denominator 1 becomes its int; a nonzero term below min_hbar raises
     TruncationUnderflow.  One pass over each monomial reads its h
-    exponent, p-degree and word length.
+    exponent, q-degree, p-degree and word length.
     """
     max_p, max_h, min_h = ctx.max_p_degree, ctx.max_hbar, ctx.min_hbar
-    max_len = ctx.max_word_length
+    max_q, max_len = ctx.max_q_degree, ctx.max_word_length
     out = {}
     for m, c in acc.items():
         if not c:
             continue
-        h = pdeg = length = 0
+        h = qdeg = pdeg = length = 0
         for s, e in m:
             kind = s.kind
-            if kind == KIND_P:
+            if kind == KIND_Q:
+                qdeg += e
+            elif kind == KIND_P:
                 pdeg += e
             elif kind == KIND_H:
                 h = e
-            elif kind == KIND_S:
+            else:
                 length += e
         if h < min_h:
             raise truncation_underflow(m, min_h)
-        if pdeg <= max_p and h <= max_h and length <= max_len:
+        if h <= max_h and qdeg <= max_q and pdeg <= max_p \
+                and length <= max_len:
             out[m] = c if c.__class__ is int or c.denominator != 1 \
                 else c.numerator
     series = GradedSeries.__new__(GradedSeries)

@@ -18,7 +18,6 @@ from math import comb, inf
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (
-    KIND_H,
     KIND_Q,
     Coeff,
     GradedSeries,
@@ -27,12 +26,14 @@ from .algebra import (
     ONE,
     TruncationContext,
     add_terms,
+    collect,
     derivation,
     format_monomial,
     hbar_exponent,
     hbar_symbol,
     merge_words,
     monomial_degree,
+    mul,
     normalize,
     p_degree,
     product_terms,
@@ -52,7 +53,10 @@ class BvError(ValueError):
 
 
 class FreeAlgebraSpec:
-    """Free graded-commutative algebra S(V) with truncation caps."""
+    """Free graded-commutative algebra S(V); every sum on it is collected
+    into its window `caps`: q-degree <= word_cap, h <= hbar_cap, no p or
+    length cap, floor h^-64 (its sums reach h^-2 at the lowest: values
+    start at h^-1, and validate_bv applies D twice)."""
 
     def __init__(self, generators: Sequence[Tuple[str, int]],
                  word_cap: int = 4, hbar_cap: int = 4, n: int = 2,
@@ -64,43 +68,19 @@ class FreeAlgebraSpec:
                             for i, (name, deg) in enumerate(generators)]
         self.n = n
         self.hbar = hbar_symbol(n)
-        self.word_cap = word_cap
-        self.hbar_cap = hbar_cap
+        self.caps = TruncationContext(max_p_degree=inf, max_hbar=hbar_cap,
+                                      min_hbar=-64, max_word_length=inf,
+                                      max_q_degree=word_cap)
         self._basis: Optional[List[Monomial]] = None
+
+    word_cap = property(lambda self: self.caps.max_q_degree)
+    hbar_cap = property(lambda self: self.caps.max_hbar)
 
     @classmethod
     def of_q(cls, sys: OrbitSystem, word_cap: int, hbar_cap: int
              ) -> "FreeAlgebraSpec":
         """S(q), the free algebra on the q variables of an orbit system."""
         return cls([], word_cap, hbar_cap, sys.n, list(sys.q.values()))
-
-    def window(self, terms: dict) -> GradedSeries:
-        """The series of the nonzero terms of a sum within word_cap and
-        hbar_cap, a Fraction with denominator 1 as its int, built in the
-        one pass that reads each term."""
-        word_cap, hbar_cap = self.word_cap, self.hbar_cap
-        out = {}
-        for m, c in terms.items():
-            if not c:
-                continue
-            q = h = 0
-            for s, e in m:
-                if s.kind == KIND_Q:
-                    q += e
-                elif s.kind == KIND_H:
-                    h = e
-            if q <= word_cap and h <= hbar_cap:
-                out[m] = c if c.__class__ is int or c.denominator != 1 \
-                    else c.numerator
-        series = GradedSeries.__new__(GradedSeries)
-        series.terms = out
-        return series
-
-    def truncate(self, series: GradedSeries) -> GradedSeries:
-        return self.window(series.terms)
-
-    def mul(self, a: GradedSeries, b: GradedSeries) -> GradedSeries:
-        return self.window(product_terms(a, b))
 
     def generator(self, name: str) -> GradedSeries:
         return GradedSeries.generator(self.symbol(name))
@@ -166,7 +146,7 @@ class LinearMap:
     def _word(self, w: Monomial) -> GradedSeries:
         v = self._values.get(w)
         if v is None:
-            if q_degree(w) > self.spec.word_cap:  # no table holds its value
+            if q_degree(w) > self.spec.caps.max_q_degree:  # past every table
                 raise BvError("value of %s outside the table"
                               % format_monomial(w))
             if self._rule is None:
@@ -179,13 +159,13 @@ class LinearMap:
         v = self._word(rest)
         if h == 0:
             return v
-        return self.spec.mul(self.spec.hpow(h), v)
+        return mul(self.spec.hpow(h), v, self.spec.caps)
 
     def apply(self, series: GradedSeries) -> GradedSeries:
         out: Dict[Monomial, Coeff] = {}
         for m, c in series.terms.items():
             add_terms(out, self.value(m).terms, c)
-        return self.spec.window(out)
+        return collect(out, self.spec.caps)
 
 
 class BvOperator(LinearMap):
@@ -218,7 +198,8 @@ def derivation_operator(spec: FreeAlgebraSpec,
     """Odd derivation determined by generator images (a pure D^1),
     computed on a word's first read by algebra.derivation."""
     img = {spec.symbol(nm): v.terms for nm, v in images.items()}
-    return BvOperator(spec, {}, lambda m: spec.window(derivation(m, img.get)))
+    return BvOperator(spec, {},
+                      lambda m: collect(derivation(m, img.get), spec.caps))
 
 
 def validate_bv(D: BvOperator) -> CheckReport:
@@ -289,7 +270,7 @@ def order_at_most(op: LinearMap, k: int) -> Tuple[bool, bool]:
                     * (-1) ** (op.degree * monomial_degree(rest) % 2)
                 add_terms(acc, product_terms(GradedSeries({rest: 1}), kept[u]),
                           -sign)
-        kw = spec.window(acc)
+        kw = collect(acc, spec.caps)
         if kw:
             if q_degree(w) > k:
                 return False, True
@@ -305,10 +286,10 @@ def bv_bracket(D: BvOperator, a: GradedSeries, b: GradedSeries) -> GradedSeries:
     da = a.homogeneous_degree()
     if da is None:
         raise BvError("bracket needs homogeneous first argument")
-    spec = D.spec
     sgn = -1 if da % 2 else 1
-    ab = spec.mul(a, b)
-    out = D.apply(ab) - spec.mul(D.apply(a), b) - spec.mul(a, D.apply(b)).scale(sgn)
+    caps = D.spec.caps
+    out = D.apply(mul(a, b, caps)) - mul(D.apply(a), b, caps) \
+        - mul(a, D.apply(b), caps).scale(sgn)
     return out.scale(sgn)
 
 
@@ -331,9 +312,9 @@ def exp_map(phi: LinearMap) -> LinearMap:
     carries the same signed product, and their weights 1/(r!*prod(c_i!))
     add up to 1.  A block value of the wrong parity raises BvError.
 
-    The products are spec.mul, truncated to the spec's caps like every
-    other map on it, and a word past word_cap raises BvError by the
-    window rule of LinearMap.  The map is built once and kept on phi, so
+    The products are mul in spec.caps, like every other product on the
+    spec, and a word past word_cap raises BvError by the window rule of
+    LinearMap.  The map is built once and kept on phi, so
     every reader of e^phi shares one memo.
     """
     if phi._exp is None:
@@ -400,7 +381,7 @@ def _exp_word(spec, blocks, memo, w: Monomial) -> GradedSeries:
     for u in sorted(terms, key=q_degree):
         acc: Dict[Monomial, Coeff] = {}
         for v, rest, sign in terms[u]:
-            add_terms(acc, spec.mul(v, memo[rest]).terms, sign)
+            add_terms(acc, mul(v, memo[rest], spec.caps).terms, sign)
         memo[u] = GradedSeries.from_terms(acc)
     return memo[w]
 
@@ -469,7 +450,7 @@ def reliable_cap(D: LinearMap) -> int:
 
     Only the words of q-degree below word_cap are read, and that is
     exact for a map whose values lie in the spec's window, as every map
-    this module builds does: spec.window, truncate and mul drop every
+    this module builds does: collect and mul in spec.caps drop every
     term of q-degree above word_cap.  On a word of q-degree word_cap no
     term of its value then has a larger q-degree, so its increase is at
     most 0, which the floor at 0 already counts.  So D is never
@@ -898,7 +879,7 @@ def bv_from_hamiltonian(sys: OrbitSystem, H: GradedSeries,
     """The differential operator of a symplectization Hamiltonian acting
     on spec, the polynomial algebra in the q variables of sys
     (FreeAlgebraSpec.of_q): the rule-form BvOperator whose value on a
-    basis word m is spec.truncate(act_right(H, m)), computed on the
+    basis word m is act_right(H, m) in spec.caps, computed on the
     word's first read and kept, with H read into weyl records once for
     the operator (weyl.act_right_words).
 
@@ -912,7 +893,7 @@ def bv_from_hamiltonian(sys: OrbitSystem, H: GradedSeries,
     wide = TruncationContext(max_p_degree=inf, max_hbar=spec.hbar_cap,
                              min_hbar=-1, max_word_length=inf)
     act = act_right_words(H, sys, wide)
-    D = BvOperator(spec, {}, lambda m: spec.truncate(act(m)))
+    D = BvOperator(spec, {}, lambda m: collect(act(m).terms, spec.caps))
     if any(hbar_exponent(t) + p_degree(t) < wide.min_hbar for t in H.terms):
         for m in spec.basis_monomials():
             D.value(m)

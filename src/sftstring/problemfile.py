@@ -12,11 +12,11 @@ surfaces, classes, graded series and augmentations.
     aug beta { q[g1] -> 1/2*h ; q[g3] -> 1 }
 
 Series expressions admit rational literals (ASCII digits), h, q[...],
-p[...], s[...], +, -, *, integer powers via ^ up to MAX_POWER,
-parentheses nested up to MAX_NESTING deep, and (1/h) as the only
-negative h power.  Parsing keeps every written term and is
-position-tagged; printing is canonical, and parse(print(file))
-reproduces the file.
+p[...], s[...], +, -, *, integer powers via ^ up to MAX_POWER (and up
+to MAX_POWER_PRODUCTS term products), parentheses nested up to
+MAX_NESTING deep, and (1/h) as the only negative h power.  Parsing
+keeps every written term and is position-tagged; printing is canonical,
+and parse(print(file)) reproduces the file.
 """
 
 from __future__ import annotations
@@ -27,17 +27,23 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .algebra import (GradedSeries, NormalizationError, TruncationContext,
-                      TruncationUnderflow, hbar_symbol, mul)
+from .algebra import (KEEP_ALL, GradedSeries, NormalizationError,
+                      TruncationContext, TruncationUnderflow, hbar_symbol,
+                      mul)
 from .strings import ClassAlgebra
 from .surfaces import Surface, SurfaceError, Word, format_word, parse_word
 from .weyl import Orbit, OrbitSystem
 
 # `x^e` multiplies e times.  At 1,000 one monomial takes 3 ms (h, an even
-# p or an odd q, which vanishes at the square) and the two-term (h + 1)
-# 1.1 s; q[g1]^100000000 and h^100000000 ran past 10 s before this bound
-# (Python 3.11.7, 2-vCPU VM).  Powers of longer sums are not bounded here.
+# p or an odd q, which vanishes at the square); q[g1]^100000000 and
+# h^100000000 ran past 10 s before this bound (Python 3.11.7, 2-vCPU VM).
 MAX_POWER = 1_000
+# x^e of a sum of t terms takes at most t C(t + e - 1, e - 1) term products
+# (t times C(t + k - 2, k - 1) terms at the k-th factor); that count, not
+# the C(t + e - 1, e) terms of x^e, sets the time: (q1 + q2)^1000 took 2.6 s.
+# Just under the bound the slowest shape measured, (1/7 q1 + 2/8 q2)^315,
+# took 1.0 s; integer sums of 2 to 300 terms 0.1-0.8 s (same machine).
+MAX_POWER_PRODUCTS = 100_000
 # each level of parentheses takes four Python frames, so this depth stays
 # far below the interpreter's recursion limit
 MAX_NESTING = 100
@@ -50,9 +56,6 @@ MAX_NESTING = 100
 # letters, 3.5 s at 20 + 25 and 97 s at 30 + 30.  A class word of a
 # file, in `class X = ...` or `s[...]`, has the same bound.
 MAX_STRING_LETTERS = 40
-# parse-time products drop no term above any cap; below h^-64 they raise
-_KEEP_ALL = TruncationContext(max_p_degree=math.inf, max_hbar=math.inf,
-                              min_hbar=-64, max_word_length=math.inf)
 
 
 class ParseError(ValueError):
@@ -340,7 +343,7 @@ class _Parser:
     def _mul(self, a: GradedSeries, b: GradedSeries) -> GradedSeries:
         tok = self.peek()
         try:
-            return mul(a, b, _KEEP_ALL)
+            return mul(a, b, KEEP_ALL)
         except (NormalizationError, TruncationUnderflow) as exc:
             raise _at(tok, str(exc)) from None
 
@@ -354,6 +357,10 @@ class _Parser:
             raise _at(tok, "negative powers only via (1/h)")
         if e > MAX_POWER:
             raise _at(tok, "power %d is above the maximum %d" % (e, MAX_POWER))
+        t = len(base.terms)
+        if e and t * math.comb(t + e - 1, e - 1) > MAX_POWER_PRODUCTS:
+            raise _at(tok, "power %d of a sum of %d terms takes more than %d "
+                      "term products" % (e, t, MAX_POWER_PRODUCTS))
         out = GradedSeries.unit()
         for _ in range(e):
             out = self._mul(out, base)

@@ -22,6 +22,7 @@ from types import MappingProxyType
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (
+    KEEP_ALL,
     KIND_S,
     Coeff,
     GradedSeries,
@@ -234,8 +235,7 @@ def check_string_identities(surface: Surface, max_len: int = 4,
     already at hand.  A product with a zero factor is not taken.
     """
     alg = ClassAlgebra(surface)
-    ctx = TruncationContext(max_p_degree=0, max_hbar=2, min_hbar=0,
-                            max_word_length=4 * max_len)
+    ctx = KEEP_ALL  # split and join keep h = 0 and p-degree 0
     report = CheckReport("multi-string identities (genus %d, boundary %d)"
                          % (surface.genus, surface.boundary),
                          caps={"max_len": max_len, "max_slots": max_slots})

@@ -206,7 +206,8 @@ def _contract(a: GradedSeries, b: GradedSeries, sys: OrbitSystem,
     applied before the merge, from h = h0 + r, p-degree p1 + p2 - r
     and length l1 + l2, so exactly the terms collect() would drop are
     never built; a term below min_hbar is kept whatever its p-degree or
-    length, and the first nonzero one raises collect()'s error.
+    length, and the first nonzero one raises collect()'s error.  No
+    caller sets a q cap (max_q_degree), so the kernel reads none.
 
     The square of a series whose every term has odd degree skips the
     choice in which nothing contracts: that part is the graded-
@@ -419,6 +420,7 @@ def exp_series(F: GradedSeries, sys: OrbitSystem,
 # ---------------------------------------------------------------------
 
 def _caps_dict(ctx: TruncationContext) -> dict:
+    # max_q_degree is left out: no master-equation check sets it
     return {
         "max_p_degree": ctx.max_p_degree,
         "max_hbar": ctx.max_hbar,

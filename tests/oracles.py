@@ -152,7 +152,7 @@ def order_at_most_reference(op: LinearMap, k: int,
         sign = -1 if (op.degree % 2) and (a.degree % 2) else 1
         for x in words:
             ax = mul(gen, GradedSeries({x: 1}), _WIDE)
-            table[x] = op.apply(ax) - spec.mul(gen, op.value(x)).scale(sign)
+            table[x] = op.apply(ax) - mul(gen, op.value(x), spec.caps).scale(sign)
         sub = LinearMap(spec, table, op.degree + a.degree)
         ok, concl = order_at_most_reference(sub, k - 1, domain_cap - 1, i)
         conclusive = conclusive and concl

@@ -174,7 +174,7 @@ def test_criterion_3_bv_suite(hamiltonian):
 def test_criterion_4_linearization_worked_example():
     spec = FreeAlgebraSpec([("x", 1), ("y", 0)], word_cap=4, hbar_cap=3, n=2)
     y = spec.generator("y")
-    D = derivation_operator(spec, {"x": spec.mul(y, y) - GradedSeries.unit(),
+    D = derivation_operator(spec, {"x": mul(y, y, spec.caps) - GradedSeries.unit(),
                                    "y": GradedSeries.zero()})
     sy = spec.symbol("y")
     beta = Augmentation(spec, {((sy, 1),): GradedSeries.unit(1)})

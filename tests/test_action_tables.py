@@ -15,6 +15,7 @@ from sftstring.algebra import (
     TruncationContext,
     TruncationUnderflow,
     add_terms,
+    collect,
     q_degree,
 )
 from sftstring.bv import (
@@ -58,7 +59,7 @@ def bv_table_reference(sys, H, word_cap=3, hbar_cap=3):
     table = {}
     for m in spec.basis_monomials():
         val = act_right(H, GradedSeries({m: Fraction(1)}), sys, wide)
-        table[m] = spec.truncate(val)
+        table[m] = collect(val.terms, spec.caps)
     return table
 
 

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from sftstring.cli import main
-from sftstring.problemfile import MAX_POWER, ParseError, parse, print_problem
+from sftstring.problemfile import (MAX_POWER, MAX_POWER_PRODUCTS, ParseError,
+                                   parse, print_problem)
 
 DATA = Path(__file__).parent / "data"
 CORPUS = sorted(DATA.glob("*.sft"))
@@ -138,6 +139,26 @@ def test_power_guard_bounds_parse_time(tmp_path):
         assert proc.returncode == code, proc.stderr
     assert proc.stderr == ("error: line 3, col 14: power %d is above the "
                            "maximum %d\n" % (MAX_POWER + 1, MAX_POWER))
+
+
+@pytest.mark.parametrize("terms, under", [(2, 315), (3, 57)])
+def test_power_of_a_sum_is_bounded_by_its_term_products(tmp_path, terms,
+                                                        under):
+    """A sum of t terms to the power e takes t C(t + e - 1, e - 1) term
+    products: 99,540 at (2, 315) and 97,527 at (3, 57), each the largest
+    power under the bound; one more is refused."""
+    assert MAX_POWER_PRODUCTS == 100_000
+    path = tmp_path / "sum_power.sft"
+    orbits = "".join("orbit g%d cz=1 kappa=1\n" % i for i in range(terms))
+    base = "(%s)" % " + ".join("q[g%d]" % i for i in range(terms))
+    for e, code in ((under, 0), (under + 1, 2)):
+        path.write_text("n = 2\n%sseries H = %s^%d\n" % (orbits, base, e))
+        proc = _run_module(["parse", "--input", str(path)], timeout=10)
+        assert proc.returncode == code, proc.stderr
+    assert proc.stderr == (
+        "error: line %d, col %d: power %d of a sum of %d terms takes more "
+        "than 100000 term products\n"
+        % (terms + 2, len("series H = ^") + len(base) + 1, under + 1, terms))
 
 
 # -- seeded fuzz of the problem-file grammar ---------------------------
@@ -624,6 +645,19 @@ def test_master_f_command(capsys):
                           str(DATA / "cobordism_identity.sft"),
                           "--hplus", "Hplus", "--hminus", "Hminus"], capsys)
     assert code == 0
+
+
+def test_master_f_command_fails_on_a_pure_scalar_term(tmp_path, capsys):
+    path = tmp_path / "scalar.sft"
+    path.write_text("n = 2\norbit a cz=0 kappa=1 side=pos\n"
+                    "orbit abar cz=0 kappa=1 side=neg\n"
+                    "series F = (1/h)*q[abar]*p[a] + 2\n")
+    code, out, err = run_cli(["check-master-f", "--input", str(path),
+                              "--potential", "F", "--json"], capsys)
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report["witnesses"] == [{"monomial": "1", "coefficient": "2"}]
+    assert report["notes"] == ["pure scalar term with h exponent <= 0 rejected"]
 
 
 def test_master_l_command(capsys):

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from sftstring import bv, cli, cotangent
-from sftstring.algebra import GradedSeries
+from sftstring.algebra import GradedSeries, mul
 from sftstring.bv import (
     Augmentation,
     BvError,
@@ -63,7 +63,7 @@ def test_worked_examples_match_eager_tables():
     _assert_matches_eager(D, beta, [((spec.symbol("x"), 1),)])
     spec = xy_spec()
     y = spec.generator("y")
-    D = bv.derivation_operator(spec, {"x": spec.mul(y, y),
+    D = bv.derivation_operator(spec, {"x": mul(y, y, spec.caps),
                                       "y": GradedSeries.zero()})
     _assert_matches_eager(D, Augmentation(spec, {}))
 
@@ -139,7 +139,7 @@ def test_twist_needs_the_operator_on_the_augmentation_spec():
     other = xy_spec()
     y = other.generator("y")
     D_other = bv.derivation_operator(
-        other, {"x": other.mul(y, y) - GradedSeries.unit(),
+        other, {"x": mul(y, y, other.caps) - GradedSeries.unit(),
                 "y": GradedSeries.zero()})
     for validate in (True, False):
         with pytest.raises(BvError, match="different specs"):
@@ -153,7 +153,7 @@ def test_repeated_twists_by_one_beta_share_phi():
     spec, D, beta = worked_example()
     y = spec.generator("y")
     D2 = bv.derivation_operator(
-        spec, {"x": spec.mul(y, y) - y.scale(2) + GradedSeries.unit(),
+        spec, {"x": mul(y, y, spec.caps) - y.scale(2) + GradedSeries.unit(),
                "y": GradedSeries.zero()})
     Phi, PhiInv = beta._phi
     for op, validate in ((D, True), (D2, False), (D, False), (D2, False)):

@@ -600,6 +600,23 @@ def test_check_master_f_trivial_cylinder():
     assert check_master_f(F, zero, zero, sys, CTX).passed
 
 
+def test_check_master_f_rejects_a_pure_scalar_term():
+    # e^F of a scalar term at h^0 or below never leaves the window: the
+    # report fails with that term as its one witness; h^1 is no such term
+    sys = OrbitSystem(2, [Orbit("a", 0, 1, side="pos"), Orbit("abar", 0, 1, side="neg")])
+    F = sys.monomial(1, qs=["abar"], ps=["a"], hpow=-1)
+    zero = GradedSeries.zero()
+    for scalar, witness in ((GradedSeries.unit(3), ("1", "3")),
+                            (sys.monomial(Fraction(-1, 2), hpow=-1),
+                             ("h^-1", "-1/2"))):
+        rep = check_master_f(F + scalar, zero, zero, sys, CTX)
+        assert not rep.passed
+        assert rep.witnesses == [witness]
+        assert rep.notes == ["pure scalar term with h exponent <= 0 rejected"]
+    assert check_master_f(F + sys.monomial(1, hpow=1), zero, zero, sys,
+                          CTX).notes == []
+
+
 def test_check_master_f_identity_cobordism_intertwines():
     # two copies of a 3-orbit contact manifold joined by trivial cylinders;
     # F = (1/h) sum (1/kappa) q-(g) p+(g) intertwines matching Hamiltonians
