@@ -16,7 +16,7 @@ import weakref
 from dataclasses import FrozenInstanceError, dataclass, replace
 from fractions import Fraction
 from math import inf
-from typing import Iterable, Iterator, Optional, Tuple, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 # symbol kinds, also the block order inside a normalized monomial
 KIND_S = "s"  # string/coefficient symbol
@@ -124,40 +124,46 @@ def split_h(m: Monomial) -> Tuple[Monomial, int]:
     return tuple(rest), h
 
 
-def normalize(entries: Iterable) -> Optional[tuple]:
-    """Sort a word of (symbol, exponent) pairs into canonical order.
+def normalize(word: Sequence) -> Optional[tuple]:
+    """(sign, monomial) of a word, a sequence of (symbol, exponent)
+    tuples, sorted into canonical order, or None when it vanishes (an
+    odd symbol acquires exponent >= 2).
 
-    Returns (sign, monomial) or None when the word vanishes (an odd
-    symbol acquires exponent >= 2).  Raises NormalizationError if the
-    word contains p and q of the same orbit with the p on the left:
-    that move is not super-commutative and belongs to the star product.
-    The units are merged in one at a time (merge_words); a negative
-    exponent left on a symbol other than h is an error.
+    One pass: a unit of exponent 0 is skipped, a unit past every earlier
+    one appended (a word in standard order costs one sort-key comparison
+    a unit), any other merged in (merge_words).  Precedence: a q with the
+    p of its orbit to its left raises NormalizationError for the whole
+    word (that move belongs to the star product), then a vanishing word
+    gives None, then a negative exponent off h in the merged word raises.
     """
-    word = [(s, e) for s, e in entries if e != 0]
-    # p_gamma left of q_gamma (same orbit) is not ours to reorder
-    seen_p = set()
-    for s, e in word:
-        if s.kind == KIND_P and s.orbit is not None:
-            seen_p.add(s.orbit)
-        elif s.kind == KIND_Q and s.orbit in seen_p:
-            raise weyl_order_error(s.orbit)
-    sign, out = 1, ()
-    for unit in word:
-        s = unit[0]
-        if s.parity and unit[1] > 1:
-            return None
-        if not out or out[-1][0].sort_key < s.sort_key:
-            out += (unit,)  # what merge_words gives for a unit past the end
+    sign, out, top, neg = 1, (), (-1,), False  # (-1,) < every sort_key < (4,)
+    for i, unit in enumerate(word):
+        s, e = unit
+        if e != 1:
+            if not e:
+                continue
+            if s.parity and e > 1:  # vanishes; the rest only checks p, q
+                out, top = None, (4,)
+            neg = neg or e < 0 and s.kind != KIND_H
+        key = s.sort_key
+        if top < key:
+            top = key
+            out += (unit,)
             continue
-        res = merge_words(out, (unit,))
+        # a q right of the p of its orbit comes here: top >= that p's key
+        if s.kind == KIND_Q and s.orbit is not None:
+            for t, f in word[:i]:
+                if f and t.kind == KIND_P and t.orbit == s.orbit:
+                    raise weyl_order_error(s.orbit)
+        res = merge_words(out, (unit,)) if out is not None else None
         if res is None:
-            return None
-        sign, out = sign * res[0], res[1]
-    for s, e in out:
+            out, top = None, (4,)
+        else:
+            sign, out = sign * res[0], res[1]
+    for s, e in out if neg and out is not None else ():
         if e < 0 and s.kind != KIND_H:
             raise NormalizationError("negative exponent on %r" % (s,))
-    return sign, out
+    return None if out is None else (sign, out)
 
 
 def weyl_order_error(orbit: str) -> NormalizationError:
@@ -254,12 +260,15 @@ def exact(c) -> Coeff:
 
 
 def add_terms(acc: dict, terms: dict, scale=1) -> dict:
-    """acc += scale * terms, key by key, for any sparse vector.
+    """acc += scale * terms, key by key, for any sparse vector: the one
+    term accumulator, also behind GradedSeries' + and -.
 
     A key whose coefficient cancels is removed at once, so `acc` holds
     no zeros and its keys keep first-insertion order, exactly as a
     chain of GradedSeries additions would leave them.  A scale of +-1
-    negates or keeps each value instead of multiplying.  Returns acc.
+    negates or keeps each value instead of multiplying; a value stored
+    that is a whole Fraction is stored as its int (the rule of exact()).
+    Returns acc.
     """
     negate, unit = scale == -1, scale == 1
     for k, v in terms.items():
@@ -268,15 +277,14 @@ def add_terms(acc: dict, terms: dict, scale=1) -> dict:
         elif not unit:
             v = v * scale
         prev = acc.get(k)
-        if prev is None:
-            if v:
-                acc[k] = v
-            continue
-        c = prev + v
-        if c:
-            acc[k] = c
+        if prev is not None:
+            v = prev + v
+        if not v:
+            acc.pop(k, None)
+        elif v.__class__ is Fraction and v.denominator == 1:
+            acc[k] = v.numerator
         else:
-            del acc[k]
+            acc[k] = v
     return acc
 
 
@@ -331,9 +339,14 @@ class GradedSeries:
         """Series over a dict of normalized monomials and int or Fraction
         coefficients, taken as they are except that zeros are dropped
         and a Fraction with denominator 1 becomes its int."""
+        return cls._of({m: c if c.__class__ is int or c.denominator != 1
+                        else c.numerator for m, c in terms.items() if c})
+
+    @classmethod
+    def _of(cls, terms: dict) -> "GradedSeries":
+        """The series over `terms`, nonzero and exact already."""
         s = cls.__new__(cls)
-        s.terms = {m: c if c.__class__ is int or c.denominator != 1
-                   else c.numerator for m, c in terms.items() if c}
+        s.terms = terms
         return s
 
     @classmethod
@@ -351,17 +364,15 @@ class GradedSeries:
     @classmethod
     def from_word(cls, entries, coeff=1) -> "GradedSeries":
         res = normalize(entries)
-        if res is None:
-            return cls.zero()
-        sgn, mono = res
-        return cls({mono: exact(coeff) * sgn})
+        c = exact(coeff) if res else 0
+        return cls._of({res[1]: c if res[0] > 0 else -c} if c else {})
 
     # -- ring structure ----------------------------------------------
     def __add__(self, other: "GradedSeries") -> "GradedSeries":
-        return GradedSeries.from_terms(add_terms(dict(self.terms), other.terms))
+        return GradedSeries._of(add_terms(dict(self.terms), other.terms))
 
     def __sub__(self, other: "GradedSeries") -> "GradedSeries":
-        return self + other.scale(-1)
+        return GradedSeries._of(add_terms(dict(self.terms), other.terms, -1))
 
     def scale(self, c) -> "GradedSeries":
         c = exact(c)
@@ -471,9 +482,7 @@ def collect(acc: dict, ctx: TruncationContext) -> GradedSeries:
                 and length <= max_len:
             out[m] = c if c.__class__ is int or c.denominator != 1 \
                 else c.numerator
-    series = GradedSeries.__new__(GradedSeries)
-    series.terms = out  # nonzero and exact already
-    return series
+    return GradedSeries._of(out)
 
 
 def truncation_underflow(m: Monomial, min_h: int) -> TruncationUnderflow:

@@ -82,9 +82,6 @@ class FreeAlgebraSpec:
         """S(q), the free algebra on the q variables of an orbit system."""
         return cls([], word_cap, hbar_cap, sys.n, list(sys.q.values()))
 
-    def generator(self, name: str) -> GradedSeries:
-        return GradedSeries.generator(self.symbol(name))
-
     def symbol(self, name: str) -> GradedSymbol:
         for s in self.symbols:
             if s.name == name:

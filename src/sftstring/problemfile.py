@@ -12,11 +12,12 @@ surfaces, classes, graded series and augmentations.
     aug beta { q[g1] -> 1/2*h ; q[g3] -> 1 }
 
 Series expressions admit rational literals (ASCII digits), h, q[...],
-p[...], s[...], +, -, *, integer powers via ^ up to MAX_POWER (and up
-to MAX_POWER_PRODUCTS term products), parentheses nested up to
-MAX_NESTING deep, and (1/h) as the only negative h power.  Parsing
-keeps every written term and is position-tagged; printing is canonical,
-and parse(print(file)) reproduces the file.
+p[...], s[...], +, -, *, integer powers via ^ up to MAX_POWER (a power
+or a product of sums up to MAX_POWER_PRODUCTS term products),
+parentheses nested up to MAX_NESTING deep, and (1/h) as the only
+negative h power.  Parsing keeps every written term and is
+position-tagged; printing is canonical, and parse(print(file))
+reproduces the file.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ MAX_POWER = 1_000
 # the C(t + e - 1, e) terms of x^e, sets the time: (q1 + q2)^1000 took 2.6 s.
 # Just under the bound the slowest shape measured, (1/7 q1 + 2/8 q2)^315,
 # took 1.0 s; integer sums of 2 to 300 terms 0.1-0.8 s (same machine).
+# A product x * y of sums of t1 and t2 terms takes t1 t2 term products:
+# (q1 + ... + q20)^3 * (1 + h + ... + h^63) took 1.0 s, and the same
+# Fraction powers, ^315 * ^312, 2.6 s for the product alone.
 MAX_POWER_PRODUCTS = 100_000
 # each level of parentheses takes four Python frames, so this depth stays
 # far below the interpreter's recursion limit
@@ -331,16 +335,24 @@ class _Parser:
         while self.peek().text in ("+", "-"):
             minus = self.next().text == "-"
             term = self._term()
-            out = out + (term.scale(-1) if minus else term)
+            out = out - term if minus else out + term
         return out
 
     def _term(self) -> GradedSeries:
         out = self._factor()
-        while self.accept("*"):
-            out = self._mul(out, self._factor())
+        while self.peek().text == "*":
+            tok = self.next()
+            out = self._mul(out, self._factor(), tok)
         return out
 
-    def _mul(self, a: GradedSeries, b: GradedSeries) -> GradedSeries:
+    def _mul(self, a: GradedSeries, b: GradedSeries, at: Token
+             ) -> GradedSeries:
+        """a * b, refused at the token `at` when it takes more than
+        MAX_POWER_PRODUCTS term products."""
+        if len(a.terms) * len(b.terms) > MAX_POWER_PRODUCTS:
+            raise _at(at, "product of sums of %d and %d terms takes more "
+                      "than %d term products"
+                      % (len(a.terms), len(b.terms), MAX_POWER_PRODUCTS))
         tok = self.peek()
         try:
             return mul(a, b, KEEP_ALL)
@@ -363,7 +375,7 @@ class _Parser:
                       "term products" % (e, t, MAX_POWER_PRODUCTS))
         out = GradedSeries.unit()
         for _ in range(e):
-            out = self._mul(out, base)
+            out = self._mul(out, base, tok)
         return out
 
     def _atom(self) -> GradedSeries:

@@ -120,13 +120,6 @@ class OrbitSystem:
     def series_q(self, name: str) -> GradedSeries:
         return GradedSeries.generator(self.q[name])
 
-    def series_p(self, name: str) -> GradedSeries:
-        return GradedSeries.generator(self.p[name])
-
-    def series_h(self, power: int = 1, coeff=1) -> GradedSeries:
-        return GradedSeries({((self.hbar, power),): coeff}) if power \
-            else GradedSeries.unit(coeff)
-
     def monomial(self, coeff, qs=(), ps=(), hpow: int = 0) -> GradedSeries:
         """Convenience builder; qs/ps are orbit names."""
         entries = [(self.q[n_], 1) for n_ in qs]

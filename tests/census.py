@@ -99,10 +99,6 @@ ALLOWED = {
         ITEM_1, "intersection_count of a class with itself"),
     "algebra.GradedSeries.__eq__": (
         "criterion 1", "compares the two sides of associativity"),
-    "weyl.OrbitSystem.series_h": (
-        "criterion 2", "builds the h of [p, q] = kappa h"),
-    "weyl.OrbitSystem.series_p": (
-        "criterion 2", "builds the p of [p, q] = kappa h"),
     "bv.bv_bracket": (
         "criterion 3", "the first component's BV bracket vanishes"),
     "cotangent.GeodesicAlphabet.from_words": (
@@ -110,8 +106,6 @@ ALLOWED = {
         "which criterion 3 sets up first"),
     "bv.derivation_operator": (
         "criterion 4", "builds the worked example's operator"),
-    "bv.FreeAlgebraSpec.generator": (
-        "criterion 4", "names the worked example's generators"),
     "bv.FreeAlgebraSpec.symbol": (
         "criterion 4", "names the worked example's generators"),
     "cotangent.SurfaceHamiltonian.flipped": (

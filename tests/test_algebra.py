@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from collections import Counter
 
 import pytest
 from fractions import Fraction
@@ -18,6 +19,7 @@ from sftstring.algebra import (
     add_terms,
     collect,
     derivation,
+    exact,
     merge_words,
     monomial_degree,
     mul,
@@ -224,29 +226,93 @@ def test_merge_words_shortcut_cases_match_standard_form():
     assert min(shapes.values()) > 100, shapes
 
 
+def _normalize_reference(word):
+    """The oracle's (sign, monomial), with normalize's precedence: a q
+    with the p of its orbit to its left raises for the whole word, then
+    a word with an odd symbol in two units or squared vanishes, then a
+    negative exponent off h in the merged word raises.  Odd symbols
+    take positive exponents only."""
+    word = [(s, e) for s, e in word if e]
+    for k, (s, _e) in enumerate(word):
+        if s.kind == KIND_Q and any(t.kind == KIND_P and t.orbit == s.orbit
+                                    for t, _f in word[:k]):
+            raise algebra.weyl_order_error(s.orbit)
+    if any(sum(f for t, f in word if t is s) > 1 for s, _e in word if s.parity):
+        return None
+    return standard_form(word)
+
+
 def test_normalize_matches_standard_form_on_random_words():
-    """normalize merges a word's units in one at a time; the oracle sorts
-    the whole word.  Unsorted words with repeats, odd units squared by a
-    repeat or an exponent of 2, and h of either sign."""
+    """normalize makes one pass over the word; the oracle sorts the whole
+    word.  Words in standard order, one unit per symbol (the shape
+    OrbitSystem.monomial builds), and unsorted words with repeats, odd
+    units squared by a repeat or an exponent of 2, h of either sign,
+    negative exponents on even symbols off h, exponents of 0, and p[1]
+    on either side of q[1]; results and error messages must agree."""
     syms = [sym("s[x]", 1, kind=KIND_S, index=0), sym("s[y]", 2, kind=KIND_S, index=1),
             q1, q2, q3, sym("q[4]", 1, orbit="4", index=3),
             sym("p[1]", -1, kind=KIND_P, orbit="1", index=0),
             sym("h", 2, kind=KIND_H)]
+    assert syms == sorted(syms, key=lambda s: s.sort_key)
     rng = random.Random(27)
-    vanished = 0
-    for _ in range(3000):
-        word = []
-        for _ in range(rng.randrange(0, 7)):
-            s = rng.choice(syms)
-            e = rng.randrange(-2, 3) if s.kind == KIND_H else \
-                rng.choice((1, 1, 1, 2))
-            word.append((s, e))
-        if any(s.kind == KIND_P for s, _ in word):  # no p left of q[1]
-            word = [(s, e) for s, e in word if s is not q1]
+
+    def exponent(s):
+        if s.kind == KIND_H:
+            return rng.randrange(-2, 3)
+        return rng.choice((1, 1, 1, 2, 0) if s.parity else (1, 1, 2, -1, -2, 0))
+
+    seen = Counter()
+    for _ in range(6000):
+        standard = rng.random() < 0.4
+        if standard:
+            word = [(s, exponent(s)) for s in syms if rng.random() < 0.4]
+        else:
+            word = [(s, exponent(s)) for s in
+                    (rng.choice(syms) for _ in range(rng.randrange(0, 7)))]
+        try:
+            want = _normalize_reference(word)
+        except NormalizationError as err:
+            with pytest.raises(NormalizationError) as got:
+                normalize(word)
+            assert str(got.value) == str(err), word
+            seen[standard, str(err).split()[0]] += 1
+            continue
         got = normalize(word)
-        assert got == standard_form([(s, e) for s, e in word if e]), word
-        vanished += got is None
-    assert 300 < vanished < 2700
+        assert got == want, word
+        if standard and got is not None:
+            assert got == (1, tuple((s, e) for s, e in word if e))
+        seen[standard, "vanishes" if got is None else "ok"] += 1
+    # a standard-order word has no p left of a q
+    assert set(seen) == {(b, o) for b in (False, True)
+                         for o in ("word", "negative", "vanishes", "ok")
+                         } - {(True, "word")}
+    assert min(seen.values()) > 150, seen
+
+
+@pytest.mark.parametrize("word, want", [
+    # an odd q[2] squares before q[1] comes right of p[1]: the p, q
+    # order error is for the whole word
+    ([("p1", 1), ("q2", 1), ("q2", 1), ("q1", 1)], "order"),
+    # the even q[3] is left at q[3]^-1, but odd q[1] squares: it vanishes
+    ([("q3", -1), ("q1", 2)], None),
+    # q[3]^-1 cancels in the merged word: no error
+    ([("q3", -1), ("q3", 1), ("q1", 1)], (1, (("q1", 1),))),
+    ([("q3", -2), ("q3", 1)], "negative"),
+], ids=["order-error-first", "none-before-negative", "negative-cancels",
+        "negative-left"])
+def test_normalize_precedence(word, want):
+    named = {"q1": q1, "q2": q2, "q3": q3,
+             "p1": sym("p[1]", -1, kind=KIND_P, orbit="1", index=0)}
+    word = [(named[n], e) for n, e in word]
+    if want == "order":
+        with pytest.raises(NormalizationError, match="p and q of orbit '1'"):
+            normalize(word)
+    elif want == "negative":
+        with pytest.raises(NormalizationError, match=r"^negative exponent on q\[3\]$"):
+            normalize(word)
+    else:
+        assert normalize(word) == (want and (want[0], tuple(
+            (named[n], e) for n, e in want[1])))
 
 
 def _mul_reference(a, b, ctx):
@@ -306,7 +372,7 @@ def test_add_terms_matches_one_product_per_term(scale):
     rng = random.Random(77)
 
     def vector():
-        out = {k: Fraction(rng.randrange(-2, 3), rng.randrange(1, 3))
+        out = {k: exact(Fraction(rng.randrange(-2, 3), rng.randrange(1, 3)))
                for k in rng.sample(range(8), 5)}
         return {k: v for k, v in out.items() if v}
 
@@ -316,6 +382,38 @@ def test_add_terms_matches_one_product_per_term(scale):
             want = _add_terms_reference(dict(acc), terms, scale)
             acc = add_terms(acc, terms, scale)
             assert list(acc.items()) == list(want.items())
+            # exact values in, exact values out: a whole Fraction is its int
+            assert all(v.__class__ is int or v.denominator > 1
+                       for v in acc.values())
+
+
+def test_add_and_sub_match_from_terms_of_the_reference_sum():
+    # a + b and a - b against from_terms of the one-product-per-term
+    # accumulation: the same values in the same key order, whole-Fraction
+    # sums as ints, cancelled keys dropped, and a and b left as they were
+    rng = random.Random(41)
+    keys = [()] + [((q3, e),) for e in range(1, 5)]
+
+    def series():
+        return GradedSeries.from_terms({
+            k: Fraction(rng.randrange(-3, 4), rng.randrange(1, 3))
+            for k in rng.sample(keys, 3)})
+
+    cancelled = whole = 0
+    for _ in range(500):
+        a, b = series(), series()
+        before = list(a.terms.items()), list(b.terms.items())
+        for got, scale in ((a + b, 1), (a - b, -1)):
+            want = GradedSeries.from_terms(
+                _add_terms_reference(dict(a.terms), b.terms, scale))
+            assert list(got.terms.items()) == list(want.terms.items())
+            assert [c.__class__ for c in got.terms.values()] == \
+                [c.__class__ for c in want.terms.values()]
+            cancelled += len(got.terms) < len(a.terms.keys() | b.terms.keys())
+            whole += any(c.__class__ is int and a.terms.get(k).__class__
+                         is Fraction for k, c in got.terms.items())
+        assert (list(a.terms.items()), list(b.terms.items())) == before
+    assert cancelled > 50 and whole > 50, (cancelled, whole)
 
 
 def _derivation_reference(m, image, d_degree):

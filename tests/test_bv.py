@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from sftstring import bv
-from sftstring.algebra import (GradedSeries, TruncationContext, add_terms,
+from sftstring.algebra import (GradedSeries, TruncationContext,
+                               TruncationUnderflow, add_terms,
                                collect, derivation, merge_words,
                                monomial_degree, mul, q_degree)
 from sftstring.bv import (
@@ -29,6 +30,7 @@ from sftstring.bv import (
     BialgebraAxioms,
 )
 from sftstring.weyl import Orbit, OrbitSystem, check_master_h
+from builders import generator
 from oracles import order_at_most_reference
 
 
@@ -53,7 +55,7 @@ def test_basis_is_kept_and_read_by_prefix():
 
 def test_derivation_has_order_one():
     spec = xy_spec()
-    y = spec.generator("y")
+    y = generator(spec, "y")
     D = derivation_operator(spec, {"x": mul(y, y, spec.caps) - GradedSeries.unit(),
                                    "y": GradedSeries.zero()})
     comp = D.component(1)
@@ -68,7 +70,7 @@ def test_derivation_sign_on_even_generators():
     for order in itertools.permutations(degrees):
         spec = FreeAlgebraSpec([(nm, degrees[nm]) for nm in order], 3, 2, n=2)
         z, y, w = (spec.symbol(nm) for nm in degrees)
-        D = derivation_operator(spec, {"y": spec.generator("w")})
+        D = derivation_operator(spec, {"y": generator(spec, "w")})
         zy = GradedSeries.from_word([(z, 1), (y, 1)])
         assert D.apply(zy) == GradedSeries.from_word([(z, 1), (w, 1)], -1), order
         assert validate_bv(D).passed, order
@@ -76,7 +78,7 @@ def test_derivation_sign_on_even_generators():
 
 def test_multiplication_operator_has_order_zero():
     spec = xy_spec()
-    y = spec.generator("y")
+    y = generator(spec, "y")
     table = {m: mul(GradedSeries({m: Fraction(1)}), y, spec.caps)
              for m in spec.basis_monomials()}
     op = LinearMap(spec, table, 0)
@@ -104,8 +106,8 @@ def test_second_derivative_has_order_two_not_one():
 
 def test_bv_bracket_of_derivation_vanishes():
     spec = xy_spec()
-    y = spec.generator("y")
-    x = spec.generator("x")
+    y = generator(spec, "y")
+    x = generator(spec, "x")
     D = derivation_operator(spec, {"x": mul(y, y, spec.caps), "y": GradedSeries.zero()})
     for a in (x, y, mul(x, y, spec.caps)):
         for b in (x, y, mul(y, y, spec.caps)):
@@ -126,7 +128,7 @@ def test_bv_bracket_order_two_example():
         return GradedSeries.zero()
 
     D = BvOperator(spec, {m: dxy(m) for m in spec.basis_monomials()})
-    got = bv_bracket(D, spec.generator("x"), spec.generator("y"))
+    got = bv_bracket(D, generator(spec, "x"), generator(spec, "y"))
     assert got == GradedSeries.unit() or got == GradedSeries.unit(-1)
 
 
@@ -267,7 +269,7 @@ def test_exp_morphism_small_cases():
     # target = source algebra; phi sends odd generators to odd elements
     spec = FreeAlgebraSpec([("v", 1), ("w", 1)], word_cap=3, hbar_cap=2, n=2)
     sv, sw = spec.symbol("v"), spec.symbol("w")
-    v, w = spec.generator("v"), spec.generator("w")
+    v, w = generator(spec, "v"), generator(spec, "w")
     vw = mul(v, w, spec.caps)
     phi_table = {
         ((sv, 1),): v.scale(2),
@@ -288,7 +290,7 @@ def test_exp_morphism_small_cases():
 def worked_example():
     """x odd deg 1, y even deg 0, Dx = y^2 - 1, Dy = 0, beta1(y) = 1."""
     spec = xy_spec()
-    y = spec.generator("y")
+    y = generator(spec, "y")
     D = derivation_operator(spec, {"x": mul(y, y, spec.caps) - GradedSeries.unit(),
                                    "y": GradedSeries.zero()})
     sy = spec.symbol("y")
@@ -302,10 +304,10 @@ def test_twist_worked_example():
     # Phi^0 is the automorphism y -> y + 1 on generators
     sy = spec.symbol("y")
     got = Phi.value(((sy, 1),))
-    assert got == spec.generator("y") + GradedSeries.unit()
+    assert got == generator(spec, "y") + GradedSeries.unit()
     # twisted differential: x -> (y+1)^2 - 1 = y^2 + 2y, constant-free
     sx = spec.symbol("x")
-    y = spec.generator("y")
+    y = generator(spec, "y")
     want = mul(y, y, spec.caps) + y.scale(2)
     assert Dbeta.value(((sx, 1),)) == want
     # round trip
@@ -334,7 +336,7 @@ def test_linearize_worked_example():
 def test_beta_zero_twist_is_identity():
     # beta = 0 is an augmentation once D has no constant terms
     spec = xy_spec()
-    y = spec.generator("y")
+    y = generator(spec, "y")
     D = derivation_operator(spec, {"x": mul(y, y, spec.caps), "y": GradedSeries.zero()})
     beta0 = Augmentation(spec, {})
     Phi, PhiInv, Dbeta = twist_by_augmentation(D, beta0)
@@ -468,7 +470,7 @@ def test_validate_bv_witnesses_a_nonzero_unit_value():
     # multiplication by the odd x squares to zero and has order 0, but
     # takes 1 to x
     spec = xy_spec()
-    x = spec.generator("x")
+    x = generator(spec, "x")
     D = BvOperator(spec, {m: mul(x, GradedSeries({m: 1}), spec.caps)
                           for m in spec.basis_monomials()})
     assert _labels(validate_bv(D)) == ["D(1)"]
@@ -490,3 +492,32 @@ def test_validate_bv_witnesses_a_component_of_too_high_order():
     rep = validate_bv(BvOperator(spec, {m: second(m)
                                         for m in spec.basis_monomials()}))
     assert _labels(rep) == ["DD(q1^2*q2^2)", "component 1 has order > 1"]
+
+
+def test_bv1_witness_at_h_to_the_minus_2():
+    # D(y) = h^-1 x and D(x) = h^-1: DD(y) reads D(x) at h^-1 through
+    # LinearMap.value's h shift, so BV1 fails with a nonzero h^-2 term,
+    # which spec.caps (floor h^-64) keeps
+    spec = xy_spec()
+    sx, sy = spec.symbol("x"), spec.symbol("y")
+    D = BvOperator(spec, {((sy, 1),): mul(spec.hpow(-1), generator(spec, "x"),
+                                          spec.caps),
+                          ((sx, 1),): spec.hpow(-1)})
+    assert D.value(((sx, 1), (spec.hbar, -1))) == spec.hpow(-2)
+    assert validate_bv(D).witnesses == [("DD(y)", "h^-2")]
+
+
+def test_spec_window_raises_below_h_to_the_minus_64():
+    # D(y) = h^-1 y, applied 64 times, gives h^-64 y, at the floor of
+    # spec.caps; the 65th application's window raises
+    spec = xy_spec()
+    y = generator(spec, "y")
+    D = BvOperator(spec, {((spec.symbol("y"), 1),):
+                          mul(spec.hpow(-1), y, spec.caps)})
+    v = y
+    for _ in range(64):
+        v = D.apply(v)
+    assert v == mul(spec.hpow(-64), y, spec.caps)
+    with pytest.raises(TruncationUnderflow, match=r"^term y\*h\^-65 needs "
+                       r"hbar\^-65 below the context minimum -64$"):
+        D.apply(v)

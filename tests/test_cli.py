@@ -161,6 +161,27 @@ def test_power_of_a_sum_is_bounded_by_its_term_products(tmp_path, terms,
         % (terms + 2, len("series H = ^") + len(base) + 1, under + 1, terms))
 
 
+def test_product_of_sums_is_bounded_by_its_term_products(tmp_path):
+    """x * y of sums of t1 and t2 terms takes t1 t2 term products.  S^3,
+    S the sum of 20 even q's, has 1,540 terms: times a sum of 64 h
+    powers that is 98,560 products, under the bound; one more h power,
+    or S^3 * S^3 (2,371,600), is refused at the `*`."""
+    path = tmp_path / "product.sft"
+    orbits = "".join("orbit g%d cz=1 kappa=1\n" % i for i in range(20))
+    s3 = "(%s)^3" % " + ".join("q[g%d]" % i for i in range(20))
+    h64, h65 = ("(1 + %s)" % " + ".join("h^%d" % i for i in range(1, k))
+                for k in (64, 65))
+    for right, t2 in ((h64, None), (h65, 65), (s3, 1540)):
+        path.write_text("n = 2\n%sseries H = %s * %s\n" % (orbits, s3, right))
+        proc = _run_module(["parse", "--input", str(path)], timeout=10)
+        assert proc.returncode == (2 if t2 else 0), proc.stderr
+        if t2:
+            assert proc.stderr == (
+                "error: line 22, col %d: product of sums of 1540 and %d terms "
+                "takes more than 100000 term products\n"
+                % (len("series H = ") + len(s3) + 2, t2))
+
+
 # -- seeded fuzz of the problem-file grammar ---------------------------
 
 FUZZ_PRELUDE = ("n = 2\norbit g1 cz=0 kappa=1\norbit g2 cz=1 kappa=2\n"

@@ -25,6 +25,7 @@ from sftstring.bv import (
 )
 from sftstring.cotangent import GeodesicAlphabet, build_H_surface
 from sftstring.surfaces import Surface, parse_word
+from builders import generator
 from oracles import eager_twist_tables
 from test_action_tables import ALPHABET_WORDS
 from test_bv import worked_example, xy_spec
@@ -62,7 +63,7 @@ def test_worked_examples_match_eager_tables():
     spec, D, beta = worked_example()
     _assert_matches_eager(D, beta, [((spec.symbol("x"), 1),)])
     spec = xy_spec()
-    y = spec.generator("y")
+    y = generator(spec, "y")
     D = bv.derivation_operator(spec, {"x": mul(y, y, spec.caps),
                                       "y": GradedSeries.zero()})
     _assert_matches_eager(D, Augmentation(spec, {}))
@@ -137,7 +138,7 @@ def test_twist_needs_the_operator_on_the_augmentation_spec():
     # beta.spec, the one object
     spec, D, beta = worked_example()
     other = xy_spec()
-    y = other.generator("y")
+    y = generator(other, "y")
     D_other = bv.derivation_operator(
         other, {"x": mul(y, y, other.caps) - GradedSeries.unit(),
                 "y": GradedSeries.zero()})
@@ -151,7 +152,7 @@ def test_repeated_twists_by_one_beta_share_phi():
     # Phi and Phi^-1 depend on beta alone: every twist by beta, of any
     # operator on its spec, returns the one pair kept on beta
     spec, D, beta = worked_example()
-    y = spec.generator("y")
+    y = generator(spec, "y")
     D2 = bv.derivation_operator(
         spec, {"x": mul(y, y, spec.caps) - y.scale(2) + GradedSeries.unit(),
                "y": GradedSeries.zero()})

@@ -23,6 +23,7 @@ from sftstring.algebra import (
     split_h,
 )
 from sftstring.bv import FreeAlgebraSpec
+from builders import series_h, series_p
 from oracles import standard_form, units_of
 from sftstring.problemfile import parse
 from sftstring.weyl import (
@@ -49,8 +50,8 @@ def odd_system(norbits=3, kappas=None, n=2):
 def test_commutation_relation_odd_kappa2():
     # n=2, cz=0, kappa=2: star(p1, q1) = -q1 p1 + 2h
     sys = odd_system(1, [2])
-    got = star(sys.series_p("g1"), sys.series_q("g1"), sys, CTX)
-    want = sys.monomial(-1, qs=["g1"], ps=["g1"]) + sys.series_h(1, 2)
+    got = star(series_p(sys, "g1"), sys.series_q("g1"), sys, CTX)
+    want = sys.monomial(-1, qs=["g1"], ps=["g1"]) + series_h(sys, 1, 2)
     assert got == want
 
 
@@ -59,19 +60,19 @@ def test_commutation_relation_all_parities_and_kappas():
     for cz, n in [(0, 2), (1, 2), (0, 3), (2, 3), (1, 4)]:
         for kappa in (1, 2, 3):
             sys = OrbitSystem(n, [Orbit("g", cz, kappa)])
-            p, q = sys.series_p("g"), sys.series_q("g")
+            p, q = series_p(sys, "g"), sys.series_q("g")
             sign = -1 if (sys.p["g"].parity and sys.q["g"].parity) else 1
             lhs = star(p, q, sys, CTX) - star(q, p, sys, CTX).scale(sign)
-            assert lhs == sys.series_h(1, kappa)
+            assert lhs == series_h(sys, 1, kappa)
 
 
 def test_star_even_double_contraction():
     # n=3 makes q even; p * q^2 = q^2 p + 2 h q
     sys = OrbitSystem(3, [Orbit("g", 0, 1)])
-    q, p = sys.series_q("g"), sys.series_p("g")
+    q, p = sys.series_q("g"), series_p(sys, "g")
     qq = star(q, q, sys, CTX)
     got = star(p, qq, sys, CTX)
-    want = star(qq, p, sys, CTX) + star(sys.series_h(), q, sys, CTX).scale(2)
+    want = star(qq, p, sys, CTX) + star(series_h(sys), q, sys, CTX).scale(2)
     assert got == want
 
 
@@ -457,8 +458,8 @@ def test_actions_match_derivative_chains(ctx):
 
 def test_act_right_single_contraction():
     sys = odd_system(1)
-    got = act_right(sys.series_p("g1"), sys.series_q("g1"), sys, CTX)
-    assert got == sys.series_h()
+    got = act_right(series_p(sys, "g1"), sys.series_q("g1"), sys, CTX)
+    assert got == series_h(sys)
 
 
 def test_act_right_pair_short_of_q_leaves_no_key():
@@ -519,7 +520,7 @@ def test_act_left_matches_star_then_evaluate(maker):
 
 def test_act_left_single_contraction():
     sys = odd_system(1)
-    assert act_left(sys.series_p("g1"), sys.series_q("g1"), sys, CTX) == sys.series_h()
+    assert act_left(series_p(sys, "g1"), sys.series_q("g1"), sys, CTX) == series_h(sys)
 
 
 def test_act_left_q_passes_odd_coefficients():
@@ -527,9 +528,9 @@ def test_act_left_q_passes_odd_coefficients():
     # before it contracts with the p of g
     sys = OrbitSystem(3, [Orbit("g", 1, 2)])
     H = GradedSeries.from_word([(_ODD_S, 1), (sys.q["g"], 1)])
-    got = act_left(sys.series_p("g"), H, sys, CTX)
+    got = act_left(series_p(sys, "g"), H, sys, CTX)
     assert got == GradedSeries.from_word([(_ODD_S, 1), (sys.hbar, 1)], -2)
-    assert got == project_out(star(sys.series_p("g"), H, sys, CTX), kinds=("q",))
+    assert got == project_out(star(series_p(sys, "g"), H, sys, CTX), kinds=("q",))
 
 
 @pytest.mark.parametrize("maker", [
