@@ -113,14 +113,15 @@ def word_length(m: Monomial) -> int:
 
 
 def split_h(m: Monomial) -> Tuple[Monomial, int]:
-    """The h-free part of a monomial and its h exponent."""
+    """The h-free part of a monomial, made of m's own units, and its h
+    exponent."""
     h = 0
     rest = []
-    for s, e in m:
-        if s.kind == KIND_H:
-            h += e
+    for unit in m:
+        if unit[0].kind == KIND_H:
+            h += unit[1]
         else:
-            rest.append((s, e))
+            rest.append(unit)
     return tuple(rest), h
 
 
@@ -182,7 +183,8 @@ def merge_words(left, right) -> Optional[tuple]:
     does for the concatenation: each odd left unit is passed by the odd
     right units emitted before it, and contributes -1 when there is an
     odd number of those.  Equal even symbols add their exponents; a zero
-    sum (h^-1 * h) drops out."""
+    sum (h^-1 * h) drops out.  Every other unit of the result is the
+    unit object of left or right: only a summed exponent makes one."""
     if not left or not right or left[-1][0].sort_key < right[0][0].sort_key:
         return 1, left + right
     out = []
@@ -196,12 +198,12 @@ def merge_words(left, right) -> Optional[tuple]:
         ks, kt = s.sort_key, t.sort_key
         if kt < ks:
             odd_right ^= t.parity & f
-            out.append((t, f))
+            out.append(right[j])
             j += 1
         elif ks < kt or s != t:
             if odd_right and s.parity & e:
                 sign = -sign
-            out.append((s, e))
+            out.append(left[i])
             i += 1
         elif s.parity:
             return None

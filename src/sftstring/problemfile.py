@@ -13,7 +13,8 @@ surfaces, classes, graded series and augmentations.
 
 Series expressions admit rational literals (ASCII digits), h, q[...],
 p[...], s[...], +, -, *, integer powers via ^ up to MAX_POWER (a power
-or a product of sums up to MAX_POWER_PRODUCTS term products),
+or a product of sums up to MAX_POWER_PRODUCTS term products, a file up
+to MAX_FILE_PRODUCTS),
 parentheses nested up to MAX_NESTING deep, and (1/h) as the only
 negative h power.  Parsing keeps every written term and is
 position-tagged; printing is canonical, and parse(print(file))
@@ -48,6 +49,14 @@ MAX_POWER = 1_000
 # (q1 + ... + q20)^3 * (1 + h + ... + h^63) took 1.0 s, and the same
 # Fraction powers, ^315 * ^312, 2.6 s for the product alone.
 MAX_POWER_PRODUCTS = 100_000
+# All the term products of one file, powers and `*` alike, count against
+# one budget, so many products each under the bound above stay bounded in
+# total.  One product at that bound with the powers that build its factors
+# must fit: (q1 + ... + q20)^3 * (1 + h + ... + h^63) takes 105,196.  The
+# slowest shape measured under this budget, (1/7 q1 + 2/9 q2)^250 * (...)^250
+# (188,505), took 1.9 s in parse(); ^315 * ^312 of the same sum (3.9 s, over
+# 297,000) is refused at its second power (same machine).
+MAX_FILE_PRODUCTS = 2 * MAX_POWER_PRODUCTS
 # each level of parentheses takes four Python frames, so this depth stays
 # far below the interpreter's recursion limit
 MAX_NESTING = 100
@@ -140,6 +149,7 @@ class _Parser:
         self.pf = ProblemFile()
         self.degree_at: Dict[str, Token] = {}
         self.nesting = 0
+        self.products = 0  # term products so far, against MAX_FILE_PRODUCTS
         self.keyword: Optional[Token] = None  # of the declaration being read
 
     # -- token helpers -------------------------------------------------
@@ -348,11 +358,16 @@ class _Parser:
     def _mul(self, a: GradedSeries, b: GradedSeries, at: Token
              ) -> GradedSeries:
         """a * b, refused at the token `at` when it takes more than
-        MAX_POWER_PRODUCTS term products."""
-        if len(a.terms) * len(b.terms) > MAX_POWER_PRODUCTS:
+        MAX_POWER_PRODUCTS term products, or when it takes the file's
+        term products past MAX_FILE_PRODUCTS."""
+        t1, t2 = len(a.terms), len(b.terms)
+        if t1 * t2 > MAX_POWER_PRODUCTS:
             raise _at(at, "product of sums of %d and %d terms takes more "
-                      "than %d term products"
-                      % (len(a.terms), len(b.terms), MAX_POWER_PRODUCTS))
+                      "than %d term products" % (t1, t2, MAX_POWER_PRODUCTS))
+        self.products += t1 * t2
+        if self.products > MAX_FILE_PRODUCTS:
+            raise _at(at, "the file's term products pass %d"
+                      % MAX_FILE_PRODUCTS)
         tok = self.peek()
         try:
             return mul(a, b, KEEP_ALL)

@@ -17,7 +17,9 @@ q's, the coefficient as an integer over a common denominator); a pair
 with nothing to contract goes straight to the window, in any other the
 shared orbits are folded in from the rightmost by slicing the bodies;
 terms the window drops are skipped before the two lowered factors,
-already in standard form, are merged (algebra.merge_words); an output
+already in standard form, are merged (algebra.merge_words, which keeps
+their units, so an output monomial reuses its factors' unit objects and
+each h exponent of a call gets one (h, e) unit); an output
 term's integer sum n over the common denominator d gives n itself when
 d is 1, n // d when d divides n, and Fraction(n, d) only otherwise.
 The operator actions are the same kernel restricted to full
@@ -103,16 +105,18 @@ class OrbitSystem:
         self.hbar = hbar_symbol(n)
         self.q: Dict[str, GradedSymbol] = {}
         self.p: Dict[str, GradedSymbol] = {}
+        self.units: Dict[GradedSymbol, tuple] = {}  # q or p -> (q or p, 1)
         self.kappa: Dict[str, int] = {}
         self.side: Dict[str, str] = {}
         idx = 0
         for o in self.orbits:
             if not o.good:
                 continue
-            self.q[o.name] = GradedSymbol(
+            q = self.q[o.name] = GradedSymbol(
                 "q[%s]" % o.name, n - 3 + o.cz, KIND_Q, o.name, idx)
-            self.p[o.name] = GradedSymbol(
+            p = self.p[o.name] = GradedSymbol(
                 "p[%s]" % o.name, n - 3 - o.cz, KIND_P, o.name, idx)
+            self.units[q], self.units[p] = (q, 1), (p, 1)
             self.kappa[o.name] = o.kappa
             self.side[o.name] = o.side
             idx += 1
@@ -121,9 +125,11 @@ class OrbitSystem:
         return GradedSeries.generator(self.q[name])
 
     def monomial(self, coeff, qs=(), ps=(), hpow: int = 0) -> GradedSeries:
-        """Convenience builder; qs/ps are orbit names."""
-        entries = [(self.q[n_], 1) for n_ in qs]
-        entries += [(self.p[n_], 1) for n_ in ps]
+        """Convenience builder; qs/ps are orbit names, and the word is
+        made of the system's own (q, 1) and (p, 1) units."""
+        units = self.units
+        entries = [units[self.q[n_]] for n_ in qs]
+        entries += [units[self.p[n_]] for n_ in ps]
         if hpow:
             entries.append((self.hbar, hpow))
         return GradedSeries.from_word(entries, coeff)
@@ -224,7 +230,8 @@ def _pairs(left, dl, right, dr, sys: OrbitSystem, ctx: TruncationContext,
     max_h, min_h, max_p = ctx.max_hbar, ctx.min_hbar, ctx.max_p_degree
     max_len, hbar, kappa = ctx.max_word_length, sys.hbar, sys.kappa
     acc: Dict[Monomial, int] = {}
-    low, weights = {}, {}  # terms below min_hbar; an orbit's options over r
+    # terms below min_hbar; an orbit's options over r; the (h, e) units
+    low, weights, hunits = {}, {}, {}
     for body1, h1, p1, l1, ps, pm, odd1, t1, n1 in left:
         for body2, h2, p2, l2, qmap, qm, odd2, _, n2 in right:
             h0 = h1 + h2
@@ -280,7 +287,7 @@ def _pairs(left, dl, right, dr, sys: OrbitSystem, ctx: TruncationContext,
                     continue
                 sgn, mono = res
                 if h:
-                    mono += ((hbar, h),)
+                    mono += (hunits.get(h) or hunits.setdefault(h, (hbar, h)),)
                 out = acc if h >= min_h else low
                 # (-1)^(m(m-1)/2) for m odd contractions
                 out[mono] = out.get(mono, 0) + (-sgn if m & 2 else sgn) * w

@@ -24,6 +24,7 @@ from sftstring.algebra import (
     monomial_degree,
     mul,
     normalize,
+    split_h,
 )
 from sftstring import weyl
 from sftstring.weyl import ExponentialError, OrbitSystem, exp_series
@@ -224,6 +225,41 @@ def test_merge_words_shortcut_cases_match_standard_form():
         if shape == 3 and got is not None and all(s is not h for s, _ in got[1]):
             shapes["h cancels"] += 1
     assert min(shapes.values()) > 100, shapes
+
+
+def test_merge_words_keeps_the_units_it_is_given():
+    # interleaved words with no symbol in common take the merge pass;
+    # each unit of the result is a unit object of left or right, and
+    # only a summed exponent is a new unit
+    order = [sym("s[x]", 1, kind=KIND_S, index=0),
+             sym("s[y]", 2, kind=KIND_S, index=1), q1, q2, q3,
+             sym("p[1]", -1, kind=KIND_P, orbit="1", index=0),
+             sym("h", 2, kind=KIND_H)]
+    rng = random.Random(34)
+    merged = 0
+    for _ in range(500):
+        sides = ([], [])
+        for s in order:
+            sides[rng.randrange(2)].append((s, 1 if s.parity else rng.randrange(1, 3)))
+        left, right = map(tuple, sides)
+        got = merge_words(left, right)
+        assert got == standard_form(list(left) + list(right))
+        assert all(any(u is v for v in left + right) for u in got[1])
+        merged += bool(left and right) and \
+            left[-1][0].sort_key > right[0][0].sort_key
+    assert merged > 100
+    left, right = ((q1, 1), (q3, 1)), ((q2, 1), (q3, 2))
+    sign, out = merge_words(left, right)
+    assert out == ((q1, 1), (q2, 1), (q3, 3))
+    assert out[0] is left[0] and out[1] is right[0]
+
+
+def test_split_h_keeps_its_units():
+    h = sym("h", 2, kind=KIND_H)
+    m = ((q1, 1), (q3, 2), (h, -1))
+    rest, e = split_h(m)
+    assert (rest, e) == (m[:2], -1)
+    assert rest[0] is m[0] and rest[1] is m[1]
 
 
 def _normalize_reference(word):

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from sftstring.cli import main
-from sftstring.problemfile import (MAX_POWER, MAX_POWER_PRODUCTS, ParseError,
-                                   parse, print_problem)
+from sftstring.problemfile import (MAX_FILE_PRODUCTS, MAX_POWER,
+                                   MAX_POWER_PRODUCTS, ParseError, parse,
+                                   print_problem)
 
 DATA = Path(__file__).parent / "data"
 CORPUS = sorted(DATA.glob("*.sft"))
@@ -180,6 +181,28 @@ def test_product_of_sums_is_bounded_by_its_term_products(tmp_path):
                 "error: line 22, col %d: product of sums of 1540 and %d terms "
                 "takes more than 100000 term products\n"
                 % (len("series H = ") + len(s3) + 2, t2))
+
+
+def test_term_products_of_a_file_share_one_budget(tmp_path):
+    """Every term product of a file, in powers and at `*`, counts against
+    one budget.  S^3 * H, S as above and H the sum of 64 h powers, takes
+    105,196 (4,620 in S^3, 2,016 in the h powers); a second such line, or
+    a third factor `* 1` of 98,560 more, passes 200,000 at its `*`."""
+    assert MAX_FILE_PRODUCTS == 200_000
+    path = tmp_path / "budget.sft"
+    orbits = "".join("orbit g%d cz=1 kappa=1\n" % i for i in range(20))
+    product = "(%s)^3 * (1 + %s)" % (
+        " + ".join("q[g%d]" % i for i in range(20)),
+        " + ".join("h^%d" % i for i in range(1, 64)))
+    for lines, at in (
+            (["series %s = %s" % (x, product) for x in "HG"],
+             (23, 12 + product.index("*"))),
+            (["series H = %s * 1" % product], (22, 13 + len(product)))):
+        path.write_text("n = 2\n%s%s\n" % (orbits, "\n".join(lines)))
+        proc = _run_module(["parse", "--input", str(path)], timeout=20)
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+        assert proc.stderr == ("error: line %d, col %d: the file's term "
+                               "products pass 200000\n" % at)
 
 
 # -- seeded fuzz of the problem-file grammar ---------------------------

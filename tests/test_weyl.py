@@ -208,8 +208,20 @@ def _criterion_1_systems():
     ]
 
 
+def assert_same_terms(got, want, ordered=True):
+    """got and want have equal terms, each value of the same type (int or
+    Fraction), and, when `ordered`, the same key order."""
+    g, w = ({m: (c.__class__, c) for m, c in s.terms.items()}
+            for s in (got, want))
+    assert g == w
+    if ordered:
+        assert list(g) == list(w)
+
+
 def test_star_matches_matchings_on_criterion_1_triples():
-    # the generator, seed, systems and caps of acceptance criterion 1
+    # the generator, seed, systems and caps of acceptance criterion 1;
+    # the kernel's key order is the matching enumeration's, and act_right
+    # on the representation argument is the derivative chain's
     from test_acceptance import _random_series
     ctx = TruncationContext(max_p_degree=4, max_hbar=4, min_hbar=-1,
                             max_word_length=0)
@@ -218,12 +230,67 @@ def test_star_matches_matchings_on_criterion_1_triples():
     for trial in range(500):
         sys = systems[trial % len(systems)]
         a, b, c = (_random_series(rng, sys) for _ in range(3))
-        _random_series(rng, sys)  # the representation argument
+        g = project_out(_random_series(rng, sys), kinds=("p",))
         ab, bc = star(a, b, sys, ctx), star(b, c, sys, ctx)
         for x, y, got in ((a, b, ab), (b, c, bc),
                           (ab, c, star(ab, c, sys, ctx)),
                           (a, bc, star(a, bc, sys, ctx))):
-            assert got == star_matchings_reference(x, y, sys, ctx), trial
+            assert_same_terms(got, star_matchings_reference(x, y, sys, ctx))
+        for F in (a, b, ab):
+            assert_same_terms(act_right(F, g, sys, ctx),
+                              act_right_reference(F, g, sys, ctx))
+
+
+def _weyl_star_calls():
+    """(system, input units, output) of star(a, b) and act_right(a, g) on
+    seeded factors of weyl_star's shape and caps: every exponent is 1."""
+    from test_acceptance import _random_series
+    ctx = TruncationContext(max_p_degree=4, max_hbar=4, min_hbar=-1,
+                            max_word_length=0)
+    rng = random.Random(34)
+    systems = _criterion_1_systems()
+    for trial in range(300):
+        sys = systems[trial % len(systems)]
+        a, b, g = (_random_series(rng, sys, max_terms=4, p_budget=2)
+                   for _ in range(3))
+        g = project_out(g, kinds=("p",))
+        for x, y, out in ((a, b, star(a, b, sys, ctx)),
+                          (a, g, act_right(a, g, sys, ctx))):
+            given = [u for m in (*x.terms, *y.terms) for u in m]
+            assert all(e == 1 for _, e in given)
+            yield sys, given, out
+
+
+def test_star_and_act_right_keep_their_input_units():
+    # a unit of an output monomial off h is a unit object of an input
+    # monomial unless its exponent is a sum (2)
+    kept = 0
+    for sys, given, out in _weyl_star_calls():
+        for m in out.terms:
+            for u in m:
+                if u[0] is not sys.hbar and u[1] == 1:
+                    kept += 1
+                    assert any(u is v for v in given)
+    assert kept > 1000
+
+
+def test_star_and_act_right_make_one_h_unit_per_exponent():
+    shared = 0
+    for sys, _, out in _weyl_star_calls():
+        h_units = {}
+        for m in out.terms:
+            if m and m[-1][0] is sys.hbar:
+                shared += m[-1][1] in h_units
+                assert h_units.setdefault(m[-1][1], m[-1]) is m[-1]
+    assert shared > 100
+
+
+def test_monomial_is_made_of_the_systems_units():
+    sys = odd_system(2)
+    m1, = sys.monomial(2, qs=["g1", "g2"], ps=["g1"], hpow=1).terms
+    m2, = sys.monomial(-1, qs=["g2"], ps=["g1"]).terms
+    assert m1[1] is m2[0] and m1[2] is m2[1]
+    assert all(u is sys.units[u[0]] for u in m1[:3])
 
 
 def test_uncontracted_pair_below_the_window_raises_the_first_nonzero_term():
@@ -296,7 +363,7 @@ def test_star_matches_rewriting_on_high_exponents(ctx):
         sys = _mixed_system(rng)
         a, b = _high_exponent_pair(rng, sys)
         got = star(a, b, sys, ctx)
-        assert got == star_reference(a, b, sys, ctx)
+        assert_same_terms(got, star_reference(a, b, sys, ctx), ordered=False)
         checked += bool(got)
     assert checked >= 20
 
@@ -309,7 +376,8 @@ def test_star_matches_rewriting_oracle(n, czs):
     for _ in range(40):
         a = _random_weyl_series(rng, sys)
         b = _random_weyl_series(rng, sys)
-        assert star(a, b, sys, CTX) == star_reference(a, b, sys, CTX)
+        assert_same_terms(star(a, b, sys, CTX),
+                          star_reference(a, b, sys, CTX), ordered=False)
 
 
 def test_star_associative_random():
@@ -446,9 +514,12 @@ def test_actions_match_derivative_chains(ctx):
         assert got == want
         if got != "underflow":
             # act_right feeds bv_from_hamiltonian: same key order too
-            assert list(got.terms) == list(want.terms)
+            assert_same_terms(got, want)
         left = _outcome_of(act_left, g, op, sys, ctx)
-        assert left == _outcome_of(act_left_reference, g, op, sys, ctx)
+        left_want = _outcome_of(act_left_reference, g, op, sys, ctx)
+        assert left == left_want
+        if left != "underflow":
+            assert_same_terms(left, left_want, ordered=False)
         for out in (got, left):
             nonzero += out != "underflow" and bool(out)
             underflow += out == "underflow"
