@@ -30,8 +30,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .algebra import (KEEP_ALL, GradedSeries, NormalizationError,
-                      TruncationContext, TruncationUnderflow, hbar_symbol,
-                      mul)
+                      TruncationContext, TruncationUnderflow, add_terms,
+                      hbar_symbol, mul)
 from .strings import ClassAlgebra
 from .surfaces import Surface, SurfaceError, Word, format_word, parse_word
 from .weyl import Orbit, OrbitSystem
@@ -51,11 +51,15 @@ MAX_POWER = 1_000
 MAX_POWER_PRODUCTS = 100_000
 # All the term products of one file, powers and `*` alike, count against
 # one budget, so many products each under the bound above stay bounded in
-# total.  One product at that bound with the powers that build its factors
-# must fit: (q1 + ... + q20)^3 * (1 + h + ... + h^63) takes 105,196.  The
-# slowest shape measured under this budget, (1/7 q1 + 2/9 q2)^250 * (...)^250
-# (188,505), took 1.9 s in parse(); ^315 * ^312 of the same sum (3.9 s, over
-# 297,000) is refused at its second power (same machine).
+# total.  A product of two single terms is not counted: their number is
+# bounded by the file's length times MAX_POWER, and the printer writes each
+# term as such products, so a file read under the budget prints to text
+# read under it.  One product at the bound above with the powers that
+# build its factors must fit: (q1 + ... + q20)^3 * (1 + h + ... + h^63)
+# takes 103,180.  The slowest shape measured under this budget,
+# (1/7 q1 + 2/9 q2)^250 * (...)^250 (188,501), took 1.9 s in parse();
+# ^315 * ^312 of the same sum (3.9 s, over 296,000) is refused at its `*`
+# (same machine).
 MAX_FILE_PRODUCTS = 2 * MAX_POWER_PRODUCTS
 # each level of parentheses takes four Python frames, so this depth stays
 # far below the interpreter's recursion limit
@@ -341,12 +345,14 @@ class _Parser:
 
     # -- expression grammar ---------------------------------------------
     def _expr(self) -> GradedSeries:
-        out = self._term()
+        # one accumulator for the whole sum: a chain of + building a new
+        # series at each term took 80 s (2-vCPU VM) to read back a printed
+        # series of 98,560 terms (quadratic); terms and order are the same
+        out = dict(self._term().terms)
         while self.peek().text in ("+", "-"):
             minus = self.next().text == "-"
-            term = self._term()
-            out = out - term if minus else out + term
-        return out
+            add_terms(out, self._term().terms, -1 if minus else 1)
+        return GradedSeries.from_terms(out)
 
     def _term(self) -> GradedSeries:
         out = self._factor()
@@ -359,12 +365,14 @@ class _Parser:
              ) -> GradedSeries:
         """a * b, refused at the token `at` when it takes more than
         MAX_POWER_PRODUCTS term products, or when it takes the file's
-        term products past MAX_FILE_PRODUCTS."""
+        term products past MAX_FILE_PRODUCTS (a product of two single
+        terms is not counted)."""
         t1, t2 = len(a.terms), len(b.terms)
         if t1 * t2 > MAX_POWER_PRODUCTS:
             raise _at(at, "product of sums of %d and %d terms takes more "
                       "than %d term products" % (t1, t2, MAX_POWER_PRODUCTS))
-        self.products += t1 * t2
+        if t1 * t2 > 1:
+            self.products += t1 * t2
         if self.products > MAX_FILE_PRODUCTS:
             raise _at(at, "the file's term products pass %d"
                       % MAX_FILE_PRODUCTS)

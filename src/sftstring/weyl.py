@@ -287,7 +287,10 @@ def _pairs(left, dl, right, dr, sys: OrbitSystem, ctx: TruncationContext,
                     continue
                 sgn, mono = res
                 if h:
-                    mono += (hunits.get(h) or hunits.setdefault(h, (hbar, h)),)
+                    unit = hunits.get(h)
+                    if unit is None:
+                        unit = hunits[h] = (hbar, h)
+                    mono += (unit,)
                 out = acc if h >= min_h else low
                 # (-1)^(m(m-1)/2) for m odd contractions
                 out[mono] = out.get(mono, 0) + (-sgn if m & 2 else sgn) * w

@@ -185,15 +185,25 @@ def test_product_of_sums_is_bounded_by_its_term_products(tmp_path):
 
 def test_term_products_of_a_file_share_one_budget(tmp_path):
     """Every term product of a file, in powers and at `*`, counts against
-    one budget.  S^3 * H, S as above and H the sum of 64 h powers, takes
-    105,196 (4,620 in S^3, 2,016 in the h powers); a second such line, or
-    a third factor `* 1` of 98,560 more, passes 200,000 at its `*`."""
+    one budget, except a product of two single terms.  S^3 * H, S as
+    above and H the sum of 64 h powers, takes 103,180 (4,620 in S^3; the
+    h powers take none) and is read; a second such line, or a third
+    factor `* 1` of 98,560 more, passes 200,000 at its `*`.  A file read
+    under the budget prints to text read under it: h^999 * S^2 prints
+    210 terms q[gi]*q[gj]*h^999 of about 1,000 single-term products each,
+    210,210 in all, which would pass the budget if they counted."""
     assert MAX_FILE_PRODUCTS == 200_000
     path = tmp_path / "budget.sft"
     orbits = "".join("orbit g%d cz=1 kappa=1\n" % i for i in range(20))
+    s = " + ".join("q[g%d]" % i for i in range(20))
     product = "(%s)^3 * (1 + %s)" % (
-        " + ".join("q[g%d]" % i for i in range(20)),
-        " + ".join("h^%d" % i for i in range(1, 64)))
+        s, " + ".join("h^%d" % i for i in range(1, 64)))
+    assert len(parse("n = 2\n%sseries H = %s\n" % (orbits, product))
+               .series["H"].terms) == 98_560
+    pf = parse("n = 2\n%sseries H = h^999 * (%s)^2\n" % (orbits, s))
+    text = print_problem(pf)
+    assert len(pf.series["H"].terms) == 210 and "q[g0]^2*h^999" in text
+    assert print_problem(parse(text)) == text
     for lines, at in (
             (["series %s = %s" % (x, product) for x in "HG"],
              (23, 12 + product.index("*"))),
