@@ -94,10 +94,8 @@ def monomial_degree(m: Monomial) -> int:
 
 
 def hbar_exponent(m: Monomial) -> int:
-    for s, e in m:
-        if s.kind == KIND_H:
-            return e
-    return 0
+    """The h exponent of a monomial: its last unit's, as h sorts last."""
+    return m[-1][1] if m and m[-1][0].kind == KIND_H else 0
 
 
 def p_degree(m: Monomial) -> int:

@@ -36,7 +36,6 @@ from .algebra import (
     mul,
     normalize,
     p_degree,
-    product_terms,
     q_degree,
     split_h,
 )
@@ -52,15 +51,22 @@ class BvError(ValueError):
     pass
 
 
+def units(m: Monomial) -> int:
+    """The number of units of an h-free word, its exponent sum."""
+    return sum(e for _, e in m)
+
+
 class FreeAlgebraSpec:
-    """Free graded-commutative algebra S(V); every sum on it is collected
-    into its window `caps`: q-degree <= word_cap, h <= hbar_cap, no p or
-    length cap, floor h^-64 (its sums reach h^-2 at the lowest: values
-    start at h^-1, and validate_bv applies D twice)."""
+    """Free graded-commutative algebra S(V), with the h-free basis words
+    of q-degree <= word_cap, or the listed `basis` (closed under
+    sub-words); every sum on it is collected into its window `caps`:
+    q-degree <= word_cap, h <= hbar_cap, no p or length cap, floor h^-64
+    (values start at h^-1, and validate_bv applies D twice)."""
 
     def __init__(self, generators: Sequence[Tuple[str, int]],
                  word_cap: int = 4, hbar_cap: int = 4, n: int = 2,
-                 symbols: Optional[Sequence[GradedSymbol]] = None):
+                 symbols: Optional[Sequence[GradedSymbol]] = None,
+                 basis: Optional[Sequence[Monomial]] = None):
         if symbols is not None:
             self.symbols = list(symbols)
         else:
@@ -71,7 +77,7 @@ class FreeAlgebraSpec:
         self.caps = TruncationContext(max_p_degree=inf, max_hbar=hbar_cap,
                                       min_hbar=-64, max_word_length=inf,
                                       max_q_degree=word_cap)
-        self._basis: Optional[List[Monomial]] = None
+        self._basis = None if basis is None else sorted(basis, key=units)
 
     word_cap = property(lambda self: self.caps.max_q_degree)
     hbar_cap = property(lambda self: self.caps.max_hbar)
@@ -89,15 +95,14 @@ class FreeAlgebraSpec:
         raise KeyError(name)
 
     def basis_monomials(self, max_len: Optional[int] = None) -> List[Monomial]:
-        """The h-free monomials of q-degree <= max_len (default and at
-        most word_cap), ordered by q-degree, then name.  The basis is
-        enumerated on the first call and kept; each call returns a new
-        list, a prefix of it."""
+        """The basis words of at most max_len units (default all); an
+        enumerated basis, ordered by q-degree, then name, is built on the
+        first call and kept.  Each call returns a new list, a prefix."""
         if self._basis is None:
             self._basis = self._enumerate()
         if max_len is None:
             return self._basis[:]
-        return self._basis[:bisect_right(self._basis, max_len, key=q_degree)]
+        return self._basis[:bisect_right(self._basis, max_len, key=units)]
 
     def _enumerate(self) -> List[Monomial]:
         cap = self.word_cap
@@ -120,25 +125,27 @@ class FreeAlgebraSpec:
 
 class LinearMap:
     """h-linear map on h-free monomials: a table, or a rule computing a
-    word's value on its first read, kept for later reads.  With a rule,
-    table is the dict the values are kept in, shared with the rule.
+    word's value on its first read, kept for later reads in the given
+    dict, shared with the rule, or not kept when the dict is None.
     _exp keeps e^phi once exp_map has built it."""
 
-    def __init__(self, spec: FreeAlgebraSpec, table: Dict[Monomial, GradedSeries],
+    def __init__(self, spec: FreeAlgebraSpec,
+                 table: Optional[Dict[Monomial, GradedSeries]],
                  degree: int, rule: Optional[Callable] = None):
         self.spec = spec
-        self._values = table if rule else dict(table)
+        self._keep = table is not None
+        self._values = {} if table is None else table if rule else dict(table)
         self.degree = degree
         self._rule = rule
         self._exp: Optional[LinearMap] = None
 
     @property
     def table(self) -> Dict[Monomial, GradedSeries]:
-        """The values; with a rule, on every basis word in basis order."""
-        if self._rule is not None:
-            self._values = {m: self._word(m) for m in self.spec.basis_monomials()}
-            self._rule = None
-        return self._values
+        """The values; with a rule, on every basis word in basis order
+        (the rule stays for the words off the basis)."""
+        if self._rule is None:
+            return self._values
+        return {m: self._word(m) for m in self.spec.basis_monomials()}
 
     def _word(self, w: Monomial) -> GradedSeries:
         v = self._values.get(w)
@@ -148,15 +155,16 @@ class LinearMap:
                               % format_monomial(w))
             if self._rule is None:
                 return GradedSeries.zero()
-            v = self._values[w] = self._rule(w)
+            v = self._rule(w)
+            if self._keep:
+                self._values[w] = v
         return v
 
     def value(self, m: Monomial) -> GradedSeries:
-        rest, h = split_h(m)
-        v = self._word(rest)
-        if h == 0:
-            return v
-        return mul(self.spec.hpow(h), v, self.spec.caps)
+        h = hbar_exponent(m)  # the last unit's: m without it is h-free
+        if not h:
+            return self._word(m)
+        return mul(self.spec.hpow(h), self._word(m[:-1]), self.spec.caps)
 
     def apply(self, series: GradedSeries) -> GradedSeries:
         out: Dict[Monomial, Coeff] = {}
@@ -174,20 +182,18 @@ class BvOperator(LinearMap):
 
     def component(self, k: int) -> LinearMap:
         """D^k, of degree -1 + 2(n-3)(1-k), as a rule-form map: the
-        h^(k-1) coefficient of each value, on the word's first read."""
+        h^(k-1) coefficient of D's value on each read, not kept again."""
         def rule(m: Monomial) -> GradedSeries:
-            split = ((split_h(mono), c) for mono, c in self.value(m).terms.items())
-            return GradedSeries.from_terms(
-                {rest: c for (rest, h), c in split if h == k - 1})
-        return LinearMap(self.spec, {}, -1 + 2 * (self.spec.n - 3) * (1 - k),
+            return GradedSeries._of({mono if k == 1 else mono[:-1]: c
+                                     for mono, c in self.value(m).terms.items()
+                                     if hbar_exponent(mono) == k - 1})
+        return LinearMap(self.spec, None, -1 + 2 * (self.spec.n - 3) * (1 - k),
                          rule)
 
     def max_component(self) -> int:
-        best = 0
-        for v in self.table.values():
-            for mono in v.terms:
-                best = max(best, hbar_exponent(mono) + 1)
-        return best
+        return 1 + max([-1] + [hbar_exponent(mono)
+                               for m in self.spec.basis_monomials()
+                               for mono in self.value(m).terms])
 
 
 def derivation_operator(spec: FreeAlgebraSpec,
@@ -199,51 +205,54 @@ def derivation_operator(spec: FreeAlgebraSpec,
                       lambda m: collect(derivation(m, img.get), spec.caps))
 
 
-def validate_bv(D: BvOperator) -> CheckReport:
+def validate_bv(D: BvOperator, report: Optional[CheckReport] = None
+                ) -> CheckReport:
     """BV1 DD = 0, BV2 order of the components, BV3 D(1) = 0, all
-    within caps; inconclusive when the window is too small."""
+    within caps, into `report` (default a new one); inconclusive when
+    the window is too small.  A witness names its basis word."""
     spec = D.spec
-    report = CheckReport("BV operator axioms",
-                         caps={"word_cap": spec.word_cap, "hbar_cap": spec.hbar_cap})
+    if report is None:
+        report = CheckReport("BV operator axioms", caps={
+            "word_cap": spec.word_cap, "hbar_cap": spec.hbar_cap})
     with timed(report):
         if not D.value(ONE).is_zero():
             report.add_witness("D(1)", repr(D.value(ONE)))
         reliable = reliable_cap(D)
         # every basis word must be reliable; the last (longest) may be
         # shorter than word_cap, when odd generators run out
-        conclusive = q_degree(spec.basis_monomials()[-1]) <= reliable
+        conclusive = units(spec.basis_monomials()[-1]) <= reliable
         for m in spec.basis_monomials(reliable):
             sq = D.apply(D.value(m))
             if not sq.is_zero():
                 report.add_witness("DD(%s)" % format_monomial(m), repr(sq))
         for k in range(1, D.max_component() + 1):
-            ok, concl = order_at_most(D.component(k), k)
+            failing, concl = order_at_most(D.component(k), k)
             conclusive = conclusive and concl
-            if concl and not ok:
-                report.add_witness("component %d has order > %d" % (k, k), "order")
+            for w in failing:
+                report.add_witness("component %d has order > %d (%s)"
+                                   % (k, k, format_monomial(w)), "order")
         if report.status == PASS and not conclusive:
             report.mark_inconclusive("word_cap too small for a conclusive check")
     return report
 
 
-def order_at_most(op: LinearMap, k: int) -> Tuple[bool, bool]:
-    """Whether op has order <= k, as (holds, conclusive): whether every
-    [..[op, a_0], .., a_k] vanishes, a_i generators and [T, a](x) =
-    T(a x) - (-1)^(|T||a|) a T(x); order <= -1 means op = 0.
+def order_at_most(op: LinearMap, k: int) -> Tuple[List[Monomial], bool]:
+    """(failing, conclusive): op has order <= k iff every [..[op, a_0],
+    .., a_k] vanishes, a_i generators and [T, a](x) = T(a x) -
+    (-1)^(|T||a|) a T(x); order <= -1 means op = 0.  failing lists the
+    basis words of more than k units with a nonzero Koszul bracket.
 
-    One pass over the basis, shortest word first, keeps the words w with
-    a nonzero Koszul bracket K(w) = op(w) - sum_u C(w, u) eps (w - u) K(u)
-    over the kept proper sub-words u of w (looked up among its sub-words
-    of at most k units: no longer word is kept), C(w, u) = prod_t
-    C(e_t, f_t) and eps the sign of (w - u) u = eps w times
-    (-1)^(|op||w - u|).  A kept word above q-degree k fails the check;
-    with word_cap < k + 1 there is none to check: (True, False).
+    One pass over the basis, fewest units first, keeps the words w with
+    a nonzero K(w) = op(w) - sum_u C(w, u) eps (w - u) K(u) over the
+    kept proper sub-words u of w (of at most as many units as a kept
+    word), C(w, u) = prod_t C(e_t, f_t) and eps the sign of (w - u) u =
+    eps w times (-1)^(|op||w - u|).  word_cap < k + 1: ([], False).
 
     (i) K(w) = [..[op, u_1], .., u_j](1), u_i the units of w in order:
     unfold T(b x) = [T, b](x) + (-1)^(|T||b|) b T(x) over the units b,
     and T(w) sums, over the position sets S of w, (w - S) times T's
     commutator with the units of S at 1, signed eps; the C(w, u) sets of
-    one u give equal terms.  (ii) Order <= k iff K = 0 above q-degree k:
+    one u give equal terms.  (ii) Order <= k iff K = 0 above k units:
     such a K(w) is a commutator of a (k+1)-fold one, and by (i) a
     (k+1)-fold one at x sums terms +-(x - u) K(a_0..a_k u), commutators
     graded-commuting, or 0 if an odd a repeats: [[T, a], a](x) =
@@ -252,27 +261,34 @@ def order_at_most(op: LinearMap, k: int) -> Tuple[bool, bool]:
     """
     spec = op.spec
     if spec.word_cap < k + 1:
-        return True, False
+        return [], False
     kept: Dict[Monomial, GradedSeries] = {}
+    failing: List[Monomial] = []
+    reach = k  # the most units of a kept word
     for w in spec.basis_monomials():
         acc = dict(op.value(w).terms)
-        subs = [()]  # the sub-words of w of at most k units
-        for s, e in w:
-            subs = [u + ((s, f),) if f else u for u in subs
-                    for f in range(min(e, k - q_degree(u)) + 1)]
-        for u in subs:
+        subs = [((), 0)]  # (sub-word, units) of at most reach units
+        for unit in w:
+            s, e = unit
+            subs += [(u + ((s, f) if f < e else unit,), n + f)
+                     for u, n in subs if n < reach for f in
+                     ((1,) if e == 1 else range(1, min(e, reach - n) + 1))]
+        for u, _ in subs:
             if u in kept:
                 rest, count = _divide(u, w)
                 sign = merge_words(rest, u)[0] * count \
                     * (-1) ** (op.degree * monomial_degree(rest) % 2)
-                add_terms(acc, product_terms(GradedSeries({rest: 1}), kept[u]),
-                          -sign)
+                for mu, cu in kept[u].terms.items():  # acc -= sign (w-u) K(u)
+                    res = merge_words(rest, mu)
+                    if res is not None:
+                        acc[res[1]] = acc.get(res[1], 0) - sign * res[0] * cu
         kw = collect(acc, spec.caps)
         if kw:
-            if q_degree(w) > k:
-                return False, True
             kept[w] = kw
-    return True, True
+            if units(w) > k:
+                failing.append(w)
+                reach = max(reach, units(w))
+    return failing, True
 
 
 def bv_bracket(D: BvOperator, a: GradedSeries, b: GradedSeries) -> GradedSeries:
@@ -454,6 +470,8 @@ def reliable_cap(D: LinearMap) -> int:
     evaluated on the longest words here.
     """
     spec = D.spec
+    if spec.word_cap == inf:  # an unbounded window cuts no value
+        return inf
     return spec.word_cap - max([0] + [
         q_degree(mono) - q_degree(m)
         for m in spec.basis_monomials(spec.word_cap - 1)

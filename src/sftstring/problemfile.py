@@ -31,7 +31,7 @@ from typing import Dict, List, Optional
 
 from .algebra import (KEEP_ALL, GradedSeries, NormalizationError,
                       TruncationContext, TruncationUnderflow, add_terms,
-                      hbar_symbol, mul)
+                      hbar_exponent, hbar_symbol, mul)
 from .strings import ClassAlgebra
 from .surfaces import Surface, SurfaceError, Word, format_word, parse_word
 from .weyl import Orbit, OrbitSystem
@@ -397,8 +397,21 @@ class _Parser:
             raise _at(tok, "power %d of a sum of %d terms takes more than %d "
                       "term products" % (e, t, MAX_POWER_PRODUCTS))
         out = GradedSeries.unit()
-        for _ in range(e):
-            out = self._mul(out, base, tok)
+        if t != 1:
+            for _ in range(e):
+                out = self._mul(out, base, tok)
+            return out
+        # one term: square and multiply along the bits of e, at most 2
+        # products a bit; below the window floor, stop at the first power
+        # that crosses it, which the error names as e products would
+        (m,) = base.terms
+        h = hbar_exponent(m)
+        if h < 0:
+            e = min(e, KEEP_ALL.min_hbar // h + 1)
+        for bit in bin(e)[2:]:
+            out = self._mul(out, out, tok)
+            if bit == "1":
+                out = self._mul(out, base, tok)
         return out
 
     def _atom(self) -> GradedSeries:

@@ -17,13 +17,14 @@ where the chain boundary vanishes.
 from __future__ import annotations
 
 import random
-from functools import reduce
-from types import MappingProxyType
+from itertools import combinations
+from math import inf
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (
     KEEP_ALL,
     KIND_S,
+    ONE,
     Coeff,
     GradedSeries,
     GradedSymbol,
@@ -48,10 +49,6 @@ from .weyl import (
 )
 
 
-# the one read-only image that every empty entry of an image memo shares
-_NO_TERMS = MappingProxyType({})
-
-
 class ClassAlgebra:
     """Registry mapping free homotopy classes to graded symbols.
 
@@ -64,41 +61,39 @@ class ClassAlgebra:
         self.surface = surface
         self.n = n
         self.degree = n - 3
-        self._symbols: Dict[Word, GradedSymbol] = {}
+        # each class's unit (symbol, 1), shared by the algebra's words
+        self._units: Dict[Word, Tuple[GradedSymbol, int]] = {}
         # names are format_word(cls), injective on classes
         self._classes: Dict[GradedSymbol, Word] = {}
-        # image memos: the split of one symbol, and the unscaled,
-        # uncollected images of one monomial under split/join
+        # the split of each symbol, computed once
         self._splits: Dict[GradedSymbol, Dict[Monomial, Coeff]] = {}
-        self._split_images: Dict[Monomial, Dict[Monomial, Coeff]] = {}
-        self._join_images: Dict[Monomial, Dict[Monomial, Coeff]] = {}
 
-    def symbol(self, cls: Word) -> GradedSymbol:
-        sym = self._symbols.get(cls)
-        if sym is None:
+    def unit(self, cls: Word) -> Tuple[GradedSymbol, int]:
+        """The unit (s, 1) of the class's symbol s, made on first use."""
+        unit = self._units.get(cls)
+        if unit is None:
             sym = GradedSymbol("s[%s]" % format_word(cls, self.surface),
                                self.degree, KIND_S, None, 0)
-            self._symbols[cls] = sym
+            unit = self._units[cls] = (sym, 1)
             self._classes[sym] = cls
-        return sym
+        return unit
 
     def class_of_symbol(self, sym: GradedSymbol) -> Word:
         """The class of a symbol of this algebra; KeyError for another."""
         return self._classes[sym]
 
     def single(self, cls: Word, coeff=1) -> GradedSeries:
-        return GradedSeries({((self.symbol(cls), 1),): coeff})
+        return GradedSeries({(self.unit(cls),): coeff})
 
     def multi(self, classes: Sequence[Word]) -> GradedSeries:
         """Ordered tuple of classes as a (canonicalized) monomial."""
-        return GradedSeries.from_word([(self.symbol(c), 1) for c in classes])
+        return GradedSeries.from_word([self.unit(c) for c in classes])
 
     def split_of(self, sym: GradedSymbol) -> Optional[Dict[Monomial, Coeff]]:
         """The split image of the one-string monomial of a string symbol:
         (-1)^(n-3) times the cobracket of its class, each Turaev pair
-        (u, v) as the normalized word u v.  Computed once per symbol, and
-        the same dict is that monomial's entry in the split memo; None
-        for a symbol of another kind."""
+        (u, v) as the normalized word u v.  Computed once per symbol;
+        None for a symbol of another kind."""
         if sym.kind != KIND_S:
             return None
         out = self._splits.get(sym)
@@ -107,10 +102,10 @@ class ClassAlgebra:
             out = {}
             cls = self.class_of_symbol(sym)
             for (u, v), cc in self.surface.turaev_terms(cls).items():
-                res = normalize([(self.symbol(u), 1), (self.symbol(v), 1)])
+                res = normalize([self.unit(u), self.unit(v)])
                 if res is not None:
                     out[res[1]] = out.get(res[1], 0) + res[0] * cc * sign
-            out = self._splits[sym] = out or _NO_TERMS
+            self._splits[sym] = out
         return out
 
     def word_of(self, text: str) -> Word:
@@ -120,16 +115,15 @@ class ClassAlgebra:
         return cls
 
 
-def _apply_images(series: GradedSeries, alg: ClassAlgebra, memo: dict,
-                  image, ctx: TruncationContext) -> GradedSeries:
-    """Sum of c * image(m) over the terms c*m of the series, each
-    monomial's image computed once per ClassAlgebra and kept in memo."""
+def _apply_images(series: GradedSeries, alg: ClassAlgebra, image,
+                  ctx: TruncationContext) -> GradedSeries:
+    """Sum of c * image(m) over the terms c*m of the series; an image is
+    a dict of terms, empty or None where it is 0."""
     out: Dict[Monomial, Coeff] = {}
     for m, c in series.terms.items():
-        img = memo.get(m)
-        if img is None:
-            img = memo[m] = image(m, alg) or _NO_TERMS
-        add_terms(out, img, c)
+        img = image(m, alg)
+        if img:
+            add_terms(out, img, c)
     return collect(out, ctx)
 
 
@@ -142,7 +136,7 @@ def delta_op(series: GradedSeries, alg: ClassAlgebra,
     (-1)^(r(3-n)) on slot r, and the operator becomes an odd derivation
     of the monomial algebra.  The unit is annihilated.
     """
-    return _apply_images(series, alg, alg._split_images, _split_image, ctx)
+    return _apply_images(series, alg, _split_image, ctx)
 
 
 def _split_image(m: Monomial, alg: ClassAlgebra) -> Dict[Monomial, Coeff]:
@@ -164,28 +158,27 @@ def nabla_op(series: GradedSeries, alg: ClassAlgebra,
     front, making the operator second-order over the monomial algebra.
     Vanishes on single strings and on the unit.
     """
-    return _apply_images(series, alg, alg._join_images, _join_image, ctx)
+    return _apply_images(series, alg, _join_image, ctx)
 
 
 def _join_image(m: Monomial, alg: ClassAlgebra) -> Dict[Monomial, Coeff]:
+    """Sums kept as they come, zeros included, for collect() to drop."""
     sgn_exp = 3 - alg.n
     out: Dict[Monomial, Coeff] = {}
-    slots = [s for s, e in m if s.kind == KIND_S for _ in range(e)]
-    rest = tuple((s, e) for s, e in m if s.kind != KIND_S)
+    slots = [u if u[1] == 1 else (u[0], 1) for u in m if u[0].kind == KIND_S
+             for _ in range(u[1])]
+    rest = [u for u in m if u[0].kind != KIND_S]
     k = len(slots)
     for r1 in range(1, k + 1):
         for r2 in range(r1 + 1, k + 1):
             pref = -1 if ((r1 + r2 + 1) * sgn_exp) % 2 else 1
-            c1 = alg.class_of_symbol(slots[r1 - 1])
-            c2 = alg.class_of_symbol(slots[r2 - 1])
+            others = slots[:r1 - 1] + slots[r1:r2 - 1] + slots[r2:] + rest
+            c1 = alg.class_of_symbol(slots[r1 - 1][0])
+            c2 = alg.class_of_symbol(slots[r2 - 1][0])
             for z, cc in alg.surface.goldman_terms(c1, c2).items():
-                entries = [(alg.symbol(z), 1)]
-                entries += [(s, 1) for t, s in enumerate(slots)
-                            if t not in (r1 - 1, r2 - 1)]
-                entries += rest
-                res = normalize(entries)
+                res = normalize([alg.unit(z)] + others)
                 if res is not None:
-                    add_terms(out, {res[1]: cc * pref}, res[0])
+                    out[res[1]] = out.get(res[1], 0) + res[0] * cc * pref
     return out
 
 
@@ -193,20 +186,13 @@ def _join_image(m: Monomial, alg: ClassAlgebra) -> Dict[Monomial, Coeff]:
 # identity suite
 # ---------------------------------------------------------------------
 
-def _pool_tuples(classes: List[Word], max_slots: int, total_len: int):
-    """Canonical tuples (non-decreasing class index) with at most
-    max_slots slots and total word length within the cap; classes are
-    sorted by length, as classes_up_to lists them."""
-    out: List[List[Word]] = []
-    _extend_pool(out, classes, max_slots, 0, [], total_len)
-    return out
-
-
-def _extend_pool(out: List[List[Word]], classes: List[Word], max_slots: int,
+def _pool_tuples(out: List[List[Word]], classes: List[Word], max_slots: int,
                  start: int, cur: List[Word], remaining: int) -> None:
-    """Append to out each tuple cur + [c, ...] of _pool_tuples, c from
-    classes[start:]; a module function, not a closure that calls itself,
-    so that no reference cycle keeps out alive past the call."""
+    """Append to out, depth first, each canonical tuple cur + [c, ...]
+    (non-decreasing class index, from start) with at most max_slots
+    slots and at most `remaining` more letters; classes are sorted by
+    length, as classes_up_to lists them.  A module function, not a
+    closure that calls itself: no reference cycle keeps out alive."""
     for idx in range(start, len(classes)):
         c = classes[idx]
         if len(c) > remaining:
@@ -214,111 +200,58 @@ def _extend_pool(out: List[List[Word]], classes: List[Word], max_slots: int,
         t = cur + [c]
         out.append(t)
         if len(t) < max_slots:
-            _extend_pool(out, classes, max_slots, idx, t, remaining - len(c))
+            _pool_tuples(out, classes, max_slots, idx, t, remaining - len(c))
+
+
+def string_operator(alg: ClassAlgebra, basis: Sequence[Monomial]):
+    """The BvOperator D = split + h*join on the listed basis: a word's
+    value, kept from its first read, is its delta_op plus its nabla_op
+    with the h unit appended (h sorts last).  The window is unbounded:
+    split and join keep h = 0 and p-degree 0 and never lengthen a word
+    in letters (free and Dehn reduction only shorten)."""
+    from .bv import BvOperator, FreeAlgebraSpec  # on use, as below
+
+    spec = FreeAlgebraSpec([], word_cap=inf, hbar_cap=inf, n=alg.n,
+                           symbols=dict.fromkeys(s for m in basis for s, _ in m),
+                           basis=basis)
+    h = (spec.hbar, 1)
+
+    def value(w: Monomial) -> GradedSeries:
+        one = GradedSeries._of({w: 1})
+        terms = delta_op(one, alg, KEEP_ALL).terms
+        for m, c in nabla_op(one, alg, KEEP_ALL).terms.items():
+            terms[m + (h,)] = c
+        return GradedSeries._of(terms)
+    return BvOperator(spec, {}, value)
 
 
 def check_string_identities(surface: Surface, max_len: int = 4,
                             max_slots: int = 3,
                             samples: int = 0, seed: int = 0) -> CheckReport:
-    """Verify the multi-string operator identities on the tuple algebra:
-    split^2 = 0, join^2 = 0, anticommutation of split and join, the
-    co-derivation rule of the split, and the seven-term relation of the
-    join, over all tuples within the caps (plus random extras).
+    """The multi-string identities as validate_bv of string_operator:
+    DD = 0 by powers of h is split^2 = 0, the split-join anticommutator
+    and join^2 = 0; order <= 1 of the split is its co-derivation rule,
+    order <= 2 of the join the seven-term relation."""
+    from .bv import validate_bv
 
-    Each value that several tuples share is computed once per call, on
-    first use: every symbol's split (its class's cobracket) and every
-    monomial's split and join images, in the memos of the call's
-    ClassAlgebra; each class's single string c with D(c) and N(c), and
-    each pair's join N(c_i c_j), in local tables freed on return.  The
-    tuple's own monomial s is the product c1 c2 (or c1 c2 c3) that the
-    two relations take apart, so their left sides are D(s) and N(s),
-    already at hand.  A product with a zero factor is not taken.
-    """
     alg = ClassAlgebra(surface)
-    ctx = KEEP_ALL  # split and join keep h = 0 and p-degree 0
     report = CheckReport("multi-string identities (genus %d, boundary %d)"
                          % (surface.genus, surface.boundary),
                          caps={"max_len": max_len, "max_slots": max_slots})
     with timed(report):
-        classes = surface.classes_up_to(max_len)
-        tuples = _pool_tuples(classes, max_slots, max_len)
-        if samples:
-            rng = random.Random(seed)
-            extra = [[classes[rng.randrange(len(classes))]
-                      for _ in range(rng.randrange(2, max_slots + 1))]
-                     for _ in range(samples)]
-            tuples = tuples + extra
-        D = lambda s: delta_op(s, alg, ctx)
-        N = lambda s: nabla_op(s, alg, ctx)
-        singles: Dict[Word, Tuple[GradedSeries, ...]] = {}
-        joins: Dict[Tuple[Word, Word], GradedSeries] = {}
-
-        def m(*xs: GradedSeries) -> GradedSeries:
-            """The product of xs; zero, with no product taken, when a
-            factor is zero."""
-            if not all(xs):
-                return GradedSeries()
-            return reduce(lambda x, y: mul(x, y, ctx), xs)
-
-        def single(w: Word) -> Tuple[GradedSeries, ...]:
-            """(c, D(c), N(c)) for the class w."""
-            got = singles.get(w)
-            if got is None:
-                c = alg.single(w)
-                got = singles[w] = (c, D(c), N(c))
-            return got
-
-        def join(w1: Word, w2: Word) -> GradedSeries:
-            """N(c1 c2) for the classes w1, w2."""
-            got = joins.get((w1, w2))
-            if got is None:
-                got = joins[w1, w2] = N(m(single(w1)[0], single(w2)[0]))
-            return got
-
-        # every class symbol has degree n - 3
-        d1 = d2 = d3 = alg.degree
-        for t in tuples:
-            s = alg.multi(t)
-            if s.is_zero():
-                continue
-            # formatted only for a tuple that fails
-            label = lambda: "(%s)" % ", ".join(format_word(w, surface) for w in t)
-            ds, ns = D(s), N(s)
-            if not D(ds).is_zero():
-                report.add_witness("split^2 " + label(), "nonzero")
-            if not N(ns).is_zero():
-                report.add_witness("join^2 " + label(), "nonzero")
-            if add_terms(dict(D(ns).terms), N(ds).terms):
-                report.add_witness("split-join anticommutator " + label(), "nonzero")
-            if len(t) == 2:
-                # co-derivation rule of the split:
-                # D(s) - D(c1) c2 - (-1)^|c1| c1 D(c2) = 0
-                (c1, dc1, _), (c2, dc2, _) = single(t[0]), single(t[1])
-                diff = dict(ds.terms)
-                add_terms(diff, m(dc1, c2).terms, -1)
-                add_terms(diff, m(c1, dc2).terms, -_pow_sign(d1))
-                if diff:
-                    report.add_witness("co-derivation rule " + label(), "nonzero")
-            if len(t) == 3:
-                # seven-term relation of the join: N(s) less six terms
-                (c1, _, n1), (c2, _, n2), (c3, _, n3) = (single(w) for w in t)
-                w1, w2, w3 = t
-                diff = dict(ns.terms)
-                for term, sign in (
-                        (m(join(w1, w2), c3), 1),
-                        (m(c1, join(w2, w3)), _pow_sign(d1)),
-                        (m(join(w1, w3), c2), _pow_sign(d2 * d3)),
-                        (m(n1, c2, c3), -1),
-                        (m(c1, n2, c3), -_pow_sign(d1)),
-                        (m(c1, c2, n3), -_pow_sign(d1 + d2))):
-                    add_terms(diff, term.terms, -sign)
-                if diff:
-                    report.add_witness("seven-term " + label(), "nonzero")
-    return report
-
-
-def _pow_sign(e: int) -> int:
-    return -1 if e % 2 else 1
+        # the basis: the pool's words, and random ones with sub-words
+        classes, tuples = surface.classes_up_to(max_len), []
+        _pool_tuples(tuples, classes, max_slots, 0, [], max_len)
+        rng = random.Random(seed)
+        for _ in range(samples):
+            t = [classes[rng.randrange(len(classes))]
+                 for _ in range(rng.randrange(2, max_slots + 1))]
+            tuples += [list(sub) for r in range(1, len(t) + 1)
+                       for sub in combinations(t, r)]
+        D = string_operator(alg, [ONE, *dict.fromkeys(
+            m for t in tuples for m in alg.multi(t).terms)])
+        del tuples  # freed before the checks
+    return validate_bv(D, report)
 
 
 # ---------------------------------------------------------------------

@@ -9,8 +9,9 @@ computes each word on its first read.  `reliable_cap_full_table` reads
 the truncation's reliable cap off every basis word, where the library
 reads only the words below word_cap.  `order_at_most_reference`
 decides a map's order by nested graded commutators, one table per
-multiset of generators, where the library walks the basis once for the
-Koszul brackets.  `linked_pairs_by_walk` finds the end of each shared
+multiset of generators, and `koszul_bracket_reference` unfolds one
+word's nested commutator at 1, where the library walks the basis once
+for the Koszul brackets.  `linked_pairs_by_walk` finds the end of each shared
 run of two strands by walking along it, where `Surface._linked_pairs`
 keeps the pairs a one-step test accepts.
 """
@@ -159,6 +160,27 @@ def order_at_most_reference(op: LinearMap, k: int,
         if not ok:
             return False, conclusive
     return True, conclusive
+
+
+def koszul_bracket_reference(op: LinearMap, w: Monomial) -> GradedSeries:
+    """[..[op, u_1], .., u_j](1), u_i the units of w in order, by the
+    recursion [T, a](x) = T(a x) - (-1)^(|T||a|) a T(x) down to op: 2^j
+    reads of op, each on a sub-word of w."""
+    caps = op.spec.caps
+
+    def bracket(j: int, x: GradedSeries, degree: int) -> GradedSeries:
+        """[..[op, u_1], .., u_j](x), degree the degree of that map."""
+        if j == 0:
+            return op.apply(x)
+        a = GradedSeries.generator(units[j - 1])
+        inner = degree - units[j - 1].degree
+        sign = -1 if inner % 2 and units[j - 1].degree % 2 else 1
+        return bracket(j - 1, mul(a, x, _WIDE), inner) - \
+            mul(a, bracket(j - 1, x, inner), caps).scale(sign)
+
+    units = units_of(w)
+    return bracket(len(units), GradedSeries.unit(),
+                   op.degree + sum(s.degree for s in units))
 
 
 def pair_canonical_walk(w1, i, w2, j) -> Optional[Tuple[int, int]]:

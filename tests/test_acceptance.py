@@ -160,8 +160,8 @@ def test_criterion_3_bv_suite(hamiltonian):
         for k in range(1, D.max_component() + 1):
             comp = D.component(k)
             assert comp.degree == -1 + 2 * (sys.n - 3) * (1 - k)
-            ok, _concl = order_at_most(comp, k)
-            assert ok
+            failing, _concl = order_at_most(comp, k)
+            assert failing == []
         # the first component is a derivation with vanishing BV-bracket
         D1 = BvOperator(D.spec, D.component(1).table)
         gens = [GradedSeries.generator(s) for s in D.spec.symbols[:4]]

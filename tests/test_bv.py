@@ -31,7 +31,7 @@ from sftstring.bv import (
 )
 from sftstring.weyl import Orbit, OrbitSystem, check_master_h
 from builders import generator
-from oracles import order_at_most_reference
+from oracles import koszul_bracket_reference, order_at_most_reference
 
 
 def xy_spec(word_cap=4, hbar_cap=3):
@@ -59,8 +59,10 @@ def test_derivation_has_order_one():
     D = derivation_operator(spec, {"x": mul(y, y, spec.caps) - GradedSeries.unit(),
                                    "y": GradedSeries.zero()})
     comp = D.component(1)
-    assert order_at_most(comp, 1) == (True, True)
-    assert order_at_most(comp, 0)[0] is False
+    assert order_at_most(comp, 1) == ([], True)
+    # a derivation's Koszul bracket vanishes past one unit, and on the
+    # generators it is the derivation itself: D(x) != 0 = D(y)
+    assert order_at_most(comp, 0) == ([((spec.symbol("x"), 1),)], True)
 
 
 def test_derivation_sign_on_even_generators():
@@ -82,7 +84,7 @@ def test_multiplication_operator_has_order_zero():
     table = {m: mul(GradedSeries({m: Fraction(1)}), y, spec.caps)
              for m in spec.basis_monomials()}
     op = LinearMap(spec, table, 0)
-    assert order_at_most(op, 0) == (True, True)
+    assert order_at_most(op, 0) == ([], True)
 
 
 def test_second_derivative_has_order_two_not_one():
@@ -100,8 +102,10 @@ def test_second_derivative_has_order_two_not_one():
 
     table = {m: second(m) for m in spec.basis_monomials()}
     op = LinearMap(spec, table, 0)
-    assert order_at_most(op, 2) == (True, True)
-    assert order_at_most(op, 1)[0] is False
+    assert order_at_most(op, 2) == ([], True)
+    # [[d^2/dq1 dq2, q1], q2] = 1, and every other bracket of two or more
+    # units vanishes
+    assert order_at_most(op, 1) == ([((q1, 1), (q2, 1))], True)
 
 
 def test_bv_bracket_of_derivation_vanishes():
@@ -132,10 +136,12 @@ def test_bv_bracket_order_two_example():
     assert got == GradedSeries.unit() or got == GradedSeries.unit(-1)
 
 
-def test_order_check_reads_each_word_once_and_stops_at_the_first_failure():
+def test_order_check_reads_each_word_once_and_names_each_failing_word():
     # d^2/dy^2, of order 2: a passing check reads every basis word once,
-    # a second check reads none again, and a failing one reads the basis
-    # up to its first word of degree above k with a nonzero bracket, y^2
+    # a second check reads none again, and a failing one reads every
+    # word once too and names y^2, the one word of degree above 1 with a
+    # nonzero bracket ([[d^2/dy^2, y], y] = 2, a constant, commutes with
+    # every generator)
     spec = FreeAlgebraSpec([("x", 1), ("y", 0), ("z", 2)], word_cap=4,
                            hbar_cap=1, n=2)
     sy = spec.symbol("y")
@@ -148,14 +154,14 @@ def test_order_check_reads_each_word_once_and_stops_at_the_first_failure():
                                       e * (e - 1)) if e > 1 else GradedSeries()
 
     op = LinearMap(spec, {}, 0, second)
-    assert order_at_most(op, 2) == (True, True)
+    assert order_at_most(op, 2) == ([], True)
     assert reads == spec.basis_monomials()
-    assert order_at_most(op, 3) == (True, True)
+    assert order_at_most(op, 3) == ([], True)
     assert reads == spec.basis_monomials()
     del reads[:]
-    assert order_at_most(LinearMap(spec, {}, 0, second), 1) == (False, True)
-    basis = spec.basis_monomials()
-    assert reads == basis[:basis.index(((sy, 2),)) + 1]
+    assert order_at_most(LinearMap(spec, {}, 0, second), 1) == \
+        ([((sy, 2),)], True)
+    assert reads == spec.basis_monomials()
 
 
 _KINDS = ("table", "derivations", "f_derivation", "multiplication")
@@ -218,12 +224,20 @@ def _oracle_maps(rng, count):
 
 def test_order_check_matches_the_nested_commutator_oracle():
     """The Koszul-bracket pass against the nested-commutator recursion
-    it replaces, on 2,400 (map, k) cases, k = -1..4."""
+    it replaces, on 2,400 (map, k) cases, k = -1..4: the verdict, and
+    the failing words against the words of more than k units whose
+    nested commutator at 1 is nonzero."""
     seen = Counter()
     for kind, op in _oracle_maps(random.Random(29), 400):
+        nonzero = [w for w in op.spec.basis_monomials()
+                   if koszul_bracket_reference(op, w)]
         for k in range(-1, 5):
-            got = order_at_most(op, k)
+            failing, conclusive = order_at_most(op, k)
+            got = (not failing, conclusive)
             assert got == order_at_most_reference(op, k), (kind, k)
+            if conclusive:
+                assert failing == [w for w in nonzero if q_degree(w) > k], \
+                    (kind, k)
             seen[kind, got] += 1
     assert sum(seen.values()) == 2400
     # every kind meets every verdict: passing, failing and inconclusive
@@ -260,9 +274,10 @@ def test_generic_order_k_maps_have_order_exactly_k():
                                            spec.caps).terms, sign)
                 return GradedSeries(acc)
             op = LinearMap(spec, {}, degree, rule)
-            for check in (order_at_most, order_at_most_reference):
-                assert check(op, k) == (True, True), (k, n)
-                assert check(op, k - 1) == (False, True), (k, n)
+            assert order_at_most_reference(op, k) == (True, True), (k, n)
+            assert order_at_most_reference(op, k - 1) == (False, True), (k, n)
+            assert order_at_most(op, k) == ([], True), (k, n)
+            assert order_at_most(op, k - 1)[0], (k, n)
 
 
 def test_exp_morphism_small_cases():
@@ -491,7 +506,7 @@ def test_validate_bv_witnesses_a_component_of_too_high_order():
 
     rep = validate_bv(BvOperator(spec, {m: second(m)
                                         for m in spec.basis_monomials()}))
-    assert _labels(rep) == ["DD(q1^2*q2^2)", "component 1 has order > 1"]
+    assert _labels(rep) == ["DD(q1^2*q2^2)", "component 1 has order > 1 (q1*q2)"]
 
 
 def test_bv1_witness_at_h_to_the_minus_2():

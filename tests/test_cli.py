@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -213,6 +214,47 @@ def test_term_products_of_a_file_share_one_budget(tmp_path):
         assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
         assert proc.stderr == ("error: line %d, col %d: the file's term "
                                "products pass 200000\n" % at)
+
+
+def test_one_term_powers_square_and_multiply(monkeypatch):
+    """x^e of a one-term x takes at most 2 products a bit of e, not e,
+    with the value of e products; an odd square still vanishes, a p left
+    of its q still fails at the first square, and a power past the
+    window floor still fails at the first power below it, (1/h)^e at
+    h^-65 whatever e is.  h^999 took 999 products."""
+    from functools import reduce
+
+    from sftstring import problemfile
+    from sftstring.algebra import KEEP_ALL, GradedSeries, hbar_symbol, mul
+
+    products = []
+    monkeypatch.setattr(problemfile, "mul",
+                        lambda *a: products.append(a) or mul(*a))
+    pre = ("n = 2\norbit g1 cz=0 kappa=1\norbit g2 cz=1 kappa=2\n"
+           "surface genus=2 boundary=0\n")
+
+    def read(text):
+        del products[:]
+        return parse(pre + "series H = %s\n" % text).series["H"]
+
+    assert read("h^999").terms == {((hbar_symbol(2), 999),): 1}
+    assert len(products) <= 2 * (999).bit_length() == 20
+    for base in ("(2/3*q[g2]*h)", "(-3*q[g2]*(1/h)^2)", "(5*s[a1 b1])",
+                 "(q[g2]*s[a1])", "(-1/2*q[g2]^2*(1/h)^3)", "(0*q[g1])"):
+        x = read(base)
+        for e in (0, 1, 2, 3, 7, 20, 21):
+            want = reduce(lambda a, b: mul(a, b, KEEP_ALL), [x] * e,
+                          GradedSeries.unit())
+            assert read("%s^%d" % (base, e)) == want, (base, e)
+            assert [type(c) for c in read("%s^%d" % (base, e)).terms.values()] \
+                == [type(c) for c in want.terms.values()]
+    assert read("s[a1]^2").is_zero() and read("(q[g1]*(1/h))^200").is_zero()
+    for text, message in (
+            ("(1/h)^65", "h^-65"), ("(1/h)^1000", "h^-65"),
+            ("(2*q[g2]*(1/h)^3)^40", "q[g2]^22*h^-66"),
+            ("(q[g2]*p[g2])^2", "use the star product")):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            read(text)
 
 
 # -- seeded fuzz of the problem-file grammar ---------------------------

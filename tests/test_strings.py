@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from sftstring import strings
-from sftstring.algebra import (KIND_S, GradedSeries, TruncationContext,
+from sftstring.algebra import (KIND_S, ONE, GradedSeries, TruncationContext,
                                add_terms, collect, mul, word_length)
 from sftstring.strings import (
     ClassAlgebra,
@@ -22,12 +22,20 @@ from sftstring.strings import (
     check_string_identities,
     delta_op,
     nabla_op,
+    string_operator,
 )
 from sftstring.surfaces import Surface
 from sftstring.weyl import Orbit, OrbitSystem
 
 CTX = TruncationContext(max_p_degree=3, max_hbar=3, min_hbar=-2,
                         max_word_length=12)
+
+
+def pool(classes, max_slots, max_len):
+    """The identity suite's pool tuples, depth first."""
+    out = []
+    _pool_tuples(out, classes, max_slots, 0, [], max_len)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -193,7 +201,7 @@ def test_master_l_with_punctures(alg, genus2):
     # simple disjoint class and nothing acts, so the equation holds
     sys = _orbit_system()
     x = alg.word_of("a1")
-    L = GradedSeries.from_word([(alg.symbol(x), 1),
+    L = GradedSeries.from_word([alg.unit(x),
                                 (sys.p["g1"], 1), (sys.hbar, -1)])
     rep = check_master_l(L, GradedSeries.zero(), GradedSeries.zero(),
                          alg, sys, CTX)
@@ -277,7 +285,63 @@ def test_axioms_on_surfaces_with_boundary(genus, boundary):
 
 
 # ---------------------------------------------------------------------
-# split/join images memoized per monomial
+# the string operator D = split + h*join
+# ---------------------------------------------------------------------
+
+def _string_operator_on_pool(S, max_len=4, max_slots=3):
+    alg = ClassAlgebra(S)
+    classes = S.classes_up_to(max_len)
+    words = dict.fromkeys(m for t in pool(classes, max_slots, max_len)
+                          for m in alg.multi(t).terms)
+    return alg, string_operator(alg, [ONE, *words])
+
+
+@pytest.mark.parametrize("genus,boundary", [(2, 0), (1, 1), (0, 3)])
+def test_string_operator_never_lengthens_a_word(genus, boundary):
+    """The string spec's window is unbounded because no term of D's value
+    is longer, in letters, than its word: a split cuts one class at a
+    self-intersection into two that share its letters, a join glues two
+    classes' letters into one, and free and Dehn reduction only shorten.
+    Checked on every pool word (classes up to length 4, at most 3 slots)
+    and on every word that DD reads from them, 4-slot words included."""
+    S = Surface(genus, boundary)
+    alg, D = _string_operator_on_pool(S)
+
+    def letters(m):
+        return sum(len(alg.class_of_symbol(s)) * e for s, e in m
+                   if s.kind == KIND_S)
+
+    words = D.spec.basis_monomials()
+    read = {rest for w in words for mono in D.value(w).terms
+            for rest in [tuple(u for u in mono if u[0].kind == KIND_S)]}
+    terms = 0
+    for w in dict.fromkeys(words + list(read)):
+        for mono in D.value(w).terms:
+            assert letters(mono) <= letters(w), (w, mono)
+            terms += 1
+    assert terms >= {(2, 0): 4800, (1, 1): 200, (0, 3): 100}[genus, boundary]
+    assert any(len(w) == 4 for w in read) is ((genus, boundary) != (1, 1))
+
+
+def test_string_operator_reads_words_off_its_basis_after_tabulating(genus2):
+    """LinearMap.table keeps the rule: after the table is built, a word
+    off the listed basis (here a 4-slot split image, which DD reads) is
+    computed, not taken as zero."""
+    alg, first = _string_operator_on_pool(genus2)
+    w = next(mono for m in first.spec.basis_monomials()
+             for mono in first.value(m).terms
+             if len(mono) == 4 and first.value(mono))
+    alg, D = _string_operator_on_pool(genus2)
+    assert len(D.table) == len(D.spec.basis_monomials()) == 3465
+    assert w not in D.table
+    one = GradedSeries({w: 1})
+    assert D.value(w) == delta_op(one, alg, _pool_ctx()) + mul(
+        GradedSeries.generator(D.spec.hbar), nabla_op(one, alg, _pool_ctx()),
+        _pool_ctx())
+
+
+# ---------------------------------------------------------------------
+# split/join images
 # ---------------------------------------------------------------------
 
 def _slots_and_rest(m):
@@ -297,7 +361,7 @@ def delta_op_reference(series, alg, ctx):
             cls = alg.class_of_symbol(slots[r - 1])
             for (u, v), cc in alg.surface.turaev_terms(cls).items():
                 entries = [(s, 1) for s in slots[:r - 1]]
-                entries += [(alg.symbol(u), 1), (alg.symbol(v), 1)]
+                entries += [alg.unit(u), alg.unit(v)]
                 entries += [(s, 1) for s in slots[r:]]
                 entries += rest
                 add_terms(out, GradedSeries.from_word(entries, c * cc * pref).terms)
@@ -317,7 +381,7 @@ def nabla_op_reference(series, alg, ctx):
                 c1 = alg.class_of_symbol(slots[r1 - 1])
                 c2 = alg.class_of_symbol(slots[r2 - 1])
                 for z, cc in alg.surface.goldman_terms(c1, c2).items():
-                    entries = [(alg.symbol(z), 1)]
+                    entries = [alg.unit(z)]
                     entries += [(s, 1) for t, s in enumerate(slots)
                                 if t not in (r1 - 1, r2 - 1)]
                     entries += rest
@@ -346,7 +410,7 @@ def test_split_join_images_match_reference_on_pool(genus, boundary, n):
     alg = ClassAlgebra(S, n)
     ctx = _pool_ctx()
     nonzero = {delta_op: 0, nabla_op: 0}
-    for t in _pool_tuples(S.classes_up_to(4), 3, 4):
+    for t in pool(S.classes_up_to(4), 3, 4):
         s = alg.multi(t)
         for op, ref in ((delta_op, delta_op_reference),
                         (nabla_op, nabla_op_reference)):
@@ -365,7 +429,7 @@ def test_split_join_images_match_reference_on_combinations(genus2):
     # split^2 and join^2 of a combination cancel term by term
     alg = ClassAlgebra(genus2, 2)
     ctx = _pool_ctx()
-    tuples = [t for t in _pool_tuples(genus2.classes_up_to(4), 3, 4)
+    tuples = [t for t in pool(genus2.classes_up_to(4), 3, 4)
               if not alg.multi(t).is_zero()]
     rng = random.Random(808)
     m0 = alg.multi([genus2.class_of("a1 b1 A1 B1")])
@@ -428,7 +492,7 @@ def test_pool_tuples_stop_at_first_long_class(genus, boundary):
                 rec(idx, t, remaining - len(c))
 
     rec(0, [], 4)
-    assert _pool_tuples(classes, 3, 4) == out
+    assert pool(classes, 3, 4) == out
 
 
 # ---------------------------------------------------------------------
@@ -443,8 +507,11 @@ def test_identity_witnesses_under_a_broken_operator(monkeypatch, genus2, op):
     """tests/data/identities/witnesses.json holds the witness list, in
     order, of check_string_identities on genus 2 with max_len=3 when the
     split (80 witnesses) or the join (72) image is negated on two-slot
-    monomials.  A memo that skips, repeats or reorders an identity on
-    some tuple changes the list."""
+    monomials: a DD witness on each tuple where a square or the
+    split-join anticommutator fails (32 of each list), and an order
+    witness of the split (48) or of the join (40) on each tuple where
+    the co-derivation rule or the seven-term relation fails.  A memo
+    that skips, repeats or reorders a word changes the list."""
     name = "_%s_image" % op
     image = getattr(strings, name)
 
@@ -459,14 +526,19 @@ def test_identity_witnesses_under_a_broken_operator(monkeypatch, genus2, op):
 
 
 @pytest.mark.parametrize("op, want", [
-    ("split", ["split^2 (a1 A2 B1)", "split^2 (a1 A2 b2)"]),
-    ("join", ["join^2 (a1, A1, b1)", "join^2 (a1, b1, B1)"])])
+    ("split", [("DD(s[a1 A2 B1])", "2*s[A2]*s[B1]*s[a1]"),
+               ("DD(s[a1 A2 b2])", "2*s[A2]*s[a1]*s[b2]")]),
+    ("join", [("DD(s[A1]*s[a1]*s[b1])", "-s[b1]*h^2"),
+              ("DD(s[B1]*s[a1]*s[b1])", "s[a1]*h^2")])])
 def test_square_witnesses_when_a_structure_constant_is_dropped(
         monkeypatch, op, want):
     """split^2 = 0 rests on co-Jacobi and join^2 = 0 on Jacobi.  With the
     term (a1, A2) dropped from the cobracket of a1 A2, or the bracket of
     (a1, b1) set to zero, the square of that operator is nonzero on the
-    listed tuples (genus 2, max_len 3), and the report names them."""
+    listed words (genus 2, max_len 3): DD there is wholly the square's
+    part, at h^0 for the split and h^2 for the join, and the report
+    names the words.  (The other DD witnesses, all at h^1, are the
+    split-join anticommutator's.)"""
     S = Surface(2, 0)  # a surface of its own: one of its methods is patched
     a1, b1 = S.class_of("a1"), S.class_of("b1")
     if op == "split":
@@ -478,17 +550,21 @@ def test_square_witnesses_when_a_structure_constant_is_dropped(
         goldman = S.goldman_terms
         monkeypatch.setattr(S, "goldman_terms", lambda u, v: {}
                             if (u, v) == (a1, b1) else goldman(u, v))
-    got = [label for label, _ in check_string_identities(S, max_len=3).witnesses
-           if label.startswith(op + "^2 ")]
-    assert got == want
+    square = {"split": lambda c: "h" not in c,
+              "join": lambda c: c.endswith("h^2")}[op]
+    got = check_string_identities(S, max_len=3).witnesses
+    assert [w for w in got if square(w[1])] == want
+    assert all(label.startswith("DD(") and c.endswith("*h")
+               for label, c in got if not square(c))
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_tuple_monomial_is_the_product_of_its_classes(genus2, n):
-    """The identity suite takes D(s) and N(s) of the tuple's monomial s
-    as D(c1 c2) and N(c1 c2 c3): multi must give the product of the
-    single strings, in the window, for pool tuples and for sampled
-    tuples in any order, repeats included (at n = 3 a repeat survives)."""
+    """The identity suite's basis words are the tuples' monomials, which
+    its order check takes as products of their units: multi must give
+    the product of the single strings, in the window, for pool tuples
+    and for sampled tuples in any order, repeats included (at n = 3 a
+    repeat survives)."""
     alg = ClassAlgebra(genus2, n)
     ctx = _pool_ctx()
     classes = genus2.classes_up_to(4)
@@ -496,7 +572,7 @@ def test_tuple_monomial_is_the_product_of_its_classes(genus2, n):
     sampled = [[rng.choice(classes[:40]) for _ in range(rng.randrange(2, 4))]
                for _ in range(300)]
     nonzero = 0
-    for t in _pool_tuples(classes, 3, 4) + sampled:
+    for t in pool(classes, 3, 4) + sampled:
         if len(t) > 1:
             s = alg.multi(t)
             assert reduce(lambda x, y: mul(x, y, ctx),
@@ -506,10 +582,11 @@ def test_tuple_monomial_is_the_product_of_its_classes(genus2, n):
 
 
 def test_identity_suite_leaves_only_the_image_memos(monkeypatch, genus2):
-    """The call's tables die with it: its ClassAlgebra, which every
-    closure of the call reaches, is freed by reference counting alone
-    once dropped, the cycle collector finds no function of the module,
-    and the algebra keeps its class registry and image memos only."""
+    """The call's tables die with it: its ClassAlgebra, which the string
+    operator's rule holds, is freed by reference counting alone once
+    dropped, the cycle collector finds no function of the module, and
+    the algebra keeps its class registry and its split table only (the
+    operator's value memo is the one per-word memo)."""
     made = []
 
     class Recorded(ClassAlgebra):
@@ -525,9 +602,8 @@ def test_identity_suite_leaves_only_the_image_memos(monkeypatch, genus2):
         (alg,) = made
         made.clear()
         assert set(vars(alg)) == {
-            "surface", "n", "degree", "_symbols", "_classes",
-            "_splits", "_split_images", "_join_images"}
-        assert alg._splits and alg._split_images and alg._join_images
+            "surface", "n", "degree", "_units", "_classes", "_splits"}
+        assert alg._splits
         ref = weakref.ref(alg)
         del alg
         assert ref() is None
